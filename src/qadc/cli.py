@@ -5,7 +5,8 @@ style), derives all randomness from a single seed and writes its outputs
 atomically together with a manifest sufficient to reproduce the run.  Outputs
 are plain CSV/JSON; plotting is out of scope.
 
-Exit codes: 0 ok, 2 configuration error, 3 numerical failure.
+Exit codes: 0 ok, 2 configuration error, 3 numerical failure or a run with no
+valid repetitions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,12 @@ import numpy as np
 from qadc import analysis, ml
 from qadc.photonics import ModelError, PostSelectionEmpty
 from qadc.protocol import (
+    DEVICE_NOISE,
+    NOISELESS,
     NoiseConfig,
     ProtocolConfig,
     derive_rng,
+    format_float as _fmt,
     read_classical_csv,
     read_quantum_csv,
     simulate_classical_dataset,
@@ -42,25 +46,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-#: Default run configuration.  The noise preset mirrors the measured platform:
-#: delta 0.926 is the mean pairwise indistinguishability of the six photon
-#: pairs, g2 values are the measured source correlations for the two- and
-#: four-photon experiments and brightness 0.14 the non-empty-bin probability.
+#: Default run configuration.  The noise block holds the `NoiseConfig`
+#: defaults; ``--device-noise`` and ``--noiseless`` overlay the presets below.
 DEFAULT_CONFIG = {
     "strategy": "both",
     "n_phases": 99,
     "n_shots": 5377,
     "mode": "direct",
-    "noise": {
-        "delta": 1.0,
-        "g2_two_photon": 0.0,
-        "g2_four_photon": 0.0,
-        "brightness": 1.0,
-        "eta": 1.0,
-        "sigma_theta": 0.0,
-        "sigma_phi": 0.0,
-        "condition_on_emission": True,
-    },
+    "noise": asdict(NoiseConfig()),
     "analysis": {
         "n_curve_points": 12,
         "n_resamples": 100,
@@ -91,22 +84,19 @@ DEFAULT_CONFIG = {
     "seed": 0,
 }
 
+#: Measured-platform source values; programming errors and conditioning are
+#: left as configured.
 DEVICE_NOISE_PRESET = {
-    "delta": 0.926,
-    "g2_two_photon": 5.321e-3,
-    "g2_four_photon": 5.629e-3,
-    "brightness": 0.14,
-    "eta": 1.0,
+    key: value
+    for key, value in asdict(DEVICE_NOISE).items()
+    if key in ("delta", "g2_two_photon", "g2_four_photon", "brightness", "eta")
 }
 
+#: Ideal source and programming; conditioning is left as configured.
 NOISELESS_PRESET = {
-    "delta": 1.0,
-    "g2_two_photon": 0.0,
-    "g2_four_photon": 0.0,
-    "brightness": 1.0,
-    "eta": 1.0,
-    "sigma_theta": 0.0,
-    "sigma_phi": 0.0,
+    key: value
+    for key, value in asdict(NOISELESS).items()
+    if key != "condition_on_emission"
 }
 
 CONFIG_KEY_HELP = {
@@ -222,14 +212,7 @@ def validate_config(config: dict) -> None:
 def noise_config(config: dict) -> NoiseConfig:
     noise = config["noise"]
     cfg = NoiseConfig(
-        delta=float(noise["delta"]),
-        g2_two_photon=float(noise["g2_two_photon"]),
-        g2_four_photon=float(noise["g2_four_photon"]),
-        brightness=float(noise["brightness"]),
-        eta=float(noise["eta"]),
-        sigma_theta=float(noise["sigma_theta"]),
-        sigma_phi=float(noise["sigma_phi"]),
-        condition_on_emission=bool(noise["condition_on_emission"]),
+        **{key: type(default)(noise[key]) for key, default in DEFAULT_CONFIG["noise"].items()}
     )
     cfg.source_model(4)  # validates the g2 mapping early
     cfg.source_model(2)
@@ -250,21 +233,26 @@ def protocol_config(config: dict) -> ProtocolConfig:
 # ---------------------------------------------------------------------------
 
 
-def atomic_write_bytes(path: Path, payload: bytes) -> None:
+def atomic_write(path: Path, content) -> None:
+    """Replace ``path`` with ``content`` so that a failure leaves no partial output.
+
+    ``content`` is text, or a callable that writes the file at the path it is
+    given.  It is written to a fresh temp file in the same directory, created
+    with the mode a plain ``open`` gives (0o666 & ~umask), and then renamed
+    over ``path``.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+        if isinstance(content, str):
+            tmp.write_bytes(content.encode())
+        else:
+            content(tmp)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode())
 
 
 def _sha256(path: Path) -> str:
@@ -285,13 +273,9 @@ def write_manifest(out_dir: Path, command: str, config: dict, files: list[Path],
         },
     }
     manifest.update(extra)
-    atomic_write_text(
+    atomic_write(
         out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n"
     )
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
 
 
 # ---------------------------------------------------------------------------
@@ -304,40 +288,25 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     proto = protocol_config(config)
-    files = []
-    stats: dict = {}
+    # Every dataset is simulated before any file is written, so a run that
+    # fails on one strategy leaves no outputs.
+    datasets = {}
     if config["strategy"] in ("quantum", "both"):
         if config["mode"] == "sweep":
-            ds = simulate_sweep_dataset(proto)
+            datasets["quantum"] = (simulate_sweep_dataset(proto), write_quantum_csv)
         else:
-            ds = simulate_quantum_dataset(proto)
-        path = out_dir / "quantum.csv"
-        tmp_write(path, lambda p: write_quantum_csv(ds, p))
-        files.append(path)
-        stats["quantum"] = ds.stats
+            datasets["quantum"] = (simulate_quantum_dataset(proto), write_quantum_csv)
     if config["strategy"] in ("classical", "both"):
-        ds = simulate_classical_dataset(proto)
-        path = out_dir / "classical.csv"
-        tmp_write(path, lambda p: write_classical_csv(ds, p))
+        datasets["classical"] = (simulate_classical_dataset(proto), write_classical_csv)
+    files = []
+    for name, (ds, write) in datasets.items():
+        path = out_dir / f"{name}.csv"
+        atomic_write(path, lambda p: write(ds, p))
         files.append(path)
-        stats["classical"] = ds.stats
+    stats = {name: ds.stats for name, (ds, _) in datasets.items()}
     write_manifest(out_dir, "simulate", config, files, {"discard_stats": stats})
     print(f"simulate: wrote {', '.join(p.name for p in files)} to {out_dir}")
     return EXIT_OK
-
-
-def tmp_write(path: Path, writer) -> None:
-    """Write through a temp file so failures leave no partial outputs."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    os.close(fd)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _curve_points(n_shots: int, n_points: int) -> list[int]:
@@ -427,7 +396,7 @@ def cmd_analyze(args) -> int:
         row += [_fmt(bound_sql), _fmt(bound_classical), _fmt(bound_quantum)]
         lines.append(",".join(row))
     curves_path = out_dir / "mi_curves.csv"
-    atomic_write_text(curves_path, "\n".join(lines) + "\n")
+    atomic_write(curves_path, "\n".join(lines) + "\n")
     files = [curves_path]
 
     if quantum is not None:
@@ -440,7 +409,7 @@ def cmd_analyze(args) -> int:
                 f"{i},{_fmt(quantum.phases[i])},{_fmt(circ[i])},{_fmt(arith[i])}"
             )
         path = out_dir / "phase_estimates_quantum.csv"
-        atomic_write_text(path, "\n".join(est_lines) + "\n")
+        atomic_write(path, "\n".join(est_lines) + "\n")
         files.append(path)
     if classical is not None:
         hist = analysis.classical_phase_histograms(classical)
@@ -450,7 +419,7 @@ def cmd_analyze(args) -> int:
         for i in range(classical.n_phases):
             est_lines.append(f"{i},{_fmt(classical.phases[i])},{_fmt(means[i])}")
         path = out_dir / "phase_estimates_classical.csv"
-        atomic_write_text(path, "\n".join(est_lines) + "\n")
+        atomic_write(path, "\n".join(est_lines) + "\n")
         files.append(path)
 
     write_manifest(out_dir, "analyze", config, files, {})
@@ -463,7 +432,7 @@ def _write_histogram(path: Path, hist: np.ndarray) -> Path:
     for i, row in enumerate(hist):
         for center, freq in zip(analysis.HISTOGRAM_BIN_CENTERS, row):
             lines.append(f"{i},{_fmt(center)},{_fmt(freq)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -515,12 +484,12 @@ def cmd_train(args) -> int:
             file=sys.stderr,
         )
     model_path = out_dir / f"model_{stage}.json"
-    atomic_write_text(
+    atomic_write(
         model_path,
         json.dumps(net.to_json_dict(cfg, seed=config["seed"]), sort_keys=True) + "\n",
     )
     loss_path = out_dir / f"loss_{stage}.csv"
-    atomic_write_text(
+    atomic_write(
         loss_path,
         "\n".join(["epoch,train_loss"] + [f"{i},{_fmt(l)}" for i, l in enumerate(trace)])
         + "\n",
@@ -586,7 +555,7 @@ def cmd_report(args) -> int:
         ]
         lines.append(",".join(cells))
     cmp_path = out_dir / "phase_comparison.csv"
-    atomic_write_text(cmp_path, "\n".join(lines) + "\n")
+    atomic_write(cmp_path, "\n".join(lines) + "\n")
 
     mi_summary = {
         "mi_raw_full": analysis.mutual_information(table).value,
@@ -605,7 +574,7 @@ def cmd_report(args) -> int:
         mi_summary["nn_rmse_circular"] = analysis_rmse(phi_nn, quantum.phases)
         mi_summary["raw_rmse_circular"] = analysis_rmse(circ, quantum.phases)
     summary_path = out_dir / "mi_summary.json"
-    atomic_write_text(summary_path, json.dumps(mi_summary, sort_keys=True, indent=1) + "\n")
+    atomic_write(summary_path, json.dumps(mi_summary, sort_keys=True, indent=1) + "\n")
     write_manifest(out_dir, "report", config, [cmp_path, summary_path], {})
     print(f"report: wrote {cmp_path.name}, {summary_path.name} to {out_dir}")
     return EXIT_OK
@@ -710,9 +679,11 @@ def main(argv=None) -> int:
     except (ValueError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except PostSelectionEmpty as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_NUMERICAL
     except (
         FloatingPointError,
-        PostSelectionEmpty,
         ml.TrainingDivergence,
         ArithmeticError,
     ) as exc:

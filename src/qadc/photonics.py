@@ -41,7 +41,7 @@ class ModelError(ValueError):
 
 
 class PostSelectionEmpty(RuntimeError):
-    """Post-selection pattern has zero probability in the given state."""
+    """Post-selection keeps nothing: a zero-probability pattern, or a run without valid shots."""
 
 
 def _clip_probability(p: float, context: str) -> float:
@@ -213,6 +213,36 @@ def g2_to_probs(g2: float, brightness: float) -> tuple[float, float, float]:
     return (p0, p1, p2)
 
 
+def sample_survivors(
+    model: SourceModel,
+    count: int,
+    n_bins: int,
+    rng: np.random.Generator,
+    conditioned: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` realizations of ``n_bins`` source bins.
+
+    Returns two [count, n_bins] bool masks: the main photon of a bin was
+    emitted and survived, and a second photon was emitted in it and survived.
+    Each bin emits 0/1/2 photons with (p0, p1, p2) and each photon survives
+    with probability eta.  ``conditioned`` conditions every bin on having
+    fired, so only the doubling is drawn.
+    """
+    if conditioned:
+        p_all = model.emission_probability
+        if p_all <= 0:
+            raise ValueError("conditioned source needs non-zero brightness")
+        doubled = rng.random((count, n_bins)) < model.p2 / p_all
+        main_emitted = np.ones((count, n_bins), dtype=bool)
+    else:
+        u = rng.random((count, n_bins))
+        main_emitted = u >= model.p0
+        doubled = u >= model.p0 + model.p1
+    main_alive = main_emitted & (rng.random((count, n_bins)) < model.eta)
+    extra_alive = doubled & (rng.random((count, n_bins)) < model.eta)
+    return main_alive, extra_alive
+
+
 def sample_source(
     model: SourceModel,
     channel_modes: tuple[int, ...],
@@ -221,26 +251,14 @@ def sample_source(
 ) -> PhotonEnsemble:
     """Draw one source realization over the given input channels.
 
-    Each channel (time-bin slot) independently emits 0/1/2 photons with
-    (p0, p1, p2); each photon then survives with probability eta.  Second
-    photons of a doubled bin are internally orthogonal to every other photon,
-    while surviving main photons share the uniform-Delta Gram block.
+    Each channel is one source bin (see `sample_survivors`).  Second photons
+    of a doubled bin are internally orthogonal to every other photon, while
+    surviving main photons share the uniform-Delta Gram block.
     """
-    mains: list[int] = []
-    extras: list[int] = []
-    for mode in channel_modes:
-        u = rng.random()
-        if u < model.p0:
-            emitted = 0
-        elif u < model.p0 + model.p1:
-            emitted = 1
-        else:
-            emitted = 2
-        if emitted >= 1 and rng.random() < model.eta:
-            mains.append(mode)
-        if emitted == 2 and rng.random() < model.eta:
-            extras.append(mode)
-    return ensemble_from_parts(tuple(mains), tuple(extras), delta)
+    main_alive, extra_alive = sample_survivors(model, 1, len(channel_modes), rng)
+    mains = tuple(m for m, alive in zip(channel_modes, main_alive[0]) if alive)
+    extras = tuple(m for m, alive in zip(channel_modes, extra_alive[0]) if alive)
+    return ensemble_from_parts(mains, extras, delta)
 
 
 def ensemble_from_parts(
@@ -364,12 +382,10 @@ def output_probability(
 ) -> float:
     """Probability of detecting the listed output modes (one entry per photon).
 
-    Collision-free outputs use the fast double-permutation formula directly;
-    outputs with repeated modes are routed through the exact oracle, a rare
-    branch where correctness beats speed.
+    The count pattern of the listed modes, repeated modes included, is looked
+    up in `full_output_distribution`.
     """
-    u = np.asarray(u, dtype=complex)
-    n_modes = u.shape[0]
+    n_modes = np.shape(u)[0]
     outs = tuple(int(m) for m in output_modes)
     if len(outs) != ensemble.n_photons:
         raise ValueError(
@@ -377,30 +393,9 @@ def output_probability(
         )
     if any(m < 0 or m >= n_modes for m in outs):
         raise ValueError("output mode index out of range")
-    if any(m >= n_modes for m in ensemble.input_modes):
-        raise ValueError("input mode index out of range")
-    if len(set(outs)) == len(outs):
-        n = ensemble.n_photons
-        if n > FORMULA_MAX_PHOTONS:
-            raise SizeLimitError(f"fast path guard: {n} photons")
-        s = ensemble.gram.entries
-        ins = np.asarray(ensemble.input_modes, dtype=np.intp)
-        total = 0.0 + 0.0j
-        perm_list = list(permutations(range(n)))
-        amps = np.empty(len(perm_list), dtype=complex)
-        d = np.asarray(outs, dtype=np.intp)
-        for idx, sigma in enumerate(perm_list):
-            amps[idx] = np.prod(u[d, ins[list(sigma)]])
-        for i, sigma in enumerate(perm_list):
-            for j, tau in enumerate(perm_list):
-                wij = np.prod(s[list(sigma), list(tau)])
-                total += np.conj(amps[i]) * amps[j] * wij
-        if abs(total.imag) > REALNESS_TOL:
-            raise FloatingPointError("output probability acquired an imaginary part")
-        return min(1.0, _clip_probability(float(total.real), "output probability"))
-    counts = tuple(int(c) for c in np.bincount(outs, minlength=n_modes))
-    state = oracle_full_state(u, ensemble)
-    return min(1.0, state.spatial_marginals().get(counts, 0.0))
+    counts = np.bincount(np.asarray(outs, dtype=np.intp), minlength=n_modes)
+    pattern = tuple(int(c) for c in counts)
+    return min(1.0, full_output_distribution(u, ensemble).get(pattern, 0.0))
 
 
 # ---------------------------------------------------------------------------

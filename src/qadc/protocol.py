@@ -15,6 +15,7 @@ cache keyed by the program settings and the realized ensemble.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,10 +30,12 @@ from qadc.linop import (
     perturb_program,
 )
 from qadc.photonics import (
+    PostSelectionEmpty,
     SourceModel,
     ensemble_from_parts,
     full_output_distribution,
     g2_to_probs,
+    sample_survivors,
 )
 
 PROBE_SIZES = (4, 2, 1)
@@ -90,7 +93,7 @@ class NoiseConfig:
     delta: float = 1.0
     g2_two_photon: float = 0.0
     g2_four_photon: float = 0.0
-    brightness: float = 0.14
+    brightness: float = 1.0
     eta: float = 1.0
     sigma_theta: float = 0.0
     sigma_phi: float = 0.0
@@ -114,7 +117,7 @@ class NoiseConfig:
         return SourceModel(p0, p1, p2, self.eta, g2=g2, brightness=self.brightness)
 
 
-NOISELESS = NoiseConfig(delta=1.0, brightness=1.0)
+NOISELESS = NoiseConfig()
 
 #: Defaults measured on the experimental platform (mean pairwise
 #: indistinguishability of the six photon pairs, source correlations and
@@ -241,20 +244,9 @@ class StepSimulator:
         Bit k: main photon of bin k survived; bit n+k: a second photon was
         emitted in bin k and survived.  Conditioned mode redraws empty bins.
         """
-        src = self._sources[n]
-        if self.noise.condition_on_emission:
-            p_all = src.emission_probability
-            if p_all <= 0:
-                raise ValueError("conditioned source needs non-zero brightness")
-            p2c = src.p2 / p_all
-            doubled = rng.random((count, n)) < p2c
-            main_emitted = np.ones((count, n), dtype=bool)
-        else:
-            u = rng.random((count, n))
-            main_emitted = u >= src.p0
-            doubled = u >= src.p0 + src.p1
-        main_alive = main_emitted & (rng.random((count, n)) < src.eta)
-        extra_alive = doubled & (rng.random((count, n)) < src.eta)
+        main_alive, extra_alive = sample_survivors(
+            self._sources[n], count, n, rng, self.noise.condition_on_emission
+        )
         weights = 1 << np.arange(n)
         return (main_alive @ weights).astype(np.int64) | (
             (extra_alive @ weights).astype(np.int64) << n
@@ -423,72 +415,84 @@ def _quantum_chunk(
     return m, stats
 
 
-def simulate_quantum_dataset(config: ProtocolConfig) -> QuantumDataset:
-    """Run the feed-forward protocol until n_shots valid repetitions per phase."""
-    sim = StepSimulator(config.noise, config.seed)
-    phases = config.phases()
-    rec_phase, rec_shot, rec_m = [], [], []
-    stats = {"attempts": 0, "valid": 0, "discard_4": 0, "discard_2": 0, "discard_1": 0}
-    short_phases = []
-    cap = config.n_shots * config.max_attempt_factor
-    for p_idx, phi in enumerate(phases):
-        rng = derive_rng(config.seed, _STREAM_QUANTUM, p_idx)
-        have = 0
-        attempts = 0
-        while have < config.n_shots and attempts < cap:
-            chunk = min(4096, cap - attempts)
-            m, chunk_stats = _quantum_chunk(sim, float(phi), chunk, rng)
-            valid = np.where(m[:, 0] >= 0)[0]
-            keep = valid[: config.n_shots - have]
-            rec_phase.extend([p_idx] * len(keep))
-            rec_shot.extend((attempts + keep).tolist())
-            rec_m.extend(m[keep].tolist())
-            have += len(keep)
-            attempts += chunk
-            for k, v in chunk_stats.items():
-                stats[k] += v
-        stats["attempts"] += attempts
-        stats["valid"] += have
-        if have < config.n_shots:
-            short_phases.append(p_idx)
-    if short_phases:
-        warnings.warn(
-            f"attempt cap reached before n_shots at {len(short_phases)} phases"
+def _assemble(cls, config: ProtocolConfig, counts, shots, rows, stats, shortfall: str):
+    """Build a dataset from per-phase row counts and shot-index/bit-row chunks.
+
+    Phases left with fewer than n_shots rows go to ``stats["short_phases"]``
+    with a warning; a dataset without any row raises PostSelectionEmpty.
+    """
+    if not sum(counts):
+        raise PostSelectionEmpty(
+            f"no valid repetitions at any of the {config.n_phases} phases"
         )
+    short_phases = [p for p, have in enumerate(counts) if have < config.n_shots]
+    if short_phases:
+        warnings.warn(f"{shortfall} at {len(short_phases)} phases")
         stats["short_phases"] = short_phases
-    return QuantumDataset(
+    return cls(
         config.n_phases,
-        phases,
-        np.asarray(rec_phase, dtype=np.int64),
-        np.asarray(rec_shot, dtype=np.int64),
-        np.asarray(rec_m, dtype=np.int8).reshape(-1, 7),
+        config.phases(),
+        np.repeat(np.arange(config.n_phases, dtype=np.int64), counts),
+        np.concatenate(shots).astype(np.int64, copy=False),
+        np.concatenate(rows),
         stats,
     )
+
+
+def _acquire(cls, config: ProtocolConfig, stream: int, chunk):
+    """Per-phase acquisition loop shared by the quantum and classical strategies.
+
+    Each phase draws from its own ``derive_rng(seed, stream, phase)`` stream
+    and calls ``chunk(sim, phi, count, rng) -> (rows, stats)`` on at most 4096
+    attempts at a time (rows of -1 are discards), keeping valid rows until
+    n_shots or the cap of ``max_attempt_factor * n_shots`` attempts.
+    """
+    sim = StepSimulator(config.noise, config.seed)
+    cap = config.n_shots * config.max_attempt_factor
+    stats = {"attempts": 0, "valid": 0}
+    counts, shots, rows = [], [], []
+    for p_idx, phi in enumerate(config.phases()):
+        rng = derive_rng(config.seed, stream, p_idx)
+        have = attempts = 0
+        while have < config.n_shots and attempts < cap:
+            count = min(4096, cap - attempts)
+            bits, chunk_stats = chunk(sim, float(phi), count, rng)
+            keep = np.flatnonzero(bits[:, 0] >= 0)[: config.n_shots - have]
+            shots.append(attempts + keep)
+            rows.append(bits[keep])
+            have += len(keep)
+            attempts += count
+            for key, value in chunk_stats.items():
+                stats[key] = stats.get(key, 0) + value
+        stats["attempts"] += attempts
+        stats["valid"] += have
+        counts.append(have)
+    return _assemble(
+        cls, config, counts, shots, rows, stats, "attempt cap reached before n_shots"
+    )
+
+
+def simulate_quantum_dataset(config: ProtocolConfig) -> QuantumDataset:
+    """Run the feed-forward protocol until n_shots valid repetitions per phase."""
+    return _acquire(QuantumDataset, config, _STREAM_QUANTUM, _quantum_chunk)
 
 
 def run_quantum_shot(
     phi: float, config: ProtocolConfig, rng: np.random.Generator
 ) -> ShotRecord | None:
     """One feed-forward repetition; None reports a discarded shot."""
-    sim = _shot_simulator(config)
+    sim = _shot_simulator(config.noise, config.seed)
     m, _ = _quantum_chunk(sim, float(phi), 1, rng)
     if m[0, 0] < 0:
         return None
     return ShotRecord.from_m(tuple(int(x) for x in m[0]))
 
 
-_SHOT_SIMULATORS: dict = {}
-
-
-def _shot_simulator(config: ProtocolConfig) -> StepSimulator:
-    # Single-shot helpers share one simulator per config so repeated calls
-    # reuse cached distributions; the cache is pure.
-    key = (config.noise, config.seed)
-    if key not in _SHOT_SIMULATORS:
-        if len(_SHOT_SIMULATORS) >= 32:
-            _SHOT_SIMULATORS.clear()
-        _SHOT_SIMULATORS[key] = StepSimulator(config.noise, config.seed)
-    return _SHOT_SIMULATORS[key]
+@functools.lru_cache(maxsize=32)
+def _shot_simulator(noise: NoiseConfig, seed: int) -> StepSimulator:
+    # Single-shot helpers share one simulator per (noise, seed) so repeated
+    # calls reuse cached distributions; the cache is pure.
+    return StepSimulator(noise, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +504,7 @@ def run_configuration_sweep(
     phi: float, config: ProtocolConfig, rng: np.random.Generator
 ) -> list[StepOutcome]:
     """One repetition of every control configuration, no feed-forward."""
-    sim = _shot_simulator(config)
+    sim = _shot_simulator(config.noise, config.seed)
     outcomes = []
     for n in PROBE_SIZES:
         for flags in SWEEP_FLAGS[n]:
@@ -580,12 +584,10 @@ def match_configurations(
 def simulate_sweep_dataset(config: ProtocolConfig) -> QuantumDataset:
     """Dataset via the configuration sweep plus matching post-processing."""
     sim = StepSimulator(config.noise, config.seed)
-    phases = config.phases()
-    rec_phase, rec_shot, rec_m = [], [], []
     stats = {"repetitions": 0, "matched": 0}
     reps = config.n_shots * config.sweep_rep_factor
-    short_phases = []
-    for p_idx, phi in enumerate(phases):
+    counts, shots, rows = [], [], []
+    for p_idx, phi in enumerate(config.phases()):
         rng = derive_rng(config.seed, _STREAM_SWEEP, p_idx)
         pools = {}
         for n in PROBE_SIZES:
@@ -603,26 +605,19 @@ def simulate_sweep_dataset(config: ProtocolConfig) -> QuantumDataset:
         m = _match_arrays(
             *pools[4], *pools[2], *pools[1], rng=match_rng
         )[: config.n_shots]
-        if len(m) < config.n_shots:
-            short_phases.append(p_idx)
-        rec_phase.extend([p_idx] * len(m))
-        rec_shot.extend(range(len(m)))
-        rec_m.extend(m.tolist())
+        counts.append(len(m))
+        shots.append(np.arange(len(m)))
+        rows.append(m)
         stats["repetitions"] += reps
         stats["matched"] += len(m)
-    if short_phases:
-        warnings.warn(
-            f"sweep produced fewer than n_shots matched records at "
-            f"{len(short_phases)} phases"
-        )
-        stats["short_phases"] = short_phases
-    return QuantumDataset(
-        config.n_phases,
-        phases,
-        np.asarray(rec_phase, dtype=np.int64),
-        np.asarray(rec_shot, dtype=np.int64),
-        np.asarray(rec_m, dtype=np.int8).reshape(-1, 7),
+    return _assemble(
+        QuantumDataset,
+        config,
+        counts,
+        shots,
+        rows,
         stats,
+        "sweep produced fewer than n_shots matched records",
     )
 
 
@@ -633,55 +628,29 @@ def simulate_sweep_dataset(config: ProtocolConfig) -> QuantumDataset:
 
 def _classical_chunk(
     sim: StepSimulator, phi: float, count: int, rng: np.random.Generator
-) -> np.ndarray:
+) -> tuple[np.ndarray, dict]:
     bits = sim.sample_step(1, phi, (0, 0, 0), count * CLASSICAL_QUBITS, rng)
     bits = bits.reshape(count, CLASSICAL_QUBITS)
     bad = (bits < 0).any(axis=1)
     bits[bad] = -1  # a lost photon discards the whole 7-bit repetition
-    return bits
+    return bits, {}
 
 
 def run_classical_shot(
     phi: float, config: ProtocolConfig, rng: np.random.Generator
 ) -> tuple[int, ...] | None:
     """One classical repetition: 7 independent single-photon passes."""
-    sim = _shot_simulator(config)
-    bits = _classical_chunk(sim, float(phi), 1, rng)[0]
+    sim = _shot_simulator(config.noise, config.seed)
+    bits, _ = _classical_chunk(sim, float(phi), 1, rng)
+    bits = bits[0]
     if bits[0] < 0:
         return None
     return tuple(int(x) for x in bits)
 
 
 def simulate_classical_dataset(config: ProtocolConfig) -> ClassicalDataset:
-    sim = StepSimulator(config.noise, config.seed)
-    phases = config.phases()
-    rec_phase, rec_shot, rec_c = [], [], []
-    stats = {"attempts": 0, "valid": 0}
-    cap = config.n_shots * config.max_attempt_factor
-    for p_idx, phi in enumerate(phases):
-        rng = derive_rng(config.seed, _STREAM_CLASSICAL, p_idx)
-        have = 0
-        attempts = 0
-        while have < config.n_shots and attempts < cap:
-            chunk = min(4096, cap - attempts)
-            bits = _classical_chunk(sim, float(phi), chunk, rng)
-            valid = np.where(bits[:, 0] >= 0)[0]
-            keep = valid[: config.n_shots - have]
-            rec_phase.extend([p_idx] * len(keep))
-            rec_shot.extend((attempts + keep).tolist())
-            rec_c.extend(bits[keep].tolist())
-            have += len(keep)
-            attempts += chunk
-        stats["attempts"] += attempts
-        stats["valid"] += have
-    return ClassicalDataset(
-        config.n_phases,
-        phases,
-        np.asarray(rec_phase, dtype=np.int64),
-        np.asarray(rec_shot, dtype=np.int64),
-        np.asarray(rec_c, dtype=np.int8).reshape(-1, 7),
-        stats,
-    )
+    """Run the classical baseline until n_shots valid repetitions per phase."""
+    return _acquire(ClassicalDataset, config, _STREAM_CLASSICAL, _classical_chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +658,9 @@ def simulate_classical_dataset(config: ProtocolConfig) -> ClassicalDataset:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def format_float(x: float) -> str:
+    """Text form of every float written to an output file."""
+    return f"{float(x):.12g}"
 
 
 def write_quantum_csv(ds: QuantumDataset, path) -> None:
@@ -701,7 +671,7 @@ def write_quantum_csv(ds: QuantumDataset, path) -> None:
         for i in range(len(ds.phase_index)):
             p = int(ds.phase_index[i])
             writer.writerow(
-                [p, _fmt(float(ds.phases[p])), int(ds.shot_index[i])]
+                [p, format_float(ds.phases[p]), int(ds.shot_index[i])]
                 + [int(x) for x in ds.m[i]]
                 + [int(x) for x in b[i]]
             )
@@ -714,7 +684,7 @@ def write_classical_csv(ds: ClassicalDataset, path) -> None:
         for i in range(len(ds.phase_index)):
             p = int(ds.phase_index[i])
             writer.writerow(
-                [p, _fmt(float(ds.phases[p])), int(ds.shot_index[i])]
+                [p, format_float(ds.phases[p]), int(ds.shot_index[i])]
                 + [int(x) for x in ds.c[i]]
             )
 
@@ -735,6 +705,8 @@ def _read_rows(path, header: str, n_cols: int) -> list[list[str]]:
 
 def _parse_dataset(path, header, bit_cols):
     rows = _read_rows(path, header, 3 + bit_cols)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     phase_index = np.zeros(len(rows), dtype=np.int64)
     shot_index = np.zeros(len(rows), dtype=np.int64)
     bits = np.zeros((len(rows), bit_cols), dtype=np.int8)
@@ -749,8 +721,8 @@ def _parse_dataset(path, header, bit_cols):
             raise ValueError(f"{path}: row {i + 2}: {exc}") from None
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError(f"{path}: bit columns must be 0/1")
-    n_phases = (max(phases_seen) + 1) if phases_seen else 0
-    phases = 2.0 * math.pi * np.arange(n_phases) / max(1, n_phases)
+    n_phases = max(phases_seen) + 1
+    phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
     for idx, val in phases_seen.items():
         phases[idx] = val
     return n_phases, phases, phase_index, shot_index, bits

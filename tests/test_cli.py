@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from qadc.cli import main
+from qadc.protocol import CLASSICAL_CSV_HEADER, QUANTUM_CSV_HEADER
 
 BASE_ARGS = ["--n-phases", "6", "--n-shots", "40", "--noiseless"]
 
@@ -22,7 +25,11 @@ def read_bytes(path):
 class TestSimulate:
     def test_writes_datasets_and_manifest(self, tmp_path):
         out = tmp_path / "run"
-        assert run_cli(["simulate", "--out", out, "--seed", "5", *BASE_ARGS]) == 0
+        old_umask = os.umask(0o022)
+        try:
+            assert run_cli(["simulate", "--out", out, "--seed", "5", *BASE_ARGS]) == 0
+        finally:
+            os.umask(old_umask)
         assert (out / "quantum.csv").exists()
         assert (out / "classical.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
@@ -30,6 +37,8 @@ class TestSimulate:
         assert set(manifest["files"]) == {"quantum.csv", "classical.csv"}
         assert "sha256" in manifest["files"]["quantum.csv"]
         assert manifest["discard_stats"]["quantum"]["valid"] == 6 * 40
+        for name in ("quantum.csv", "classical.csv", "manifest.json"):
+            assert stat.S_IMODE((out / name).stat().st_mode) == 0o644
 
     def test_noiseless_grid_dataset_is_deterministic_expansion(self, tmp_path):
         out = tmp_path / "run"
@@ -83,6 +92,17 @@ class TestSimulate:
         )
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["discard_stats"]["quantum"]["matched"] == 4 * 20
+
+    @pytest.mark.parametrize("strategy", ["quantum", "classical"])
+    def test_run_without_valid_repetitions_fails(self, tmp_path, capsys, strategy):
+        out = tmp_path / "empty"
+        code = run_cli(
+            ["simulate", "--out", out, "--strategy", strategy, "--set", "noise.eta=0.05",
+             "--n-phases", "2", "--n-shots", "5"]
+        )
+        assert code == 3
+        assert "no valid repetitions" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_config_error_exit_code(self, tmp_path):
         assert run_cli(["simulate", "--out", tmp_path / "x", "--strategy", "quantum",
@@ -156,10 +176,17 @@ class TestAnalyze:
     def test_missing_inputs_rejected(self, tmp_path):
         assert run_cli(["analyze", "--out", tmp_path / "x", "--seed", "1"]) == 2
 
-    def test_malformed_csv_fails_cleanly(self, tmp_path):
+    def test_malformed_csv_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("phase_index,phase_rad\n0,0\n")
         assert run_cli(["analyze", "--out", tmp_path / "x", "--quantum", bad]) == 2
+        for flag, header in (("--quantum", QUANTUM_CSV_HEADER),
+                             ("--classical", CLASSICAL_CSV_HEADER)):
+            empty = tmp_path / f"header_only{flag}.csv"
+            empty.write_text(header + "\n")
+            capsys.readouterr()
+            assert run_cli(["analyze", "--out", tmp_path / "x", flag, empty]) == 2
+            assert f"{empty}: no data rows" in capsys.readouterr().err
 
     def test_analyze_deterministic(self, small_run, tmp_path):
         outs = []

@@ -331,6 +331,20 @@ class TestNoiseChannels:
         b = simulate_quantum_dataset(lossy)
         assert b.stats["attempts"] > 1.5 * a.stats["attempts"]
 
+    @pytest.mark.parametrize(
+        "simulate", [simulate_quantum_dataset, simulate_classical_dataset]
+    )
+    def test_attempt_cap_records_short_phases(self, simulate):
+        # 1400 attempts per phase at eta = 0.7 leave both strategies short of
+        # 200 valid repetitions, but neither dataset empty.
+        cfg = ProtocolConfig(
+            n_phases=2, n_shots=200, max_attempt_factor=7, noise=NoiseConfig(eta=0.7)
+        )
+        with pytest.warns(UserWarning, match="attempt cap"):
+            ds = simulate(cfg)
+        assert ds.stats["short_phases"] == [0, 1]
+        assert 0 < ds.stats["valid"] < 2 * 200
+
     def test_programming_noise_breaks_grid_determinism(self):
         cfg = ProtocolConfig(
             n_phases=8,
