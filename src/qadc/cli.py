@@ -5,8 +5,8 @@ style), derives all randomness from a single seed and writes its outputs
 atomically together with a manifest sufficient to reproduce the run.  Outputs
 are plain CSV/JSON; plotting is out of scope.
 
-Exit codes: 0 ok, 2 configuration error, 3 numerical failure or a run with no
-valid repetitions.
+Exit codes: 0 ok, 2 configuration error or unreadable input data, 3 numerical
+failure or a run with no valid repetitions.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from qadc.photonics import ModelError, PostSelectionEmpty
 from qadc.protocol import (
     DEVICE_NOISE,
     NOISELESS,
+    DatasetError,
     NoiseConfig,
     ProtocolConfig,
     derive_rng,
@@ -366,10 +367,16 @@ def cmd_analyze(args) -> int:
     bound_classical = analysis.quadrature_mi_classical()
     bound_quantum = analysis.quadrature_mi_quantum()
 
-    ranks = {
-        name: _phase_ranks(ds.phase_index, ds.shot_index)
-        for name, ds in (("quantum", quantum), ("classical", classical))
+    datasets = {
+        name: ds for name, ds in (("quantum", quantum), ("classical", classical))
         if ds is not None
+    }
+    ranks = {
+        name: _phase_ranks(ds.phase_index, ds.shot_index) for name, ds in datasets.items()
+    }
+    codes = {
+        name: analysis.m_codes(ds.m if name == "quantum" else ds.c)
+        for name, ds in datasets.items()
     }
     lines = [
         "n_shots,mi_quantum,mi_quantum_err,mi_classical,mi_classical_err,"
@@ -381,11 +388,10 @@ def cmd_analyze(args) -> int:
             if ds is None:
                 row += ["nan", "nan"]
                 continue
-            bits = ds.m if name == "quantum" else ds.c
             counts = _prefix_counts(
                 ds.phase_index,
                 ranks[name],
-                analysis.m_codes(bits),
+                codes[name],
                 ds.n_phases,
                 analysis.M_OUTCOMES,
                 k,
@@ -675,6 +681,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DatasetError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,11 +14,12 @@ cache keyed by the program settings and the realized ensemble.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from qadc.photonics import (
 PROBE_SIZES = (4, 2, 1)
 N_PROBE_GROUPS = 3
 CLASSICAL_QUBITS = 7  # 2**t - 1 with t = 3
+_B_POSITIONS = [6, 5, 3]  # columns of m (m6..m0) that hold (b1, b2, b3)
 
 QUANTUM_CSV_HEADER = (
     "phase_index,phase_rad,shot_index,m6,m5,m4,m3,m2,m1,m0,b1,b2,b3"
@@ -363,7 +365,7 @@ class QuantumDataset:
     @property
     def b(self) -> np.ndarray:
         """(b1, b2, b3) columns derived from the frozen m positions."""
-        return self.m[:, [6, 5, 3]]
+        return self.m[:, _B_POSITIONS]
 
 
 @dataclass
@@ -415,19 +417,22 @@ def _quantum_chunk(
     return m, stats
 
 
-def _assemble(cls, config: ProtocolConfig, counts, shots, rows, stats, shortfall: str):
+def _assemble(
+    cls, config: ProtocolConfig, counts, shots, rows, stats, label: str, shortfall: str
+):
     """Build a dataset from per-phase row counts and shot-index/bit-row chunks.
 
     Phases left with fewer than n_shots rows go to ``stats["short_phases"]``
-    with a warning; a dataset without any row raises PostSelectionEmpty.
+    with a warning; a dataset without any row raises PostSelectionEmpty.  Both
+    messages start with ``label``, the strategy that produced the rows.
     """
     if not sum(counts):
         raise PostSelectionEmpty(
-            f"no valid repetitions at any of the {config.n_phases} phases"
+            f"{label}: no valid repetitions at any of the {config.n_phases} phases"
         )
     short_phases = [p for p, have in enumerate(counts) if have < config.n_shots]
     if short_phases:
-        warnings.warn(f"{shortfall} at {len(short_phases)} phases")
+        warnings.warn(f"{label}: {shortfall} at {len(short_phases)} phases")
         stats["short_phases"] = short_phases
     return cls(
         config.n_phases,
@@ -439,7 +444,7 @@ def _assemble(cls, config: ProtocolConfig, counts, shots, rows, stats, shortfall
     )
 
 
-def _acquire(cls, config: ProtocolConfig, stream: int, chunk):
+def _acquire(cls, config: ProtocolConfig, stream: int, chunk, label: str):
     """Per-phase acquisition loop shared by the quantum and classical strategies.
 
     Each phase draws from its own ``derive_rng(seed, stream, phase)`` stream
@@ -468,13 +473,13 @@ def _acquire(cls, config: ProtocolConfig, stream: int, chunk):
         stats["valid"] += have
         counts.append(have)
     return _assemble(
-        cls, config, counts, shots, rows, stats, "attempt cap reached before n_shots"
+        cls, config, counts, shots, rows, stats, label, "attempt cap reached before n_shots"
     )
 
 
 def simulate_quantum_dataset(config: ProtocolConfig) -> QuantumDataset:
     """Run the feed-forward protocol until n_shots valid repetitions per phase."""
-    return _acquire(QuantumDataset, config, _STREAM_QUANTUM, _quantum_chunk)
+    return _acquire(QuantumDataset, config, _STREAM_QUANTUM, _quantum_chunk, "quantum")
 
 
 def run_quantum_shot(
@@ -617,7 +622,8 @@ def simulate_sweep_dataset(config: ProtocolConfig) -> QuantumDataset:
         shots,
         rows,
         stats,
-        "sweep produced fewer than n_shots matched records",
+        "sweep",
+        "fewer than n_shots matched records",
     )
 
 
@@ -650,7 +656,9 @@ def run_classical_shot(
 
 def simulate_classical_dataset(config: ProtocolConfig) -> ClassicalDataset:
     """Run the classical baseline until n_shots valid repetitions per phase."""
-    return _acquire(ClassicalDataset, config, _STREAM_CLASSICAL, _classical_chunk)
+    return _acquire(
+        ClassicalDataset, config, _STREAM_CLASSICAL, _classical_chunk, "classical"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -663,69 +671,146 @@ def format_float(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def write_quantum_csv(ds: QuantumDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(QUANTUM_CSV_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        b = ds.b
-        for i in range(len(ds.phase_index)):
-            p = int(ds.phase_index[i])
-            writer.writerow(
-                [p, format_float(ds.phases[p]), int(ds.shot_index[i])]
-                + [int(x) for x in ds.m[i]]
-                + [int(x) for x in b[i]]
+class DatasetError(ValueError):
+    """A dataset file that cannot be read: bad header, row, bit value or layout."""
+
+
+def _write_dataset(path, header: str, ds, bits: np.ndarray, columns) -> None:
+    """Write ``header`` and one CSV row per record of ``ds``, with ``bits[:, columns]``.
+
+    Each run of rows with equal ``phase_index`` is formatted as one block: the
+    ``phase_index,phase_rad,`` prefix once, the shot indices as fixed-width
+    byte strings and the 0/1 columns as a uint8 block of ``,b,b,...\n``.
+    Blocks are built one at a time, so no whole-file copy is held.
+    """
+    if bits.size and (bits.min() < 0 or bits.max() > 1):
+        raise ValueError("bit columns must be 0/1")
+    width = 2 * len(columns) + 1
+    index = ds.phase_index
+    bounds = [0, *(np.flatnonzero(index[1:] != index[:-1]) + 1), len(bits)]
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            if start == stop:
+                continue
+            p = int(index[start])
+            prefix = f"{p},{format_float(ds.phases[p])},".encode()
+            tail = np.empty((stop - start, width), dtype=np.uint8)
+            tail[:, 0:-1:2] = ord(",")
+            tail[:, 1::2] = bits[start:stop, columns] + ord("0")
+            tail[:, -1] = ord("\n")
+            rows = np.char.add(
+                ds.shot_index[start:stop].astype("S20"), tail.view(f"S{width}")[:, 0]
             )
+            # prefix.join puts the prefix before every row but the first.
+            fh.write(prefix + prefix.join(rows.tolist()))
+
+
+def write_quantum_csv(ds: QuantumDataset, path) -> None:
+    _write_dataset(path, QUANTUM_CSV_HEADER, ds, ds.m, [*range(7), *_B_POSITIONS])
 
 
 def write_classical_csv(ds: ClassicalDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(CLASSICAL_CSV_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for i in range(len(ds.phase_index)):
-            p = int(ds.phase_index[i])
-            writer.writerow(
-                [p, format_float(ds.phases[p]), int(ds.shot_index[i])]
-                + [int(x) for x in ds.c[i]]
-            )
+    _write_dataset(path, CLASSICAL_CSV_HEADER, ds, ds.c, list(range(CLASSICAL_QUBITS)))
 
 
-def _read_rows(path, header: str, n_cols: int) -> list[list[str]]:
-    rows = []
+@contextlib.contextmanager
+def _open_dataset(path, header: str):
+    """Open a dataset file, check its header line and yield it at the first row."""
     with open(path, newline="") as fh:
         first = fh.readline().strip()
         if first != header:
-            raise ValueError(f"{path}: unexpected header {first!r}")
+            raise DatasetError(f"{path}: unexpected header {first!r}")
+        yield fh
+
+
+def _parse_rows(path, header: str, n_cols: int):
+    """Row-by-row parser: (phase_index, phase_rad, shot_index, bits) columns.
+
+    Every malformed line fails with its line number.  This is the reference
+    for ``_load_columns``, and the path that names the row of a bad file.
+    """
+    phase_index, phase_rad, shot_index, bits = [], [], [], []
+    with _open_dataset(path, header) as fh:
         for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) != n_cols:
-                raise ValueError(f"{path}: row {lineno}: expected {n_cols} columns")
-            rows.append(parts)
-    return rows
+                raise DatasetError(f"{path}: row {lineno}: expected {n_cols} columns")
+            try:
+                ints = [int(parts[0]), int(parts[2]), *(int(x) for x in parts[3:])]
+                if not -(2**63) <= min(ints) <= max(ints) < 2**63:
+                    raise ValueError("integer out of the int64 range")
+                phase_rad.append(float(parts[1]))
+            except ValueError as exc:
+                raise DatasetError(f"{path}: row {lineno}: {exc}") from None
+            phase_index.append(ints[0])
+            shot_index.append(ints[1])
+            bits.append(ints[2:])
+    return (
+        np.array(phase_index, dtype=np.int64),
+        np.array(phase_rad, dtype=np.float64),
+        np.array(shot_index, dtype=np.int64),
+        np.array(bits, dtype=np.int64).reshape(-1, n_cols - 3),
+    )
+
+
+def _load_columns(path, header: str, n_cols: int):
+    """The columns of ``_parse_rows`` in one ``np.loadtxt`` pass, or None.
+
+    None means the file needs the row parser: it has a CR, no data line, a
+    line that does not parse as exactly ``n_cols`` int/float/int... fields,
+    or a blank line (``loadtxt`` skips those, so the row count differs).
+    """
+    raw = Path(path).read_bytes()
+    n_lines = raw.count(b"\n") + (not raw.endswith(b"\n")) - 1
+    if b"\r" in raw or n_lines < 1:
+        return None
+    del raw
+    dtype = [
+        ("phase_index", np.int64),
+        ("phase_rad", np.float64),
+        ("shot_index", np.int64),
+        ("bits", np.int64, (n_cols - 3,)),
+    ]
+    with _open_dataset(path, header) as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. integers parsed via float
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    if len(table) != n_lines:
+        return None
+    return tuple(table[name] for name, *_ in dtype)
 
 
 def _parse_dataset(path, header, bit_cols):
-    rows = _read_rows(path, header, 3 + bit_cols)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    phase_index = np.zeros(len(rows), dtype=np.int64)
-    shot_index = np.zeros(len(rows), dtype=np.int64)
-    bits = np.zeros((len(rows), bit_cols), dtype=np.int8)
-    phases_seen: dict[int, float] = {}
-    for i, parts in enumerate(rows):
-        try:
-            phase_index[i] = int(parts[0])
-            phases_seen[int(parts[0])] = float(parts[1])
-            shot_index[i] = int(parts[2])
-            bits[i] = [int(x) for x in parts[3:]]
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {i + 2}: {exc}") from None
+    try:
+        columns = _load_columns(path, header, 3 + bit_cols)
+        if columns is None:
+            columns = _parse_rows(path, header, 3 + bit_cols)
+    except OSError as exc:
+        raise DatasetError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not a text file: {exc}") from None
+    phase_index, phase_rad, shot_index, bits = columns
+    if not len(phase_index):
+        raise DatasetError(f"{path}: no data rows")
     if np.any((bits != 0) & (bits != 1)):
-        raise ValueError(f"{path}: bit columns must be 0/1")
-    n_phases = max(phases_seen) + 1
+        raise DatasetError(f"{path}: bit columns must be 0/1")
+    if phase_index.min() < 0:
+        raise DatasetError(f"{path}: phase_index must be non-negative")
+    n_phases = int(phase_index.max()) + 1
     phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
-    for idx, val in phases_seen.items():
-        phases[idx] = val
-    return n_phases, phases, phase_index, shot_index, bits
+    # The last row of each phase index sets its phase value.
+    seen, last = np.unique(phase_index[::-1], return_index=True)
+    phases[seen] = phase_rad[::-1][last]
+    return (
+        n_phases,
+        phases,
+        np.ascontiguousarray(phase_index),
+        np.ascontiguousarray(shot_index),
+        bits.astype(np.int8),
+    )
 
 
 def read_quantum_csv(path) -> QuantumDataset:
@@ -734,8 +819,8 @@ def read_quantum_csv(path) -> QuantumDataset:
     )
     m = bits[:, :7]
     b = bits[:, 7:]
-    if np.any(b != m[:, [6, 5, 3]]):
-        raise ValueError(f"{path}: b columns disagree with the frozen m positions")
+    if np.any(b != m[:, _B_POSITIONS]):
+        raise DatasetError(f"{path}: b columns disagree with the frozen m positions")
     return QuantumDataset(n_phases, phases, phase_index, shot_index, m)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -101,7 +102,7 @@ class TestSimulate:
              "--n-phases", "2", "--n-shots", "5"]
         )
         assert code == 3
-        assert "no valid repetitions" in capsys.readouterr().err
+        assert f"{strategy}: no valid repetitions" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_config_error_exit_code(self, tmp_path):
@@ -128,6 +129,40 @@ class TestSimulate:
                         "--strategy", "quantum"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["n_phases"] == 3
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestByteIdentity:
+    """Small same-seed runs have pinned output bytes: a change to the CSV
+    format, the sampling order or the MI pipeline shows here."""
+
+    NOISELESS_SHA256 = {
+        "quantum.csv": "cbec49c4c331e2101cae741c142f65641e620dacf24ff62c853d97616d19b8c5",
+        "classical.csv": "21b16beab453cc1e93b5d96375cda00b0b60c7a6c83ec9224c01e9c586b81f2f",
+    }
+    DEVICE_SHA256 = {
+        "quantum.csv": "a4a44b91ef12010a189449235675cd1bb46207a184fdc852dd5ccfbba1ba278b",
+    }
+    MI_CURVES_SHA256 = "64b4938fb46d84127b22fd02f8df2657eb1856b886cf4dfa42bb62cdcda56a15"
+
+    def test_pinned_dataset_and_curve_bytes(self, tmp_path):
+        small = ["--n-phases", "5", "--n-shots", "40", "--seed", "3"]
+        noiseless, device = tmp_path / "noiseless", tmp_path / "device"
+        assert run_cli(["simulate", "--out", noiseless, "--noiseless",
+                        "--strategy", "both", *small]) == 0
+        assert run_cli(["simulate", "--out", device, "--device-noise",
+                        "--strategy", "quantum", *small]) == 0
+        for out, pinned in ((noiseless, self.NOISELESS_SHA256),
+                            (device, self.DEVICE_SHA256)):
+            assert {name: sha256(out / name) for name in pinned} == pinned
+        curves = tmp_path / "analysis"
+        assert run_cli(["analyze", "--out", curves, "--quantum", noiseless / "quantum.csv",
+                        "--classical", noiseless / "classical.csv", "--seed", "3",
+                        "--set", "analysis.n_resamples=20"]) == 0
+        assert sha256(curves / "mi_curves.csv") == self.MI_CURVES_SHA256
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +221,14 @@ class TestAnalyze:
             empty.write_text(header + "\n")
             capsys.readouterr()
             assert run_cli(["analyze", "--out", tmp_path / "x", flag, empty]) == 2
-            assert f"{empty}: no data rows" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"{empty}: no data rows" in err
+            assert err.startswith("input error:")
+
+    def test_missing_dataset_is_input_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert run_cli(["analyze", "--out", tmp_path / "x", "--quantum", missing]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {missing}: cannot read")
 
     def test_analyze_deterministic(self, small_run, tmp_path):
         outs = []

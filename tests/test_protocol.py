@@ -1,10 +1,16 @@
 import math
+import re
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
+from qadc import protocol
 from qadc.protocol import (
+    CLASSICAL_CSV_HEADER,
+    QUANTUM_CSV_HEADER,
+    DatasetError,
     NoiseConfig,
     DEVICE_NOISE,
     ProtocolConfig,
@@ -337,10 +343,11 @@ class TestNoiseChannels:
     def test_attempt_cap_records_short_phases(self, simulate):
         # 1400 attempts per phase at eta = 0.7 leave both strategies short of
         # 200 valid repetitions, but neither dataset empty.
+        label = simulate.__name__.split("_")[1]
         cfg = ProtocolConfig(
             n_phases=2, n_shots=200, max_attempt_factor=7, noise=NoiseConfig(eta=0.7)
         )
-        with pytest.warns(UserWarning, match="attempt cap"):
+        with pytest.warns(UserWarning, match=f"^{label}: attempt cap .* at 2 phases$"):
             ds = simulate(cfg)
         assert ds.stats["short_phases"] == [0, 1]
         assert 0 < ds.stats["valid"] < 2 * 200
@@ -399,3 +406,110 @@ class TestDatasetFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="row 4"):
             read_quantum_csv(path)
+
+
+def _edit_line(text, lineno, edit):
+    lines = text.split("\n")
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    return "\n".join(lines)
+
+
+def _set_column(line, col, value):
+    parts = line.split(",")
+    parts[col] = value(parts[col])
+    return ",".join(parts)
+
+
+#: (kind, name of the edit, edit of the file text, None or the rejection message)
+READER_CASES = [
+    (kind, name, edit, expect)
+    for kind in ("quantum", "classical")
+    for name, edit, expect in [
+        ("blank line", partial(_edit_line, lineno=4, edit=lambda line: "\n" + line),
+         r"row 4: expected \d+ columns"),
+        ("comment line", partial(_edit_line, lineno=4, edit=lambda line: "#" + line),
+         r"row 4: invalid literal for int"),
+        ("float in int column",
+         partial(_edit_line, lineno=4, edit=partial(_set_column, col=2, value=lambda v: v + ".0")),
+         r"row 4: invalid literal for int"),
+        ("crlf line endings", lambda t: t.replace("\n", "\r\n"), None),
+        ("stray carriage return", partial(_edit_line, lineno=4, edit=lambda line: line + "\r\r"),
+         r"row 5: expected \d+ columns"),
+        ("trailing spaces", lambda t: t.replace("\n", "  \n"), None),
+        ("missing column", partial(_edit_line, lineno=5, edit=lambda line: line.rsplit(",", 1)[0]),
+         r"row 5: expected \d+ columns"),
+        ("extra column", partial(_edit_line, lineno=5, edit=lambda line: line + ",0"),
+         r"row 5: expected \d+ columns"),
+        ("bit value 2",
+         partial(_edit_line, lineno=3, edit=partial(_set_column, col=5, value=lambda v: "2")),
+         "bit columns must be 0/1"),
+        ("no final newline", lambda t: t.rstrip("\n"), None),
+        ("negative phase index",
+         partial(_edit_line, lineno=3, edit=partial(_set_column, col=0, value=lambda v: "-1")),
+         "phase_index must be non-negative"),
+        ("shot index beyond int64",
+         partial(_edit_line, lineno=3, edit=partial(_set_column, col=2, value=lambda v: "9" * 20)),
+         "row 3: integer out of the int64 range"),
+    ]
+] + [
+    ("quantum", "b disagrees with m",
+     partial(_edit_line, lineno=3, edit=partial(_set_column, col=-1, value=lambda v: str(1 - int(v)))),
+     "b columns disagree"),
+]
+
+DATASET_KINDS = {
+    "quantum": (simulate_quantum_dataset, write_quantum_csv, read_quantum_csv,
+                QUANTUM_CSV_HEADER, "m"),
+    "classical": (simulate_classical_dataset, write_classical_csv, read_classical_csv,
+                  CLASSICAL_CSV_HEADER, "c"),
+}
+
+
+class TestReaderPaths:
+    """The one-pass reader agrees with the row parser, or defers to it."""
+
+    @pytest.mark.parametrize("kind", sorted(DATASET_KINDS))
+    def test_written_file_loads_in_one_pass(self, tmp_path, kind):
+        simulate, write, _, header, _ = DATASET_KINDS[kind]
+        path = tmp_path / "data.csv"
+        write(simulate(noiseless_config(n_phases=3, n_shots=4)), path)
+        n_cols = len(header.split(","))
+        fast = protocol._load_columns(path, header, n_cols)
+        assert fast is not None
+        for got, want in zip(fast, protocol._parse_rows(path, header, n_cols)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "kind, edit, expect",
+        [pytest.param(k, e, x, id=f"{k}-{n}") for k, n, e, x in READER_CASES],
+    )
+    def test_paths_agree_on_edited_files(self, tmp_path, kind, edit, expect):
+        simulate, write, read, header, bits_attr = DATASET_KINDS[kind]
+        ds = simulate(noiseless_config(n_phases=3, n_shots=4))
+        path = tmp_path / "data.csv"
+        write(ds, path)
+        path.write_bytes(edit(path.read_bytes().decode()).encode())
+        n_cols = len(header.split(","))
+        fast = protocol._load_columns(path, header, n_cols)
+        try:
+            rows = protocol._parse_rows(path, header, n_cols)
+        except DatasetError as exc:
+            assert fast is None
+            assert expect is not None and re.search(expect, str(exc))
+            with pytest.raises(DatasetError) as info:
+                read(path)
+            assert str(info.value) == str(exc)
+            return
+        if fast is not None:
+            for got, want in zip(fast, rows):
+                assert np.array_equal(got, want)
+        if expect is not None:
+            with pytest.raises(DatasetError, match=expect):
+                read(path)
+            return
+        back = read(path)
+        assert np.array_equal(back.phase_index, ds.phase_index)
+        assert np.array_equal(back.shot_index, ds.shot_index)
+        assert np.array_equal(getattr(back, bits_attr), getattr(ds, bits_attr))
+        assert np.allclose(back.phases, ds.phases)
