@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -124,6 +125,10 @@ CONFIG_KEY_HELP = {
 
 class ConfigError(ValueError):
     pass
+
+
+class InputError(ValueError):
+    """An input file other than a dataset CSV that cannot be used."""
 
 
 # ---------------------------------------------------------------------------
@@ -509,40 +514,30 @@ def cmd_report(args) -> int:
     config = load_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for path, label in ((args.dae, "DAE model"), (args.estimator, "estimator model")):
-        if path and not os.path.exists(path):
-            raise ConfigError(f"{label} file not found: {path}")
+    dae = load_model(args.dae, DAE_WIDTHS) if args.dae else None
+    est_net = load_model(args.estimator, ESTIMATOR_WIDTHS) if args.estimator else None
     quantum = read_quantum_csv(args.quantum)
     classical = read_classical_csv(args.classical) if args.classical else None
 
     table = analysis.table_from_quantum(quantum)
     rows = table.probabilities()
-    if args.dae:
-        with open(args.dae) as fh:
-            dae = ml.Network.from_json_dict(json.load(fh))
+    if dae is not None:
         if dae.spec.widths[0] == analysis.M_OUTCOMES:
             denoised_full = ml.dae_denoise(dae, rows)
             marginal_rows = analysis.marginalize_to_bits(
                 analysis.CondProbTable(table.phases, denoised_full, kind="m7")
             ).probabilities()
-        elif dae.spec.widths[0] == analysis.B_OUTCOMES:
+        else:
             marginal_rows = ml.dae_denoise(
                 dae, analysis.marginalize_to_bits(table).probabilities()
             )
-        else:
-            raise ConfigError(
-                f"DAE input width {dae.spec.widths[0]} matches neither 128 nor 8"
-            )
         denoised_table = analysis.CondProbTable(table.phases, marginal_rows, kind="b3")
     else:
-        dae = None
         denoised_table = analysis.marginalize_to_bits(table)
         marginal_rows = denoised_table.probabilities()
 
     phi_nn = None
-    if args.estimator:
-        with open(args.estimator) as fh:
-            est_net = ml.Network.from_json_dict(json.load(fh))
+    if est_net is not None:
         inputs = ml.estimator_inputs_from_rows(table.phases, marginal_rows)
         phi_nn = ml.forward(est_net, inputs)[:, 0] % analysis.TWO_PI
 
@@ -584,6 +579,36 @@ def cmd_report(args) -> int:
     write_manifest(out_dir, "report", config, [cmp_path, summary_path], {})
     print(f"report: wrote {cmp_path.name}, {summary_path.name} to {out_dir}")
     return EXIT_OK
+
+
+#: (input, output) widths a model given to ``report`` may have.
+DAE_WIDTHS = (
+    (analysis.M_OUTCOMES, analysis.M_OUTCOMES),
+    (analysis.B_OUTCOMES, analysis.B_OUTCOMES),
+)
+ESTIMATOR_WIDTHS = ((2 * analysis.B_OUTCOMES, 1),)
+
+
+def load_model(path: str, widths) -> ml.Network:
+    """A trained network from its JSON file, with (input, output) widths in ``widths``.
+
+    A file that is missing, unreadable, not JSON, not a model document or a
+    model of other widths raises InputError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            net = ml.Network.from_json_dict(json.load(fh))
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: not valid JSON: {exc}") from None
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    got = (net.spec.widths[0], net.spec.widths[-1])
+    if got not in widths:
+        expected = " or ".join(f"{a} to {b}" for a, b in widths)
+        raise InputError(f"{path}: model maps {got[0]} to {got[1]} values, expected {expected}")
+    return net
 
 
 def analysis_rmse(predicted: np.ndarray, truth: np.ndarray) -> float:
@@ -674,15 +699,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        return _run(args)
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DatasetError as exc:
+    except (DatasetError, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, ModelError) as exc:

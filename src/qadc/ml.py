@@ -4,6 +4,13 @@ Plain numpy forward/backward passes with a hand-rolled Adam optimizer; no ML
 runtime.  Training is single-threaded and seed-deterministic end to end (the
 reproducibility contract outranks speed at these sizes).
 
+All parameters of a `Network` live in one contiguous float64 vector,
+``net.params``: layer by layer, the row-major ``[out, in]`` weight matrix and
+then the bias.  ``net.weights[i]`` and ``net.biases[i]`` are views into it, so
+an in-place edit of either changes the network, and the optimizer updates the
+whole vector with a handful of array operations per step.  Training writes
+each batch's gradient into one vector with the same layout.
+
 The denoising autoencoder maps noise-corrupted conditional-probability rows to
 clean ones (encoder 64/32, bottleneck 16, decoder 32/64, linear output).  The
 phase regressor maps the 8 informative-bit probabilities at phi and at a fixed
@@ -26,7 +33,6 @@ from qadc.analysis import (
     TWO_PI,
     _B_FROM_M,
     bit_chain_probabilities,
-    wrap_difference,
 )
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "linear")
@@ -57,6 +63,10 @@ class NetworkSpec:
         for act in self.activations:
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
+
+    @property
+    def n_parameters(self) -> int:
+        return sum((n_in + 1) * n_out for n_in, n_out in zip(self.widths, self.widths[1:]))
 
 
 @dataclass(frozen=True)
@@ -100,27 +110,63 @@ def _act(name: str, x: np.ndarray) -> np.ndarray:
 
 
 def _act_grad(name: str, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """Derivative of a nonlinear activation (``linear`` has none to apply)."""
     if name == "relu":
-        return (pre > 0).astype(pre.dtype)
+        return pre > 0
     if name == "tanh":
         return 1.0 - post**2
-    if name == "sigmoid":
-        return post * (1.0 - post)
-    return np.ones_like(pre)
+    return post * (1.0 - post)  # sigmoid
+
+
+def _as_batch(a) -> np.ndarray:
+    """``a`` as a 2-D float64 array, without a copy when it already is one."""
+    if isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == np.float64:
+        return a
+    return np.atleast_2d(np.asarray(a, dtype=float))
+
+
+def _layer_views(spec: NetworkSpec, flat: np.ndarray) -> tuple[list, list]:
+    """Per-layer ``[out, in]`` weight and bias views into a flat parameter vector."""
+    weights, biases = [], []
+    start = 0
+    for n_in, n_out in zip(spec.widths, spec.widths[1:]):
+        stop = start + n_out * n_in
+        weights.append(flat[start:stop].reshape(n_out, n_in))
+        biases.append(flat[stop : stop + n_out])
+        start = stop + n_out
+    return weights, biases
 
 
 class Network:
-    """Dense network with explicit weight/bias arrays (weights are [out, in])."""
+    """Dense network whose parameters live in one flat float64 vector.
+
+    ``params`` holds, layer by layer, the row-major ``[out, in]`` weight matrix
+    and then the bias.  ``weights[i]`` and ``biases[i]`` are views into it:
+    an in-place edit such as ``net.weights[0][0, 1] = 0.5`` or
+    ``net.biases[1][:] = 0`` changes the network, while rebinding
+    ``net.weights[i]`` to another array detaches it from ``params``.  The
+    constructor copies the given arrays into a new vector.
+    """
 
     def __init__(self, spec: NetworkSpec, weights, biases):
-        self.spec = spec
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        biases = [np.asarray(b, dtype=float) for b in biases]
+        n_layers = len(spec.widths) - 1
+        if len(weights) != n_layers or len(biases) != n_layers:
+            raise ValueError(
+                f"{n_layers} layers need {n_layers} weight and bias arrays, "
+                f"got {len(weights)} and {len(biases)}"
+            )
+        for i, (w, b) in enumerate(zip(weights, biases)):
             if w.shape != (spec.widths[i + 1], spec.widths[i]):
                 raise ValueError(f"layer {i}: weight shape {w.shape}")
             if b.shape != (spec.widths[i + 1],):
                 raise ValueError(f"layer {i}: bias shape {b.shape}")
+        self.spec = spec
+        self.params = np.empty(spec.n_parameters)
+        self.weights, self.biases = _layer_views(spec, self.params)
+        for view, value in zip(self.weights + self.biases, weights + biases):
+            view[...] = value
 
     @classmethod
     def initialize(cls, spec: NetworkSpec, rng: np.random.Generator) -> "Network":
@@ -135,7 +181,7 @@ class Network:
 
     @property
     def n_parameters(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def to_json_dict(self, train_config: TrainConfig | None = None, seed: int | None = None) -> dict:
         doc = {
@@ -162,65 +208,109 @@ class Network:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Network":
-        spec = NetworkSpec(tuple(doc["spec"]["widths"]), tuple(doc["spec"]["activations"]))
-        weights = [
-            np.asarray(w, dtype=float).reshape(spec.widths[i + 1], spec.widths[i])
-            for i, w in enumerate(doc["weights"])
-        ]
-        biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
+        """The network stored by `to_json_dict`; ValueError on a malformed document."""
+        try:
+            spec = NetworkSpec(
+                tuple(doc["spec"]["widths"]), tuple(doc["spec"]["activations"])
+            )
+            weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
+            for i, (n_in, n_out) in enumerate(zip(spec.widths, spec.widths[1:])):
+                if i < len(weights):
+                    weights[i] = weights[i].reshape(n_out, n_in)
+            biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
+        except KeyError as exc:
+            raise ValueError(f"model document lacks {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed model document: {exc}") from None
         return cls(spec, weights, biases)
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Affine + activation composition; accepts a vector or a batch."""
-    single = np.asarray(x, dtype=float).ndim == 1
-    h = np.atleast_2d(np.asarray(x, dtype=float))
+    h = _as_batch(x)
     if h.shape[1] != net.spec.widths[0]:
         raise ValueError(f"input width {h.shape[1]}, expected {net.spec.widths[0]}")
     for w, b, act in zip(net.weights, net.biases, net.spec.activations):
         h = _act(act, h @ w.T + b)
-    return h[0] if single else h
+    return h[0] if np.ndim(x) == 1 else h
 
 
-def gradients(net: Network, x: np.ndarray, y: np.ndarray):
-    """Backprop of the mean-squared error; returns (dW list, db list, loss)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+def gradients(net: Network, x: np.ndarray, y: np.ndarray, out=None):
+    """Backprop of the mean-squared error; returns (dW list, db list, loss).
+
+    The gradients are written into ``out``, a ``(dW list, db list)`` pair
+    shaped like ``net.weights`` and ``net.biases`` (`train` passes views of
+    one flat vector laid out like ``net.params``), or into new arrays when
+    ``out`` is None.
+    """
+    x = _as_batch(x)
+    y = _as_batch(y)
+    if out is None:
+        out = _layer_views(net.spec, np.empty(net.n_parameters))
+    d_weights, d_biases = out
     pres, posts = [], [x]
     h = x
     for w, b, act in zip(net.weights, net.biases, net.spec.activations):
-        pre = h @ w.T + b
+        pre = h @ w.T
+        pre += b
         h = _act(act, pre)
         pres.append(pre)
         posts.append(h)
-    loss = float(np.mean((h - y) ** 2))
-    delta = 2.0 * (h - y) / h.size
-    d_weights, d_biases = [], []
+    if y.shape != h.shape:
+        raise ValueError(f"target shape {y.shape}, expected {h.shape}")
+    delta = h - y
+    loss = float(np.mean(delta**2))
+    delta *= 2.0
+    delta /= h.size
     for i in reversed(range(len(net.weights))):
-        delta = delta * _act_grad(net.spec.activations[i], pres[i], posts[i + 1])
-        d_weights.append(delta.T @ posts[i])
-        d_biases.append(delta.sum(axis=0))
+        act = net.spec.activations[i]
+        if act != "linear":
+            delta *= _act_grad(act, pres[i], posts[i + 1])
+        np.matmul(delta.T, posts[i], out=d_weights[i])
+        delta.sum(axis=0, out=d_biases[i])
         if i:
             delta = delta @ net.weights[i]
-    return d_weights[::-1], d_biases[::-1], loss
+    return d_weights, d_biases, loss
 
 
 class _Adam:
-    def __init__(self, params: list[np.ndarray], cfg: TrainConfig):
+    """Adam on one flat parameter vector, in place, with preallocated scratch.
+
+    Every element goes through the same operations in the same order as the
+    per-tensor textbook form: the bias corrections divide ``m`` and ``v``
+    separately, and are not folded into one step size, because folding
+    changes the rounding and with it the trained model.
+    """
+
+    def __init__(self, params: np.ndarray, cfg: TrainConfig):
         self.cfg = cfg
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._step = np.empty_like(params)
+        self._denom = np.empty_like(params)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         c = self.cfg
         self.t += 1
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = c.beta1 * self.m[i] + (1 - c.beta1) * g
-            self.v[i] = c.beta2 * self.v[i] + (1 - c.beta2) * g**2
-            m_hat = self.m[i] / (1 - c.beta1**self.t)
-            v_hat = self.v[i] / (1 - c.beta2**self.t)
-            p -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.eps)
+        m, v, step, denom = self.m, self.v, self._step, self._denom
+        # m = b1*m + (1-b1)*g
+        m *= c.beta1
+        np.multiply(grad, 1 - c.beta1, out=step)
+        m += step
+        # v = b2*v + (1-b2)*g**2
+        v *= c.beta2
+        np.square(grad, out=step)
+        step *= 1 - c.beta2
+        v += step
+        # p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
+        np.divide(m, 1 - c.beta1**self.t, out=step)
+        step *= c.learning_rate
+        np.divide(v, 1 - c.beta2**self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += c.eps
+        step /= denom
+        params -= step
 
 
 def train(net: Network, dataset: TrainingSet, cfg: TrainConfig) -> list[float]:
@@ -232,8 +322,9 @@ def train(net: Network, dataset: TrainingSet, cfg: TrainConfig) -> list[float]:
     if x.shape[1] != net.spec.widths[0] or y.shape[1] != net.spec.widths[-1]:
         raise ValueError("training set shapes do not match the network")
     rng = np.random.default_rng(cfg.seed)
-    params = net.weights + net.biases
-    opt = _Adam(params, cfg)
+    grad = np.empty_like(net.params)
+    grad_views = _layer_views(net.spec, grad)
+    opt = _Adam(net.params, cfg)
     n = x.shape[0]
     trace = []
     for epoch in range(cfg.epochs):
@@ -242,12 +333,12 @@ def train(net: Network, dataset: TrainingSet, cfg: TrainConfig) -> list[float]:
         n_batches = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            dw, db, loss = gradients(net, x[idx], y[idx])
+            _, _, loss = gradients(net, x[idx], y[idx], grad_views)
             if not math.isfinite(loss):
                 raise TrainingDivergence(
                     f"non-finite loss {loss} at epoch {epoch}, batch {n_batches}"
                 )
-            opt.step(params, dw + db)
+            opt.step(net.params, grad)
             epoch_loss += loss
             n_batches += 1
         trace.append(epoch_loss / n_batches)
@@ -410,10 +501,15 @@ def estimator_training_set(
     )
 
 
+def circular_errors(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Elementwise `wrap_difference` (same floats): signed errors in (-pi, pi]."""
+    d = np.mod(np.asarray(predicted, dtype=float) - np.asarray(truth, dtype=float), TWO_PI)
+    return np.where(d > math.pi, d - TWO_PI, d)
+
+
 def circular_rmse(predicted: np.ndarray, truth: np.ndarray) -> float:
     """Root-mean-square circular error for phase-valued estimates."""
-    diffs = [wrap_difference(float(p), float(t)) for p, t in zip(predicted, truth)]
-    return float(np.sqrt(np.mean(np.square(diffs))))
+    return float(np.sqrt(np.mean(np.square(circular_errors(predicted, truth)))))
 
 
 def evaluate_estimator(net: Network, phases: np.ndarray, inputs: np.ndarray) -> dict:
@@ -429,9 +525,7 @@ def evaluate_estimator(net: Network, phases: np.ndarray, inputs: np.ndarray) -> 
     rmse_raw = float(np.sqrt(np.mean((predicted - phases) ** 2)))
     upper = (phases > math.pi) & (phases < TWO_PI)
     if upper.any():
-        errs = np.array(
-            [abs(wrap_difference(p, t)) for p, t in zip(predicted[upper], phases[upper])]
-        )
+        errs = np.abs(circular_errors(predicted[upper], phases[upper]))
         branch = float(np.mean(errs < math.pi / 2))
     else:
         branch = float("nan")

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,16 @@ class TestSimulate:
         assert f"{strategy}: no valid repetitions" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_warnings_print_as_one_line(self, tmp_path, capsys):
+        shown = warnings.showwarning
+        out = tmp_path / "short"
+        assert run_cli(["simulate", "--out", out, "--strategy", "both",
+                        "--set", "noise.eta=0.45", "--n-phases", "2", "--n-shots", "20"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: quantum: attempt cap reached before n_shots at 2 phases\n"
+        )
+        assert warnings.showwarning is shown
+
     def test_config_error_exit_code(self, tmp_path):
         assert run_cli(["simulate", "--out", tmp_path / "x", "--strategy", "quantum",
                         "--set", "noise.delta=1.4"]) == 2
@@ -163,6 +174,41 @@ class TestByteIdentity:
                         "--classical", noiseless / "classical.csv", "--seed", "3",
                         "--set", "analysis.n_resamples=20"]) == 0
         assert sha256(curves / "mi_curves.csv") == self.MI_CURVES_SHA256
+
+    # Training sums in BLAS matrix products, so these pins also assume the
+    # numpy/BLAS build they were recorded with.
+    DAE_SHA256 = {
+        "model_dae.json": "8078f8ebd87e2203f342e82808343ec542454fca00661509736606c451c4df4e",
+        "loss_dae.csv": "b0b2be860622c9d35ed9687350e809f0ce29f75a40f9ace1798f4129a9e9c2a0",
+        "manifest.json": "082eacb8783b45828957d7883177eb5a7b11d5781d87b9779c2255e69b29bcaf",
+    }
+    ESTIMATOR_SHA256 = {
+        "model_estimator.json": "2ff858bc1385c9ed381327ef0baad4809e4af8d3a38e7195c8b6453be7107247",
+        "loss_estimator.csv": "55759c9ef7f57605212dc46571c3dbba0b996ac1c3563aacad701d6639f927a6",
+        "manifest.json": "74e3d267f7c12606e8d65d77954dc5784456daab2504fc7a15ef66d6aff51c9c",
+    }
+    REPORT_SHA256 = {
+        "phase_comparison.csv": "805f8483455ea781652912bd4e10ca05ad2c8d86797d6a01598fa7458f95a553",
+        "mi_summary.json": "cada313711259eb8762fb29d5dda2831649468ce2770edb517c64a6b2287a585",
+    }
+
+    def test_pinned_training_and_report_bytes(self, tmp_path):
+        data, dae, est, report = (tmp_path / name for name in ("data", "dae", "est", "report"))
+        assert run_cli(["simulate", "--out", data, "--noiseless", "--strategy", "both",
+                        "--n-phases", "5", "--n-shots", "40", "--seed", "3"]) == 0
+        assert run_cli(["train", "dae", "--out", dae, "--seed", "3",
+                        "--set", "ml.dae.epochs=5", "--set", "ml.dae.n_train_samples=128"]) == 0
+        assert run_cli(["train", "estimator", "--out", est, "--seed", "3",
+                        "--set", "ml.estimator.epochs=5",
+                        "--set", "ml.estimator.n_train_phases=32",
+                        "--set", "ml.estimator.replicas=2"]) == 0
+        assert run_cli(["report", "--out", report, "--seed", "3",
+                        "--quantum", data / "quantum.csv", "--classical", data / "classical.csv",
+                        "--dae", dae / "model_dae.json",
+                        "--estimator", est / "model_estimator.json"]) == 0
+        for out, pinned in ((dae, self.DAE_SHA256), (est, self.ESTIMATOR_SHA256),
+                            (report, self.REPORT_SHA256)):
+            assert {name: sha256(out / name) for name in pinned} == pinned
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +348,44 @@ class TestTrainAndReport:
         )
         assert code == 2
         assert not (out / "phase_comparison.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--dae", "--estimator"])
+    def test_bad_model_file_is_input_error(self, small_run, models, tmp_path, capsys, flag):
+        good = json.loads((models / "model_estimator.json").read_text())
+        no_spec = {key: value for key, value in good.items() if key != "spec"}
+        short_weight = json.loads(json.dumps(good))
+        short_weight["weights"][1] = short_weight["weights"][1][:-1]
+        missing_layer = dict(good, weights=good["weights"][:-1])
+        other_net = (models / "model_dae.json" if flag == "--estimator"
+                     else models / "model_estimator.json").read_text()
+        cases = {
+            "missing.json": None,
+            "directory.json": "dir",
+            "not_json.json": "{not json",
+            "binary.json": b"\xff\xfe\x00",
+            "list.json": "[1, 2]",
+            "no_spec.json": json.dumps(no_spec),
+            "short_weight.json": json.dumps(short_weight),
+            "missing_layer.json": json.dumps(missing_layer),
+            "other_network.json": other_net,
+        }
+        for name, content in cases.items():
+            path = tmp_path / name
+            if content == "dir":
+                path.mkdir()
+            elif isinstance(content, bytes):
+                path.write_bytes(content)
+            elif content is not None:
+                path.write_text(content)
+            out = tmp_path / f"report_{name}"
+            capsys.readouterr()
+            code = run_cli(["report", "--out", out, "--quantum", small_run / "quantum.csv",
+                            flag, path, "--seed", "7"])
+            err = capsys.readouterr().err
+            assert code == 2, name
+            assert err.startswith(f"input error: {path}: "), err
+            assert err.count("\n") == 1, err
+            assert not out.exists() or list(out.iterdir()) == [], name
 
 
 class TestSelftestAndHelp:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qadc.analysis import bit_chain_probabilities
+from qadc.analysis import bit_chain_probabilities, wrap_difference
 from qadc.ml import (
     ESTIMATOR_PHASE_SHIFT,
     Network,
@@ -14,6 +14,7 @@ from qadc.ml import (
     TrainingSet,
     build_dae,
     build_estimator,
+    circular_errors,
     circular_rmse,
     corrupt_rows,
     dae_denoise,
@@ -29,6 +30,9 @@ from qadc.ml import (
     shifted_rows,
     train,
     train_and_eval_estimator,
+    _act,
+    _Adam,
+    _layer_views,
 )
 
 TWO_PI = 2 * math.pi
@@ -58,6 +62,37 @@ class TestSpecs:
             NetworkSpec((4, 2), ("softmax",))
         with pytest.raises(ValueError):
             NetworkSpec((4, 2), ("relu", "relu"))
+
+
+class TestFlatParameters:
+    def test_layers_are_views_of_one_vector(self, rng):
+        net = Network.initialize(NetworkSpec((3, 4, 2), ("tanh", "linear")), rng)
+        layout = [net.weights[0].ravel(), net.biases[0], net.weights[1].ravel(), net.biases[1]]
+        assert np.array_equal(net.params, np.concatenate(layout))
+        assert net.params.flags.c_contiguous and net.n_parameters == net.params.size == 26
+        net.weights[1][1, 2] = 7.0
+        net.biases[0][:] = -1.0
+        assert net.params[12 + 4 + 1 * 4 + 2] == 7.0
+        assert np.all(net.params[12:16] == -1.0)
+
+    def test_constructor_copies_and_checks_before_copying(self):
+        spec = NetworkSpec((2, 1), ("linear",))
+        w, b = np.ones((1, 2)), np.zeros(1)
+        net = Network(spec, [w], [b])
+        w[0, 0] = 5.0
+        assert net.weights[0][0, 0] == 1.0
+        for weights, biases in (([np.ones((2, 1))], [b]), ([w], [np.zeros(2)]),
+                                ([w, w], [b, b]), ([], [])):
+            with pytest.raises(ValueError):
+                Network(spec, weights, biases)
+
+    def test_from_json_dict_rejects_malformed_documents(self, rng):
+        doc = Network.initialize(build_dae(8), rng).to_json_dict()
+        for bad in ({}, [], dict(doc, weights=doc["weights"][:-1]),
+                    dict(doc, weights=doc["weights"] + [[0.0]]),
+                    dict(doc, biases=doc["biases"][1:] + [[0.0]])):
+            with pytest.raises(ValueError):
+                Network.from_json_dict(bad)
 
 
 class TestForward:
@@ -127,6 +162,91 @@ class TestGradients:
             w[i, 0] = orig
             fd = (lp - lm) / (2 * h)
             assert abs(fd - dw[0][i, 0]) <= 1e-4 * max(1e-8, abs(fd))
+
+    def test_target_shape_must_match_outputs(self, rng):
+        net = Network.initialize(NetworkSpec((1, 1), ("linear",)), rng)
+        x = rng.normal(size=(4, 1))
+        with pytest.raises(ValueError, match="target shape"):
+            gradients(net, x, x.ravel())  # would broadcast to [4, 4]
+
+
+def reference_gradients(net, x, y):
+    """Per-tensor backprop as first written: the bitwise reference."""
+    pres, posts = [], [x]
+    h = x
+    for w, b, act in zip(net.weights, net.biases, net.spec.activations):
+        pre = h @ w.T + b
+        h = _act(act, pre)
+        pres.append(pre)
+        posts.append(h)
+    loss = float(np.mean((h - y) ** 2))
+    delta = 2.0 * (h - y) / h.size
+    d_weights, d_biases = [], []
+    for i in reversed(range(len(net.weights))):
+        act, pre, post = net.spec.activations[i], pres[i], posts[i + 1]
+        if act == "relu":
+            grad = (pre > 0).astype(pre.dtype)
+        elif act == "tanh":
+            grad = 1.0 - post**2
+        elif act == "sigmoid":
+            grad = post * (1.0 - post)
+        else:
+            grad = np.ones_like(pre)
+        delta = delta * grad
+        d_weights.append(delta.T @ posts[i])
+        d_biases.append(delta.sum(axis=0))
+        if i:
+            delta = delta @ net.weights[i]
+    return d_weights[::-1], d_biases[::-1], loss
+
+
+def reference_adam_step(params, grads, m, v, t, c):
+    """Per-tensor Adam step as first written: the bitwise reference."""
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = c.beta1 * m[i] + (1 - c.beta1) * g
+        v[i] = c.beta2 * v[i] + (1 - c.beta2) * g**2
+        m_hat = m[i] / (1 - c.beta1**t)
+        v_hat = v[i] / (1 - c.beta2**t)
+        p -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.eps)
+
+
+class TestFlatTrainingMatchesReference:
+    SPEC = NetworkSpec((5, 7, 6, 4, 3), ("relu", "sigmoid", "tanh", "linear"))
+
+    def test_gradients_equal_per_tensor_backprop(self, rng):
+        net = Network.initialize(self.SPEC, rng)
+        net.biases[0][:3] = -5.0  # dead ReLU units give exact zeros
+        x, y = rng.normal(size=(10, 5)), rng.normal(size=(10, 3))
+        dw, db, loss = gradients(net, x, y)
+        ref_dw, ref_db, ref_loss = reference_gradients(net, x, y)
+        assert loss == ref_loss
+        for got, ref in zip(dw + db, ref_dw + ref_db):
+            assert got.tobytes() == ref.tobytes()
+        # a caller's buffers are filled with the same values and returned
+        buffers = ([np.empty_like(w) for w in dw], [np.empty_like(b) for b in db])
+        again = gradients(net, x, y, buffers)
+        assert again[0] is buffers[0] and again[1] is buffers[1]
+        for got, ref in zip(buffers[0] + buffers[1], dw + db):
+            assert got.tobytes() == ref.tobytes()
+        # without buffers every call returns new arrays
+        assert not np.shares_memory(gradients(net, x, y)[0][0], dw[0])
+
+    def test_adam_equals_per_tensor_steps(self, rng):
+        net = Network.initialize(self.SPEC, rng)
+        ref_flat = net.params.copy()
+        ref_params = sum(_layer_views(self.SPEC, ref_flat), [])
+        m = [np.zeros_like(p) for p in ref_params]
+        v = [np.zeros_like(p) for p in ref_params]
+        cfg = TrainConfig(learning_rate=3e-3)
+        opt = _Adam(net.params, cfg)
+        for t in range(1, 60):
+            grad = rng.normal(scale=10.0 ** rng.uniform(-6, 1), size=net.n_parameters)
+            grad[rng.random(grad.size) < 0.2] = 0.0
+            grad[:3] = (-0.0, 5e-324, -1e-310)  # signed zero and subnormals
+            opt.step(net.params, grad)
+            grads = sum(_layer_views(self.SPEC, grad), [])
+            reference_adam_step(ref_params, grads, m, v, t, cfg)
+        assert net.params.tobytes() == ref_flat.tobytes()
 
 
 class TestTraining:
@@ -314,6 +434,15 @@ class TestEstimatorTraining:
         assert trace[-1] < trace[0]
         assert metrics["rmse"] < 0.25
         assert metrics["branch_accuracy"] > 0.9
+
+    def test_circular_errors_equal_scalar_wrap(self, rng):
+        predicted = np.concatenate([rng.uniform(-10, 10, 500), [0.0, 1.0, math.pi, 0.0, 4.0,
+                                                                TWO_PI, -math.pi]])
+        truth = np.concatenate([rng.uniform(-10, 10, 500), [0.0, 1.0, 0.0, math.pi, 4.0 - TWO_PI,
+                                                            0.0, 0.0]])
+        loop = [wrap_difference(float(p), float(t)) for p, t in zip(predicted, truth)]
+        assert circular_errors(predicted, truth).tolist() == loop
+        assert circular_rmse(predicted, truth) == float(np.sqrt(np.mean(np.square(loop))))
 
     def test_circular_rmse_wraps(self):
         pred = np.array([TWO_PI - 0.01])
