@@ -210,9 +210,10 @@ def validate_config(config: dict) -> None:
     if not isinstance(config["seed"], int):
         fail("seed", "must be an integer")
     for block in ("dae", "estimator"):
-        ml_block = config["ml"][block]
-        if ml_block["epochs"] < 1 or ml_block["batch_size"] < 1:
-            fail(f"ml.{block}", "epochs and batch_size must be positive")
+        for key in ("epochs", "batch_size"):
+            value = config["ml"][block][key]
+            if not isinstance(value, int) or value < 1:
+                fail(f"ml.{block}", f"{key} must be a positive integer")
 
 
 def noise_config(config: dict) -> NoiseConfig:
@@ -292,7 +293,6 @@ def write_manifest(out_dir: Path, command: str, config: dict, files: list[Path],
 def cmd_simulate(args) -> int:
     config = load_config(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     proto = protocol_config(config)
     # Every dataset is simulated before any file is written, so a run that
     # fails on one strategy leaves no outputs.
@@ -349,7 +349,6 @@ def _prefix_counts(phase_index, ranks, codes, n_phases, n_outcomes, k):
 def cmd_analyze(args) -> int:
     config = load_config(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     acfg = config["analysis"]
     rng = derive_rng(config["seed"], 101)
     quantum = read_quantum_csv(args.quantum) if args.quantum else None
@@ -450,7 +449,6 @@ def _write_histogram(path: Path, hist: np.ndarray) -> Path:
 def cmd_train(args) -> int:
     config = load_config(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stage = args.stage
     block = config["ml"][stage]
     cfg = ml.TrainConfig(
@@ -490,9 +488,8 @@ def cmd_train(args) -> int:
             f"(branch accuracy {metrics['branch_accuracy']:.3f})"
         )
     if trace[-1] > trace[0]:
-        print(
-            f"train {stage}: warning: final loss {trace[-1]:.3g} above initial {trace[0]:.3g}",
-            file=sys.stderr,
+        warnings.warn(
+            f"train {stage}: final loss {trace[-1]:.3g} above initial {trace[0]:.3g}"
         )
     model_path = out_dir / f"model_{stage}.json"
     atomic_write(
@@ -513,7 +510,6 @@ def cmd_train(args) -> int:
 def cmd_report(args) -> int:
     config = load_config(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dae = load_model(args.dae, DAE_WIDTHS) if args.dae else None
     est_net = load_model(args.estimator, ESTIMATOR_WIDTHS) if args.estimator else None
     quantum = read_quantum_csv(args.quantum)
@@ -572,8 +568,8 @@ def cmd_report(args) -> int:
             analysis.table_from_classical(classical)
         ).value
     if phi_nn is not None:
-        mi_summary["nn_rmse_circular"] = analysis_rmse(phi_nn, quantum.phases)
-        mi_summary["raw_rmse_circular"] = analysis_rmse(circ, quantum.phases)
+        mi_summary["nn_rmse_circular"] = ml.circular_rmse(phi_nn, quantum.phases)
+        mi_summary["raw_rmse_circular"] = ml.circular_rmse(circ, quantum.phases)
     summary_path = out_dir / "mi_summary.json"
     atomic_write(summary_path, json.dumps(mi_summary, sort_keys=True, indent=1) + "\n")
     write_manifest(out_dir, "report", config, [cmp_path, summary_path], {})
@@ -609,10 +605,6 @@ def load_model(path: str, widths) -> ml.Network:
         expected = " or ".join(f"{a} to {b}" for a, b in widths)
         raise InputError(f"{path}: model maps {got[0]} to {got[1]} values, expected {expected}")
     return net
-
-
-def analysis_rmse(predicted: np.ndarray, truth: np.ndarray) -> float:
-    return ml.circular_rmse(np.asarray(predicted), np.asarray(truth))
 
 
 def cmd_selftest(args) -> int:

@@ -5,7 +5,8 @@ overlaps.  Two independent routes compute output statistics:
 
 * a fast double-permutation formula (`output_probability`,
   `full_output_distribution`) summing over photon-permutation pairs weighted
-  by Gram entries, and
+  by Gram entries; a distribution is a pair of arrays, the count patterns
+  [K, n_modes] and their probabilities [K], and
 * an explicit oracle (`oracle_full_state`) that factors the Gram matrix by
   pivoted Cholesky, embeds each photon's internal state in an orthonormal
   basis and builds the exact bosonic state on spatial x internal modes.
@@ -34,6 +35,7 @@ ORACLE_MAX_PHOTONS = 4
 ORACLE_MAX_MODES = 8
 FORMULA_MAX_PHOTONS = 6
 G2_GUARD = 0.1
+_FACTORIALS = np.array([math.factorial(c) for c in range(FORMULA_MAX_PHOTONS + 1)], float)
 
 
 class ModelError(ValueError):
@@ -44,11 +46,12 @@ class PostSelectionEmpty(RuntimeError):
     """Post-selection keeps nothing: a zero-probability pattern, or a run without valid shots."""
 
 
-def _clip_probability(p: float, context: str) -> float:
-    """Clip roundoff negatives to zero; larger negativity is a bug."""
-    if p < -PROB_CLIP:
-        raise FloatingPointError(f"{context}: probability {p} below -{PROB_CLIP}")
-    return 0.0 if p < 0.0 else p
+def _clip_probability(p, context: str):
+    """Clip roundoff negatives to zero, elementwise; larger negativity is a bug."""
+    low = np.min(p)
+    if low < -PROB_CLIP:
+        raise FloatingPointError(f"{context}: probability {low} below -{PROB_CLIP}")
+    return np.where(p < 0.0, 0.0, p)
 
 
 def pivoted_cholesky(s: np.ndarray, tol: float = PSD_PIVOT_TOL) -> np.ndarray:
@@ -311,7 +314,7 @@ def _distinguishable_blocks(gram: GramMatrix) -> list[list[int]]:
 
 def _block_distribution(
     u: np.ndarray, in_modes: tuple[int, ...], gram_entries: np.ndarray
-) -> dict[tuple[int, ...], float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Output count distribution of one coherent photon block.
 
     P(d) = (1 / prod_m mu_m!) * sum_{sigma,tau} prod_k S[sigma(k), tau(k)]
@@ -319,11 +322,13 @@ def _block_distribution(
     over all output multisets d, where mu are the output multiplicities.  The
     conjugation sits on the sigma side so complex Gram matrices reproduce the
     explicit state construction; for real S both orientations coincide.
+
+    Returns the count patterns [K, n_modes] and their probabilities [K].
     """
     n_modes = u.shape[0]
     k = len(in_modes)
     if k == 0:
-        return {(0,) * n_modes: 1.0}
+        return np.zeros((1, n_modes), dtype=np.int64), np.ones(1)
     if k > FORMULA_MAX_PHOTONS:
         raise SizeLimitError(f"interference formula guard: {k} photons in one block")
     pats = np.array(list(combinations_with_replacement(range(n_modes), k)), dtype=np.intp)
@@ -336,45 +341,51 @@ def _block_distribution(
     probs = np.einsum("fp,gp,fg->p", v.conj(), v, w)
     if np.max(np.abs(probs.imag)) > REALNESS_TOL:
         raise FloatingPointError("interference probabilities acquired imaginary parts")
-    probs = probs.real
-    out: dict[tuple[int, ...], float] = {}
-    for pat, p in zip(pats, probs):
-        counts = np.bincount(pat, minlength=n_modes)
-        mult = 1.0
-        for c in counts:
-            if c > 1:
-                mult *= math.factorial(int(c))
-        out[tuple(int(c) for c in counts)] = _clip_probability(
-            float(p / mult), "block distribution"
-        )
-    return out
+    counts = (pats[:, :, None] == np.arange(n_modes)).sum(axis=1)
+    probs = probs.real / _FACTORIALS[counts].prod(axis=1)
+    return counts, _clip_probability(probs, "block distribution")
 
 
 def full_output_distribution(
     u: np.ndarray, ensemble: PhotonEnsemble
-) -> dict[tuple[int, ...], float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Probability of every output count pattern for the full ensemble.
 
-    The ensemble is split into mutually orthogonal blocks whose distributions
-    are computed by the double-permutation formula and convolved.  Validated
-    against `oracle_full_state` spatial marginals in the acceptance suite.
+    Returns ``(counts, probs)``: the count patterns as an int array
+    [K, n_modes], each pattern once, and their probabilities as a float64
+    array [K].  The ensemble is split into mutually orthogonal blocks whose
+    distributions are computed by the double-permutation formula and
+    convolved: every pattern row of one block is added to every row of the
+    next, and equal sums are merged.  Validated against `oracle_full_state`
+    spatial marginals in the acceptance suite.
     """
     u = np.asarray(u, dtype=complex)
     n_modes = u.shape[0]
     if any(m >= n_modes for m in ensemble.input_modes):
         raise ValueError("input mode index out of range for the unitary")
-    dist: dict[tuple[int, ...], float] = {(0,) * n_modes: 1.0}
+    # A pattern's code is its counts as digits in base n_photons + 1; no
+    # digit can carry, so the code of a sum of patterns is the sum of codes.
+    base = ensemble.n_photons + 1
+    if base**n_modes > 2**63:
+        raise SizeLimitError(f"pattern codes of {base - 1} photons on {n_modes} modes")
+    radix = base ** np.arange(n_modes, dtype=np.int64)
+    counts = np.zeros((1, n_modes), dtype=np.int64)
+    probs = np.ones(1)
     for block in _distinguishable_blocks(ensemble.gram):
         modes = tuple(ensemble.input_modes[i] for i in block)
         sub = ensemble.gram.entries[np.ix_(block, block)]
-        block_dist = _block_distribution(u, modes, sub)
-        merged: dict[tuple[int, ...], float] = {}
-        for c1, p1 in dist.items():
-            for c2, p2 in block_dist.items():
-                key = tuple(a + b for a, b in zip(c1, c2))
-                merged[key] = merged.get(key, 0.0) + p1 * p2
-        dist = merged
-    return dist
+        block_counts, block_probs = _block_distribution(u, modes, sub)
+        codes = (counts @ radix)[:, None] + (block_counts @ radix)[None, :]
+        # Patterns keep the order of their first appearance, and each sum
+        # adds its terms in row-major order: the arithmetic of the pairwise
+        # loop over (pattern, block pattern), term by term.
+        _, first, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.argsort(order)
+        probs = np.bincount(rank[inverse], weights=np.outer(probs, block_probs).ravel())
+        pair = first[order]
+        counts = counts[pair // len(block_counts)] + block_counts[pair % len(block_counts)]
+    return counts, probs
 
 
 def output_probability(
@@ -393,9 +404,9 @@ def output_probability(
         )
     if any(m < 0 or m >= n_modes for m in outs):
         raise ValueError("output mode index out of range")
-    counts = np.bincount(np.asarray(outs, dtype=np.intp), minlength=n_modes)
-    pattern = tuple(int(c) for c in counts)
-    return min(1.0, full_output_distribution(u, ensemble).get(pattern, 0.0))
+    pattern = np.bincount(np.asarray(outs, dtype=np.intp), minlength=n_modes)
+    counts, probs = full_output_distribution(u, ensemble)
+    return min(1.0, float(probs[(counts == pattern).all(axis=1)].sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +573,7 @@ def state_fidelity(state: DualRailState, target: np.ndarray) -> float:
             f"target dimension {t.shape[0]} vs density matrix {state.rho.shape[0]}"
         )
     val = float(np.real(t.conj() @ state.rho @ t))
-    return min(1.0, _clip_probability(val, "state fidelity"))
+    return min(1.0, float(_clip_probability(val, "state fidelity")))
 
 
 def ghz_target(n_qubits: int, physical_frame: bool = False) -> np.ndarray:

@@ -196,7 +196,6 @@ class StepDistribution:
 
     outcomes: np.ndarray  # [K, n_qubits] uint8 logical bits
     cum_probs: np.ndarray  # [K] cumulative accepted probability
-    discard_prob: float
 
 
 class StepSimulator:
@@ -281,44 +280,25 @@ class StepSimulator:
         mains: tuple[int, ...],
         extras: tuple[int, ...],
     ) -> StepDistribution:
-        pairs = logical_rail_pairs(n)
-        empty = StepDistribution(
-            np.zeros((0, n), dtype=np.uint8), np.zeros(0), 1.0
-        )
         if len(mains) + len(extras) < n or len(extras) > _MAX_EXTRAS:
-            return empty
+            return StepDistribution(np.zeros((0, n), dtype=np.uint8), np.zeros(0))
         u = self.unitary(n, phi, flags)
         ensemble = ensemble_from_parts(mains, extras, self.noise.delta)
-        full = full_output_distribution(u, ensemble)
-        rails = {m for pair in pairs for m in pair}
-        outside = [m for m in range(u.shape[0]) if m not in rails]
-        acc: dict[tuple[int, ...], float] = {}
-        discard = 0.0
-        for counts, p in full.items():
-            if p == 0.0:
-                continue
-            if any(counts[m] for m in outside):
-                discard += p
-                continue
-            bits = []
-            ok = True
-            for rail0, rail1 in pairs:
-                c0 = counts[rail0] > 0
-                c1 = counts[rail1] > 0
-                if c0 == c1:
-                    ok = False
-                    break
-                bits.append(1 if c1 else 0)
-            if ok:
-                key = tuple(bits)
-                acc[key] = acc.get(key, 0.0) + p
-            else:
-                discard += p
-        if not acc:
-            return empty
-        outcomes = np.array(sorted(acc), dtype=np.uint8)
-        probs = np.array([acc[tuple(row)] for row in outcomes])
-        return StepDistribution(outcomes, np.cumsum(probs), float(discard))
+        counts, probs = full_output_distribution(u, ensemble)
+        # Accepted: no photon off the rails and exactly one occupied rail per
+        # pair; the bit is set when that rail is the pair's second.
+        rail0, rail1 = np.array(logical_rail_pairs(n)).T
+        off_rails = np.ones(u.shape[0], dtype=bool)
+        off_rails[rail0] = off_rails[rail1] = False
+        hit = counts > 0
+        accepted = ~hit[:, off_rails].any(axis=1) & (
+            hit[:, rail0] != hit[:, rail1]
+        ).all(axis=1)
+        place = 1 << np.arange(n - 1, -1, -1)
+        acc = np.bincount(hit[accepted][:, rail1] @ place, weights=probs[accepted])
+        codes = np.flatnonzero(acc > 0.0)
+        outcomes = ((codes[:, None] & place) > 0).astype(np.uint8)
+        return StepDistribution(outcomes, np.cumsum(acc[codes]))
 
     # -- sampling --------------------------------------------------------------
 

@@ -19,6 +19,11 @@ def naive_permanent(matrix) -> complex:
     )
 
 
+def distribution_dict(counts, probs) -> dict:
+    """``{count pattern: probability}`` view of a (counts, probs) distribution, in row order."""
+    return {tuple(int(c) for c in row): float(p) for row, p in zip(counts, probs)}
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with phase fixing."""
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from conftest import naive_permanent, random_gram, random_unitary
+from conftest import distribution_dict, naive_permanent, random_gram, random_unitary
 from qadc import ml
 from qadc.analysis import (
     CondProbTable,
@@ -130,7 +130,7 @@ def test_criterion_2_distinguishability_physics():
         ins = (0, 1, 3)
         for delta, reference in ((1.0, u), (0.0, np.abs(u) ** 2)):
             ens = PhotonEnsemble(ins, uniform_gram(delta, 3))
-            dist = full_output_distribution(u, ens)
+            dist = distribution_dict(*full_output_distribution(u, ens))
             for counts, p in dist.items():
                 out = [m for m, c in enumerate(counts) for _ in range(c)]
                 sub = reference[np.ix_(out, ins)]

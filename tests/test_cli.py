@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qadc
 from qadc.cli import main
 from qadc.protocol import CLASSICAL_CSV_HEADER, QUANTUM_CSV_HEADER
 
@@ -104,7 +106,7 @@ class TestSimulate:
         )
         assert code == 3
         assert f"{strategy}: no valid repetitions" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_warnings_print_as_one_line(self, tmp_path, capsys):
         shown = warnings.showwarning
@@ -276,6 +278,13 @@ class TestAnalyze:
         assert run_cli(["analyze", "--out", tmp_path / "x", "--quantum", missing]) == 2
         assert capsys.readouterr().err.startswith(f"input error: {missing}: cannot read")
 
+    def test_failed_analyze_leaves_no_output_directory(self, small_run, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli(["analyze", "--out", out, "--quantum", small_run / "quantum.csv",
+                        "--set", "analysis.n_resamples=1"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     def test_analyze_deterministic(self, small_run, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -314,6 +323,30 @@ class TestTrainAndReport:
         first = float(loss_lines[1].split(",")[1])
         last = float(loss_lines[-1].split(",")[1])
         assert last < first
+
+    @pytest.mark.parametrize(
+        "stage, key, value",
+        [("dae", "epochs", "abc"), ("dae", "batch_size", "2.5"), ("dae", "epochs", "0"),
+         ("estimator", "epochs", '"7"'), ("estimator", "batch_size", "null")],
+    )
+    def test_bad_training_setting_is_config_error(self, tmp_path, capsys, stage, key, value):
+        out = tmp_path / "x"
+        assert run_cli(["train", stage, "--out", out, "--set", f"ml.{stage}.{key}={value}"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config field ml.{stage}: {key} must be a positive integer\n"
+        )
+        assert not out.exists()
+
+    def test_rising_loss_prints_one_warning_line(self, tmp_path, capsys):
+        # a step size of 1 overshoots, so the last epoch's loss exceeds the first's
+        assert run_cli(["train", "estimator", "--out", tmp_path / "x", "--seed", "1",
+                        "--set", "ml.estimator.epochs=2", "--set", "ml.estimator.replicas=1",
+                        "--set", "ml.estimator.n_train_phases=16",
+                        "--set", "ml.estimator.learning_rate=1"]) == 0
+        assert re.fullmatch(
+            r"warning: train estimator: final loss \S+ above initial \S+\n",
+            capsys.readouterr().err,
+        )
 
     def test_train_deterministic(self, models, tmp_path):
         out = tmp_path / "repeat"
@@ -385,7 +418,7 @@ class TestTrainAndReport:
             assert code == 2, name
             assert err.startswith(f"input error: {path}: "), err
             assert err.count("\n") == 1, err
-            assert not out.exists() or list(out.iterdir()) == [], name
+            assert not out.exists(), name
 
 
 class TestSelftestAndHelp:
@@ -393,10 +426,13 @@ class TestSelftestAndHelp:
         assert run_cli(["selftest"]) == 0
 
     def test_help_documents_config_keys(self):
+        package_root = str(Path(qadc.__file__).resolve().parent.parent)
+        path = [package_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         result = subprocess.run(
             [sys.executable, "-m", "qadc.cli", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
         )
         assert result.returncode == 0
         for key in ("noise.delta", "noise.g2_two_photon", "n_shots", "seed"):

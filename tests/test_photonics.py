@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import naive_permanent, random_gram, random_unitary
+from conftest import distribution_dict, naive_permanent, random_gram, random_unitary
+from qadc import photonics
 from qadc.linop import (
     GHZ_INPUT_MODES,
     MZCell,
@@ -121,6 +122,15 @@ class TestOutputProbability:
                     p_fast = output_probability(u, ens, tuple(modes))
                     assert p_fast == pytest.approx(p_oracle, abs=1e-10)
 
+    def test_pattern_of_zero_probability(self):
+        # each photon stays in its input mode, so every other pattern of the
+        # right size has probability exactly 0
+        u = np.eye(4)
+        ens = ensemble_from_parts((0, 1), (2,), 0.8)
+        assert output_probability(u, ens, (0, 1, 2)) == 1.0
+        for modes in ((0, 1, 3), (0, 0, 2), (3, 3, 3), (1, 2, 3)):
+            assert output_probability(u, ens, modes) == 0.0
+
     def test_colliding_output_via_oracle(self, rng):
         u = balanced_splitter()
         for delta in (0.0, 0.6, 1.0):
@@ -134,14 +144,14 @@ class TestFullDistribution:
         for n, m in ((2, 3), (3, 4), (3, 8)):
             u = random_unitary(m, rng)
             ens = PhotonEnsemble(tuple(range(n)), random_gram(n, rng))
-            dist = full_output_distribution(u, ens)
+            dist = distribution_dict(*full_output_distribution(u, ens))
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_oracle_including_collisions(self, rng):
         for _ in range(10):
             u = random_unitary(4, rng)
             ens = PhotonEnsemble((0, 1, 2), random_gram(3, rng))
-            dist = full_output_distribution(u, ens)
+            dist = distribution_dict(*full_output_distribution(u, ens))
             marginals = oracle_full_state(u, ens).spatial_marginals()
             for counts, p in marginals.items():
                 assert dist.get(counts, 0.0) == pytest.approx(p, abs=1e-10)
@@ -151,8 +161,10 @@ class TestFullDistribution:
         # distribution equals the convolution computed by hand
         u = random_unitary(4, rng)
         ens = ensemble_from_parts((0, 1), (2,), 0.7)
-        dist = full_output_distribution(u, ens)
-        main = full_output_distribution(u, ensemble_from_parts((0, 1), (), 0.7))
+        dist = distribution_dict(*full_output_distribution(u, ens))
+        main = distribution_dict(
+            *full_output_distribution(u, ensemble_from_parts((0, 1), (), 0.7))
+        )
         extra = np.abs(u[:, 2]) ** 2
         for counts, p in dist.items():
             total = 0.0
@@ -166,7 +178,7 @@ class TestFullDistribution:
     def test_indistinguishable_limit_is_permanent_statistics(self, rng):
         u = random_unitary(4, rng)
         ens = PhotonEnsemble((0, 1, 2), uniform_gram(1.0, 3))
-        dist = full_output_distribution(u, ens)
+        dist = distribution_dict(*full_output_distribution(u, ens))
         for counts, p in dist.items():
             modes = [m for m, c in enumerate(counts) for _ in range(c)]
             sub = u[np.ix_(modes, [0, 1, 2])]
@@ -177,7 +189,7 @@ class TestFullDistribution:
     def test_distinguishable_limit_is_classical_permanent(self, rng):
         u = random_unitary(4, rng)
         ens = PhotonEnsemble((0, 1, 2), uniform_gram(0.0, 3))
-        dist = full_output_distribution(u, ens)
+        dist = distribution_dict(*full_output_distribution(u, ens))
         probs = np.abs(u) ** 2
         for counts, p in dist.items():
             modes = [m for m, c in enumerate(counts) for _ in range(c)]
@@ -185,6 +197,46 @@ class TestFullDistribution:
             mult = np.prod([math.factorial(c) for c in counts])
             expected = naive_permanent(sub).real / mult
             assert p == pytest.approx(expected, abs=1e-10)
+
+
+def reference_convolution(u, ens) -> dict:
+    """Pairwise dict merge of the block distributions, the reference arithmetic."""
+    dist = {(0,) * u.shape[0]: 1.0}
+    for block in photonics._distinguishable_blocks(ens.gram):
+        modes = tuple(ens.input_modes[i] for i in block)
+        sub = ens.gram.entries[np.ix_(block, block)]
+        block_dist = distribution_dict(*photonics._block_distribution(u, modes, sub))
+        merged = {}
+        for c1, p1 in dist.items():
+            for c2, p2 in block_dist.items():
+                key = tuple(a + b for a, b in zip(c1, c2))
+                merged[key] = merged.get(key, 0.0) + p1 * p2
+        dist = merged
+    return dist
+
+
+class TestDistributionArrays:
+    @pytest.mark.parametrize(
+        "mains, extras", [((), ()), ((0,), ()), ((0, 1, 2), ()), ((0, 2), (1,)),
+                          ((0, 1, 2, 3), (1, 3)), ((), (0, 2)), ((1, 2, 3), (0,))]
+    )
+    def test_format(self, rng, mains, extras):
+        u = random_unitary(5, rng)
+        counts, probs = full_output_distribution(u, ensemble_from_parts(mains, extras, 0.9))
+        n = len(mains) + len(extras)
+        assert counts.dtype.kind == "i" and counts.shape == (math.comb(n + 4, n), 5)
+        assert probs.dtype == np.float64 and probs.shape == (len(counts),)
+        assert (counts.sum(axis=1) == n).all() and (counts >= 0).all()
+        assert len(np.unique(counts, axis=0)) == len(counts)
+        assert (probs >= 0).all() and probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_convolution_equals_pairwise_merge(self, rng):
+        for mains, extras in (((0, 1), (2,)), ((0, 1, 2, 3), (4, 6)), ((1, 3, 5), (0, 5)),
+                              ((), (0, 1, 2))):
+            u = random_unitary(8, rng)
+            ens = ensemble_from_parts(mains, extras, 0.926)
+            dist = distribution_dict(*full_output_distribution(u, ens))
+            assert list(dist.items()) == list(reference_convolution(u, ens).items())
 
 
 class TestOracle:

@@ -6,13 +6,17 @@ from functools import partial
 import numpy as np
 import pytest
 
+from conftest import distribution_dict
 from qadc import protocol
+from qadc.linop import logical_rail_pairs
+from qadc.photonics import ensemble_from_parts, full_output_distribution
 from qadc.protocol import (
     CLASSICAL_CSV_HEADER,
     QUANTUM_CSV_HEADER,
     DatasetError,
     NoiseConfig,
     DEVICE_NOISE,
+    PROBE_SIZES,
     ProtocolConfig,
     ShotRecord,
     StepOutcome,
@@ -371,6 +375,54 @@ class TestNoiseChannels:
         keys = sim.sample_class_keys(1, 40000, rng)
         emitted = np.mean((keys & 1) > 0)
         assert abs(emitted - 0.5) < 0.01
+
+
+def reference_step_distribution(sim, n, phi, flags, class_key):
+    """Post-selection of one class, one count pattern at a time."""
+    empty = (np.zeros((0, n), dtype=np.uint8), np.zeros(0))
+    mains, extras = sim.class_parts(n, class_key)
+    if len(mains) + len(extras) < n or len(extras) > protocol._MAX_EXTRAS:
+        return empty
+    u = sim.unitary(n, phi, flags)
+    ensemble = ensemble_from_parts(mains, extras, sim.noise.delta)
+    full = distribution_dict(*full_output_distribution(u, ensemble))
+    pairs = logical_rail_pairs(n)
+    rails = {m for pair in pairs for m in pair}
+    outside = [m for m in range(u.shape[0]) if m not in rails]
+    acc = {}
+    for counts, p in full.items():
+        if p == 0.0 or any(counts[m] for m in outside):
+            continue
+        bits = []
+        for rail0, rail1 in pairs:
+            c0 = counts[rail0] > 0
+            c1 = counts[rail1] > 0
+            if c0 == c1:
+                break
+            bits.append(1 if c1 else 0)
+        else:
+            key = tuple(bits)
+            acc[key] = acc.get(key, 0.0) + p
+    if not acc:
+        return empty
+    outcomes = np.array(sorted(acc), dtype=np.uint8)
+    probs = np.array([acc[tuple(row)] for row in outcomes])
+    return outcomes, np.cumsum(probs)
+
+
+def test_post_selection_equals_pattern_loop():
+    sim = StepSimulator(DEVICE_NOISE, seed=5)
+    for phi in 2 * math.pi * np.arange(3) / 3:
+        for n in PROBE_SIZES:
+            for flags in SWEEP_FLAGS[n]:
+                for class_key in range(1 << (2 * n)):
+                    dist = sim.distribution(n, phi, flags, class_key)
+                    outcomes, cum_probs = reference_step_distribution(
+                        sim, n, phi, flags, class_key
+                    )
+                    assert dist.outcomes.dtype == np.uint8
+                    assert np.array_equal(dist.outcomes, outcomes)
+                    assert np.array_equal(dist.cum_probs, cum_probs)
 
 
 class TestDatasetFiles:
