@@ -15,15 +15,18 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
-from dataclasses import asdict
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from qadc import analysis, ml
+from qadc.linop import SizeLimitError
 from qadc.photonics import ModelError, PostSelectionEmpty
 from qadc.protocol import (
     DEVICE_NOISE,
@@ -48,44 +51,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-#: Default run configuration.  The noise block holds the `NoiseConfig`
-#: defaults; ``--device-noise`` and ``--noiseless`` overlay the presets below.
-DEFAULT_CONFIG = {
-    "strategy": "both",
-    "n_phases": 99,
-    "n_shots": 5377,
-    "mode": "direct",
-    "noise": asdict(NoiseConfig()),
-    "analysis": {
-        "n_curve_points": 12,
-        "n_resamples": 100,
-        "resources_per_shot": 7,
-    },
-    "ml": {
-        "dae": {
-            "enabled": True,
-            "d_in": 128,
-            "epochs": 4000,
-            "batch_size": 10,
-            "learning_rate": 1e-3,
-            "noise_sigma": 0.01,
-            "n_train_samples": 1024,
-            "delta": 1.0,
-        },
-        "estimator": {
-            "enabled": True,
-            "epochs": 4000,
-            "batch_size": 10,
-            "learning_rate": 1e-3,
-            "noise_sigma": 0.01,
-            "n_train_phases": 160,
-            "replicas": 4,
-            "delta": 1.0,
-        },
-    },
-    "seed": 0,
-}
-
 #: Measured-platform source values; programming errors and conditioning are
 #: left as configured.
 DEVICE_NOISE_PRESET = {
@@ -101,26 +66,8 @@ NOISELESS_PRESET = {
     if key != "condition_on_emission"
 }
 
-CONFIG_KEY_HELP = {
-    "strategy": "quantum | classical | both: which datasets to simulate",
-    "n_phases": "number of equally spaced phases in [0, 2pi) (measured run: 99)",
-    "n_shots": "valid repetitions per phase (measured run: 5377)",
-    "mode": "direct (feed-forward) | sweep (all configurations + matching)",
-    "noise.delta": "pairwise photon indistinguishability; device mean 0.926",
-    "noise.g2_two_photon": "source g2(0), 2-photon runs; device 5.321e-3",
-    "noise.g2_four_photon": "source g2(0), 4-photon runs; device 5.629e-3",
-    "noise.brightness": "probability a source time-bin is non-empty; device 0.14",
-    "noise.eta": "end-to-end survival probability per photon",
-    "noise.sigma_theta": "static programming error of cell reflectance phases (rad)",
-    "noise.sigma_phi": "static programming error of cell relative phases (rad)",
-    "noise.condition_on_emission": "condition every bin on having fired (default)",
-    "analysis.n_curve_points": "log-spaced prefix sizes of the MI curve",
-    "analysis.n_resamples": "bootstrap replicates for MI error bars",
-    "analysis.resources_per_shot": "qubit resources per repetition (2^t - 1 = 7)",
-    "ml.dae.*": "denoising-autoencoder training block (epochs 4000, batch 10)",
-    "ml.estimator.*": "phase-regressor training block (epochs 4000, batch 10)",
-    "seed": "master seed; env QADC_SEED overrides",
-}
+STRATEGIES = ("quantum", "classical", "both")
+MODES = ("direct", "sweep")
 
 
 class ConfigError(ValueError):
@@ -132,105 +79,232 @@ class InputError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing
+# Config fields
 # ---------------------------------------------------------------------------
 
 
-def _deep_update(base: dict, overrides: dict) -> dict:
+@dataclass(frozen=True)
+class Domain:
+    """The values a config leaf takes: a JSON type and a range."""
+
+    kind: type  # bool, int, float (a JSON integer becomes a float) or str
+    wording: str  # completes "must be ..."
+    accepts: Callable[[object], bool] = lambda value: True
+
+
+def _one_of(kind: type, choices: tuple) -> Domain:
+    wording = ", ".join(map(str, choices[:-1])) + f" or {choices[-1]}"
+    return Domain(kind, wording, lambda value: value in choices)
+
+
+BOOL = Domain(bool, "true or false")
+NUMBER = Domain(float, "a number", math.isfinite)
+POSITIVE_NUMBER = Domain(float, "a positive number", lambda v: 0.0 < v < math.inf)
+NON_NEGATIVE_NUMBER = Domain(float, "a non-negative number", lambda v: 0.0 <= v < math.inf)
+UNIT_INTERVAL = Domain(float, "a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+POSITIVE_INT = Domain(int, "a positive integer", lambda v: v >= 1)
+
+
+@dataclass(frozen=True)
+class Field:
+    """One leaf of the run configuration: its dot path, default, values and help."""
+
+    path: str
+    default: object
+    domain: Domain
+    help: str
+
+
+#: Help for the noise leaves, whose defaults come from `NoiseConfig` and whose
+#: ranges `NoiseConfig` checks.
+_NOISE_HELP = {
+    "delta": "pairwise photon indistinguishability",
+    "g2_two_photon": "source g2(0) of the 2- and 1-photon runs",
+    "g2_four_photon": "source g2(0) of the 4-photon runs",
+    "brightness": "probability that a source time-bin is non-empty",
+    "eta": "end-to-end survival probability per photon",
+    "sigma_theta": "static programming error of cell reflectance phases (rad)",
+    "sigma_phi": "static programming error of cell relative phases (rad)",
+    "condition_on_emission": "condition every bin on having fired",
+}
+
+
+def _noise_fields() -> list[Field]:
+    rows = []
+    for f in fields(NoiseConfig):
+        help_text = _NOISE_HELP[f.name]
+        if f.name in DEVICE_NOISE_PRESET:
+            help_text += f"; --device-noise sets {DEVICE_NOISE_PRESET[f.name]}"
+        domain = BOOL if type(f.default) is bool else NUMBER
+        rows.append(Field(f"noise.{f.name}", f.default, domain, help_text))
+    return rows
+
+
+def _training_fields(stage: str, network: str) -> list[Field]:
+    """The leaves that the ``ml.dae`` and ``ml.estimator`` blocks share."""
+    train = ml.TrainConfig()
+    return [
+        Field(f"ml.{stage}.enabled", True, BOOL, "not read by any command"),
+        Field(f"ml.{stage}.epochs", train.epochs, POSITIVE_INT,
+              f"training epochs of the {network}"),
+        Field(f"ml.{stage}.batch_size", train.batch_size, POSITIVE_INT, "minibatch size"),
+        Field(f"ml.{stage}.learning_rate", train.learning_rate, POSITIVE_NUMBER, "Adam step size"),
+        Field(f"ml.{stage}.noise_sigma", 0.01, NON_NEGATIVE_NUMBER,
+              "Gaussian corruption of the training rows"),
+        Field(f"ml.{stage}.delta", 1.0, UNIT_INTERVAL,
+              "indistinguishability of the simulated training rows"),
+    ]
+
+
+_PROTOCOL = ProtocolConfig()
+
+#: Every leaf of the run configuration.  The table gives the defaults, the
+#: ``--help`` text, and the type and range each value is checked against.
+CONFIG_FIELDS = (
+    Field("strategy", "both", _one_of(str, STRATEGIES), "which datasets to simulate"),
+    Field("n_phases", _PROTOCOL.n_phases, POSITIVE_INT,
+          "number of equally spaced phases in [0, 2pi)"),
+    Field("n_shots", _PROTOCOL.n_shots, POSITIVE_INT,
+          "valid repetitions per phase"),
+    Field("mode", "direct", _one_of(str, MODES),
+          "feed-forward (direct) or all configurations plus matching (sweep)"),
+    *_noise_fields(),
+    Field("analysis.n_curve_points", 12, POSITIVE_INT, "log-spaced prefix sizes of the MI curve"),
+    Field("analysis.n_resamples", 100, Domain(int, "an integer of at least 2", lambda v: v >= 2),
+          "bootstrap replicates for MI error bars"),
+    Field("analysis.resources_per_shot", 7, POSITIVE_INT,
+          "qubit resources per repetition (2^t - 1 = 7)"),
+    *_training_fields("dae", "denoising autoencoder"),
+    Field("ml.dae.d_in", analysis.M_OUTCOMES,
+          _one_of(int, (analysis.B_OUTCOMES, analysis.M_OUTCOMES)),
+          "outcomes per probability row: 8 (b bits) or 128 (m bits)"),
+    Field("ml.dae.n_train_samples", 1024, POSITIVE_INT, "training rows"),
+    *_training_fields("estimator", "phase regressor"),
+    Field("ml.estimator.n_train_phases", 160, POSITIVE_INT, "training phases per replica"),
+    Field("ml.estimator.replicas", 4, POSITIVE_INT, "jittered copies of the training grid"),
+    Field("seed", _PROTOCOL.seed, Domain(int, "a non-negative integer", lambda v: v >= 0),
+          f"master seed; env {SEED_ENV_VAR} overrides"),
+)
+
+
+def _nest(pairs) -> dict:
+    tree: dict = {}
+    for path, value in pairs:
+        *sections, key = path.split(".")
+        node = tree
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+    return tree
+
+
+#: Default run configuration.  ``--device-noise`` and ``--noiseless`` overlay
+#: the presets above on its noise block.
+DEFAULT_CONFIG = _nest((f.path, f.default) for f in CONFIG_FIELDS)
+
+
+def _field_error(path: str, problem: str) -> ConfigError:
+    section, _, key = path.rpartition(".")
+    if section:
+        return ConfigError(f"config field {section}: {key} {problem}")
+    return ConfigError(f"config field {key}: {problem}")
+
+
+def _merge(config: dict, overrides: dict, where: str = "") -> None:
+    """Copy ``overrides`` into ``config``; every key must exist and sections stay objects."""
     for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], value)
+        path = f"{where}.{key}" if where else key
+        if key not in config:
+            raise _field_error(path, "is not a known key")
+        if isinstance(config[key], dict):
+            if not isinstance(value, dict):
+                raise _field_error(path, "must be an object")
+            _merge(config[key], value, path)
         else:
-            base[key] = value
-    return base
+            config[key] = value
 
 
-def _apply_dot_override(config: dict, path: str, raw_value: str) -> None:
-    keys = path.split(".")
-    node = config
-    for key in keys[:-1]:
-        if key not in node or not isinstance(node[key], dict):
-            raise ConfigError(f"unknown config section {path!r}")
-        node = node[key]
-    if keys[-1] not in node:
-        raise ConfigError(f"unknown config key {path!r}")
+def _coerce(field: Field, value):
+    """``value`` as a ``field.domain.kind``; a ConfigError names the field otherwise."""
+    kind = field.domain.kind
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    # JSON values have exact types, so a bool is not taken for an int.
+    if type(value) is not kind or not field.domain.accepts(value):
+        raise _field_error(field.path, f"must be {field.domain.wording}")
+    return value
+
+
+def _check(config: dict) -> None:
+    """Give every leaf of ``config`` its field's type, checking it on the way."""
+    for field in CONFIG_FIELDS:
+        *sections, key = field.path.split(".")
+        node = config
+        for section in sections:
+            node = node[section]
+        node[key] = _coerce(field, node[key])
     try:
-        node[keys[-1]] = json.loads(raw_value)
-    except json.JSONDecodeError:
-        node[keys[-1]] = raw_value
+        NoiseConfig(**config["noise"])
+    except ValueError as exc:
+        raise ConfigError(f"config field noise: {exc}") from None
+
+
+def _read_config_file(path: str) -> dict:
+    try:
+        with open(path, "rb") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: cannot read: {exc.strerror or exc}") from None
+    except ValueError as exc:  # not JSON, not text, or an integer too long to parse
+        raise ConfigError(f"config file {path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path}: must hold a JSON object")
+    return doc
 
 
 def load_config(args) -> dict:
+    """The run configuration: defaults, then the config file, presets, flags,
+    ``--set`` overrides and the seed variable, each leaf checked and typed."""
     config = copy.deepcopy(DEFAULT_CONFIG)
-    if getattr(args, "config", None):
+    if args.config:
+        doc = _read_config_file(args.config)
         try:
-            with open(args.config) as fh:
-                _deep_update(config, json.load(fh))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
+            _merge(config, doc)
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} in config file {args.config}") from None
     if getattr(args, "device_noise", False):
-        _deep_update(config["noise"], DEVICE_NOISE_PRESET)
+        config["noise"].update(DEVICE_NOISE_PRESET)
     if getattr(args, "noiseless", False):
-        _deep_update(config["noise"], NOISELESS_PRESET)
+        config["noise"].update(NOISELESS_PRESET)
     for flag in ("strategy", "n_phases", "n_shots", "mode", "seed"):
         value = getattr(args, flag, None)
         if value is not None:
             config[flag] = value
-    for item in getattr(args, "set", None) or []:
-        if "=" not in item:
+    for item in args.set or []:
+        path, eq, raw = item.partition("=")
+        if not eq:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        path, _, raw = item.partition("=")
-        _apply_dot_override(config, path.strip(), raw.strip())
+        try:
+            value = json.loads(raw)
+        except ValueError:
+            value = raw.strip()
+        for key in reversed(path.strip().split(".")):
+            value = {key: value}
+        _merge(config, value)
     if os.environ.get(SEED_ENV_VAR):
         try:
             config["seed"] = int(os.environ[SEED_ENV_VAR])
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer")
-    validate_config(config)
+    _check(config)
     return config
-
-
-def validate_config(config: dict) -> None:
-    def fail(path, msg):
-        raise ConfigError(f"config field {path}: {msg}")
-
-    if config["strategy"] not in ("quantum", "classical", "both"):
-        fail("strategy", "must be quantum, classical or both")
-    if config["mode"] not in ("direct", "sweep"):
-        fail("mode", "must be direct or sweep")
-    for key in ("n_phases", "n_shots"):
-        if not isinstance(config[key], int) or config[key] < 1:
-            fail(key, "must be a positive integer")
-    try:
-        noise_config(config)
-    except (ValueError, ModelError) as exc:
-        fail("noise", str(exc))
-    if not isinstance(config["seed"], int):
-        fail("seed", "must be an integer")
-    for block in ("dae", "estimator"):
-        for key in ("epochs", "batch_size"):
-            value = config["ml"][block][key]
-            if not isinstance(value, int) or value < 1:
-                fail(f"ml.{block}", f"{key} must be a positive integer")
-
-
-def noise_config(config: dict) -> NoiseConfig:
-    noise = config["noise"]
-    cfg = NoiseConfig(
-        **{key: type(default)(noise[key]) for key, default in DEFAULT_CONFIG["noise"].items()}
-    )
-    cfg.source_model(4)  # validates the g2 mapping early
-    cfg.source_model(2)
-    return cfg
 
 
 def protocol_config(config: dict) -> ProtocolConfig:
     return ProtocolConfig(
         n_phases=config["n_phases"],
         n_shots=config["n_shots"],
-        noise=noise_config(config),
+        noise=NoiseConfig(**config["noise"]),
         seed=config["seed"],
     )
 
@@ -366,8 +440,7 @@ def cmd_analyze(args) -> int:
         max_shots = max(max_shots, int(tables["classical"].n_shots_effective.max()))
 
     points = _curve_points(max_shots, acfg["n_curve_points"])
-    n_res = int(acfg["resources_per_shot"])
-    bound_sql = analysis.reference_bounds(n_res)[0]
+    bound_sql = analysis.reference_bounds(acfg["resources_per_shot"])[0]
     bound_classical = analysis.quadrature_mi_classical()
     bound_quantum = analysis.quadrature_mi_quantum()
 
@@ -452,31 +525,30 @@ def cmd_train(args) -> int:
     stage = args.stage
     block = config["ml"][stage]
     cfg = ml.TrainConfig(
-        epochs=int(block["epochs"]),
-        batch_size=int(block["batch_size"]),
-        learning_rate=float(block["learning_rate"]),
+        epochs=block["epochs"],
+        batch_size=block["batch_size"],
+        learning_rate=block["learning_rate"],
         seed=config["seed"],
     )
     rng = derive_rng(config["seed"], 201 if stage == "dae" else 202)
     extra: dict = {}
     if stage == "dae":
-        d_in = int(block["d_in"])
         dataset = ml.dae_training_set(
-            int(block["n_train_samples"]),
-            float(block["noise_sigma"]),
+            block["n_train_samples"],
+            block["noise_sigma"],
             rng,
-            d_in=d_in,
-            delta=float(block["delta"]),
+            d_in=block["d_in"],
+            delta=block["delta"],
         )
-        net = ml.Network.initialize(ml.build_dae(d_in), rng)
+        net = ml.Network.initialize(ml.build_dae(block["d_in"]), rng)
         trace = ml.train(net, dataset, cfg)
     else:
         net, trace, metrics = ml.train_and_eval_estimator(
             cfg,
-            n_train_phases=int(block["n_train_phases"]),
-            noise_sigma=float(block["noise_sigma"]),
-            replicas=int(block["replicas"]),
-            delta=float(block["delta"]),
+            n_train_phases=block["n_train_phases"],
+            noise_sigma=block["noise_sigma"],
+            replicas=block["replicas"],
+            delta=block["delta"],
         )
         extra["metrics"] = {
             "holdout_rmse_circular": metrics["rmse"],
@@ -514,6 +586,11 @@ def cmd_report(args) -> int:
     est_net = load_model(args.estimator, ESTIMATOR_WIDTHS) if args.estimator else None
     quantum = read_quantum_csv(args.quantum)
     classical = read_classical_csv(args.classical) if args.classical else None
+    if est_net is not None and quantum.n_phases < 2:
+        # The estimator's second input row interpolates between grid phases.
+        raise InputError(
+            f"{args.quantum}: the estimator needs at least two phases, got {quantum.n_phases}"
+        )
 
     table = analysis.table_from_quantum(quantum)
     rows = table.probabilities()
@@ -626,9 +703,9 @@ def cmd_selftest(args) -> int:
 
 
 def _config_epilog() -> str:
-    lines = ["configuration keys (JSON config and --set overrides):"]
-    for key, doc in CONFIG_KEY_HELP.items():
-        lines.append(f"  {key:32s} {doc}")
+    lines = ["configuration keys (JSON config and --set overrides, each checked):"]
+    for f in CONFIG_FIELDS:
+        lines.append(f"  {f.path:28s} {f.help} (default {json.dumps(f.default)})")
     return "\n".join(lines)
 
 
@@ -654,10 +731,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate protocol datasets")
     common(p)
-    p.add_argument("--strategy", choices=("quantum", "classical", "both"))
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--n-phases", dest="n_phases", type=int)
     p.add_argument("--n-shots", dest="n_shots", type=int)
-    p.add_argument("--mode", choices=("direct", "sweep"))
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--noiseless", action="store_true", help="ideal-source preset")
     p.add_argument(
         "--device-noise",
@@ -712,17 +789,10 @@ def _run(args) -> int:
     except (DatasetError, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, ModelError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except PostSelectionEmpty as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NUMERICAL
-    except (
-        FloatingPointError,
-        ml.TrainingDivergence,
-        ArithmeticError,
-    ) as exc:
+    except (ModelError, SizeLimitError, ml.TrainingDivergence, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,21 +1,22 @@
-"""Shot-by-shot execution of the digital protocol and the classical baseline.
+"""Execution of the digital protocol and the classical baseline.
 
 A quantum repetition chains three experiments (4-, 2-, 1-photon) with genuine
 feed-forward: the informative bit of each stage selects the dialed inverse
 rotations of the next.  The alternative acquisition mode runs every control
 configuration independently and reassembles valid 7-bit strings afterwards
-(`run_configuration_sweep` + `match_configurations`), mirroring how a
+(`simulate_sweep_dataset`, matching in `_match_arrays`), mirroring how a
 post-selected platform implements feed-forward.
 
-Outcome distributions per (program, source realization class) are exact and
-memoized, so sampling large shot counts is cheap; the memo behaves as a pure
-cache keyed by the program settings and the realized ensemble.
+Repetitions are simulated as arrays of attempts (`_quantum_chunk`,
+`_classical_chunk`), drawn from exact outcome distributions per (program,
+source realization class).  These are memoized, so sampling large shot counts
+is cheap; the memo behaves as a pure cache keyed by the program settings and
+the realized ensemble.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ from qadc.linop import (
     perturb_program,
 )
 from qadc.photonics import (
+    G2_GUARD,
     PostSelectionEmpty,
     SourceModel,
     ensemble_from_parts,
@@ -102,12 +104,19 @@ class NoiseConfig:
     condition_on_emission: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta = {self.delta} outside [0, 1]")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta = {self.eta} outside [0, 1]")
-        if self.sigma_theta < 0 or self.sigma_phi < 0:
-            raise ValueError("programming-error sigmas must be non-negative")
+        # Every field's check names it: the CLI reports these as config errors.
+        g2_range = f"[0, {G2_GUARD})"
+        for name, ok, interval in (
+            ("delta", 0.0 <= self.delta <= 1.0, "[0, 1]"),
+            ("g2_two_photon", 0.0 <= self.g2_two_photon < G2_GUARD, g2_range),
+            ("g2_four_photon", 0.0 <= self.g2_four_photon < G2_GUARD, g2_range),
+            ("brightness", 0.0 < self.brightness <= 1.0, "(0, 1]"),
+            ("eta", 0.0 <= self.eta <= 1.0, "[0, 1]"),
+            ("sigma_theta", self.sigma_theta >= 0.0, "[0, inf)"),
+            ("sigma_phi", self.sigma_phi >= 0.0, "[0, inf)"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} = {getattr(self, name)} outside {interval}")
 
     def source_model(self, n_photons: int) -> SourceModel:
         g2 = self.g2_four_photon if n_photons == 4 else self.g2_two_photon
@@ -154,40 +163,6 @@ class ProtocolConfig:
 
     def phases(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.n_phases) / self.n_phases
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Measured bits of one experiment run under dialed control flags."""
-
-    experiment: int
-    flags: tuple[int, int, int]  # (sigma_z, r2, r3)
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.experiment not in PROBE_SIZES:
-            raise ValueError(f"experiment tag {self.experiment} not in {PROBE_SIZES}")
-        if len(self.bits) != self.experiment:
-            raise ValueError("bit count must equal the experiment size")
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """One valid protocol repetition: the 7-bit string m and its (b1, b2, b3)."""
-
-    m: tuple[int, ...]
-    b: tuple[int, int, int]
-
-    def __post_init__(self):
-        if len(self.m) != 7:
-            raise ValueError("m must hold 7 bits")
-        if self.b != (self.m[6], self.m[5], self.m[3]):
-            raise ValueError("b must equal (m0, m1, m3)")
-
-    @classmethod
-    def from_m(cls, m: tuple[int, ...]) -> "ShotRecord":
-        m = tuple(int(x) for x in m)
-        return cls(m, (m[6], m[5], m[3]))
 
 
 @dataclass(frozen=True)
@@ -462,41 +437,9 @@ def simulate_quantum_dataset(config: ProtocolConfig) -> QuantumDataset:
     return _acquire(QuantumDataset, config, _STREAM_QUANTUM, _quantum_chunk, "quantum")
 
 
-def run_quantum_shot(
-    phi: float, config: ProtocolConfig, rng: np.random.Generator
-) -> ShotRecord | None:
-    """One feed-forward repetition; None reports a discarded shot."""
-    sim = _shot_simulator(config.noise, config.seed)
-    m, _ = _quantum_chunk(sim, float(phi), 1, rng)
-    if m[0, 0] < 0:
-        return None
-    return ShotRecord.from_m(tuple(int(x) for x in m[0]))
-
-
-@functools.lru_cache(maxsize=32)
-def _shot_simulator(noise: NoiseConfig, seed: int) -> StepSimulator:
-    # Single-shot helpers share one simulator per (noise, seed) so repeated
-    # calls reuse cached distributions; the cache is pure.
-    return StepSimulator(noise, seed)
-
-
 # ---------------------------------------------------------------------------
 # Configuration sweep and post-processing
 # ---------------------------------------------------------------------------
-
-
-def run_configuration_sweep(
-    phi: float, config: ProtocolConfig, rng: np.random.Generator
-) -> list[StepOutcome]:
-    """One repetition of every control configuration, no feed-forward."""
-    sim = _shot_simulator(config.noise, config.seed)
-    outcomes = []
-    for n in PROBE_SIZES:
-        for flags in SWEEP_FLAGS[n]:
-            bits = sim.sample_step(n, float(phi), flags, 1, rng)[0]
-            if bits[0] >= 0:
-                outcomes.append(StepOutcome(n, flags, tuple(int(x) for x in bits)))
-    return outcomes
 
 
 def _match_arrays(
@@ -540,30 +483,6 @@ def _match_arrays(
         [four_bits[agree], two_bits[agree], one_bits[agree]], axis=1
     ).astype(np.int8)
     return m
-
-
-def match_configurations(
-    outcomes: list[StepOutcome], rng: np.random.Generator
-) -> list[ShotRecord]:
-    """Assemble valid 7-bit strings from configuration-sweep outcomes.
-
-    Implements the three-step pipeline: parity filtering per dialed
-    configuration, randomized pooling per experiment and agreement-checked
-    zipping of homologous entries.  Empty pools simply yield no records.
-    """
-    groups: dict[int, tuple[list, list]] = {n: ([], []) for n in PROBE_SIZES}
-    for o in outcomes:
-        groups[o.experiment][0].append(o.bits)
-        groups[o.experiment][1].append(o.flags)
-
-    def arrays(n):
-        bits, flags = groups[n]
-        if not bits:
-            return (np.zeros((0, n), dtype=np.int8), np.zeros((0, 3), dtype=np.int8))
-        return (np.asarray(bits, dtype=np.int8), np.asarray(flags, dtype=np.int8))
-
-    m = _match_arrays(*arrays(4), *arrays(2), *arrays(1), rng=rng)
-    return [ShotRecord.from_m(tuple(int(x) for x in row)) for row in m]
 
 
 def simulate_sweep_dataset(config: ProtocolConfig) -> QuantumDataset:
@@ -620,18 +539,6 @@ def _classical_chunk(
     bad = (bits < 0).any(axis=1)
     bits[bad] = -1  # a lost photon discards the whole 7-bit repetition
     return bits, {}
-
-
-def run_classical_shot(
-    phi: float, config: ProtocolConfig, rng: np.random.Generator
-) -> tuple[int, ...] | None:
-    """One classical repetition: 7 independent single-photon passes."""
-    sim = _shot_simulator(config.noise, config.seed)
-    bits, _ = _classical_chunk(sim, float(phi), 1, rng)
-    bits = bits[0]
-    if bits[0] < 0:
-        return None
-    return tuple(int(x) for x in bits)
 
 
 def simulate_classical_dataset(config: ProtocolConfig) -> ClassicalDataset:

@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 import qadc
+from qadc import cli
 from qadc.cli import main
+from qadc.linop import SizeLimitError
+from qadc.photonics import ModelError
 from qadc.protocol import CLASSICAL_CSV_HEADER, QUANTUM_CSV_HEADER
 
 BASE_ARGS = ["--n-phases", "6", "--n-shots", "40", "--noiseless"]
@@ -142,6 +145,99 @@ class TestSimulate:
                         "--strategy", "quantum"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["n_phases"] == 3
+
+    def test_values_take_their_field_type(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--out", out, "--strategy", "classical",
+                        "--n-phases", "2", "--n-shots", "5", "--set", "noise.delta=1"]) == 0
+        delta = json.loads((out / "manifest.json").read_text())["config"]["noise"]["delta"]
+        assert type(delta) is float
+
+    @pytest.mark.parametrize("error", [ModelError, SizeLimitError])
+    def test_model_and_size_failures_are_numerical(self, tmp_path, capsys, monkeypatch, error):
+        def fail(config):
+            raise error("guard hit")
+
+        monkeypatch.setattr(cli, "simulate_quantum_dataset", fail)
+        out = tmp_path / "x"
+        assert run_cli(["simulate", "--out", out, "--strategy", "quantum"]) == 3
+        assert capsys.readouterr().err == "numerical failure: guard hit\n"
+        assert not out.exists()
+
+
+#: An out-of-range value for every numeric config leaf.
+OUT_OF_RANGE = {
+    "n_phases": "0",
+    "n_shots": "-3",
+    "seed": "-1",
+    "noise.delta": "1.5",
+    "noise.g2_two_photon": "0.5",
+    "noise.g2_four_photon": "-0.1",
+    "noise.brightness": "0",
+    "noise.eta": "1.01",
+    "noise.sigma_theta": "-0.1",
+    "noise.sigma_phi": "-1",
+    "analysis.n_curve_points": "0",
+    "analysis.n_resamples": "1",
+    "analysis.resources_per_shot": "0",
+    "ml.dae.d_in": "16",
+    "ml.dae.epochs": "0",
+    "ml.dae.batch_size": "-1",
+    "ml.dae.learning_rate": "0",
+    "ml.dae.noise_sigma": "-1",
+    "ml.dae.n_train_samples": "0",
+    "ml.dae.delta": "3",
+    "ml.estimator.epochs": "0",
+    "ml.estimator.batch_size": "0",
+    "ml.estimator.learning_rate": "-0.001",
+    "ml.estimator.noise_sigma": "Infinity",
+    "ml.estimator.n_train_phases": "0",
+    "ml.estimator.replicas": "0",
+    "ml.estimator.delta": "-0.5",
+}
+
+
+def bad_values(field):
+    """A wrong-type value and, where the field has a range, one outside it."""
+    kind = type(field.default)
+    if kind is str:
+        return ["5", "true", '"abc"']  # "abc" is none of the choices
+    if kind is bool:
+        return ['"no"', "1"]
+    return ['"abc"', "true", OUT_OF_RANGE[field.path]]
+
+
+CONFIG_CASES = [
+    pytest.param("set", value, field.path, id=f"{field.path}={value}")
+    for field in cli.CONFIG_FIELDS
+    for value in bad_values(field)
+] + [
+    pytest.param("file", '{"n_shot": 5}', "n_shot", id="file-unknown-key"),
+    pytest.param("file", '{"noise": 5}', "noise", id="file-section-not-object"),
+    pytest.param("file", "[1]", None, id="file-not-object"),
+]
+
+
+@pytest.mark.parametrize("source, value, path", CONFIG_CASES)
+def test_every_config_leaf_is_checked(tmp_path, capsys, source, value, path):
+    out = tmp_path / "out"
+    if source == "set":
+        args = ["--set", f"{path}={value}"]
+    else:
+        config_file = tmp_path / "cfg.json"
+        config_file.write_text(value)
+        args = ["--config", config_file]
+    if path is None:
+        expect = f"config error: config file {config_file}: "
+    else:
+        section, _, key = path.rpartition(".")
+        expect = "config error: config field " + (f"{section}: {key} " if section else f"{key}: ")
+    assert run_cli(["simulate", "--out", out, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(expect) and err.count("\n") == 1, err
+    if source == "file":
+        assert str(config_file) in err
+    assert not out.exists()
 
 
 def sha256(path):
@@ -373,6 +469,19 @@ class TestTrainAndReport:
             val = float(row.split(",")[2])
             assert 0.0 <= val <= np.pi + 1e-9
 
+    def test_estimator_needs_two_phases(self, models, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "report"
+        assert run_cli(["simulate", "--out", data, "--noiseless", "--strategy", "quantum",
+                        "--n-phases", "1", "--n-shots", "20"]) == 0
+        capsys.readouterr()
+        code = run_cli(["report", "--out", out, "--quantum", data / "quantum.csv",
+                        "--estimator", models / "model_estimator.json"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"input error: {data / 'quantum.csv'}: the estimator needs at least two phases, got 1\n"
+        )
+        assert not out.exists()
+
     def test_report_missing_model_is_clean_error(self, small_run, tmp_path):
         out = tmp_path / "report"
         code = run_cli(
@@ -438,3 +547,8 @@ class TestSelftestAndHelp:
         for key in ("noise.delta", "noise.g2_two_photon", "n_shots", "seed"):
             assert key in result.stdout
         assert "0.926" in result.stdout  # documented device default
+        lines = result.stdout.splitlines()
+        for field in cli.CONFIG_FIELDS:
+            documented = [line for line in lines if line.startswith(f"  {field.path} ")]
+            assert len(documented) == 1, field.path
+            assert documented[0].endswith(f"(default {json.dumps(field.default)})"), field.path

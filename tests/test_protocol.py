@@ -1,6 +1,5 @@
 import math
 import re
-from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -18,18 +17,14 @@ from qadc.protocol import (
     DEVICE_NOISE,
     PROBE_SIZES,
     ProtocolConfig,
-    ShotRecord,
-    StepOutcome,
     StepSimulator,
     SWEEP_FLAGS,
-    derive_rng,
-    match_configurations,
+    _classical_chunk,
     _match_arrays,
+    _quantum_chunk,
+    derive_rng,
     read_classical_csv,
     read_quantum_csv,
-    run_classical_shot,
-    run_configuration_sweep,
-    run_quantum_shot,
     simulate_classical_dataset,
     simulate_quantum_dataset,
     simulate_sweep_dataset,
@@ -54,18 +49,6 @@ class TestConfig:
             ProtocolConfig(n_phases=0)
         with pytest.raises(ValueError):
             NoiseConfig(delta=1.2)
-
-    def test_shot_record_invariant(self):
-        with pytest.raises(ValueError):
-            ShotRecord((0, 0, 0, 1, 0, 0, 0), (1, 1, 1))
-        rec = ShotRecord.from_m((0, 1, 0, 1, 1, 0, 1))
-        assert rec.b == (1, 0, 1)
-
-    def test_step_outcome_validation(self):
-        with pytest.raises(ValueError):
-            StepOutcome(3, (0, 0, 0), (0, 0, 0))
-        with pytest.raises(ValueError):
-            StepOutcome(4, (0, 0, 0), (0, 0))
 
 
 class TestGridDeterminism:
@@ -183,38 +166,41 @@ class TestMarginalLaws:
             assert abs(frac - 0.5) < 0.01
 
 
+def valid_rows(chunk, phi, n_valid, rng, chunk_size=64):
+    """The first ``n_valid`` valid rows of noiseless ``chunk`` calls at ``phi``."""
+    sim = StepSimulator(NOISELESS, seed=1)
+    rows, have = [], 0
+    while have < n_valid:
+        bits, _ = chunk(sim, phi, chunk_size, rng)
+        rows.append(bits[bits[:, 0] >= 0])
+        have += len(rows[-1])
+    return np.concatenate(rows)[:n_valid]
+
+
 class TestSingleShotApis:
+    """Repetition laws, checked on the array chunks that acquisition runs."""
+
     def test_run_quantum_shot_at_pi(self):
-        cfg = noiseless_config()
-        rng = derive_rng(5, 0)
-        records = []
-        while len(records) < 20:
-            rec = run_quantum_shot(math.pi, cfg, rng)
-            if rec is not None:
-                records.append(rec)
-        assert all(r.b == (1, 0, 0) for r in records)
+        m = valid_rows(_quantum_chunk, math.pi, 20, derive_rng(5, 0))
+        assert m.dtype == np.int8
+        assert (m[:, [6, 5, 3]] == (1, 0, 0)).all()
 
     def test_run_quantum_shot_at_quarter(self):
-        cfg = noiseless_config()
-        rng = derive_rng(6, 0)
-        records = []
-        while len(records) < 20:
-            rec = run_quantum_shot(math.pi / 4, cfg, rng)
-            if rec is not None:
-                records.append(rec)
-        assert all(r.b == (0, 0, 1) for r in records)
+        m = valid_rows(_quantum_chunk, math.pi / 4, 20, derive_rng(6, 0))
+        assert (m[:, [6, 5, 3]] == (0, 0, 1)).all()
 
     def test_classical_shot_extremes(self):
-        cfg = noiseless_config()
+        sim = StepSimulator(NOISELESS, seed=1)
         rng = derive_rng(7, 0)
-        for _ in range(10):
-            assert run_classical_shot(0.0, cfg, rng) == (0,) * 7
-            assert run_classical_shot(math.pi, cfg, rng) == (1,) * 7
+        for phi, bit in ((0.0, 0), (math.pi, 1)):
+            bits, _ = _classical_chunk(sim, phi, 10, rng)
+            assert (bits == bit).all()  # no discards, every bit deterministic
 
     def test_classical_binomial_at_half(self):
-        cfg = noiseless_config()
-        rng = derive_rng(8, 0)
-        totals = [sum(run_classical_shot(math.pi / 2, cfg, rng)) for _ in range(3000)]
+        sim = StepSimulator(NOISELESS, seed=1)
+        bits, _ = _classical_chunk(sim, math.pi / 2, 3000, derive_rng(8, 0))
+        assert (bits >= 0).all()
+        totals = bits.sum(axis=1)
         mean = np.mean(totals)
         sigma = math.sqrt(7 * 0.25 / 3000)
         assert abs(mean - 3.5) < 4 * sigma
@@ -255,61 +241,54 @@ class TestDistinguishabilityEffects:
 class TestSweepAndMatching:
     def test_sweep_runs_ten_configurations(self):
         assert sum(len(v) for v in SWEEP_FLAGS.values()) == 10
-        cfg = noiseless_config()
+        sim = StepSimulator(NOISELESS, seed=1)
         rng = derive_rng(30, 0)
-        seen = Counter()
-        for _ in range(200):
-            for out in run_configuration_sweep(0.9, cfg, rng):
-                seen[(out.experiment, out.flags)] += 1
-        assert set(seen) == {
+        seen = set()
+        for n in PROBE_SIZES:
+            for flags in SWEEP_FLAGS[n]:
+                bits = sim.sample_step(n, 0.9, flags, 200, rng)
+                if (bits[:, 0] >= 0).any():
+                    seen.add((n, flags))
+        assert seen == {
             (n, flags) for n in SWEEP_FLAGS for flags in SWEEP_FLAGS[n]
         }
 
+    @staticmethod
+    def match(four, two, one, rng):
+        """``_match_arrays`` on (bits, flags) row lists per experiment."""
+        arrays = []
+        for n, outcomes in ((4, four), (2, two), (1, one)):
+            arrays.append(np.array([bits for bits, _ in outcomes], dtype=np.int8).reshape(-1, n))
+            arrays.append(np.array([flags for _, flags in outcomes], dtype=np.int8).reshape(-1, 3))
+        return _match_arrays(*arrays, rng=rng)
+
     def test_step1_parity_filter(self):
-        rng = derive_rng(31, 0)
-        outcomes = [
-            # parity of the first three bits is 1, sigma_z off: dropped
-            StepOutcome(4, (0, 0, 0), (1, 0, 0, 1)),
-            # parity 1 with sigma_z on: kept
-            StepOutcome(4, (1, 0, 0), (1, 0, 0, 1)),
-            StepOutcome(2, (0, 1, 0), (0, 0)),
-            StepOutcome(1, (0, 1, 0), (1,)),
-        ]
-        records = match_configurations(outcomes, rng)
+        m = self.match(
+            four=[
+                # parity of the first three bits is 1, sigma_z off: dropped
+                ((1, 0, 0, 1), (0, 0, 0)),
+                # parity 1 with sigma_z on: kept
+                ((1, 0, 0, 1), (1, 0, 0)),
+            ],
+            two=[((0, 0), (0, 1, 0))],
+            one=[((1,), (0, 1, 0))],
+            rng=derive_rng(31, 0),
+        )
         # the kept triple: b3 = 1 requires the 2-photon r2 flag on (it is) and
         # the 1-photon (r2, r3) = (b2, b3) = (0, 1): the listed 1-photon entry
         # has (1, 0): no agreement, so no records
-        assert records == []
+        assert m.dtype == np.int8
+        assert m.shape == (0, 7)
 
     def test_step3_agreement(self):
-        rng = derive_rng(32, 0)
-        outcomes = [
-            StepOutcome(4, (1, 0, 0), (1, 0, 0, 1)),  # b3 = 1
-            StepOutcome(2, (0, 1, 0), (0, 1)),  # r2 = 1 == b3, b2 = 1
-            StepOutcome(1, (0, 1, 1), (1,)),  # (r2, r3) = (b2, b3) = (1, 1)
-        ]
-        records = match_configurations(outcomes, rng)
-        assert len(records) == 1
-        assert records[0].b == (1, 1, 1)
-        assert records[0].m == (1, 0, 0, 1, 0, 1, 1)
-
-    def test_public_wrapper_equals_array_core(self):
-        cfg = noiseless_config()
-        rng = derive_rng(33, 0)
-        outcomes = []
-        for _ in range(300):
-            outcomes.extend(run_configuration_sweep(1.1, cfg, rng))
-        groups = {4: ([], []), 2: ([], []), 1: ([], [])}
-        for o in outcomes:
-            groups[o.experiment][0].append(o.bits)
-            groups[o.experiment][1].append(o.flags)
-        args = []
-        for n in (4, 2, 1):
-            args.append(np.asarray(groups[n][0], dtype=np.int8).reshape(-1, n))
-            args.append(np.asarray(groups[n][1], dtype=np.int8).reshape(-1, 3))
-        direct = _match_arrays(*args, rng=derive_rng(34, 0))
-        wrapped = match_configurations(outcomes, derive_rng(34, 0))
-        assert [tuple(r) for r in direct.tolist()] == [r.m for r in wrapped]
+        m = self.match(
+            four=[((1, 0, 0, 1), (1, 0, 0))],  # b3 = 1
+            two=[((0, 1), (0, 1, 0))],  # r2 = 1 == b3, b2 = 1
+            one=[((1,), (0, 1, 1))],  # (r2, r3) = (b2, b3) = (1, 1)
+            rng=derive_rng(32, 0),
+        )
+        assert m.tolist() == [[1, 0, 0, 1, 0, 1, 1]]
+        assert m[0, [6, 5, 3]].tolist() == [1, 1, 1]
 
     def test_matched_statistics_against_analytic_law(self):
         cfg = ProtocolConfig(n_phases=8, n_shots=600, noise=NOISELESS, seed=35)
