@@ -11,6 +11,14 @@ an in-place edit of either changes the network, and the optimizer updates the
 whole vector with a handful of array operations per step.  Training writes
 each batch's gradient into one vector with the same layout.
 
+Adam zeroes its subnormal moments every 64 steps.  Dead ReLU units leave
+moments that decay into the subnormal range and stay there, and arithmetic on
+subnormals is slow enough to dominate late DAE training.  The flush does not
+change the trained bits unless a parameter is exactly 0 (or about as small)
+while its first moment is subnormal: a subnormal moment moves any larger
+parameter by less than half an ulp, and a subnormal ``v`` is swamped by
+``eps``.
+
 The denoising autoencoder maps noise-corrupted conditional-probability rows to
 clean ones (encoder 64/32, bottleneck 16, decoder 32/64, linear output).  The
 phase regressor maps the 8 informative-bit probabilities at phi and at a fixed
@@ -38,6 +46,10 @@ from qadc.analysis import (
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "linear")
 
 ESTIMATOR_PHASE_SHIFT = 0.44  # rad, fixed second input row
+
+# Adam zeroes its subnormal moments once every this many steps (see `_Adam`).
+_FLUSH_EVERY = 64
+_TINY = np.finfo(float).tiny
 
 
 class TrainingDivergence(RuntimeError):
@@ -280,6 +292,20 @@ class _Adam:
     per-tensor textbook form: the bias corrections divide ``m`` and ``v``
     separately, and are not folded into one step size, because folding
     changes the rounding and with it the trained model.
+
+    Every `_FLUSH_EVERY` steps, entries of ``m`` and ``v`` below the smallest
+    normal float are set to zero.  Parameters whose gradient is exactly 0
+    (dead ReLU units) otherwise keep subnormal moments for good, since
+    ``0.9 * 5e-324`` rounds back to ``5e-324``, and every array operation on
+    a subnormal takes the slow path.  The flush leaves the trained bits
+    unchanged in practice: a subnormal ``m`` moves a parameter by at most
+    ``learning_rate * 2.2e-308 / eps``, about 2e-303 at the defaults, which
+    is less than half an ulp of any parameter larger than about 2e-287 in
+    magnitude; ``beta1 * m + (1 - beta1) * g`` rounds to the same
+    value with or without it unless ``|g|`` is itself below about 1e-291;
+    and a subnormal ``v`` is swamped by ``eps`` in the denominator.  The one
+    case it can change is a parameter that is exactly 0 (or about as small)
+    while its first moment is subnormal.
     """
 
     def __init__(self, params: np.ndarray, cfg: TrainConfig):
@@ -311,6 +337,14 @@ class _Adam:
         denom += c.eps
         step /= denom
         params -= step
+        if self.t % _FLUSH_EVERY == 0:
+            self._flush_subnormals()
+
+    def _flush_subnormals(self) -> None:
+        """Set the subnormal entries of ``m`` and ``v`` to zero."""
+        for moment in (self.m, self.v):
+            np.abs(moment, out=self._denom)
+            moment[self._denom < _TINY] = 0.0
 
 
 def train(net: Network, dataset: TrainingSet, cfg: TrainConfig) -> list[float]:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from qadc.linop import SizeLimitError
 
@@ -208,6 +207,10 @@ def g2_to_probs(g2: float, brightness: float) -> tuple[float, float, float]:
 
     if f(brightness) < 0.0:
         raise ModelError(f"no solution for g2 = {g2} at brightness {brightness}")
+    # Imported here, not at module level: scipy is about three quarters of
+    # the import time of `qadc.cli`, and only a run with g2 > 0 needs it.
+    from scipy.optimize import brentq
+
     p2 = float(brentq(f, 0.0, brightness, xtol=1e-16, rtol=1e-14))
     p1 = brightness - p2
     p0 = 1.0 - brightness

@@ -530,19 +530,34 @@ class TestTrainAndReport:
             assert not out.exists(), name
 
 
+def run_python(*args):
+    """``python *args`` in a fresh interpreter that imports the tested qadc."""
+    package_root = str(Path(qadc.__file__).resolve().parent.parent)
+    path = [package_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+
+
 class TestSelftestAndHelp:
     def test_selftest_passes(self):
         assert run_cli(["selftest"]) == 0
 
-    def test_help_documents_config_keys(self):
-        package_root = str(Path(qadc.__file__).resolve().parent.parent)
-        path = [package_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        result = subprocess.run(
-            [sys.executable, "-m", "qadc.cli", "--help"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    def test_import_loads_no_scipy(self):
+        # scipy is imported only where g2 > 0 needs it solved for p2
+        result = run_python(
+            "-c",
+            "import sys, qadc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_help_documents_config_keys(self):
+        result = run_python("-m", "qadc.cli", "--help")
         assert result.returncode == 0
         for key in ("noise.delta", "noise.g2_two_photon", "n_shots", "seed"):
             assert key in result.stdout

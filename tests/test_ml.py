@@ -32,8 +32,10 @@ from qadc.ml import (
     train_and_eval_estimator,
     _act,
     _Adam,
+    _FLUSH_EVERY,
     _layer_views,
 )
+from qadc.protocol import derive_rng
 
 TWO_PI = 2 * math.pi
 
@@ -239,7 +241,7 @@ class TestFlatTrainingMatchesReference:
         v = [np.zeros_like(p) for p in ref_params]
         cfg = TrainConfig(learning_rate=3e-3)
         opt = _Adam(net.params, cfg)
-        for t in range(1, 60):
+        for t in range(1, 201):  # past three subnormal flushes
             grad = rng.normal(scale=10.0 ** rng.uniform(-6, 1), size=net.n_parameters)
             grad[rng.random(grad.size) < 0.2] = 0.0
             grad[:3] = (-0.0, 5e-324, -1e-310)  # signed zero and subnormals
@@ -247,6 +249,46 @@ class TestFlatTrainingMatchesReference:
             grads = sum(_layer_views(self.SPEC, grad), [])
             reference_adam_step(ref_params, grads, m, v, t, cfg)
         assert net.params.tobytes() == ref_flat.tobytes()
+
+
+def n_subnormal(a):
+    return int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(float).tiny)))
+
+
+class TestSubnormalFlush:
+    def test_flush_keeps_parameters_and_losses_bit_identical(self):
+        # The default DAE trained from the streams of `train dae --seed 1`:
+        # dead ReLU units leave subnormal first moments from about step
+        # 6,500 on.  Both runs take the same batches, one with the shipped
+        # step and one with the flush patched out.
+        rng = derive_rng(1, 201)
+        dataset = dae_training_set(1024, 0.01, rng, d_in=128)
+        net = Network.initialize(build_dae(128), rng)
+        ref = Network(net.spec, net.weights, net.biases)
+        cfg = TrainConfig(seed=1)
+        opt, ref_opt = _Adam(net.params, cfg), _Adam(ref.params, cfg)
+        ref_opt._flush_subnormals = lambda: None
+        grad, ref_grad = np.empty_like(net.params), np.empty_like(ref.params)
+        views, ref_views = _layer_views(net.spec, grad), _layer_views(ref.spec, ref_grad)
+        order_rng = np.random.default_rng(cfg.seed)
+        flushed = 0
+        for _ in range(70):  # 7,210 steps
+            order = order_rng.permutation(1024)
+            for start in range(0, 1024, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                x, y = dataset.inputs[idx], dataset.targets[idx]
+                loss = gradients(net, x, y, views)[2]
+                ref_loss = gradients(ref, x, y, ref_views)[2]
+                assert loss == ref_loss
+                opt.step(net.params, grad)
+                ref_opt.step(ref.params, ref_grad)
+                assert net.params.tobytes() == ref.params.tobytes()
+                if opt.t % _FLUSH_EVERY == 0:
+                    assert n_subnormal(opt.m) == n_subnormal(opt.v) == 0
+                    flushed += n_subnormal(ref_opt.m)
+        # the reference really ran on subnormals, and the flush removed them
+        assert n_subnormal(ref_opt.m) > 0
+        assert flushed > 0
 
 
 class TestTraining:

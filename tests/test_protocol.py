@@ -263,22 +263,21 @@ class TestSweepAndMatching:
         return _match_arrays(*arrays, rng=rng)
 
     def test_step1_parity_filter(self):
-        m = self.match(
-            four=[
-                # parity of the first three bits is 1, sigma_z off: dropped
-                ((1, 0, 0, 1), (0, 0, 0)),
-                # parity 1 with sigma_z on: kept
-                ((1, 0, 0, 1), (1, 0, 0)),
-            ],
-            two=[((0, 0), (0, 1, 0))],
-            one=[((1,), (0, 1, 0))],
-            rng=derive_rng(31, 0),
-        )
-        # the kept triple: b3 = 1 requires the 2-photon r2 flag on (it is) and
-        # the 1-photon (r2, r3) = (b2, b3) = (0, 1): the listed 1-photon entry
-        # has (1, 0): no agreement, so no records
+        # Each call holds one row that only its parity filter drops and that
+        # would otherwise agree with every other row.  The filtered pool is
+        # the shortest, so the zip keeps exactly one record; without the
+        # filter, that pool and the zip both hold two.
+        kept4 = ((1, 0, 0, 1), (1, 0, 0))  # parity 1 with sigma_z on: kept, b3 = 1
+        dropped4 = ((0, 1, 0, 1), (0, 0, 0))  # parity 1, sigma_z off: dropped
+        kept2 = ((0, 1), (0, 1, 0))  # r1 = b1: kept; r2 = b3, b2 = 1
+        dropped2 = ((1, 1), (0, 1, 0))  # r1 != b1: dropped
+        one = ((1,), (0, 1, 1))  # (r2, r3) = (b2, b3) = (1, 1)
+        record = [1, 0, 0, 1, 0, 1, 1]
+        m = self.match([kept4, dropped4], [kept2, kept2], [one, one], derive_rng(31, 0))
         assert m.dtype == np.int8
-        assert m.shape == (0, 7)
+        assert m.tolist() == [record]
+        m = self.match([kept4, kept4], [kept2, dropped2], [one, one], derive_rng(31, 1))
+        assert m.tolist() == [record]
 
     def test_step3_agreement(self):
         m = self.match(
