@@ -194,21 +194,25 @@ def bootstrap_mi(
 
     The counting statistics of each cell are Poissonian, so replicates draw
     counts with the observed means and recompute the plug-in estimate; the
-    reported error is the sample standard deviation over replicates.
+    reported error is the sample standard deviation over replicates.  A
+    replicate whose cells all resample to 0 has no estimate and is left out of
+    the spread; ``n_resamples`` of the result counts the replicates kept, and
+    with fewer than two the error is NaN.
     """
     if n_resamples < 2:
         raise ValueError("need at least two bootstrap resamples")
     point = mutual_information(table)
     keep = table.n_shots_effective > 0
     counts = table.counts[keep]
-    values = np.empty(n_resamples)
-    for r in range(n_resamples):
+    values = []
+    for _ in range(n_resamples):
         resampled = rng.poisson(counts).astype(float)
         totals = resampled.sum(axis=1)
         ok = totals > 0
-        p_cond = resampled[ok] / totals[ok, None]
-        values[r] = _mi_from_probabilities(p_cond)
-    return MIEstimate(point.value, float(np.std(values, ddof=1)), n_resamples)
+        if ok.any():
+            values.append(_mi_from_probabilities(resampled[ok] / totals[ok, None]))
+    stderr = float(np.std(values, ddof=1)) if len(values) > 1 else math.nan
+    return MIEstimate(point.value, stderr, len(values))
 
 
 def reference_bounds(n_resources: int) -> tuple[float, float]:

@@ -8,10 +8,17 @@ configuration independently and reassembles valid 7-bit strings afterwards
 post-selected platform implements feed-forward.
 
 Repetitions are simulated as arrays of attempts (`_quantum_chunk`,
-`_classical_chunk`), drawn from exact outcome distributions per (program,
-source realization class).  These are memoized, so sampling large shot counts
-is cheap; the memo behaves as a pure cache keyed by the program settings and
-the realized ensemble.
+`_classical_chunk`), drawn from exact outcome distributions per (experiment,
+phase, control flags, source realization class).  These are memoized, so
+sampling large shot counts is cheap; the memo behaves as a pure cache.
+
+The phase enters only as ``e^{i phi}`` on each logical-|1> rail, so with k
+photons in a class every accepted-outcome probability is a trigonometric
+polynomial of degree <= k in phi (double-permutation formula).  Without
+programming errors each (experiment, flags, class) is therefore built exactly
+at 2k + 1 equispaced nodes once, kept as its Fourier coefficients, and
+evaluated at any phase; with programming errors every phase has its own
+perturbed program and is built directly.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from qadc.linop import (
 )
 from qadc.photonics import (
     G2_GUARD,
+    PhotonEnsemble,
     PostSelectionEmpty,
     SourceModel,
     ensemble_from_parts,
@@ -173,12 +181,29 @@ class StepDistribution:
     cum_probs: np.ndarray  # [K] cumulative accepted probability
 
 
+def _place(n: int) -> np.ndarray:
+    """Bit weight of each qubit in an outcome code, qubit 0 the highest."""
+    return 1 << np.arange(n - 1, -1, -1)
+
+
+def _step_distribution(n: int, codes: np.ndarray, probs: np.ndarray) -> StepDistribution:
+    """Distribution over the outcome ``codes`` with accepted probabilities ``probs``."""
+    outcomes = ((codes[:, None] & _place(n)) > 0).astype(np.uint8)
+    return StepDistribution(outcomes, np.cumsum(probs))
+
+
 class StepSimulator:
     """Builds programs, derives exact outcome distributions and samples them.
 
     Programming errors are static per run: each (experiment, phase, flags)
     program receives one frozen perturbation drawn from a stream derived from
     the run seed, modelling miscalibration rather than per-shot jitter.
+
+    Distributions are memoized per (n, phase bits, flags, class key).  Without
+    programming errors a miss evaluates the Fourier series of the (n, flags,
+    class key), itself built once from `direct_distribution`'s accepted
+    probabilities at 2k + 1 nodes; with them it calls `direct_distribution`
+    at the phase.
     """
 
     def __init__(self, noise: NoiseConfig, seed: int):
@@ -186,6 +211,8 @@ class StepSimulator:
         self.seed = seed
         self._programs: dict = {}
         self._dists: dict = {}
+        self._series: dict = {}
+        self._perturbed = noise.sigma_theta > 0 or noise.sigma_phi > 0
         self._sources = {n: noise.source_model(n) for n in PROBE_SIZES}
 
     # -- programs -----------------------------------------------------------
@@ -201,7 +228,7 @@ class StepSimulator:
                 r2=bool(flags[1]),
                 r3=bool(flags[2]),
             )
-            if self.noise.sigma_theta > 0 or self.noise.sigma_phi > 0:
+            if self._perturbed:
                 flag_code = flags[0] * 4 + flags[1] * 2 + flags[2]
                 rng = derive_rng(
                     self.seed, _STREAM_PERTURB, n, flag_code, *_float_key(phi)
@@ -234,31 +261,43 @@ class StepSimulator:
         extras = tuple(channels[k] for k in range(n) if key & (1 << (n + k)))
         return mains, extras
 
+    def _class_ensemble(self, n: int, class_key: int) -> PhotonEnsemble | None:
+        """The class's photons, or None when it can never be accepted."""
+        mains, extras = self.class_parts(n, class_key)
+        if len(mains) + len(extras) < n or len(extras) > _MAX_EXTRAS:
+            return None
+        return ensemble_from_parts(mains, extras, self.noise.delta)
+
     # -- distributions --------------------------------------------------------
 
     def distribution(
         self, n: int, phi: float, flags: tuple[int, int, int], class_key: int
     ) -> StepDistribution:
         key = (n, _float_key(phi), flags, class_key)
-        if key in self._dists:
-            return self._dists[key]
-        mains, extras = self.class_parts(n, class_key)
-        dist = self._compute_distribution(n, phi, flags, mains, extras)
-        self._dists[key] = dist
-        return dist
+        if key not in self._dists:
+            if self._perturbed:
+                dist = self.direct_distribution(n, phi, flags, class_key)
+            else:
+                dist = self._series_distribution(n, phi, flags, class_key)
+            self._dists[key] = dist
+        return self._dists[key]
 
-    def _compute_distribution(
-        self,
-        n: int,
-        phi: float,
-        flags: tuple[int, int, int],
-        mains: tuple[int, ...],
-        extras: tuple[int, ...],
+    def direct_distribution(
+        self, n: int, phi: float, flags: tuple[int, int, int], class_key: int
     ) -> StepDistribution:
-        if len(mains) + len(extras) < n or len(extras) > _MAX_EXTRAS:
-            return StepDistribution(np.zeros((0, n), dtype=np.uint8), np.zeros(0))
+        """Distribution built from the program at ``phi``; support ``acc > 0``."""
+        ensemble = self._class_ensemble(n, class_key)
+        if ensemble is None:
+            return _step_distribution(n, np.zeros(0, dtype=np.int64), np.zeros(0))
+        acc = self._accepted(n, phi, flags, ensemble)
+        codes = np.flatnonzero(acc > 0.0)
+        return _step_distribution(n, codes, acc[codes])
+
+    def _accepted(
+        self, n: int, phi: float, flags: tuple[int, int, int], ensemble: PhotonEnsemble
+    ) -> np.ndarray:
+        """Accepted probability of every outcome code (qubit 0 the high bit), [2**n]."""
         u = self.unitary(n, phi, flags)
-        ensemble = ensemble_from_parts(mains, extras, self.noise.delta)
         counts, probs = full_output_distribution(u, ensemble)
         # Accepted: no photon off the rails and exactly one occupied rail per
         # pair; the bit is set when that rail is the pair's second.
@@ -269,11 +308,44 @@ class StepSimulator:
         accepted = ~hit[:, off_rails].any(axis=1) & (
             hit[:, rail0] != hit[:, rail1]
         ).all(axis=1)
-        place = 1 << np.arange(n - 1, -1, -1)
-        acc = np.bincount(hit[accepted][:, rail1] @ place, weights=probs[accepted])
-        codes = np.flatnonzero(acc > 0.0)
-        outcomes = ((codes[:, None] & place) > 0).astype(np.uint8)
-        return StepDistribution(outcomes, np.cumsum(acc[codes]))
+        return np.bincount(
+            hit[accepted][:, rail1] @ _place(n), weights=probs[accepted], minlength=1 << n
+        )
+
+    def _series_distribution(
+        self, n: int, phi: float, flags: tuple[int, int, int], class_key: int
+    ) -> StepDistribution:
+        """Distribution at ``phi`` from the class's Fourier series, ``Re sum c_m e^{i m phi}``.
+
+        The support is every code that is non-zero at some node: a degree-k
+        trigonometric polynomial that vanishes at 2k + 1 nodes is zero.  A code
+        whose clipped value is 0 at ``phi`` leaves a zero-width step in
+        ``cum_probs``, which ``searchsorted(..., side="right")`` never picks.
+        """
+        key = (n, flags, class_key)
+        if key not in self._series:
+            self._series[key] = self._build_series(n, flags, class_key)
+        codes, coef = self._series[key]
+        probs = (np.exp(1j * np.arange(len(coef)) * phi) @ coef).real
+        return _step_distribution(n, codes, np.where(probs < 0.0, 0.0, probs))
+
+    def _build_series(
+        self, n: int, flags: tuple[int, int, int], class_key: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Support codes and one-sided Fourier coefficients c_0..c_k, [k + 1, K]."""
+        ensemble = self._class_ensemble(n, class_key)
+        if ensemble is None:
+            return np.zeros(0, dtype=np.int64), np.zeros((1, 0), dtype=complex)
+        k = ensemble.n_photons
+        n_nodes = 2 * k + 1
+        nodes = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
+        values = np.stack([self._accepted(n, float(x), flags, ensemble) for x in nodes])
+        codes = np.flatnonzero(values.any(axis=0))
+        # DFT over the nodes; the integer reduction keeps every angle below 2 pi.
+        turns = np.outer(np.arange(k + 1), np.arange(n_nodes)) % n_nodes
+        coef = np.exp(-2j * math.pi * turns / n_nodes) @ values[:, codes] / n_nodes
+        coef[1:] *= 2.0  # c_{-m} = conj(c_m) for real values
+        return codes, coef
 
     # -- sampling --------------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -222,6 +223,16 @@ class TestBootstrap:
         b = bootstrap_mi(table, 200, np.random.default_rng(2))
         assert a.value == b.value  # point estimate is resample-independent
         assert abs(a.stderr - b.stderr) < 3 * b.stderr
+
+    def test_all_zero_replicates_left_out(self):
+        # Each replicate of a 4 x 1-count table resamples every cell to 0 with
+        # probability e^-4; such a replicate has no MI and no place in the spread.
+        table = CondProbTable(grid(4), np.eye(4, 8), kind="b3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = bootstrap_mi(table, 200, np.random.default_rng(0))
+        assert 0 < est.n_resamples < 200
+        assert math.isfinite(est.stderr) and est.stderr > 0.0
 
     def test_needs_two_resamples(self):
         table = CondProbTable([0.0], [[5.0, 5.0]], kind="b3")

@@ -394,13 +394,75 @@ def test_post_selection_equals_pattern_loop():
         for n in PROBE_SIZES:
             for flags in SWEEP_FLAGS[n]:
                 for class_key in range(1 << (2 * n)):
-                    dist = sim.distribution(n, phi, flags, class_key)
+                    dist = sim.direct_distribution(n, phi, flags, class_key)
                     outcomes, cum_probs = reference_step_distribution(
                         sim, n, phi, flags, class_key
                     )
                     assert dist.outcomes.dtype == np.uint8
                     assert np.array_equal(dist.outcomes, outcomes)
                     assert np.array_equal(dist.cum_probs, cum_probs)
+
+
+
+def dense_probabilities(dist, n):
+    """Accepted probability of every outcome code of a StepDistribution, [2**n]."""
+    out = np.zeros(1 << n)
+    out[dist.outcomes.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))] = np.diff(
+        dist.cum_probs, prepend=0.0
+    )
+    return out
+
+
+class TestPhaseSeries:
+    """Without programming errors, distributions come from a Fourier series in phi."""
+
+    # Every 11th phase of the 99-point grid, and phases off every grid.
+    PHASES = [*(2 * math.pi * np.arange(0, 99, 11) / 99), 0.1234, 2.5, 5.9]
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 0.926, 1.0])
+    def test_series_equals_direct_builder(self, delta):
+        noise = NoiseConfig(
+            delta=delta, g2_two_photon=5e-3, g2_four_photon=5e-3, brightness=0.14
+        )
+        sim = StepSimulator(noise, seed=1)
+        for n in PROBE_SIZES:
+            for flags in SWEEP_FLAGS[n]:
+                for class_key in range(1 << (2 * n)):
+                    for phi in self.PHASES:
+                        got = dense_probabilities(sim.distribution(n, phi, flags, class_key), n)
+                        want = dense_probabilities(
+                            sim.direct_distribution(n, phi, flags, class_key), n
+                        )
+                        assert np.abs(got - want).max(initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize("n_phases", [9, 33])
+    def test_builds_do_not_grow_with_the_grid(self, monkeypatch, n_phases):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return full_output_distribution(*args)
+
+        monkeypatch.setattr(protocol, "full_output_distribution", counted)
+        simulate_quantum_dataset(noiseless_config(n_phases=n_phases, n_shots=50))
+        # One class per step: 2k + 1 nodes for the 4-photon flags, the two
+        # 2-photon flags and the four 1-photon flags.
+        assert len(calls) == 9 + 2 * 5 + 4 * 3
+
+    def test_programming_errors_build_directly(self, monkeypatch):
+        def no_series(*args):
+            raise AssertionError("series built under programming errors")
+
+        monkeypatch.setattr(StepSimulator, "_build_series", no_series)
+        noise = NoiseConfig(delta=0.9, brightness=0.5, sigma_theta=0.05)
+        simulate_quantum_dataset(ProtocolConfig(n_phases=3, n_shots=20, noise=noise, seed=2))
+        sim = StepSimulator(noise, seed=2)
+        for phi in (0.0, 2.5):
+            for class_key in range(4):
+                dist = sim.distribution(1, phi, (0, 1, 0), class_key)
+                direct = sim.direct_distribution(1, phi, (0, 1, 0), class_key)
+                assert np.array_equal(dist.outcomes, direct.outcomes)
+                assert np.array_equal(dist.cum_probs, direct.cum_probs)
 
 
 class TestDatasetFiles:
