@@ -207,16 +207,63 @@ def g2_to_probs(g2: float, brightness: float) -> tuple[float, float, float]:
 
     if f(brightness) < 0.0:
         raise ModelError(f"no solution for g2 = {g2} at brightness {brightness}")
-    # Imported here, not at module level: scipy is about three quarters of
-    # the import time of `qadc.cli`, and only a run with g2 > 0 needs it.
-    from scipy.optimize import brentq
-
-    p2 = float(brentq(f, 0.0, brightness, xtol=1e-16, rtol=1e-14))
+    p2 = _brentq(f, 0.0, brightness, xtol=1e-16, rtol=1e-14)
     p1 = brightness - p2
     p0 = 1.0 - brightness
     if not (0.0 <= p2 <= 1.0 and 0.0 <= p1 <= 1.0):
         raise ModelError("solved probabilities left [0, 1]")
     return (p0, p1, p2)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of ``f`` in [xa, xb] by Brent's method, step for step as scipy's brentq.
+
+    A port of ``scipy/optimize/Zeros/brentq.c``, Copyright (c) 2001-2002
+    Enthought, Inc. 2003, SciPy Developers, under the BSD-3-Clause license
+    in ``LICENSES/scipy.txt``.  The root is bit-equal to
+    ``scipy.optimize.brentq``; importing scipy instead would take about half
+    a second of every run with g2 > 0.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ModelError("root is not bracketed")
+    for _ in range(100):  # scipy's default maxiter
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise ModelError("root not converged in 100 iterations")
 
 
 def sample_survivors(
@@ -234,18 +281,18 @@ def sample_survivors(
     with probability eta.  ``conditioned`` conditions every bin on having
     fired, so only the doubling is drawn.
     """
+    shape = (count, n_bins)
     if conditioned:
         p_all = model.emission_probability
         if p_all <= 0:
             raise ValueError("conditioned source needs non-zero brightness")
-        doubled = rng.random((count, n_bins)) < model.p2 / p_all
-        main_emitted = np.ones((count, n_bins), dtype=bool)
+        doubled = rng.random(shape) < model.p2 / p_all
+        main_alive = rng.random(shape) < model.eta
     else:
-        u = rng.random((count, n_bins))
-        main_emitted = u >= model.p0
+        u = rng.random(shape)
         doubled = u >= model.p0 + model.p1
-    main_alive = main_emitted & (rng.random((count, n_bins)) < model.eta)
-    extra_alive = doubled & (rng.random((count, n_bins)) < model.eta)
+        main_alive = (u >= model.p0) & (rng.random(shape) < model.eta)
+    extra_alive = doubled & (rng.random(shape) < model.eta)
     return main_alive, extra_alive
 
 

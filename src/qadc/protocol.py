@@ -11,6 +11,9 @@ Repetitions are simulated as arrays of attempts (`_quantum_chunk`,
 `_classical_chunk`), drawn from exact outcome distributions per (experiment,
 phase, control flags, source realization class).  These are memoized, so
 sampling large shot counts is cheap; the memo behaves as a pure cache.
+`StepSimulator.sample_step` returns only the attempts that post-selection
+accepts, as ascending attempt indices and their bits, and each feed-forward
+stage runs on the survivors of the stage before.
 
 The phase enters only as ``e^{i phi}`` on each logical-|1> rail, so with k
 photons in a class every accepted-outcome probability is a trigonometric
@@ -246,14 +249,16 @@ class StepSimulator:
 
         Bit k: main photon of bin k survived; bit n+k: a second photon was
         emitted in bin k and survived.  Conditioned mode redraws empty bins.
+        Keys are uint8, as 2n <= 8.
         """
         main_alive, extra_alive = sample_survivors(
             self._sources[n], count, n, rng, self.noise.condition_on_emission
         )
-        weights = 1 << np.arange(n)
-        return (main_alive @ weights).astype(np.int64) | (
-            (extra_alive @ weights).astype(np.int64) << n
-        )
+        keys = np.zeros(count, dtype=np.uint8)
+        for k in range(n):
+            keys |= main_alive[:, k].view(np.uint8) << k
+            keys |= extra_alive[:, k].view(np.uint8) << (n + k)
+        return keys
 
     def class_parts(self, n: int, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         channels = GHZ_INPUT_MODES[n]
@@ -356,23 +361,41 @@ class StepSimulator:
         flags: tuple[int, int, int],
         count: int,
         rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Draw ``count`` outcomes; rows of -1 mark post-selection discards."""
-        out = np.full((count, n), -1, dtype=np.int8)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Run ``count`` attempts and return the ones post-selection accepts.
+
+        Returns ``(rows, bits)``: the accepted attempt indices in ascending
+        order and their [len(rows), n] int8 outcome bits.  Attempt i draws
+        its class key and the uniform ``draws[i]``, which picks its outcome
+        from its class's ``cum_probs`` or, past the accepted total, discards
+        it.  Attempts are grouped by class; a draw is only ever read at its
+        own attempt's index, so the grouping changes no result.
+        """
         if count == 0:
-            return out
+            return np.zeros(0, dtype=np.intp), np.zeros((0, n), dtype=np.int8)
         keys = self.sample_class_keys(n, count, rng)
         draws = rng.random(count)
-        for key in np.unique(keys):
-            sel = keys == key
-            dist = self.distribution(n, phi, flags, int(key))
-            if dist.outcomes.shape[0] == 0:
-                continue
-            idx = np.searchsorted(dist.cum_probs, draws[sel], side="right")
-            hit = idx < dist.outcomes.shape[0]
-            rows = np.where(sel)[0][hit]
-            out[rows] = dist.outcomes[idx[hit]]
-        return out
+        sizes = np.bincount(keys)
+        present = np.flatnonzero(sizes)
+        if len(present) == 1:  # one class, as in every noiseless step: no grouping
+            dist = self.distribution(n, phi, flags, int(present[0]))
+            idx = np.searchsorted(dist.cum_probs, draws, side="right")
+            rows = np.flatnonzero(idx < len(dist.cum_probs))
+            return rows, dist.outcomes[idx[rows]].view(np.int8)
+        # Attempts of each class, ascending within the class; classes in key order.
+        order = np.argsort(keys, kind="stable")
+        ends = np.cumsum(sizes[present]).tolist()
+        parts, bits = [], []
+        for key, start, stop in zip(present.tolist(), [0, *ends[:-1]], ends):
+            attempts = order[start:stop]
+            dist = self.distribution(n, phi, flags, key)
+            idx = np.searchsorted(dist.cum_probs, draws[attempts], side="right")
+            hit = idx < len(dist.cum_probs)
+            parts.append(attempts[hit])
+            bits.append(dist.outcomes[idx[hit]])
+        rows = np.concatenate(parts)
+        back = np.argsort(rows)  # every class's accepted attempts back in attempt order
+        return rows[back], np.concatenate(bits)[back].view(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -408,39 +431,44 @@ class ClassicalDataset:
 def _quantum_chunk(
     sim: StepSimulator, phi: float, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, dict]:
-    """Simulate ``count`` feed-forward attempts; invalid rows are all -1."""
-    m = np.full((count, 7), -1, dtype=np.int8)
-    stats = {"discard_4": 0, "discard_2": 0, "discard_1": 0}
-    bits4 = sim.sample_step(4, phi, (0, 0, 0), count, rng)
-    ok4 = bits4[:, 0] >= 0
-    stats["discard_4"] = int(count - ok4.sum())
-    b3 = np.zeros(count, dtype=np.int8)
-    b3[ok4] = bits4[ok4].sum(axis=1) % 2  # parity correction folds sigma_z
+    """Simulate ``count`` feed-forward attempts; invalid rows are all -1.
 
-    bits2 = np.full((count, 2), -1, dtype=np.int8)
+    Each stage runs only on the survivors of the one before, kept as
+    ascending attempt indices; a sub-step gets its control flags' survivors
+    in that order, so its draws go to the same attempts as on a full mask.
+    """
+    rows, bits4 = sim.sample_step(4, phi, (0, 0, 0), count, rng)
+    stats = {"discard_4": count - len(rows)}
+    b3 = (bits4.sum(axis=1) % 2).astype(np.int8)  # parity correction folds sigma_z
+
+    bits2 = np.full((len(rows), 2), -1, dtype=np.int8)
     for v in (0, 1):
-        sel = ok4 & (b3 == v)
-        if sel.any():
-            bits2[sel] = sim.sample_step(2, phi, (0, v, 0), int(sel.sum()), rng)
-    ok2 = ok4 & (bits2[:, 0] >= 0)
-    stats["discard_2"] = int(ok4.sum() - ok2.sum())
-    b2 = np.zeros(count, dtype=np.int8)
-    b2[ok2] = bits2[ok2, 0] ^ bits2[ok2, 1]  # sigma_z as a flip by the control bit
+        sub = np.flatnonzero(b3 == v)
+        if len(sub):
+            hit, bits = sim.sample_step(2, phi, (0, v, 0), len(sub), rng)
+            bits2[sub[hit]] = bits
+    ok = np.flatnonzero(bits2[:, 0] >= 0)
+    stats["discard_2"] = len(rows) - len(ok)
+    rows, bits4, b3, bits2 = rows[ok], bits4[ok], b3[ok], bits2[ok]
+    b2 = bits2[:, 0] ^ bits2[:, 1]  # sigma_z as a flip by the control bit
 
-    bits1 = np.full((count, 1), -1, dtype=np.int8)
+    bits1 = np.full(len(rows), -1, dtype=np.int8)
     for r2v in (0, 1):
         for r3v in (0, 1):
-            sel = ok2 & (b2 == r2v) & (b3 == r3v)
-            if sel.any():
-                bits1[sel] = sim.sample_step(1, phi, (0, r2v, r3v), int(sel.sum()), rng)
-    ok1 = ok2 & (bits1[:, 0] >= 0)
-    stats["discard_1"] = int(ok2.sum() - ok1.sum())
+            sub = np.flatnonzero((b2 == r2v) & (b3 == r3v))
+            if len(sub):
+                hit, bits = sim.sample_step(1, phi, (0, r2v, r3v), len(sub), rng)
+                bits1[sub[hit]] = bits[:, 0]
+    ok = np.flatnonzero(bits1 >= 0)
+    stats["discard_1"] = len(rows) - len(ok)
 
-    m[ok1, 0:3] = bits4[ok1, 0:3]
-    m[ok1, 3] = b3[ok1]
-    m[ok1, 4] = bits2[ok1, 0]
-    m[ok1, 5] = b2[ok1]
-    m[ok1, 6] = bits1[ok1, 0]
+    m = np.full((count, 7), -1, dtype=np.int8)
+    rows = rows[ok]
+    m[rows, 0:3] = bits4[ok, 0:3]
+    m[rows, 3] = b3[ok]
+    m[rows, 4] = bits2[ok, 0]
+    m[rows, 5] = b2[ok]
+    m[rows, 6] = bits1[ok]
     return m, stats
 
 
@@ -569,10 +597,9 @@ def simulate_sweep_dataset(config: ProtocolConfig) -> QuantumDataset:
         for n in PROBE_SIZES:
             bit_list, flag_list = [], []
             for flags in SWEEP_FLAGS[n]:
-                bits = sim.sample_step(n, float(phi), flags, reps, rng)
-                ok = bits[:, 0] >= 0
-                bit_list.append(bits[ok])
-                flag_list.append(np.tile(np.asarray(flags, dtype=np.int8), (int(ok.sum()), 1)))
+                _, bits = sim.sample_step(n, float(phi), flags, reps, rng)
+                bit_list.append(bits)
+                flag_list.append(np.tile(np.asarray(flags, dtype=np.int8), (len(bits), 1)))
             pools[n] = (
                 np.concatenate(bit_list, axis=0),
                 np.concatenate(flag_list, axis=0),
@@ -606,7 +633,9 @@ def simulate_sweep_dataset(config: ProtocolConfig) -> QuantumDataset:
 def _classical_chunk(
     sim: StepSimulator, phi: float, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, dict]:
-    bits = sim.sample_step(1, phi, (0, 0, 0), count * CLASSICAL_QUBITS, rng)
+    rows, accepted = sim.sample_step(1, phi, (0, 0, 0), count * CLASSICAL_QUBITS, rng)
+    bits = np.full(count * CLASSICAL_QUBITS, -1, dtype=np.int8)
+    bits[rows] = accepted[:, 0]
     bits = bits.reshape(count, CLASSICAL_QUBITS)
     bad = (bits < 0).any(axis=1)
     bits[bad] = -1  # a lost photon discards the whole 7-bit repetition

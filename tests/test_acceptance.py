@@ -267,11 +267,10 @@ def test_criterion_5_pipeline_equivalence():
             for n in (4, 2, 1):
                 bits_list, flag_list = [], []
                 for flags in SWEEP_FLAGS[n]:
-                    bits = sim.sample_step(n, phi, flags, reps, rng2)
-                    ok = bits[:, 0] >= 0
-                    bits_list.append(bits[ok])
+                    _, bits = sim.sample_step(n, phi, flags, reps, rng2)
+                    bits_list.append(bits)
                     flag_list.append(
-                        np.tile(np.asarray(flags, dtype=np.int8), (int(ok.sum()), 1))
+                        np.tile(np.asarray(flags, dtype=np.int8), (len(bits), 1))
                     )
                 pools[n] = (
                     np.concatenate(bits_list),

@@ -273,6 +273,29 @@ class TestByteIdentity:
                         "--set", "analysis.n_resamples=20"]) == 0
         assert sha256(curves / "mi_curves.csv") == self.MI_CURVES_SHA256
 
+    # The manifests hold the discard counters of each run.
+    SWEEP_SHA256 = {
+        "quantum.csv": "2cf30707c6a666bac735016955e98d2a78df90fa7d5ae7f777edc9a65992b679",
+        "manifest.json": "f5bea7df3ffa40e83399f75e7e3b446b042c422de0a6bc75b99428bb45a1bf90",
+    }
+    PROGRAMMING_ERROR_SHA256 = {
+        "quantum.csv": "30a2a038dc2882b302b60f7e440ffd1f07232552b3855f20d21d31f695a932aa",
+        "classical.csv": "78964d20c0df258473a563c04675ded8cf57573fb852f6a05a2d5e32c5aa7a26",
+        "manifest.json": "04e9d91588eb47b980dcffa390d0794f1679d0cdac3d45e6f64b961075ec15a3",
+    }
+
+    def test_pinned_sweep_and_programming_error_bytes(self, tmp_path):
+        small = ["--device-noise", "--n-phases", "5", "--n-shots", "40", "--seed", "3"]
+        sweep, programming = tmp_path / "sweep", tmp_path / "programming"
+        assert run_cli(["simulate", "--out", sweep, "--strategy", "quantum",
+                        "--mode", "sweep", *small]) == 0
+        assert run_cli(["simulate", "--out", programming, "--strategy", "both",
+                        "--set", "noise.sigma_theta=0.05", "--set", "noise.sigma_phi=0.05",
+                        *small]) == 0
+        for out, pinned in ((sweep, self.SWEEP_SHA256),
+                            (programming, self.PROGRAMMING_ERROR_SHA256)):
+            assert {name: sha256(out / name) for name in pinned} == pinned
+
     # Training sums in BLAS matrix products, so these pins also assume the
     # numpy/BLAS build they were recorded with.
     DAE_SHA256 = {
@@ -547,10 +570,11 @@ class TestSelftestAndHelp:
         assert run_cli(["selftest"]) == 0
 
     def test_import_loads_no_scipy(self):
-        # scipy is imported only where g2 > 0 needs it solved for p2
+        # Runs never load scipy, not even to solve g2 > 0 for p2.
         result = run_python(
             "-c",
             "import sys, qadc.cli; "
+            "qadc.protocol.DEVICE_NOISE.source_model(4); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         )
         assert result.returncode == 0, result.stderr

@@ -354,6 +354,22 @@ class TestSourceModel:
         with pytest.raises(ModelError):
             g2_to_probs(0.2, 0.14)
 
+    def test_g2_root_bit_equal_to_scipy_brentq(self):
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(12)
+        pairs = [(5.321e-3, 0.14), (5.629e-3, 0.14)]  # the DEVICE_NOISE values
+        pairs += zip(rng.uniform(1e-9, 0.1, 1500), rng.uniform(1e-6, 1.0, 1500))
+        pairs += zip(10 ** rng.uniform(-9, -1, 1000), 10 ** rng.uniform(-6, 0, 1000))
+        for g2, b in pairs:
+            g2, b = float(g2), float(b)
+
+            def f(p2):
+                return 2.0 * p2 / (b + p2) ** 2 - g2
+
+            p2 = brentq(f, 0.0, b, xtol=1e-16, rtol=1e-14)
+            assert g2_to_probs(g2, b) == (1.0 - b, b - p2, p2), (g2, b)
+
     def test_sample_source_ideal(self, rng):
         model = SourceModel(0.0, 1.0, 0.0, eta=1.0)
         ens = sample_source(model, (0, 2, 4, 6), 0.8, rng)

@@ -246,8 +246,8 @@ class TestSweepAndMatching:
         seen = set()
         for n in PROBE_SIZES:
             for flags in SWEEP_FLAGS[n]:
-                bits = sim.sample_step(n, 0.9, flags, 200, rng)
-                if (bits[:, 0] >= 0).any():
+                rows, _ = sim.sample_step(n, 0.9, flags, 200, rng)
+                if len(rows):
                     seen.add((n, flags))
         assert seen == {
             (n, flags) for n in SWEEP_FLAGS for flags in SWEEP_FLAGS[n]
