@@ -26,9 +26,7 @@ from qadc.photonics import (
     oracle_full_state,
     output_probability,
     postselect_dualrail,
-    sample_source,
     state_fidelity,
-    threshold_detect,
     uniform_gram,
 )
 

@@ -123,21 +123,13 @@ def marginalize_to_bits(table: CondProbTable) -> CondProbTable:
 # ---------------------------------------------------------------------------
 
 
-def estimate_phase_quantum(b: tuple[int, int, int]) -> float:
-    """Digital estimate 2*pi*(b1/2 + b2/4 + b3/8) from the informative bits."""
-    b1, b2, b3 = (int(x) for x in b)
-    if any(x not in (0, 1) for x in (b1, b2, b3)):
-        raise ValueError("bits must be 0/1")
-    return TWO_PI * (b1 / 2 + b2 / 4 + b3 / 8)
+def classical_estimates(c: np.ndarray) -> np.ndarray:
+    """Interferometric estimates 2*arccos(sqrt(N0/7)) of 7-bit rows, in [0, pi].
 
-
-def estimate_phase_classical(m: tuple[int, ...]) -> float:
-    """Interferometric estimate 2*arccos(sqrt(N0/7)) from a 7-bit string."""
-    bits = tuple(int(x) for x in m)
-    if len(bits) != 7 or any(x not in (0, 1) for x in bits):
-        raise ValueError("need 7 bits of 0/1")
-    n0 = bits.count(0)
-    return 2.0 * math.acos(math.sqrt(n0 / 7.0))
+    The digital estimate of a b-index j is ``HISTOGRAM_BIN_CENTERS[j]``.
+    """
+    n0 = 7 - c.sum(axis=1)
+    return 2.0 * np.arccos(np.sqrt(n0 / 7.0))
 
 
 def circular_mean(angles: np.ndarray, weights: np.ndarray | None = None) -> float:
@@ -250,16 +242,12 @@ def classical_phase_histograms(ds: ClassicalDataset) -> np.ndarray:
     Each estimate (in [0, pi]) is assigned to the nearest of the 8 digital bin
     centers.
     """
-    n0 = 7 - ds.c.sum(axis=1)
-    estimates = 2.0 * np.arccos(np.sqrt(n0 / 7.0))
-    diffs = np.abs(estimates[:, None] - HISTOGRAM_BIN_CENTERS[None, :])
+    diffs = np.abs(classical_estimates(ds.c)[:, None] - HISTOGRAM_BIN_CENTERS[None, :])
     diffs = np.minimum(diffs, TWO_PI - diffs)
     bins = np.argmin(diffs, axis=1)
     counts = np.zeros((ds.n_phases, 8))
     np.add.at(counts, (ds.phase_index, bins), 1.0)
-    totals = counts.sum(axis=1)
-    safe = np.where(totals > 0, totals, 1.0)
-    return counts / safe[:, None]
+    return CondProbTable(ds.phases, counts, kind="b3").probabilities()
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +317,9 @@ def mean_quantum_estimates(table: CondProbTable) -> tuple[np.ndarray, np.ndarray
 
 def mean_classical_estimates(ds: ClassicalDataset) -> np.ndarray:
     """Arithmetic mean of the classical estimate per phase (image in [0, pi])."""
-    n0 = 7 - ds.c.sum(axis=1)
-    estimates = 2.0 * np.arccos(np.sqrt(n0 / 7.0))
     sums = np.zeros(ds.n_phases)
     counts = np.zeros(ds.n_phases)
-    np.add.at(sums, ds.phase_index, estimates)
+    np.add.at(sums, ds.phase_index, classical_estimates(ds.c))
     np.add.at(counts, ds.phase_index, 1.0)
     safe = np.where(counts > 0, counts, 1.0)
     return sums / safe

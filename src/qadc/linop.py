@@ -20,7 +20,6 @@ cells of the full layout are padded.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -98,11 +97,6 @@ class MZCell:
         return (self.top_mode, self.top_mode + 1)
 
 
-def identity_cell(layer: int, top_mode: int) -> MZCell:
-    """Cell programmed to the exact 2x2 identity (bar with phi = pi)."""
-    return MZCell(layer, top_mode, math.pi, math.pi)
-
-
 def rectangular_layout(n_modes: int) -> list[tuple[int, int]]:
     """Cell coordinates (layer, top_mode) of the full rectangular layout.
 
@@ -120,23 +114,19 @@ def rectangular_layout(n_modes: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class MeshProgram:
-    """Ordered settings of every cell of a rectangular mesh plus photon input.
+    """Ordered settings of every cell of a rectangular mesh.
 
     The cell list must cover the full rectangular layout of ``n_modes`` exactly
     once (28 cells for 8 modes); unused cells are padded to identity by the
-    program builders.  ``input_occupation`` holds the photon count per input
-    mode.
+    program builders.  Photon inputs are not part of a program: the protocol
+    feeds `GHZ_INPUT_MODES`.
     """
 
     n_modes: int
     cells: tuple[MZCell, ...]
-    input_occupation: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
-        object.__setattr__(
-            self, "input_occupation", tuple(int(k) for k in self.input_occupation)
-        )
         expected = rectangular_layout(self.n_modes)
         got = sorted((c.layer, c.top_mode) for c in self.cells)
         if got != sorted(expected):
@@ -144,47 +134,6 @@ class MeshProgram:
                 f"cells do not cover the {self.n_modes}-mode rectangular layout "
                 f"({len(self.cells)} cells, expected {len(expected)})"
             )
-        if len(self.input_occupation) != self.n_modes:
-            raise LayoutError("input_occupation length must equal n_modes")
-        if any(k < 0 for k in self.input_occupation):
-            raise LayoutError("input_occupation entries must be non-negative")
-
-    def input_modes(self) -> tuple[int, ...]:
-        """Input mode index of each photon, repeats for multiple occupation."""
-        modes = []
-        for m, k in enumerate(self.input_occupation):
-            modes.extend([m] * k)
-        return tuple(modes)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_modes": self.n_modes,
-            "cells": [
-                {
-                    "layer": c.layer,
-                    "top_mode": c.top_mode,
-                    "theta": c.theta,
-                    "phi": c.phi,
-                }
-                for c in self.cells
-            ],
-            "input_occupation": list(self.input_occupation),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MeshProgram":
-        cells = tuple(
-            MZCell(d["layer"], d["top_mode"], d["theta"], d["phi"])
-            for d in data["cells"]
-        )
-        return cls(int(data["n_modes"]), cells, tuple(data["input_occupation"]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "MeshProgram":
-        return cls.from_json_dict(json.loads(text))
 
 
 def permanent(matrix) -> complex:
@@ -282,7 +231,7 @@ def perturb_program(
         MZCell(c.layer, c.top_mode, c.theta + dt, c.phi + dp)
         for c, dt, dp in zip(cells, d_theta, d_phi)
     )
-    return MeshProgram(program.n_modes, new_cells, program.input_occupation)
+    return MeshProgram(program.n_modes, new_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +351,8 @@ def build_step_program(
             inverted = rail0 % 2 == 1
             settings[(6, 2 * k)] = (math.pi / 2, math.pi if inverted else 0.0)
 
-    occupation = [0] * PROCESSOR_MODES
-    for m in GHZ_INPUT_MODES[n_qubits]:
-        occupation[m] = 1
     cells = tuple(
         MZCell(layer, top, *settings[(layer, top)])
         for (layer, top) in rectangular_layout(PROCESSOR_MODES)
     )
-    return MeshProgram(PROCESSOR_MODES, cells, tuple(occupation))
+    return MeshProgram(PROCESSOR_MODES, cells)

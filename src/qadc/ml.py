@@ -468,15 +468,6 @@ def dae_training_set(
 # ---------------------------------------------------------------------------
 
 
-def make_estimator_input(row_phi: np.ndarray, row_shifted: np.ndarray) -> np.ndarray:
-    """Concatenate the 8-outcome rows at phi and at phi + 0.44 rad."""
-    a = np.asarray(row_phi, dtype=float).ravel()
-    b = np.asarray(row_shifted, dtype=float).ravel()
-    if a.shape != (B_OUTCOMES,) or b.shape != (B_OUTCOMES,):
-        raise ValueError("both rows must hold 8 marginal probabilities")
-    return np.concatenate([a, b])
-
-
 def shifted_rows(phases: np.ndarray, rows: np.ndarray, shift: float = ESTIMATOR_PHASE_SHIFT) -> np.ndarray:
     """Rows at phi + shift by circular linear interpolation on the grid.
 

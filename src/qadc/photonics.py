@@ -13,8 +13,8 @@ overlaps.  Two independent routes compute output statistics:
 
 The oracle is deliberately slow and small (desk-scale guard) and exists to
 validate the fast route and to produce post-selected dual-rail density
-matrices.  Source imperfections (multiphoton emission, loss) and threshold
-detection are modelled on top.
+matrices.  Source imperfections (multiphoton emission, loss) are modelled on
+top.
 """
 
 from __future__ import annotations
@@ -169,8 +169,6 @@ class SourceModel:
     p1: float
     p2: float
     eta: float = 1.0
-    g2: float | None = None
-    brightness: float | None = None
 
     def __post_init__(self):
         for name, val in (("p0", self.p0), ("p1", self.p1), ("p2", self.p2)):
@@ -296,24 +294,6 @@ def sample_survivors(
     return main_alive, extra_alive
 
 
-def sample_source(
-    model: SourceModel,
-    channel_modes: tuple[int, ...],
-    delta: float,
-    rng: np.random.Generator,
-) -> PhotonEnsemble:
-    """Draw one source realization over the given input channels.
-
-    Each channel is one source bin (see `sample_survivors`).  Second photons
-    of a doubled bin are internally orthogonal to every other photon, while
-    surviving main photons share the uniform-Delta Gram block.
-    """
-    main_alive, extra_alive = sample_survivors(model, 1, len(channel_modes), rng)
-    mains = tuple(m for m, alive in zip(channel_modes, main_alive[0]) if alive)
-    extras = tuple(m for m, alive in zip(channel_modes, extra_alive[0]) if alive)
-    return ensemble_from_parts(mains, extras, delta)
-
-
 def ensemble_from_parts(
     mains: tuple[int, ...], extras: tuple[int, ...], delta: float
 ) -> PhotonEnsemble:
@@ -324,11 +304,6 @@ def ensemble_from_parts(
     if n_m:
         s[:n_m, :n_m] = uniform_gram(delta, n_m).entries
     return PhotonEnsemble(tuple(mains) + tuple(extras), GramMatrix(s))
-
-
-def threshold_detect(pattern) -> frozenset:
-    """Set of clicked modes of a count pattern; photon numbers are discarded."""
-    return frozenset(m for m, c in enumerate(pattern) if c >= 1)
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +616,3 @@ def ghz_target(n_qubits: int, physical_frame: bool = False) -> np.ndarray:
         a, b = 0, dim - 1
     vec[a] = vec[b] = 1.0 / math.sqrt(2.0)
     return vec
-
-
-def serialize_density_matrix(rho: np.ndarray) -> list:
-    """Nested [re, im] pairs, the JSON form used by golden tests."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(rho)]
-
-
-def deserialize_density_matrix(data: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])

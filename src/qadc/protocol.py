@@ -131,12 +131,7 @@ class NoiseConfig:
 
     def source_model(self, n_photons: int) -> SourceModel:
         g2 = self.g2_four_photon if n_photons == 4 else self.g2_two_photon
-        p0, p1, p2 = g2_to_probs(g2, self.brightness) if g2 > 0 else (
-            1.0 - self.brightness,
-            self.brightness,
-            0.0,
-        )
-        return SourceModel(p0, p1, p2, self.eta, g2=g2, brightness=self.brightness)
+        return SourceModel(*g2_to_probs(g2, self.brightness), self.eta)
 
 
 NOISELESS = NoiseConfig()

@@ -18,9 +18,9 @@ from qadc import ml
 from qadc.analysis import (
     CondProbTable,
     HISTOGRAM_BIN_CENTERS,
+    b_code,
     bit_chain_probabilities,
-    estimate_phase_classical,
-    estimate_phase_quantum,
+    classical_estimates,
     marginalize_to_bits,
     mutual_information,
     quadrature_mi_classical,
@@ -366,7 +366,7 @@ def test_criterion_7_estimators():
         quantum_values = set()
         for code in range(8):
             b = ((code >> 2) & 1, (code >> 1) & 1, code & 1)
-            value = estimate_phase_quantum(b)
+            value = HISTOGRAM_BIN_CENTERS[b_code(*b)]
             assert value == pytest.approx(
                 TWO_PI * (b[0] / 2 + b[1] / 4 + b[2] / 8), abs=1e-15
             )
@@ -375,10 +375,9 @@ def test_criterion_7_estimators():
         assert max(quantum_values) > math.pi  # spans [0, 2 pi)
 
         classical_values = set()
-        for code in range(128):
-            bits = tuple((code >> k) & 1 for k in range(7))
-            n0 = bits.count(0)
-            value = estimate_phase_classical(bits)
+        all_bits = np.array([[(code >> k) & 1 for k in range(7)] for code in range(128)])
+        for bits, value in zip(all_bits, classical_estimates(all_bits)):
+            n0 = list(bits).count(0)
             assert value == pytest.approx(2 * math.acos(math.sqrt(n0 / 7)), abs=1e-12)
             classical_values.add(round(value, 12))
         assert min(classical_values) >= 0.0

@@ -14,11 +14,11 @@ from qadc.analysis import (
     bit_chain_probabilities,
     bootstrap_mi,
     circular_mean,
+    classical_estimates,
     classical_phase_histograms,
     classical_string_probabilities,
-    estimate_phase_classical,
-    estimate_phase_quantum,
     marginalize_to_bits,
+    mean_classical_estimates,
     mean_quantum_estimates,
     mutual_information,
     quadrature_mi_classical,
@@ -29,6 +29,7 @@ from qadc.analysis import (
     wrap_difference,
 )
 from qadc.protocol import (
+    ClassicalDataset,
     NoiseConfig,
     ProtocolConfig,
     simulate_classical_dataset,
@@ -43,46 +44,46 @@ def grid(n):
     return TWO_PI * np.arange(n) / n
 
 
+def quantum_estimate(b1, b2, b3):
+    return HISTOGRAM_BIN_CENTERS[b_code(b1, b2, b3)]
+
+
+def classical_estimate(bits):
+    return classical_estimates(np.array([bits]))[0]
+
+
 class TestEstimators:
     def test_quantum_examples(self):
-        assert estimate_phase_quantum((0, 0, 0)) == pytest.approx(0.0)
-        assert estimate_phase_quantum((1, 0, 1)) == pytest.approx(5 * math.pi / 4)
-        assert estimate_phase_quantum((0, 0, 1)) == pytest.approx(math.pi / 4)
+        assert quantum_estimate(0, 0, 0) == pytest.approx(0.0)
+        assert quantum_estimate(1, 0, 1) == pytest.approx(5 * math.pi / 4)
+        assert quantum_estimate(0, 0, 1) == pytest.approx(math.pi / 4)
 
     def test_quantum_exhaustive_image(self):
         values = {
-            estimate_phase_quantum(b) for b in product((0, 1), repeat=3)
+            quantum_estimate(*b) for b in product((0, 1), repeat=3)
         }
         assert values == {TWO_PI * j / 8 for j in range(8)}
 
     def test_quantum_matches_closed_form_exhaustively(self):
         for b1, b2, b3 in product((0, 1), repeat=3):
             expected = TWO_PI * (b1 / 2 + b2 / 4 + b3 / 8)
-            assert estimate_phase_quantum((b1, b2, b3)) == pytest.approx(expected)
+            assert quantum_estimate(b1, b2, b3) == pytest.approx(expected)
 
     def test_classical_extremes(self):
-        assert estimate_phase_classical((0,) * 7) == pytest.approx(0.0)
-        assert estimate_phase_classical((1,) * 7) == pytest.approx(math.pi)
+        assert classical_estimate((0,) * 7) == pytest.approx(0.0)
+        assert classical_estimate((1,) * 7) == pytest.approx(math.pi)
 
     def test_classical_example(self):
-        val = estimate_phase_classical((0, 0, 0, 0, 1, 1, 1))
+        val = classical_estimate((0, 0, 0, 0, 1, 1, 1))
         assert val == pytest.approx(2 * math.acos(math.sqrt(4 / 7)), abs=1e-12)
         assert val == pytest.approx(1.427, abs=2e-3)
 
     def test_classical_exhaustive_closed_form_and_range(self):
-        for code in range(128):
-            bits = tuple((code >> k) & 1 for k in range(7))
-            n0 = bits.count(0)
-            expected = 2 * math.acos(math.sqrt(n0 / 7))
-            val = estimate_phase_classical(bits)
+        bits = np.array([[(code >> k) & 1 for k in range(7)] for code in range(128)], np.int8)
+        for row, val in zip(bits, classical_estimates(bits)):
+            expected = 2 * math.acos(math.sqrt(list(row).count(0) / 7))
             assert val == pytest.approx(expected, abs=1e-12)
             assert 0.0 <= val <= math.pi
-
-    def test_bit_validation(self):
-        with pytest.raises(ValueError):
-            estimate_phase_quantum((0, 2, 0))
-        with pytest.raises(ValueError):
-            estimate_phase_classical((0, 1))
 
 
 class TestTables:
@@ -340,3 +341,19 @@ class TestMeanEstimates:
         devs = [abs(wrap_difference(c, p)) for c, p in zip(circ, phases)]
         assert max(devs) <= math.pi / 4
         assert max(devs) > 0.01  # the oscillation is intrinsic, not zero
+
+    def test_classical_means_match_closed_form(self):
+        # Phase 1 has no rows: its mean is 0 and its histogram row stays zero.
+        rng = np.random.default_rng(9)
+        phase_index = np.array([0, 2, 0, 2, 2, 3, 0])
+        c = rng.integers(0, 2, size=(len(phase_index), 7)).astype(np.int8)
+        ds = ClassicalDataset(4, grid(4), phase_index, np.arange(7), c)
+        means = mean_classical_estimates(ds)
+        for i in range(4):
+            rows = c[phase_index == i]
+            values = [2 * math.acos(math.sqrt(list(r).count(0) / 7)) for r in rows]
+            assert means[i] == pytest.approx(np.mean(values) if values else 0.0, abs=1e-12)
+        assert means[1] == 0.0
+        hist = classical_phase_histograms(ds)
+        assert np.all(hist[1] == 0.0)
+        assert np.allclose(np.delete(hist, 1, axis=0).sum(axis=1), 1.0)

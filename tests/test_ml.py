@@ -25,7 +25,6 @@ from qadc.ml import (
     forward,
     gradients,
     ideal_full_rows,
-    make_estimator_input,
     renormalize_rows,
     shifted_rows,
     train,
@@ -432,21 +431,16 @@ class TestDenoisingImprovesMi:
 
 class TestEstimatorData:
     def test_make_estimator_input_concatenates(self):
-        a = np.full(8, 0.125)
-        b = np.linspace(0, 1, 8)
-        b = b / b.sum()
-        vec = make_estimator_input(a, b)
-        assert vec.shape == (16,)
-        assert np.allclose(vec[:8], a)
-        assert np.allclose(vec[8:], b)
+        phases = TWO_PI * np.arange(12) / 12
+        rows = bit_chain_probabilities(phases)
+        inputs = estimator_inputs_from_rows(phases, rows)
+        assert inputs.shape == (12, 16)
+        assert np.array_equal(inputs[:, :8], rows)
+        assert np.array_equal(inputs[:, 8:], shifted_rows(phases, rows))
 
     def test_uniform_rows_input(self):
-        vec = make_estimator_input(np.full(8, 0.125), np.full(8, 0.125))
-        assert np.allclose(vec, 0.125)
-
-    def test_width_validation(self):
-        with pytest.raises(ValueError):
-            make_estimator_input(np.ones(7), np.ones(8))
+        inputs = estimator_inputs_from_rows(TWO_PI * np.arange(5) / 5, np.full((5, 8), 0.125))
+        assert np.allclose(inputs, 0.125)
 
     def test_shifted_rows_interpolation_accuracy(self):
         phases = TWO_PI * np.arange(99) / 99

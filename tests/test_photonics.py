@@ -30,11 +30,8 @@ from qadc.photonics import (
     output_probability,
     pivoted_cholesky,
     postselect_dualrail,
-    sample_source,
-    serialize_density_matrix,
-    deserialize_density_matrix,
+    sample_survivors,
     state_fidelity,
-    threshold_detect,
     uniform_gram,
 )
 
@@ -323,11 +320,6 @@ class TestPostSelection:
         with pytest.raises(ValueError):
             DualRailState(1, np.array([[1.5, 0], [0, -0.5]]), 0.5)
 
-    def test_density_matrix_serialization_round_trip(self):
-        ds = postselect_dualrail(self.prep_state(2, 0.35), logical_rail_pairs(2))
-        doc = serialize_density_matrix(ds.rho)
-        assert np.allclose(deserialize_density_matrix(doc), ds.rho)
-
     def test_maximally_mixed_fidelity(self):
         ds = DualRailState(2, np.eye(4) / 4, 1.0)
         assert state_fidelity(ds, ghz_target(2)) == pytest.approx(0.25)
@@ -372,36 +364,26 @@ class TestSourceModel:
 
     def test_sample_source_ideal(self, rng):
         model = SourceModel(0.0, 1.0, 0.0, eta=1.0)
-        ens = sample_source(model, (0, 2, 4, 6), 0.8, rng)
-        assert ens.input_modes == (0, 2, 4, 6)
+        for conditioned in (False, True):
+            main, extra = sample_survivors(model, 50, 4, rng, conditioned)
+            assert main.shape == extra.shape == (50, 4)
+            assert main.all() and not extra.any()
+        ens = ensemble_from_parts((0, 2, 4, 6), (), 0.8)
         assert np.allclose(ens.gram.entries, uniform_gram(0.8, 4).entries)
 
     def test_sample_source_pure_multiphoton(self, rng):
         model = SourceModel(0.0, 0.0, 1.0, eta=1.0)
-        ens = sample_source(model, (3,), 1.0, rng)
+        for conditioned in (False, True):
+            main, extra = sample_survivors(model, 50, 1, rng, conditioned)
+            assert main.all() and extra.all()
+        ens = ensemble_from_parts((3,), (3,), 1.0)
         assert ens.input_modes == (3, 3)
         assert ens.gram.entries[0, 1] == pytest.approx(0.0)
 
     def test_sample_source_loss_rate(self):
         model = SourceModel(0.0, 1.0, 0.0, eta=0.5)
-        rng = np.random.default_rng(4)
-        counts = [
-            sample_source(model, (0, 2, 4, 6), 1.0, rng).n_photons
-            for _ in range(1500)
-        ]
+        main, extra = sample_survivors(model, 1500, 4, np.random.default_rng(4))
+        counts = main.sum(axis=1) + extra.sum(axis=1)
         mean = np.mean(counts)
         sigma = math.sqrt(4 * 0.5 * 0.5 / 1500)
         assert abs(mean - 2.0) < 3 * sigma
-
-
-class TestThresholdDetect:
-    def test_counts_discarded(self):
-        assert threshold_detect((0, 2, 1, 0)) == frozenset({1, 2})
-
-    def test_empty(self):
-        assert threshold_detect((0, 0, 0)) == frozenset()
-
-    def test_one_per_pair_pattern(self):
-        clicks = threshold_detect((1, 0, 0, 1))
-        pairs = ((0, 1), (2, 3))
-        assert all(len(clicks & set(p)) == 1 for p in pairs)
