@@ -306,20 +306,28 @@ def quadrature_mi_classical(n_nodes: int = 20000) -> float:
 
 
 def mean_quantum_estimates(table: CondProbTable) -> tuple[np.ndarray, np.ndarray]:
-    """(circular mean, arithmetic mean) of the digital estimate per phase."""
+    """(circular mean, arithmetic mean) of the digital estimate per phase.
+
+    Both are NaN at a phase without rows, which has no estimate.
+    """
     hist = quantum_phase_histograms(table)
     circ = np.array(
         [circular_mean(HISTOGRAM_BIN_CENTERS, row) for row in hist]
     )
     arith = hist @ HISTOGRAM_BIN_CENTERS
+    empty = table.n_shots_effective == 0
+    circ[empty] = arith[empty] = np.nan
     return circ, arith
 
 
 def mean_classical_estimates(ds: ClassicalDataset) -> np.ndarray:
-    """Arithmetic mean of the classical estimate per phase (image in [0, pi])."""
+    """Arithmetic mean of the classical estimate per phase (image in [0, pi]).
+
+    NaN at a phase without rows, which has no estimate.
+    """
     sums = np.zeros(ds.n_phases)
     counts = np.zeros(ds.n_phases)
     np.add.at(sums, ds.phase_index, classical_estimates(ds.c))
     np.add.at(counts, ds.phase_index, 1.0)
-    safe = np.where(counts > 0, counts, 1.0)
-    return sums / safe
+    means = np.full(ds.n_phases, np.nan)
+    return np.divide(sums, counts, out=means, where=counts > 0)

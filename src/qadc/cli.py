@@ -144,7 +144,6 @@ def _training_fields(stage: str, network: str) -> list[Field]:
     """The leaves that the ``ml.dae`` and ``ml.estimator`` blocks share."""
     train = ml.TrainConfig()
     return [
-        Field(f"ml.{stage}.enabled", True, BOOL, "not read by any command"),
         Field(f"ml.{stage}.epochs", train.epochs, POSITIVE_INT,
               f"training epochs of the {network}"),
         Field(f"ml.{stage}.batch_size", train.batch_size, POSITIVE_INT, "minibatch size"),
@@ -646,7 +645,11 @@ def cmd_report(args) -> int:
         ).value
     if phi_nn is not None:
         mi_summary["nn_rmse_circular"] = ml.circular_rmse(phi_nn, quantum.phases)
-        mi_summary["raw_rmse_circular"] = ml.circular_rmse(circ, quantum.phases)
+        # Only phases with rows have a raw estimate.
+        estimated = ~np.isnan(circ)
+        mi_summary["raw_rmse_circular"] = ml.circular_rmse(
+            circ[estimated], quantum.phases[estimated]
+        )
     summary_path = out_dir / "mi_summary.json"
     atomic_write(summary_path, json.dumps(mi_summary, sort_keys=True, indent=1) + "\n")
     write_manifest(out_dir, "report", config, [cmp_path, summary_path], {})

@@ -294,6 +294,39 @@ def sample_survivors(
     return main_alive, extra_alive
 
 
+def class_probabilities(
+    model: SourceModel, n_bins: int, conditioned: bool = False
+) -> np.ndarray:
+    """Exact probability of every survival key of ``n_bins`` bins, [2**(2 n_bins)].
+
+    Bit k of a key: the main photon of bin k was emitted and survived; bit
+    n_bins + k: a second photon was emitted in bin k and survived.  These are
+    the two masks `sample_survivors` draws, with the same laws.  Bins are
+    independent, so a key's probability is a product over bins of one 2 x 2
+    (main, extra) table.
+    """
+    eta = model.eta
+    if conditioned:
+        p_all = model.emission_probability
+        if p_all <= 0:
+            raise ValueError("conditioned source needs non-zero brightness")
+        extra = model.p2 / p_all * eta
+        table = np.outer([1.0 - eta, eta], [1.0 - extra, extra])
+    else:
+        p0, p1, p2 = model.p0, model.p1, model.p2
+        table = np.array(
+            [
+                [p0 + (p1 + p2 * (1.0 - eta)) * (1.0 - eta), p2 * (1.0 - eta) * eta],
+                [(p1 + p2 * (1.0 - eta)) * eta, p2 * eta * eta],
+            ]
+        )
+    keys = np.arange(1 << (2 * n_bins))
+    probs = np.ones(len(keys))
+    for k in range(n_bins):
+        probs *= table[(keys >> k) & 1, (keys >> (n_bins + k)) & 1]
+    return probs
+
+
 def ensemble_from_parts(
     mains: tuple[int, ...], extras: tuple[int, ...], delta: float
 ) -> PhotonEnsemble:

@@ -9,19 +9,23 @@ post-selected platform implements feed-forward.
 
 Repetitions are simulated as arrays of attempts (`_quantum_chunk`,
 `_classical_chunk`), drawn from exact outcome distributions per (experiment,
-phase, control flags, source realization class).  These are memoized, so
-sampling large shot counts is cheap; the memo behaves as a pure cache.
-`StepSimulator.sample_step` returns only the attempts that post-selection
-accepts, as ascending attempt indices and their bits, and each feed-forward
-stage runs on the survivors of the stage before.
+phase, control flags).  Each is the mixture over the source realization
+classes (which photons survive, which bins add a second photon), weighted by
+their exact probabilities, so an attempt costs one uniform and one
+``searchsorted``: the source class is summed over, never drawn.  The
+distributions are memoized, so sampling large shot counts is cheap; the memo
+behaves as a pure cache.  `StepSimulator.sample_step` returns only the
+attempts that post-selection accepts, as ascending attempt indices and their
+bits, and each feed-forward stage runs on the survivors of the stage before.
 
 The phase enters only as ``e^{i phi}`` on each logical-|1> rail, so with k
 photons in a class every accepted-outcome probability is a trigonometric
 polynomial of degree <= k in phi (double-permutation formula).  Without
 programming errors each (experiment, flags, class) is therefore built exactly
-at 2k + 1 equispaced nodes once, kept as its Fourier coefficients, and
+at 2k + 1 equispaced nodes once, its Fourier coefficients are added with the
+class weight into one mixed series per (experiment, flags), and that series is
 evaluated at any phase; with programming errors every phase has its own
-perturbed program and is built directly.
+perturbed program and every class is built directly.
 """
 
 from __future__ import annotations
@@ -46,10 +50,10 @@ from qadc.photonics import (
     PhotonEnsemble,
     PostSelectionEmpty,
     SourceModel,
+    class_probabilities,
     ensemble_from_parts,
     full_output_distribution,
     g2_to_probs,
-    sample_survivors,
 )
 
 PROBE_SIZES = (4, 2, 1)
@@ -175,19 +179,13 @@ class ProtocolConfig:
 class StepDistribution:
     """Exact accepted-outcome distribution of one experiment configuration."""
 
-    outcomes: np.ndarray  # [K, n_qubits] uint8 logical bits
-    cum_probs: np.ndarray  # [K] cumulative accepted probability
+    outcomes: np.ndarray  # [2**n_qubits, n_qubits] uint8 logical bits of every code
+    cum_probs: np.ndarray  # [2**n_qubits] cumulative accepted probability
 
 
 def _place(n: int) -> np.ndarray:
     """Bit weight of each qubit in an outcome code, qubit 0 the highest."""
     return 1 << np.arange(n - 1, -1, -1)
-
-
-def _step_distribution(n: int, codes: np.ndarray, probs: np.ndarray) -> StepDistribution:
-    """Distribution over the outcome ``codes`` with accepted probabilities ``probs``."""
-    outcomes = ((codes[:, None] & _place(n)) > 0).astype(np.uint8)
-    return StepDistribution(outcomes, np.cumsum(probs))
 
 
 class StepSimulator:
@@ -197,11 +195,15 @@ class StepSimulator:
     program receives one frozen perturbation drawn from a stream derived from
     the run seed, modelling miscalibration rather than per-shot jitter.
 
-    Distributions are memoized per (n, phase bits, flags, class key).  Without
-    programming errors a miss evaluates the Fourier series of the (n, flags,
-    class key), itself built once from `direct_distribution`'s accepted
-    probabilities at 2k + 1 nodes; with them it calls `direct_distribution`
-    at the phase.
+    The source realization of an attempt is a class: which main photons
+    survive and which bins add a surviving second photon.  A step's
+    distribution is the class mixture ``sum_class w * P(outcome, accepted |
+    class)`` with the weights of `class_probabilities`, memoized per (n, phase
+    bits, flags).  Without programming errors a miss evaluates one mixed
+    Fourier series per (n, flags), the weighted sum of every class's series,
+    each built once from `_accepted` at 2k + 1 nodes; with them every class is
+    built at the phase.  Classes that can never be accepted are left out, so
+    their weight is discarded with the other rejected attempts.
     """
 
     def __init__(self, noise: NoiseConfig, seed: int):
@@ -211,7 +213,7 @@ class StepSimulator:
         self._dists: dict = {}
         self._series: dict = {}
         self._perturbed = noise.sigma_theta > 0 or noise.sigma_phi > 0
-        self._sources = {n: noise.source_model(n) for n in PROBE_SIZES}
+        self._classes = {n: self._weighted_classes(n) for n in PROBE_SIZES}
 
     # -- programs -----------------------------------------------------------
 
@@ -239,22 +241,6 @@ class StepSimulator:
 
     # -- source realization classes ------------------------------------------
 
-    def sample_class_keys(self, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Realization class per attempt, encoded as main|extra survival masks.
-
-        Bit k: main photon of bin k survived; bit n+k: a second photon was
-        emitted in bin k and survived.  Conditioned mode redraws empty bins.
-        Keys are uint8, as 2n <= 8.
-        """
-        main_alive, extra_alive = sample_survivors(
-            self._sources[n], count, n, rng, self.noise.condition_on_emission
-        )
-        keys = np.zeros(count, dtype=np.uint8)
-        for k in range(n):
-            keys |= main_alive[:, k].view(np.uint8) << k
-            keys |= extra_alive[:, k].view(np.uint8) << (n + k)
-        return keys
-
     def class_parts(self, n: int, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         channels = GHZ_INPUT_MODES[n]
         mains = tuple(channels[k] for k in range(n) if key & (1 << k))
@@ -268,30 +254,39 @@ class StepSimulator:
             return None
         return ensemble_from_parts(mains, extras, self.noise.delta)
 
+    def _weighted_classes(self, n: int) -> list[tuple[float, PhotonEnsemble]]:
+        """(weight, photons) of every class of weight > 0 that can be accepted."""
+        noise = self.noise
+        weights = class_probabilities(noise.source_model(n), n, noise.condition_on_emission)
+        classes = []
+        for key in np.flatnonzero(weights > 0.0).tolist():
+            ensemble = self._class_ensemble(n, key)
+            if ensemble is not None:
+                classes.append((float(weights[key]), ensemble))
+        return classes
+
     # -- distributions --------------------------------------------------------
 
-    def distribution(
-        self, n: int, phi: float, flags: tuple[int, int, int], class_key: int
-    ) -> StepDistribution:
-        key = (n, _float_key(phi), flags, class_key)
+    def distribution(self, n: int, phi: float, flags: tuple[int, int, int]) -> StepDistribution:
+        """Class-mixture accepted distribution over all 2**n outcome codes at ``phi``.
+
+        Roundoff negatives of the mixed series are clipped to 0; a code of
+        probability 0 leaves a zero-width step in ``cum_probs``, which
+        ``searchsorted(..., side="right")`` never picks.
+        """
+        key = (n, _float_key(phi), flags)
         if key not in self._dists:
             if self._perturbed:
-                dist = self.direct_distribution(n, phi, flags, class_key)
+                probs = np.zeros(1 << n)
+                for weight, ensemble in self._classes[n]:
+                    probs += weight * self._accepted(n, phi, flags, ensemble)
             else:
-                dist = self._series_distribution(n, phi, flags, class_key)
-            self._dists[key] = dist
+                coef = self._mixed_series(n, flags)
+                probs = (np.exp(1j * np.arange(len(coef)) * phi) @ coef).real
+            outcomes = ((np.arange(1 << n)[:, None] & _place(n)) > 0).astype(np.uint8)
+            cum_probs = np.cumsum(np.where(probs < 0.0, 0.0, probs))
+            self._dists[key] = StepDistribution(outcomes, cum_probs)
         return self._dists[key]
-
-    def direct_distribution(
-        self, n: int, phi: float, flags: tuple[int, int, int], class_key: int
-    ) -> StepDistribution:
-        """Distribution built from the program at ``phi``; support ``acc > 0``."""
-        ensemble = self._class_ensemble(n, class_key)
-        if ensemble is None:
-            return _step_distribution(n, np.zeros(0, dtype=np.int64), np.zeros(0))
-        acc = self._accepted(n, phi, flags, ensemble)
-        codes = np.flatnonzero(acc > 0.0)
-        return _step_distribution(n, codes, acc[codes])
 
     def _accepted(
         self, n: int, phi: float, flags: tuple[int, int, int], ensemble: PhotonEnsemble
@@ -312,40 +307,34 @@ class StepSimulator:
             hit[accepted][:, rail1] @ _place(n), weights=probs[accepted], minlength=1 << n
         )
 
-    def _series_distribution(
-        self, n: int, phi: float, flags: tuple[int, int, int], class_key: int
-    ) -> StepDistribution:
-        """Distribution at ``phi`` from the class's Fourier series, ``Re sum c_m e^{i m phi}``.
-
-        The support is every code that is non-zero at some node: a degree-k
-        trigonometric polynomial that vanishes at 2k + 1 nodes is zero.  A code
-        whose clipped value is 0 at ``phi`` leaves a zero-width step in
-        ``cum_probs``, which ``searchsorted(..., side="right")`` never picks.
-        """
-        key = (n, flags, class_key)
+    def _mixed_series(self, n: int, flags: tuple[int, int, int]) -> np.ndarray:
+        """One-sided Fourier coefficients of the class mixture, [n + _MAX_EXTRAS + 1, 2**n]."""
+        key = (n, flags)
         if key not in self._series:
-            self._series[key] = self._build_series(n, flags, class_key)
-        codes, coef = self._series[key]
-        probs = (np.exp(1j * np.arange(len(coef)) * phi) @ coef).real
-        return _step_distribution(n, codes, np.where(probs < 0.0, 0.0, probs))
+            coef = np.zeros((n + _MAX_EXTRAS + 1, 1 << n), dtype=complex)
+            for weight, ensemble in self._classes[n]:
+                series = self._build_series(n, flags, ensemble)
+                coef[: len(series)] += weight * series
+            self._series[key] = coef
+        return self._series[key]
 
     def _build_series(
-        self, n: int, flags: tuple[int, int, int], class_key: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Support codes and one-sided Fourier coefficients c_0..c_k, [k + 1, K]."""
-        ensemble = self._class_ensemble(n, class_key)
-        if ensemble is None:
-            return np.zeros(0, dtype=np.int64), np.zeros((1, 0), dtype=complex)
+        self, n: int, flags: tuple[int, int, int], ensemble: PhotonEnsemble
+    ) -> np.ndarray:
+        """One-sided Fourier coefficients c_0..c_k of one class, [k + 1, 2**n].
+
+        With k photons every accepted probability is a degree-k trigonometric
+        polynomial in phi, so its values at 2k + 1 equispaced nodes fix it.
+        """
         k = ensemble.n_photons
         n_nodes = 2 * k + 1
         nodes = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
         values = np.stack([self._accepted(n, float(x), flags, ensemble) for x in nodes])
-        codes = np.flatnonzero(values.any(axis=0))
         # DFT over the nodes; the integer reduction keeps every angle below 2 pi.
         turns = np.outer(np.arange(k + 1), np.arange(n_nodes)) % n_nodes
-        coef = np.exp(-2j * math.pi * turns / n_nodes) @ values[:, codes] / n_nodes
+        coef = np.exp(-2j * math.pi * turns / n_nodes) @ values / n_nodes
         coef[1:] *= 2.0  # c_{-m} = conj(c_m) for real values
-        return codes, coef
+        return coef
 
     # -- sampling --------------------------------------------------------------
 
@@ -361,36 +350,14 @@ class StepSimulator:
 
         Returns ``(rows, bits)``: the accepted attempt indices in ascending
         order and their [len(rows), n] int8 outcome bits.  Attempt i draws
-        its class key and the uniform ``draws[i]``, which picks its outcome
-        from its class's ``cum_probs`` or, past the accepted total, discards
-        it.  Attempts are grouped by class; a draw is only ever read at its
-        own attempt's index, so the grouping changes no result.
+        one uniform, which picks its outcome from the class mixture's
+        ``cum_probs`` or, past the accepted total, discards it.  The source
+        class is never drawn: the mixture already sums over it.
         """
-        if count == 0:
-            return np.zeros(0, dtype=np.intp), np.zeros((0, n), dtype=np.int8)
-        keys = self.sample_class_keys(n, count, rng)
-        draws = rng.random(count)
-        sizes = np.bincount(keys)
-        present = np.flatnonzero(sizes)
-        if len(present) == 1:  # one class, as in every noiseless step: no grouping
-            dist = self.distribution(n, phi, flags, int(present[0]))
-            idx = np.searchsorted(dist.cum_probs, draws, side="right")
-            rows = np.flatnonzero(idx < len(dist.cum_probs))
-            return rows, dist.outcomes[idx[rows]].view(np.int8)
-        # Attempts of each class, ascending within the class; classes in key order.
-        order = np.argsort(keys, kind="stable")
-        ends = np.cumsum(sizes[present]).tolist()
-        parts, bits = [], []
-        for key, start, stop in zip(present.tolist(), [0, *ends[:-1]], ends):
-            attempts = order[start:stop]
-            dist = self.distribution(n, phi, flags, key)
-            idx = np.searchsorted(dist.cum_probs, draws[attempts], side="right")
-            hit = idx < len(dist.cum_probs)
-            parts.append(attempts[hit])
-            bits.append(dist.outcomes[idx[hit]])
-        rows = np.concatenate(parts)
-        back = np.argsort(rows)  # every class's accepted attempts back in attempt order
-        return rows[back], np.concatenate(bits)[back].view(np.int8)
+        dist = self.distribution(n, phi, flags)
+        idx = np.searchsorted(dist.cum_probs, rng.random(count), side="right")
+        rows = np.flatnonzero(idx < len(dist.cum_probs))
+        return rows, dist.outcomes[idx[rows]].view(np.int8)
 
 
 # ---------------------------------------------------------------------------

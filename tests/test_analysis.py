@@ -342,18 +342,26 @@ class TestMeanEstimates:
         assert max(devs) <= math.pi / 4
         assert max(devs) > 0.01  # the oscillation is intrinsic, not zero
 
+    def test_empty_phase_has_no_quantum_estimate(self):
+        phases = grid(4)
+        counts = 100 * bit_chain_probabilities(phases)
+        counts[2] = 0.0
+        circ, arith = mean_quantum_estimates(CondProbTable(phases, counts, kind="b3"))
+        assert math.isnan(circ[2]) and math.isnan(arith[2])
+        assert np.isfinite(np.delete(circ, 2)).all() and np.isfinite(np.delete(arith, 2)).all()
+
     def test_classical_means_match_closed_form(self):
-        # Phase 1 has no rows: its mean is 0 and its histogram row stays zero.
+        # Phase 1 has no rows: it has no mean and its histogram row stays zero.
         rng = np.random.default_rng(9)
         phase_index = np.array([0, 2, 0, 2, 2, 3, 0])
         c = rng.integers(0, 2, size=(len(phase_index), 7)).astype(np.int8)
         ds = ClassicalDataset(4, grid(4), phase_index, np.arange(7), c)
         means = mean_classical_estimates(ds)
-        for i in range(4):
+        for i in (0, 2, 3):
             rows = c[phase_index == i]
             values = [2 * math.acos(math.sqrt(list(r).count(0) / 7)) for r in rows]
-            assert means[i] == pytest.approx(np.mean(values) if values else 0.0, abs=1e-12)
-        assert means[1] == 0.0
+            assert means[i] == pytest.approx(np.mean(values), abs=1e-12)
+        assert math.isnan(means[1])
         hist = classical_phase_histograms(ds)
         assert np.all(hist[1] == 0.0)
         assert np.allclose(np.delete(hist, 1, axis=0).sum(axis=1), 1.0)

@@ -249,13 +249,13 @@ class TestByteIdentity:
     format, the sampling order or the MI pipeline shows here."""
 
     NOISELESS_SHA256 = {
-        "quantum.csv": "cbec49c4c331e2101cae741c142f65641e620dacf24ff62c853d97616d19b8c5",
-        "classical.csv": "21b16beab453cc1e93b5d96375cda00b0b60c7a6c83ec9224c01e9c586b81f2f",
+        "quantum.csv": "2c9ee6af81eb93b23ee6ca914b49c9d97e127b617687fcdda2a903d1a8f528d0",
+        "classical.csv": "20b1270d84f69c9824b89b625afed34fa61b213975573f90a2a6903f4579ee6b",
     }
     DEVICE_SHA256 = {
-        "quantum.csv": "a4a44b91ef12010a189449235675cd1bb46207a184fdc852dd5ccfbba1ba278b",
+        "quantum.csv": "c48f468abf28d526d88da3ed0ef4c014bba43bf058e877e0b741f4950919accf",
     }
-    MI_CURVES_SHA256 = "64b4938fb46d84127b22fd02f8df2657eb1856b886cf4dfa42bb62cdcda56a15"
+    MI_CURVES_SHA256 = "3057c96ead4254471476cb80ce4e39d95e0e3bf662f2ad0ee5ce793964d7c719"
 
     def test_pinned_dataset_and_curve_bytes(self, tmp_path):
         small = ["--n-phases", "5", "--n-shots", "40", "--seed", "3"]
@@ -275,13 +275,13 @@ class TestByteIdentity:
 
     # The manifests hold the discard counters of each run.
     SWEEP_SHA256 = {
-        "quantum.csv": "2cf30707c6a666bac735016955e98d2a78df90fa7d5ae7f777edc9a65992b679",
-        "manifest.json": "f5bea7df3ffa40e83399f75e7e3b446b042c422de0a6bc75b99428bb45a1bf90",
+        "quantum.csv": "2c859d1a462d191d0bba1158818f19083bbfb78ecadcc3543afcce26a5ce725d",
+        "manifest.json": "f801c2ca2c5da5618782bc03c622a49b393cf31ea5000fbbe9a249930e75e4e2",
     }
     PROGRAMMING_ERROR_SHA256 = {
-        "quantum.csv": "30a2a038dc2882b302b60f7e440ffd1f07232552b3855f20d21d31f695a932aa",
-        "classical.csv": "78964d20c0df258473a563c04675ded8cf57573fb852f6a05a2d5e32c5aa7a26",
-        "manifest.json": "04e9d91588eb47b980dcffa390d0794f1679d0cdac3d45e6f64b961075ec15a3",
+        "quantum.csv": "546afdc117d573624c377aa8fb7857b4d43991d2a6029fd4cca28a5167b8d531",
+        "classical.csv": "751588619f677842d5157f9bcb86a4a17f584031ae063a96cfdcffc82612731a",
+        "manifest.json": "6eb13fbfdf1668e4e579b9920f30a32f2ea8bcec2c95f2589851c251c2ee4745",
     }
 
     def test_pinned_sweep_and_programming_error_bytes(self, tmp_path):
@@ -301,16 +301,16 @@ class TestByteIdentity:
     DAE_SHA256 = {
         "model_dae.json": "8078f8ebd87e2203f342e82808343ec542454fca00661509736606c451c4df4e",
         "loss_dae.csv": "b0b2be860622c9d35ed9687350e809f0ce29f75a40f9ace1798f4129a9e9c2a0",
-        "manifest.json": "082eacb8783b45828957d7883177eb5a7b11d5781d87b9779c2255e69b29bcaf",
+        "manifest.json": "bcc04130d18b404031edd50df1e0d518c88c12b38c94113e742fbc2129ed1b31",
     }
     ESTIMATOR_SHA256 = {
         "model_estimator.json": "2ff858bc1385c9ed381327ef0baad4809e4af8d3a38e7195c8b6453be7107247",
         "loss_estimator.csv": "55759c9ef7f57605212dc46571c3dbba0b996ac1c3563aacad701d6639f927a6",
-        "manifest.json": "74e3d267f7c12606e8d65d77954dc5784456daab2504fc7a15ef66d6aff51c9c",
+        "manifest.json": "ab0e4bf287235e6ee92cdf63849e7d284748ad9492f6f29cd85ab8e4bb140b50",
     }
     REPORT_SHA256 = {
-        "phase_comparison.csv": "805f8483455ea781652912bd4e10ca05ad2c8d86797d6a01598fa7458f95a553",
-        "mi_summary.json": "cada313711259eb8762fb29d5dda2831649468ce2770edb517c64a6b2287a585",
+        "phase_comparison.csv": "37c4637e6196275beef7c7d25ea6eb9478d3e0d8279742b1ea67ece51fd4f6b9",
+        "mi_summary.json": "604a1459e0ab05e67298d59e05e23b2c2176d4848b2d6404cb544933b9e6df6b",
     }
 
     def test_pinned_training_and_report_bytes(self, tmp_path):
@@ -491,6 +491,30 @@ class TestTrainAndReport:
         for row in lines[1:]:
             val = float(row.split(",")[2])
             assert 0.0 <= val <= np.pi + 1e-9
+
+    def test_empty_phase_has_no_estimate(self, small_run, models, tmp_path):
+        # Phase 3 keeps no row, as an attempt-cap shortfall can leave it.
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("quantum.csv", "classical.csv"):
+            lines = (small_run / name).read_text().splitlines(keepends=True)
+            (data / name).write_text("".join(l for l in lines if not l.startswith("3,")))
+        analysis, report = tmp_path / "analysis", tmp_path / "report"
+        assert run_cli(["analyze", "--out", analysis, "--quantum", data / "quantum.csv",
+                        "--classical", data / "classical.csv", "--seed", "7",
+                        "--set", "analysis.n_resamples=20"]) == 0
+        quantum_rows = (analysis / "phase_estimates_quantum.csv").read_text().splitlines()
+        classical_rows = (analysis / "phase_estimates_classical.csv").read_text().splitlines()
+        assert quantum_rows[1 + 3].endswith(",nan,nan")
+        assert classical_rows[1 + 3].endswith(",nan")
+        assert "nan" not in "".join(quantum_rows[1:4] + quantum_rows[5:])
+        assert run_cli(["report", "--out", report, "--quantum", data / "quantum.csv",
+                        "--classical", data / "classical.csv",
+                        "--estimator", models / "model_estimator.json", "--seed", "7"]) == 0
+        cells = (report / "phase_comparison.csv").read_text().splitlines()[1 + 3].split(",")
+        assert cells[1:3] == ["nan", "nan"]
+        summary = json.loads((report / "mi_summary.json").read_text())
+        assert np.isfinite(summary["raw_rmse_circular"])
 
     def test_estimator_needs_two_phases(self, models, tmp_path, capsys):
         data, out = tmp_path / "data", tmp_path / "report"

@@ -17,6 +17,7 @@ KEPT_UNREFERENCED = {
     "photonics.MultimodeState.norm_squared": "physics oracle: norm of the explicit oracle state",
     "analysis.wrap_difference": "test reference of ml.circular_errors",
     "linop.moduli_fidelity": "programming-quality measure reported by acceptance criterion 3",
+    "photonics.sample_survivors": "Monte Carlo cross-check of photonics.class_probabilities",
 }
 
 

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from conftest import distribution_dict, naive_permanent, random_gram, random_unitary
 from qadc import photonics
@@ -22,6 +24,7 @@ from qadc.photonics import (
     PhotonEnsemble,
     PostSelectionEmpty,
     SourceModel,
+    class_probabilities,
     ensemble_from_parts,
     full_output_distribution,
     g2_to_probs,
@@ -34,6 +37,7 @@ from qadc.photonics import (
     state_fidelity,
     uniform_gram,
 )
+from qadc.protocol import DEVICE_NOISE, NoiseConfig
 
 
 def balanced_splitter():
@@ -387,3 +391,43 @@ class TestSourceModel:
         mean = np.mean(counts)
         sigma = math.sqrt(4 * 0.5 * 0.5 / 1500)
         assert abs(mean - 2.0) < 3 * sigma
+
+    # (name, noise) pairs: each source model with its conditioning mode.
+    CLASS_SETTINGS = [
+        ("noiseless", NoiseConfig()),
+        ("device", DEVICE_NOISE),
+        ("unconditioned", NoiseConfig(
+            brightness=0.5, g2_two_photon=0.05, g2_four_photon=0.05, eta=0.6,
+            condition_on_emission=False,
+        )),
+        ("conditioned_loss", replace(DEVICE_NOISE, eta=0.7)),
+    ]
+
+    @pytest.mark.parametrize("noise", [n for _, n in CLASS_SETTINGS],
+                             ids=[name for name, _ in CLASS_SETTINGS])
+    @pytest.mark.parametrize("n_bins", [1, 2, 4])
+    def test_class_probabilities_match_sampled_keys(self, noise, n_bins):
+        """Exact key weights against `sample_survivors` key frequencies (3-sigma chi-square)."""
+        model, conditioned = noise.source_model(n_bins), noise.condition_on_emission
+        weights = class_probabilities(model, n_bins, conditioned)
+        assert weights.shape == (1 << (2 * n_bins),)
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        draws = 200_000
+        rng = np.random.default_rng(3141)
+        main, extra = sample_survivors(model, draws, n_bins, rng, conditioned)
+        place = 1 << np.arange(n_bins)
+        keys = main @ place + (extra @ place << n_bins)
+        counts = np.bincount(keys, minlength=len(weights))
+        expected = draws * weights
+        assert counts[weights == 0.0].sum() == 0
+        keep = expected >= 5.0
+        pooled = (weights > 0.0) & ~keep
+        obs, exp = counts[keep], expected[keep]
+        if pooled.any():  # cells expected below 5 are pooled into one
+            obs = np.append(obs, counts[pooled].sum())
+            exp = np.append(exp, expected[pooled].sum())
+        if len(obs) < 2:
+            assert obs.sum() == draws
+            return
+        stat = float(((obs - exp) ** 2 / exp).sum())
+        assert stat < chi2.ppf(1 - 0.0026998, df=len(obs) - 1)

@@ -8,7 +8,12 @@ import pytest
 from conftest import distribution_dict
 from qadc import protocol
 from qadc.linop import logical_rail_pairs
-from qadc.photonics import ensemble_from_parts, full_output_distribution
+from qadc.photonics import (
+    class_probabilities,
+    ensemble_from_parts,
+    full_output_distribution,
+    sample_survivors,
+)
 from qadc.protocol import (
     CLASSICAL_CSV_HEADER,
     QUANTUM_CSV_HEADER,
@@ -348,11 +353,31 @@ class TestNoiseChannels:
 
     def test_unconditioned_source_matches_brightness(self):
         noise = NoiseConfig(delta=1.0, brightness=0.5, condition_on_emission=False)
-        sim = StepSimulator(noise, seed=1)
-        rng = derive_rng(44, 0)
-        keys = sim.sample_class_keys(1, 40000, rng)
-        emitted = np.mean((keys & 1) > 0)
+        model = noise.source_model(1)
+        main, _ = sample_survivors(model, 40000, 1, derive_rng(44, 0))
+        emitted = np.mean(main[:, 0])
         assert abs(emitted - 0.5) < 0.01
+        # Keys 1 and 3 hold the surviving main photon of the one bin.
+        weights = class_probabilities(model, 1, conditioned=False)
+        assert abs(weights[[1, 3]].sum() - 0.5) <= 1e-15
+
+
+def class_accepted(sim, n, phi, flags, class_key):
+    """Accepted probability of each outcome code of one class, [2**n], built at ``phi``."""
+    ensemble = sim._class_ensemble(n, class_key)
+    if ensemble is None:
+        return np.zeros(1 << n)
+    return sim._accepted(n, phi, flags, ensemble)
+
+
+def direct_mixture(sim, n, phi, flags):
+    """Class mixture with every class built from the program at ``phi``, [2**n]."""
+    noise = sim.noise
+    weights = class_probabilities(noise.source_model(n), n, noise.condition_on_emission)
+    mixture = np.zeros(1 << n)
+    for class_key in np.flatnonzero(weights > 0.0).tolist():
+        mixture += weights[class_key] * class_accepted(sim, n, phi, flags, class_key)
+    return mixture
 
 
 def reference_step_distribution(sim, n, phi, flags, class_key):
@@ -393,14 +418,16 @@ def test_post_selection_equals_pattern_loop():
     for phi in 2 * math.pi * np.arange(3) / 3:
         for n in PROBE_SIZES:
             for flags in SWEEP_FLAGS[n]:
+                assert sim.distribution(n, phi, flags).outcomes.dtype == np.uint8
                 for class_key in range(1 << (2 * n)):
-                    dist = sim.direct_distribution(n, phi, flags, class_key)
+                    acc = class_accepted(sim, n, phi, flags, class_key)
+                    codes = np.flatnonzero(acc > 0.0)
                     outcomes, cum_probs = reference_step_distribution(
                         sim, n, phi, flags, class_key
                     )
-                    assert dist.outcomes.dtype == np.uint8
-                    assert np.array_equal(dist.outcomes, outcomes)
-                    assert np.array_equal(dist.cum_probs, cum_probs)
+                    bits = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1
+                    assert np.array_equal(bits, outcomes)
+                    assert np.array_equal(np.cumsum(acc[codes]), cum_probs)
 
 
 
@@ -419,21 +446,29 @@ class TestPhaseSeries:
     # Every 11th phase of the 99-point grid, and phases off every grid.
     PHASES = [*(2 * math.pi * np.arange(0, 99, 11) / 99), 0.1234, 2.5, 5.9]
 
-    @pytest.mark.parametrize("delta", [0.0, 0.5, 0.926, 1.0])
-    def test_series_equals_direct_builder(self, delta):
-        noise = NoiseConfig(
-            delta=delta, g2_two_photon=5e-3, g2_four_photon=5e-3, brightness=0.14
-        )
+    def check_mixture(self, noise):
         sim = StepSimulator(noise, seed=1)
         for n in PROBE_SIZES:
             for flags in SWEEP_FLAGS[n]:
-                for class_key in range(1 << (2 * n)):
-                    for phi in self.PHASES:
-                        got = dense_probabilities(sim.distribution(n, phi, flags, class_key), n)
-                        want = dense_probabilities(
-                            sim.direct_distribution(n, phi, flags, class_key), n
-                        )
-                        assert np.abs(got - want).max(initial=0.0) <= 1e-14
+                for phi in self.PHASES:
+                    got = dense_probabilities(sim.distribution(n, phi, flags), n)
+                    want = direct_mixture(sim, n, phi, flags)
+                    assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 0.926, 1.0])
+    def test_series_equals_direct_builder(self, delta):
+        self.check_mixture(
+            NoiseConfig(delta=delta, g2_two_photon=5e-3, g2_four_photon=5e-3, brightness=0.14)
+        )
+
+    def test_lost_main_photons_carry_weight(self):
+        # At eta < 1 the classes with a lost main photon enter the mixture.
+        noise = NoiseConfig(
+            delta=0.926, g2_two_photon=5e-3, g2_four_photon=5e-3, brightness=0.14, eta=0.9
+        )
+        weights = class_probabilities(noise.source_model(4), 4, conditioned=True)
+        assert weights[0b0111] > 0.0
+        self.check_mixture(noise)
 
     @pytest.mark.parametrize("n_phases", [9, 33])
     def test_builds_do_not_grow_with_the_grid(self, monkeypatch, n_phases):
@@ -458,11 +493,10 @@ class TestPhaseSeries:
         simulate_quantum_dataset(ProtocolConfig(n_phases=3, n_shots=20, noise=noise, seed=2))
         sim = StepSimulator(noise, seed=2)
         for phi in (0.0, 2.5):
-            for class_key in range(4):
-                dist = sim.distribution(1, phi, (0, 1, 0), class_key)
-                direct = sim.direct_distribution(1, phi, (0, 1, 0), class_key)
-                assert np.array_equal(dist.outcomes, direct.outcomes)
-                assert np.array_equal(dist.cum_probs, direct.cum_probs)
+            for n in PROBE_SIZES:
+                for flags in SWEEP_FLAGS[n]:
+                    want = np.cumsum(direct_mixture(sim, n, phi, flags))
+                    assert np.array_equal(sim.distribution(n, phi, flags).cum_probs, want)
 
 
 class TestDatasetFiles:

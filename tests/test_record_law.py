@@ -36,19 +36,6 @@ THREE_SIGMA_ALPHA = 0.0026998  # two-sided 3-sigma tail probability, as criterio
 LAW_SEED = 8128
 
 
-def class_weights(noise: NoiseConfig, n: int) -> np.ndarray:
-    """Probability of each main|extra survival key of n conditioned bins, [4**n]."""
-    model = noise.source_model(n)
-    eta = noise.eta
-    extra = model.p2 / (model.p1 + model.p2) * eta
-    table = np.outer([1.0 - eta, eta], [1.0 - extra, extra])
-    keys = np.arange(1 << (2 * n))
-    weights = np.ones(len(keys))
-    for k in range(n):
-        weights *= table[(keys >> k) & 1, (keys >> (n + k)) & 1]
-    return weights
-
-
 def dense_probabilities(dist, n):
     """Accepted probability of every outcome code of a StepDistribution, [2**n]."""
     out = np.zeros(1 << n)
@@ -60,11 +47,7 @@ def dense_probabilities(dist, n):
 
 def step_law(sim, n, phi, flags):
     """Accepted probability of each outcome code of one step, mixed over source classes."""
-    weights = class_weights(sim.noise, n)
-    out = np.zeros(1 << n)
-    for key in np.flatnonzero(weights > 0.0).tolist():
-        out += weights[key] * dense_probabilities(sim.distribution(n, phi, flags, key), n)
-    return out
+    return dense_probabilities(sim.distribution(n, phi, flags), n)
 
 
 def record_law(sim, phi):
