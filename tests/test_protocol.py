@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import distribution_dict
+from conftest import dense_probabilities, distribution_dict
 from qadc import protocol
 from qadc.linop import logical_rail_pairs
 from qadc.photonics import (
@@ -430,16 +430,6 @@ def test_post_selection_equals_pattern_loop():
                     assert np.array_equal(np.cumsum(acc[codes]), cum_probs)
 
 
-
-def dense_probabilities(dist, n):
-    """Accepted probability of every outcome code of a StepDistribution, [2**n]."""
-    out = np.zeros(1 << n)
-    out[dist.outcomes.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))] = np.diff(
-        dist.cum_probs, prepend=0.0
-    )
-    return out
-
-
 class TestPhaseSeries:
     """Without programming errors, distributions come from a Fourier series in phi."""
 
@@ -466,8 +456,9 @@ class TestPhaseSeries:
         noise = NoiseConfig(
             delta=0.926, g2_two_photon=5e-3, g2_four_photon=5e-3, brightness=0.14, eta=0.9
         )
+        # Mains of bins 0-2 and an extra photon in bin 0: four photons, accepted at times.
         weights = class_probabilities(noise.source_model(4), 4, conditioned=True)
-        assert weights[0b0111] > 0.0
+        assert weights[0b0001_0111] > 0.0
         self.check_mixture(noise)
 
     @pytest.mark.parametrize("n_phases", [9, 33])

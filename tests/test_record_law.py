@@ -16,6 +16,7 @@ import math
 import numpy as np
 from scipy.stats import chi2
 
+from conftest import dense_probabilities
 from qadc.analysis import (
     CondProbTable,
     bit_chain_probabilities,
@@ -34,15 +35,6 @@ from qadc.protocol import (
 
 THREE_SIGMA_ALPHA = 0.0026998  # two-sided 3-sigma tail probability, as criterion 4
 LAW_SEED = 8128
-
-
-def dense_probabilities(dist, n):
-    """Accepted probability of every outcome code of a StepDistribution, [2**n]."""
-    out = np.zeros(1 << n)
-    out[dist.outcomes.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))] = np.diff(
-        dist.cum_probs, prepend=0.0
-    )
-    return out
 
 
 def step_law(sim, n, phi, flags):
