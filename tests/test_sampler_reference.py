@@ -1,12 +1,13 @@
-"""The feed-forward sampler against the full-mask sampler it replaced.
+"""The feed-forward sampler against a full-mask sampler of the same law.
 
-The reference functions below are the earlier `StepSimulator.sample_class_keys`
-(with the earlier `photonics.sample_survivors` inlined), `sample_step`,
-`_quantum_chunk` and `_classical_chunk`.  They hold an array of -1 rows for
-every attempt and select each class and each feed-forward group by a mask of
-full length.  The shipped sampler touches only the accepted attempts; with the
-same generator state it must give the same bits, the same discard counts and
-leave the generator in the same state.
+The reference functions below draw from the same class-mixture distributions
+(`StepSimulator.distribution`) with one uniform per attempt, but hold an
+array of -1 rows for every attempt, pick each outcome code by counting the
+cumulative steps at or below its uniform, spell the code out bit by bit, and
+select each feed-forward group by a mask of full length.  The shipped sampler
+uses one `searchsorted`, the precomputed outcome rows and compacted survivor
+arrays; with the same generator state it must give the same bits, the same
+discard counts and leave the generator in the same state.
 """
 
 import math
@@ -28,40 +29,16 @@ from qadc.protocol import (
 )
 
 
-def reference_class_keys(sim, n, count, rng):
-    model = sim._sources[n]
-    if sim.noise.condition_on_emission:
-        p_all = model.emission_probability
-        doubled = rng.random((count, n)) < model.p2 / p_all
-        main_emitted = np.ones((count, n), dtype=bool)
-    else:
-        u = rng.random((count, n))
-        main_emitted = u >= model.p0
-        doubled = u >= model.p0 + model.p1
-    main_alive = main_emitted & (rng.random((count, n)) < model.eta)
-    extra_alive = doubled & (rng.random((count, n)) < model.eta)
-    weights = 1 << np.arange(n)
-    return (main_alive @ weights).astype(np.int64) | (
-        (extra_alive @ weights).astype(np.int64) << n
-    )
-
-
 def reference_sample_step(sim, n, phi, flags, count, rng):
     """``count`` outcomes; rows of -1 mark post-selection discards."""
     out = np.full((count, n), -1, dtype=np.int8)
-    if count == 0:
-        return out
-    keys = reference_class_keys(sim, n, count, rng)
+    cum_probs = sim.distribution(n, phi, flags).cum_probs
     draws = rng.random(count)
-    for key in np.unique(keys):
-        sel = keys == key
-        dist = sim.distribution(n, phi, flags, int(key))
-        if dist.outcomes.shape[0] == 0:
-            continue
-        idx = np.searchsorted(dist.cum_probs, draws[sel], side="right")
-        hit = idx < dist.outcomes.shape[0]
-        rows = np.where(sel)[0][hit]
-        out[rows] = dist.outcomes[idx[hit]]
+    codes = (cum_probs[None, :] <= draws[:, None]).sum(axis=1)
+    for i in range(count):
+        code = int(codes[i])
+        if code < len(cum_probs):
+            out[i] = [(code >> (n - 1 - q)) & 1 for q in range(n)]
     return out
 
 
@@ -114,8 +91,8 @@ def reference_classical_chunk(sim, phi, count, rng):
 NOISE = {
     "noiseless": NOISELESS,
     "device": DEVICE_NOISE,
-    # Lossy unconditioned bins with multiphoton emission: many classes per
-    # call, among them classes with too few photons to ever be accepted.
+    # Lossy unconditioned bins with multiphoton emission: many classes in
+    # each mixture, next to classes with too few photons to ever be accepted.
     "unconditioned": NoiseConfig(
         delta=0.926,
         g2_two_photon=0.05,
@@ -138,7 +115,6 @@ def same_state(rng, ref_rng):
 @pytest.mark.parametrize("name", NOISE)
 def test_sample_step_equals_reference(name):
     sim = StepSimulator(NOISE[name], seed=9)
-    classes_seen = set()
     for p, phi in enumerate(PHASES):
         for n in PROBE_SIZES:
             for f, flags in enumerate(SWEEP_FLAGS[n]):
@@ -151,11 +127,8 @@ def test_sample_step_equals_reference(name):
                     assert np.array_equal(rows, ok)
                     assert bits.dtype == np.int8 and bits.shape == (len(ok), n)
                     assert np.array_equal(bits, expected[ok])
-                classes_seen.update(
-                    np.unique(reference_class_keys(sim, n, 4096, derive_rng(9, p, n))).tolist()
-                )
     if name == "unconditioned":
-        assert len(classes_seen) > 50
+        assert sum(len(sim._classes[n]) for n in PROBE_SIZES) > 50
 
 
 @pytest.mark.parametrize("name", NOISE)
