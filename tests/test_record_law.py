@@ -31,6 +31,7 @@ from qadc.protocol import (
     ProtocolConfig,
     StepSimulator,
     simulate_quantum_dataset,
+    simulate_sweep_dataset,
 )
 
 THREE_SIGMA_ALPHA = 0.0026998  # two-sided 3-sigma tail probability, as criterion 4
@@ -84,6 +85,26 @@ def test_distinguishability_law_mi_matches_quadrature():
     assert abs(mi - quadrature_mi_quantum(delta)) <= 1e-6
 
 
+def assert_follows_law(counts, law, phase):
+    """Per-phase 3-sigma chi-square of sampled record counts against the law.
+
+    Cells of law < 1e-12 must be empty; cells expected below 5 are pooled
+    into one.
+    """
+    expected = counts.sum() * law / law.sum()
+    dead = law < 1e-12
+    assert counts[dead].sum() == 0
+    keep = ~dead & (expected >= 5.0)
+    pooled = ~dead & ~keep
+    obs, exp = counts[keep], expected[keep]
+    if pooled.any():
+        obs = np.append(obs, counts[pooled].sum())
+        exp = np.append(exp, expected[pooled].sum())
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    threshold = chi2.ppf(1 - THREE_SIGMA_ALPHA, df=len(obs) - 1)
+    assert stat < threshold, f"phase {phase}: chi2 {stat:.1f} > {threshold:.1f}"
+
+
 def test_device_noise_samples_follow_the_law():
     n_shots = 20000
     config = ProtocolConfig(n_phases=5, n_shots=n_shots, noise=DEVICE_NOISE, seed=LAW_SEED)
@@ -91,20 +112,25 @@ def test_device_noise_samples_follow_the_law():
     counts = table_from_quantum(ds).counts
     laws = law_table(DEVICE_NOISE, ds.phases)
     for i, law in enumerate(laws):
-        accept = law.sum()
-        expected = n_shots * law / accept
-        dead = law < 1e-12
-        assert counts[i, dead].sum() == 0
-        keep = ~dead & (expected >= 5.0)
-        pooled = ~dead & ~keep
-        obs, exp = counts[i, keep], expected[keep]
-        if pooled.any():  # cells expected below 5 are pooled into one
-            obs = np.append(obs, counts[i, pooled].sum())
-            exp = np.append(exp, expected[pooled].sum())
-        stat = float(((obs - exp) ** 2 / exp).sum())
-        threshold = chi2.ppf(1 - THREE_SIGMA_ALPHA, df=len(obs) - 1)
-        assert stat < threshold, f"phase {i}: chi2 {stat:.1f} > {threshold:.1f}"
+        assert counts[i].sum() == n_shots
+        assert_follows_law(counts[i], law, i)
         # Acceptance: n_shots successes in the attempts up to the last kept one.
+        accept = law.sum()
         attempts = int(ds.shot_index[ds.phase_index == i][-1]) + 1
         z = (n_shots - attempts * accept) / math.sqrt(attempts * accept * (1 - accept))
         assert abs(z) < 4.0, f"phase {i}: acceptance z {z:.2f}"
+
+
+def test_device_noise_sweep_records_follow_the_law():
+    # sigma_z sits just before the Hadamard layer, so a dialed sigma_z is an
+    # exact outcome flip under any source noise and the parity-filtered,
+    # matched sweep records follow the feed-forward law.  Attempts count
+    # something else in the sweep, so acceptance is not checked.
+    n_shots = 20000
+    config = ProtocolConfig(n_phases=5, n_shots=n_shots, noise=DEVICE_NOISE, seed=LAW_SEED)
+    ds = simulate_sweep_dataset(config)
+    counts = table_from_quantum(ds).counts
+    laws = law_table(DEVICE_NOISE, ds.phases)
+    for i, law in enumerate(laws):
+        assert counts[i].sum() == n_shots
+        assert_follows_law(counts[i], law, i)
