@@ -189,7 +189,7 @@ def g2_to_probs(g2: float, brightness: float) -> tuple[float, float, float]:
     """Map measured (g2, brightness) to per-bin probabilities (p0, p1, p2).
 
     Model: brightness B = p1 + p2 (probability of a non-empty bin) and
-    g2 = 2 p2 / (p1 + 2 p2)^2, solved numerically for p2.  Valid for small
+    g2 = 2 p2 / (p1 + 2 p2)^2, solved in closed form for p2.  Valid for small
     g2 only (guarded below 0.1); (p0, p1, p2) may also be supplied directly
     to bypass this mapping.
     """
@@ -200,68 +200,13 @@ def g2_to_probs(g2: float, brightness: float) -> tuple[float, float, float]:
     if g2 == 0.0:
         return (1.0 - brightness, brightness, 0.0)
 
-    def f(p2):
-        return 2.0 * p2 / (brightness + p2) ** 2 - g2
-
-    if f(brightness) < 0.0:
+    # p2 is the smaller root of g2 (B + p2)^2 = 2 p2, written without cancellation.
+    h = 1.0 - g2 * brightness
+    disc = h * h - (g2 * brightness) ** 2
+    if disc < 0.0:
         raise ModelError(f"no solution for g2 = {g2} at brightness {brightness}")
-    p2 = _brentq(f, 0.0, brightness, xtol=1e-16, rtol=1e-14)
-    p1 = brightness - p2
-    p0 = 1.0 - brightness
-    if not (0.0 <= p2 <= 1.0 and 0.0 <= p1 <= 1.0):
-        raise ModelError("solved probabilities left [0, 1]")
-    return (p0, p1, p2)
-
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """Root of ``f`` in [xa, xb] by Brent's method, step for step as scipy's brentq.
-
-    A port of ``scipy/optimize/Zeros/brentq.c``, Copyright (c) 2001-2002
-    Enthought, Inc. 2003, SciPy Developers, under the BSD-3-Clause license
-    in ``LICENSES/scipy.txt``.  The root is bit-equal to
-    ``scipy.optimize.brentq``; importing scipy instead would take about half
-    a second of every run with g2 > 0.
-    """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ModelError("root is not bracketed")
-    for _ in range(100):  # scipy's default maxiter
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise ModelError("root not converged in 100 iterations")
+    p2 = g2 * brightness**2 / (h + math.sqrt(disc))
+    return (1.0 - brightness, brightness - p2, p2)
 
 
 def sample_survivors(

@@ -5,14 +5,18 @@ feed-forward: the informative bit of each stage selects the dialed inverse
 rotations of the next.  The alternative acquisition mode runs every control
 configuration independently and reassembles valid 7-bit strings afterwards
 (`simulate_sweep_dataset`, matching in `_match_arrays`), mirroring how a
-post-selected platform implements feed-forward.
+post-selected platform implements feed-forward.  Each sweep chunk runs a block
+of 4-photon attempts and sizes the 2- and 1-photon draws from the exact
+acceptances, so that the three pools it matches are expected to be equally
+long.
 
-Repetitions are simulated as arrays of attempts (`_quantum_chunk`,
-`_classical_chunk`), drawn from exact outcome distributions per (experiment,
-phase, control flags).  Each is the mixture over the source realization
-classes (which photons survive, which bins add a second photon), weighted by
-their exact probabilities, so an attempt costs one uniform and one
-``searchsorted``: the source class is summed over, never drawn.  The
+All strategies run through one per-phase loop (`_acquire`) on arrays of
+attempts (`_quantum_chunk`, `_sweep_chunk`, `_classical_chunk`), drawn from
+exact outcome distributions per (experiment, phase, control flags).  Each is
+the mixture over the source realization classes (which photons survive, which
+bins add a second photon), weighted by their exact probabilities, so an
+attempt costs one uniform and one ``searchsorted``: the source class is
+summed over, never drawn.  The
 distributions are memoized, so sampling large shot counts is cheap; the memo
 behaves as a pure cache.  `StepSimulator.sample_step` returns only the
 attempts that post-selection accepts, as ascending attempt indices and their
@@ -69,7 +73,6 @@ CLASSICAL_CSV_HEADER = "phase_index,phase_rad,shot_index,c6,c5,c4,c3,c2,c1,c0"
 _STREAM_QUANTUM = 1
 _STREAM_CLASSICAL = 2
 _STREAM_SWEEP = 3
-_STREAM_MATCH = 4
 _STREAM_PERTURB = 5
 
 #: Dialed control-flag combinations per experiment in the configuration sweep,
@@ -161,15 +164,14 @@ class ProtocolConfig:
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     seed: int = 0
     max_attempt_factor: int = 400
-    sweep_rep_factor: int = 80
 
     def __post_init__(self):
         if self.n_phases < 1:
             raise ValueError("need at least one phase")
         if self.n_shots < 1:
             raise ValueError("need at least one shot")
-        if self.max_attempt_factor < 1 or self.sweep_rep_factor < 1:
-            raise ValueError("attempt factors must be positive")
+        if self.max_attempt_factor < 1:
+            raise ValueError("max_attempt_factor must be positive")
 
     def phases(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.n_phases) / self.n_phases
@@ -370,7 +372,9 @@ class QuantumDataset:
     n_phases: int
     phases: np.ndarray
     phase_index: np.ndarray  # [n_records]
-    shot_index: np.ndarray  # attempt index; gaps are discarded repetitions
+    # Feed-forward: the attempt index; gaps are discarded repetitions.  Sweep:
+    # the 4-photon attempts of earlier chunks plus the rank among its chunk's matches.
+    shot_index: np.ndarray  # [n_records]
     m: np.ndarray  # [n_records, 7] bits m6..m0
     stats: dict = field(default_factory=dict)
 
@@ -434,40 +438,15 @@ def _quantum_chunk(
     return m, stats
 
 
-def _assemble(
-    cls, config: ProtocolConfig, counts, shots, rows, stats, label: str, shortfall: str
-):
-    """Build a dataset from per-phase row counts and shot-index/bit-row chunks.
-
-    Phases left with fewer than n_shots rows go to ``stats["short_phases"]``
-    with a warning; a dataset without any row raises PostSelectionEmpty.  Both
-    messages start with ``label``, the strategy that produced the rows.
-    """
-    if not sum(counts):
-        raise PostSelectionEmpty(
-            f"{label}: no valid repetitions at any of the {config.n_phases} phases"
-        )
-    short_phases = [p for p, have in enumerate(counts) if have < config.n_shots]
-    if short_phases:
-        warnings.warn(f"{label}: {shortfall} at {len(short_phases)} phases")
-        stats["short_phases"] = short_phases
-    return cls(
-        config.n_phases,
-        config.phases(),
-        np.repeat(np.arange(config.n_phases, dtype=np.int64), counts),
-        np.concatenate(shots).astype(np.int64, copy=False),
-        np.concatenate(rows),
-        stats,
-    )
-
-
 def _acquire(cls, config: ProtocolConfig, stream: int, chunk, label: str):
-    """Per-phase acquisition loop shared by the quantum and classical strategies.
+    """Per-phase acquisition loop shared by every strategy.
 
     Each phase draws from its own ``derive_rng(seed, stream, phase)`` stream
     and calls ``chunk(sim, phi, count, rng) -> (rows, stats)`` on at most 4096
     attempts at a time (rows of -1 are discards), keeping valid rows until
-    n_shots or the cap of ``max_attempt_factor * n_shots`` attempts.
+    n_shots or the cap of ``max_attempt_factor * n_shots`` attempts.  Phases
+    left short go to ``stats["short_phases"]`` with a warning; a run without
+    any row raises PostSelectionEmpty.  Both messages start with ``label``.
     """
     sim = StepSimulator(config.noise, config.seed)
     cap = config.n_shots * config.max_attempt_factor
@@ -489,8 +468,23 @@ def _acquire(cls, config: ProtocolConfig, stream: int, chunk, label: str):
         stats["attempts"] += attempts
         stats["valid"] += have
         counts.append(have)
-    return _assemble(
-        cls, config, counts, shots, rows, stats, label, "attempt cap reached before n_shots"
+    if not stats["valid"]:
+        raise PostSelectionEmpty(
+            f"{label}: no valid repetitions at any of the {config.n_phases} phases"
+        )
+    short_phases = [p for p, have in enumerate(counts) if have < config.n_shots]
+    if short_phases:
+        warnings.warn(
+            f"{label}: attempt cap reached before n_shots at {len(short_phases)} phases"
+        )
+        stats["short_phases"] = short_phases
+    return cls(
+        config.n_phases,
+        config.phases(),
+        np.repeat(np.arange(config.n_phases, dtype=np.int64), counts),
+        np.concatenate(shots).astype(np.int64, copy=False),
+        np.concatenate(rows),
+        stats,
     )
 
 
@@ -547,44 +541,44 @@ def _match_arrays(
     return m
 
 
+def _sweep_chunk(
+    sim: StepSimulator, phi: float, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, dict]:
+    """Run the 10 sweep configurations and match their outcomes into records.
+
+    The two 4-photon configurations share ``count`` attempts.  Every 2- and
+    1-photon configuration then runs one common number of attempts, sized
+    from the exact acceptances so that each experiment's parity-filtered pool
+    is expected to be as long as the 4-photon one; equal counts within an
+    experiment keep the matched records on the feed-forward law.  The
+    records fill the first rows; the other rows are -1.
+    """
+
+    def accepted(n, flags):
+        return float(sim.distribution(n, phi, flags).cum_probs[-1])
+
+    reps = {4: (count // 2, count - count // 2)}
+    pool = sum(r * accepted(4, f) for r, f in zip(reps[4], SWEEP_FLAGS[4])) / 2
+    for n, kept in ((2, 0.5), (1, 1.0)):  # parity filters keep half; none at n = 1
+        rate = kept * sum(accepted(n, f) for f in SWEEP_FLAGS[n])
+        reps[n] = [math.ceil(pool / rate) if rate > 0 else 0] * len(SWEEP_FLAGS[n])
+    pools = []
+    for n in PROBE_SIZES:
+        bits, flags = [], []
+        for r, f in zip(reps[n], SWEEP_FLAGS[n]):
+            _, b = sim.sample_step(n, phi, f, r, rng)
+            bits.append(b)
+            flags.append(np.tile(np.asarray(f, dtype=np.int8), (len(b), 1)))
+        pools += [np.concatenate(bits), np.concatenate(flags)]
+    m = _match_arrays(*pools, rng=rng)
+    out = np.full((count, 7), -1, dtype=np.int8)
+    out[: len(m)] = m
+    return out, {}
+
+
 def simulate_sweep_dataset(config: ProtocolConfig) -> QuantumDataset:
     """Dataset via the configuration sweep plus matching post-processing."""
-    sim = StepSimulator(config.noise, config.seed)
-    stats = {"repetitions": 0, "matched": 0}
-    reps = config.n_shots * config.sweep_rep_factor
-    counts, shots, rows = [], [], []
-    for p_idx, phi in enumerate(config.phases()):
-        rng = derive_rng(config.seed, _STREAM_SWEEP, p_idx)
-        pools = {}
-        for n in PROBE_SIZES:
-            bit_list, flag_list = [], []
-            for flags in SWEEP_FLAGS[n]:
-                _, bits = sim.sample_step(n, float(phi), flags, reps, rng)
-                bit_list.append(bits)
-                flag_list.append(np.tile(np.asarray(flags, dtype=np.int8), (len(bits), 1)))
-            pools[n] = (
-                np.concatenate(bit_list, axis=0),
-                np.concatenate(flag_list, axis=0),
-            )
-        match_rng = derive_rng(config.seed, _STREAM_MATCH, p_idx)
-        m = _match_arrays(
-            *pools[4], *pools[2], *pools[1], rng=match_rng
-        )[: config.n_shots]
-        counts.append(len(m))
-        shots.append(np.arange(len(m)))
-        rows.append(m)
-        stats["repetitions"] += reps
-        stats["matched"] += len(m)
-    return _assemble(
-        QuantumDataset,
-        config,
-        counts,
-        shots,
-        rows,
-        stats,
-        "sweep",
-        "fewer than n_shots matched records",
-    )
+    return _acquire(QuantumDataset, config, _STREAM_SWEEP, _sweep_chunk, "sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +727,22 @@ def _load_columns(path, header: str, n_cols: int):
     return tuple(table[name] for name, *_ in dtype)
 
 
+def _grid_size(seen: np.ndarray, values: np.ndarray) -> int:
+    """Size N of the grid 2 pi i / N holding phase ``values`` at ascending indices ``seen``.
+
+    N is read off the largest index and must place every value; it exceeds
+    that index + 1 when trailing phases have no rows, but at most twice.
+    Values that fit no such grid give the largest index + 1.
+    """
+    top, rad = int(seen[-1]), float(values[-1])
+    ratio = 2.0 * math.pi * top / rad if rad > 0.0 else 0.0
+    if not top + 0.5 <= ratio < 2 * top + 2.5:
+        return top + 1
+    n = round(ratio)
+    on_grid = np.allclose(values, 2.0 * math.pi * seen / n, rtol=1e-9, atol=1e-12)
+    return n if on_grid else top + 1
+
+
 def _parse_dataset(path, header, bit_cols):
     try:
         columns = _load_columns(path, header, 3 + bit_cols)
@@ -749,11 +759,12 @@ def _parse_dataset(path, header, bit_cols):
         raise DatasetError(f"{path}: bit columns must be 0/1")
     if phase_index.min() < 0:
         raise DatasetError(f"{path}: phase_index must be non-negative")
-    n_phases = int(phase_index.max()) + 1
-    phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
     # The last row of each phase index sets its phase value.
     seen, last = np.unique(phase_index[::-1], return_index=True)
-    phases[seen] = phase_rad[::-1][last]
+    values = phase_rad[::-1][last]
+    n_phases = _grid_size(seen, values)
+    phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
+    phases[seen] = values
     return (
         n_phases,
         phases,

@@ -98,7 +98,7 @@ class TestSimulate:
             == 0
         )
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["discard_stats"]["quantum"]["matched"] == 4 * 20
+        assert manifest["discard_stats"]["quantum"]["valid"] == 4 * 20
 
     @pytest.mark.parametrize("strategy", ["quantum", "classical"])
     def test_run_without_valid_repetitions_fails(self, tmp_path, capsys, strategy):
@@ -275,8 +275,8 @@ class TestByteIdentity:
 
     # The manifests hold the discard counters of each run.
     SWEEP_SHA256 = {
-        "quantum.csv": "2c859d1a462d191d0bba1158818f19083bbfb78ecadcc3543afcce26a5ce725d",
-        "manifest.json": "f801c2ca2c5da5618782bc03c622a49b393cf31ea5000fbbe9a249930e75e4e2",
+        "quantum.csv": "b397e770755da548ed6bcc80008a3f2902a61c849143318203c8045beb5e07c0",
+        "manifest.json": "f7c702adae23d2a06de36664a812826fec085548a2dba1c1830960e4e9b0685b",
     }
     PROGRAMMING_ERROR_SHA256 = {
         "quantum.csv": "546afdc117d573624c377aa8fb7857b4d43991d2a6029fd4cca28a5167b8d531",
@@ -295,6 +295,8 @@ class TestByteIdentity:
         for out, pinned in ((sweep, self.SWEEP_SHA256),
                             (programming, self.PROGRAMMING_ERROR_SHA256)):
             assert {name: sha256(out / name) for name in pinned} == pinned
+        sweep_stats = json.loads((sweep / "manifest.json").read_text())["discard_stats"]
+        assert "short_phases" not in sweep_stats["quantum"]
 
     # Training sums in BLAS matrix products, so these pins also assume the
     # numpy/BLAS build they were recorded with.
@@ -366,6 +368,24 @@ class TestAnalyze:
         hist = (out / "histogram_quantum.csv").read_text().splitlines()
         assert hist[0] == "phase_index,bin_center_rad,frequency"
         assert len(hist) == 1 + 12 * 8
+
+    def test_phases_without_rows_keep_their_grid(self, tmp_path):
+        # Phases 3 and 5 of a 6-phase file keep no row, the last one included.
+        data, out = tmp_path / "data", tmp_path / "analysis"
+        assert run_cli(["simulate", "--out", data, "--noiseless", "--strategy", "quantum",
+                        "--n-phases", "6", "--n-shots", "40", "--seed", "5"]) == 0
+        path = data / "quantum.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith(("3,", "5,"))))
+        assert run_cli(["analyze", "--out", out, "--quantum", path, "--seed", "7",
+                        "--set", "analysis.n_resamples=20"]) == 0
+        rows = [r.split(",") for r in
+                (out / "phase_estimates_quantum.csv").read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(6))
+        assert float(rows[3][1]) == pytest.approx(np.pi, rel=1e-11)
+        assert float(rows[5][1]) == pytest.approx(5 * np.pi / 3, rel=1e-11)
+        assert rows[3][2:] == rows[5][2:] == ["nan", "nan"]
+        assert "nan" not in str([rows[i] for i in (0, 1, 2, 4)])
 
     def test_quantum_asymptote_exceeds_classical(self, small_run, tmp_path):
         out = tmp_path / "analysis"

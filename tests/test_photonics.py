@@ -350,7 +350,7 @@ class TestSourceModel:
         with pytest.raises(ModelError):
             g2_to_probs(0.2, 0.14)
 
-    def test_g2_root_bit_equal_to_scipy_brentq(self):
+    def test_g2_closed_form_root_solves_the_model(self):
         from scipy.optimize import brentq
 
         rng = np.random.default_rng(12)
@@ -359,12 +359,13 @@ class TestSourceModel:
         pairs += zip(10 ** rng.uniform(-9, -1, 1000), 10 ** rng.uniform(-6, 0, 1000))
         for g2, b in pairs:
             g2, b = float(g2), float(b)
-
-            def f(p2):
-                return 2.0 * p2 / (b + p2) ** 2 - g2
-
-            p2 = brentq(f, 0.0, b, xtol=1e-16, rtol=1e-14)
-            assert g2_to_probs(g2, b) == (1.0 - b, b - p2, p2), (g2, b)
+            p0, p1, p2 = g2_to_probs(g2, b)
+            assert (p0, p1) == (1.0 - b, b - p2), (g2, b)
+            # Relative residual of the quadratic g2 (B + p2)^2 = 2 p2.
+            assert abs(g2 * (b + p2) ** 2 - 2.0 * p2) <= 2e-15 * 2.0 * p2, (g2, b)
+            xtol, rtol = 1e-16, 1e-14
+            root = brentq(lambda x: 2.0 * x / (b + x) ** 2 - g2, 0.0, b, xtol=xtol, rtol=rtol)
+            assert abs(p2 - root) <= xtol + rtol * p2, (g2, b)
 
     def test_sample_source_ideal(self, rng):
         model = SourceModel(0.0, 1.0, 0.0, eta=1.0)

@@ -514,6 +514,24 @@ class TestDatasetFiles:
         assert idx.max() > 99  # discards leave gaps in the attempt numbering
         assert len(np.unique(idx)) == len(idx)
 
+    @pytest.mark.parametrize(
+        "edit, n_phases",
+        [
+            ({}, 3),  # phase 2 has no row; phase 1 at 2 pi / 3 fixes the 3-phase grid
+            ({1: "1e-300"}, 2),  # a tiny phase must not put the grid far beyond the rows
+            ({0: "0.5"}, 2),  # phase 0 fits no grid 2 pi i / N
+        ],
+    )
+    def test_grid_size_from_phase_values(self, tmp_path, edit, n_phases):
+        path = tmp_path / "q.csv"
+        write_quantum_csv(simulate_quantum_dataset(noiseless_config(n_phases=3, n_shots=5)), path)
+        header, *lines = path.read_text().splitlines(keepends=True)
+        rows = [line.split(",", 2) for line in lines if not line.startswith("2,")]
+        path.write_text(header + "".join(
+            f"{p},{edit.get(int(p), rad)},{rest}" for p, rad, rest in rows
+        ))
+        assert read_quantum_csv(path).n_phases == n_phases
+
     def test_malformed_csv_reports_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         ds = simulate_quantum_dataset(noiseless_config(n_phases=1, n_shots=5))
