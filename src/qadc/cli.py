@@ -171,8 +171,6 @@ CONFIG_FIELDS = (
     Field("analysis.n_curve_points", 12, POSITIVE_INT, "log-spaced prefix sizes of the MI curve"),
     Field("analysis.n_resamples", 100, Domain(int, "an integer of at least 2", lambda v: v >= 2),
           "bootstrap replicates for MI error bars"),
-    Field("analysis.resources_per_shot", 7, POSITIVE_INT,
-          "qubit resources per repetition (2^t - 1 = 7)"),
     *_training_fields("dae", "denoising autoencoder"),
     Field("ml.dae.d_in", analysis.M_OUTCOMES,
           _one_of(int, (analysis.B_OUTCOMES, analysis.M_OUTCOMES)),
@@ -439,7 +437,7 @@ def cmd_analyze(args) -> int:
         max_shots = max(max_shots, int(tables["classical"].n_shots_effective.max()))
 
     points = _curve_points(max_shots, acfg["n_curve_points"])
-    bound_sql = analysis.reference_bounds(acfg["resources_per_shot"])[0]
+    bound_sql = analysis.reference_bounds(analysis.RESOURCES_PER_SHOT)[0]
     bound_classical = analysis.quadrature_mi_classical()
     bound_quantum = analysis.quadrature_mi_quantum()
 

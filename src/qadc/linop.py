@@ -27,7 +27,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-UNITARITY_TOL = 1e-10
 PERMANENT_SIZE_LIMIT = 12
 
 #: Spatial modes feeding each experiment (one photon source channel each).

@@ -11,25 +11,25 @@ acceptances, so that the three pools it matches are expected to be equally
 long.
 
 All strategies run through one per-phase loop (`_acquire`) on arrays of
-attempts (`_quantum_chunk`, `_sweep_chunk`, `_classical_chunk`), drawn from
-exact outcome distributions per (experiment, phase, control flags).  Each is
+attempts (`_quantum_chunk`, `_sweep_chunk`, `_classical_chunk`).  Each chunk
+returns only what it keeps: the attempt indices in ascending order and their
+record rows, as `StepSimulator.sample_step` does for one step, and each
+feed-forward stage runs on the survivors of the stage before.  Outcomes are
+drawn from exact distributions per (experiment, phase, control flags), each
 the mixture over the source realization classes (which photons survive, which
-bins add a second photon), weighted by their exact probabilities, so an
+bins add a second photon) weighted by their exact probabilities, so an
 attempt costs one uniform and one ``searchsorted``: the source class is
-summed over, never drawn.  The
-distributions are memoized, so sampling large shot counts is cheap; the memo
-behaves as a pure cache.  `StepSimulator.sample_step` returns only the
-attempts that post-selection accepts, as ascending attempt indices and their
-bits, and each feed-forward stage runs on the survivors of the stage before.
+summed over, never drawn.  The distributions are memoized, so sampling large
+shot counts is cheap; the memo behaves as a pure cache.
 
 The phase enters only as ``e^{i phi}`` on each logical-|1> rail, so with k
 photons in a class every accepted-outcome probability is a trigonometric
 polynomial of degree <= k in phi (double-permutation formula).  Without
-programming errors each (experiment, flags, class) is therefore built exactly
-at 2k + 1 equispaced nodes once, its Fourier coefficients are added with the
-class weight into one mixed series per (experiment, flags), and that series is
-evaluated at any phase; with programming errors every phase has its own
-perturbed program and every class is built directly.
+programming errors the class mixture of each (experiment, flags) is therefore
+built exactly at 2k + 1 equispaced nodes once, k the largest photon count of
+its classes, and one DFT turns it into a series evaluated at any phase; with
+programming errors every phase has its own perturbed program and the mixture
+is built there directly.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from qadc.photonics import (
 )
 
 PROBE_SIZES = (4, 2, 1)
-N_PROBE_GROUPS = 3
 CLASSICAL_QUBITS = 7  # 2**t - 1 with t = 3
 _B_POSITIONS = [6, 5, 3]  # columns of m (m6..m0) that hold (b1, b2, b3)
 
@@ -177,17 +176,15 @@ class ProtocolConfig:
         return 2.0 * math.pi * np.arange(self.n_phases) / self.n_phases
 
 
-@dataclass(frozen=True)
-class StepDistribution:
-    """Exact accepted-outcome distribution of one experiment configuration."""
-
-    outcomes: np.ndarray  # [2**n_qubits, n_qubits] uint8 logical bits of every code
-    cum_probs: np.ndarray  # [2**n_qubits] cumulative accepted probability
-
-
 def _place(n: int) -> np.ndarray:
     """Bit weight of each qubit in an outcome code, qubit 0 the highest."""
     return 1 << np.arange(n - 1, -1, -1)
+
+
+#: [2**n, n] int8 logical bits of every outcome code of an n-qubit step.
+_OUTCOME_BITS = {
+    n: ((np.arange(1 << n)[:, None] & _place(n)) > 0).astype(np.int8) for n in PROBE_SIZES
+}
 
 
 class StepSimulator:
@@ -200,18 +197,17 @@ class StepSimulator:
     The source realization of an attempt is a class: which main photons
     survive and which bins add a surviving second photon.  A step's
     distribution is the class mixture ``sum_class w * P(outcome, accepted |
-    class)`` with the weights of `class_probabilities`, memoized per (n, phase
-    bits, flags).  Without programming errors a miss evaluates one mixed
-    Fourier series per (n, flags), the weighted sum of every class's series,
-    each built once from `_accepted` at 2k + 1 nodes; with them every class is
-    built at the phase.  Classes that can never be accepted are left out, so
-    their weight is discarded with the other rejected attempts.
+    class)`` with the weights of `class_probabilities`, summed in `_mixture`
+    and memoized per (n, phase bits, flags).  Without programming errors a
+    miss evaluates the mixture's Fourier series per (n, flags), built once
+    from `_mixture` at 2k + 1 nodes; with them the mixture is built at the
+    phase.  Classes that can never be accepted are left out, so their weight
+    is discarded with the other rejected attempts.
     """
 
     def __init__(self, noise: NoiseConfig, seed: int):
         self.noise = noise
         self.seed = seed
-        self._programs: dict = {}
         self._dists: dict = {}
         self._series: dict = {}
         self._perturbed = noise.sigma_theta > 0 or noise.sigma_phi > 0
@@ -220,26 +216,21 @@ class StepSimulator:
     # -- programs -----------------------------------------------------------
 
     def unitary(self, n: int, phi: float, flags: tuple[int, int, int]) -> np.ndarray:
-        key = (n, _float_key(phi), flags)
-        if key not in self._programs:
-            program = build_step_program(
-                "full",
-                n,
-                phi,
-                sigma_z=bool(flags[0]),
-                r2=bool(flags[1]),
-                r3=bool(flags[2]),
+        program = build_step_program(
+            "full",
+            n,
+            phi,
+            sigma_z=bool(flags[0]),
+            r2=bool(flags[1]),
+            r3=bool(flags[2]),
+        )
+        if self._perturbed:
+            flag_code = flags[0] * 4 + flags[1] * 2 + flags[2]
+            rng = derive_rng(self.seed, _STREAM_PERTURB, n, flag_code, *_float_key(phi))
+            program = perturb_program(
+                program, self.noise.sigma_theta, self.noise.sigma_phi, rng
             )
-            if self._perturbed:
-                flag_code = flags[0] * 4 + flags[1] * 2 + flags[2]
-                rng = derive_rng(
-                    self.seed, _STREAM_PERTURB, n, flag_code, *_float_key(phi)
-                )
-                program = perturb_program(
-                    program, self.noise.sigma_theta, self.noise.sigma_phi, rng
-                )
-            self._programs[key] = mesh_unitary(program)
-        return self._programs[key]
+        return mesh_unitary(program)
 
     # -- source realization classes ------------------------------------------
 
@@ -269,32 +260,25 @@ class StepSimulator:
 
     # -- distributions --------------------------------------------------------
 
-    def distribution(self, n: int, phi: float, flags: tuple[int, int, int]) -> StepDistribution:
-        """Class-mixture accepted distribution over all 2**n outcome codes at ``phi``.
+    def distribution(self, n: int, phi: float, flags: tuple[int, int, int]) -> np.ndarray:
+        """Cumulative class-mixture accepted probability over the 2**n outcome codes at ``phi``.
 
-        Roundoff negatives of the mixed series are clipped to 0; a code of
-        probability 0 leaves a zero-width step in ``cum_probs``, which
-        ``searchsorted(..., side="right")`` never picks.
+        The last entry is the acceptance.  Roundoff negatives of the series
+        are clipped to 0; a code of probability 0 leaves a zero-width step,
+        which ``searchsorted(..., side="right")`` never picks.
         """
         key = (n, _float_key(phi), flags)
         if key not in self._dists:
             if self._perturbed:
-                probs = np.zeros(1 << n)
-                for weight, ensemble in self._classes[n]:
-                    probs += weight * self._accepted(n, phi, flags, ensemble)
+                probs = self._mixture(n, self.unitary(n, phi, flags))
             else:
                 coef = self._mixed_series(n, flags)
                 probs = (np.exp(1j * np.arange(len(coef)) * phi) @ coef).real
-            outcomes = ((np.arange(1 << n)[:, None] & _place(n)) > 0).astype(np.uint8)
-            cum_probs = np.cumsum(np.where(probs < 0.0, 0.0, probs))
-            self._dists[key] = StepDistribution(outcomes, cum_probs)
+            self._dists[key] = np.cumsum(np.where(probs < 0.0, 0.0, probs))
         return self._dists[key]
 
-    def _accepted(
-        self, n: int, phi: float, flags: tuple[int, int, int], ensemble: PhotonEnsemble
-    ) -> np.ndarray:
+    def _accepted(self, n: int, u: np.ndarray, ensemble: PhotonEnsemble) -> np.ndarray:
         """Accepted probability of every outcome code (qubit 0 the high bit), [2**n]."""
-        u = self.unitary(n, phi, flags)
         counts, probs = full_output_distribution(u, ensemble)
         # Accepted: no photon off the rails and exactly one occupied rail per
         # pair; the bit is set when that rail is the pair's second.
@@ -309,34 +293,34 @@ class StepSimulator:
             hit[accepted][:, rail1] @ _place(n), weights=probs[accepted], minlength=1 << n
         )
 
+    def _mixture(self, n: int, u: np.ndarray) -> np.ndarray:
+        """Class mixture of `_accepted` under the step unitary ``u``, [2**n]."""
+        probs = np.zeros(1 << n)
+        for weight, ensemble in self._classes[n]:
+            probs += weight * self._accepted(n, u, ensemble)
+        return probs
+
     def _mixed_series(self, n: int, flags: tuple[int, int, int]) -> np.ndarray:
-        """One-sided Fourier coefficients of the class mixture, [n + _MAX_EXTRAS + 1, 2**n]."""
+        """One-sided Fourier coefficients c_0..c_k of the class mixture, [k + 1, 2**n].
+
+        With at most k photons in a class every accepted probability is a
+        trigonometric polynomial of degree <= k in phi, so the mixture's
+        values at 2k + 1 equispaced nodes fix it.  Without classes k is 0.
+        """
         key = (n, flags)
         if key not in self._series:
-            coef = np.zeros((n + _MAX_EXTRAS + 1, 1 << n), dtype=complex)
-            for weight, ensemble in self._classes[n]:
-                series = self._build_series(n, flags, ensemble)
-                coef[: len(series)] += weight * series
+            k = max((ensemble.n_photons for _, ensemble in self._classes[n]), default=0)
+            n_nodes = 2 * k + 1
+            nodes = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
+            values = np.stack(
+                [self._mixture(n, self.unitary(n, float(x), flags)) for x in nodes]
+            )
+            # DFT over the nodes; the integer reduction keeps every angle below 2 pi.
+            turns = np.outer(np.arange(k + 1), np.arange(n_nodes)) % n_nodes
+            coef = np.exp(-2j * math.pi * turns / n_nodes) @ values / n_nodes
+            coef[1:] *= 2.0  # c_{-m} = conj(c_m) for real values
             self._series[key] = coef
         return self._series[key]
-
-    def _build_series(
-        self, n: int, flags: tuple[int, int, int], ensemble: PhotonEnsemble
-    ) -> np.ndarray:
-        """One-sided Fourier coefficients c_0..c_k of one class, [k + 1, 2**n].
-
-        With k photons every accepted probability is a degree-k trigonometric
-        polynomial in phi, so its values at 2k + 1 equispaced nodes fix it.
-        """
-        k = ensemble.n_photons
-        n_nodes = 2 * k + 1
-        nodes = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
-        values = np.stack([self._accepted(n, float(x), flags, ensemble) for x in nodes])
-        # DFT over the nodes; the integer reduction keeps every angle below 2 pi.
-        turns = np.outer(np.arange(k + 1), np.arange(n_nodes)) % n_nodes
-        coef = np.exp(-2j * math.pi * turns / n_nodes) @ values / n_nodes
-        coef[1:] *= 2.0  # c_{-m} = conj(c_m) for real values
-        return coef
 
     # -- sampling --------------------------------------------------------------
 
@@ -353,13 +337,13 @@ class StepSimulator:
         Returns ``(rows, bits)``: the accepted attempt indices in ascending
         order and their [len(rows), n] int8 outcome bits.  Attempt i draws
         one uniform, which picks its outcome from the class mixture's
-        ``cum_probs`` or, past the accepted total, discards it.  The source
-        class is never drawn: the mixture already sums over it.
+        cumulative `distribution` or, past the acceptance, discards it.  The
+        source class is never drawn: the mixture already sums over it.
         """
-        dist = self.distribution(n, phi, flags)
-        idx = np.searchsorted(dist.cum_probs, rng.random(count), side="right")
-        rows = np.flatnonzero(idx < len(dist.cum_probs))
-        return rows, dist.outcomes[idx[rows]].view(np.int8)
+        cum_probs = self.distribution(n, phi, flags)
+        idx = np.searchsorted(cum_probs, rng.random(count), side="right")
+        rows = np.flatnonzero(idx < len(cum_probs))
+        return rows, _OUTCOME_BITS[n][idx[rows]]
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +380,8 @@ class ClassicalDataset:
 
 def _quantum_chunk(
     sim: StepSimulator, phi: float, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, dict]:
-    """Simulate ``count`` feed-forward attempts; invalid rows are all -1.
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Simulate ``count`` feed-forward attempts; the valid ones and their m rows.
 
     Each stage runs only on the survivors of the one before, kept as
     ascending attempt indices; a sub-step gets its control flags' survivors
@@ -427,24 +411,19 @@ def _quantum_chunk(
                 bits1[sub[hit]] = bits[:, 0]
     ok = np.flatnonzero(bits1 >= 0)
     stats["discard_1"] = len(rows) - len(ok)
-
-    m = np.full((count, 7), -1, dtype=np.int8)
-    rows = rows[ok]
-    m[rows, 0:3] = bits4[ok, 0:3]
-    m[rows, 3] = b3[ok]
-    m[rows, 4] = bits2[ok, 0]
-    m[rows, 5] = b2[ok]
-    m[rows, 6] = bits1[ok]
-    return m, stats
+    m = np.column_stack([bits4[:, 0:3], b3, bits2[:, 0], b2, bits1])
+    return rows[ok], m[ok], stats
 
 
 def _acquire(cls, config: ProtocolConfig, stream: int, chunk, label: str):
     """Per-phase acquisition loop shared by every strategy.
 
     Each phase draws from its own ``derive_rng(seed, stream, phase)`` stream
-    and calls ``chunk(sim, phi, count, rng) -> (rows, stats)`` on at most 4096
-    attempts at a time (rows of -1 are discards), keeping valid rows until
-    n_shots or the cap of ``max_attempt_factor * n_shots`` attempts.  Phases
+    and calls ``chunk(sim, phi, count, rng) -> (kept, records, stats)`` on at
+    most 4096 attempts at a time, where ``kept`` holds the valid attempts'
+    indices in ascending order and ``records`` their rows, the contract of
+    `StepSimulator.sample_step`.  Records are kept until n_shots or the cap
+    of ``max_attempt_factor * n_shots`` attempts.  Phases
     left short go to ``stats["short_phases"]`` with a warning; a run without
     any row raises PostSelectionEmpty.  Both messages start with ``label``.
     """
@@ -457,11 +436,11 @@ def _acquire(cls, config: ProtocolConfig, stream: int, chunk, label: str):
         have = attempts = 0
         while have < config.n_shots and attempts < cap:
             count = min(4096, cap - attempts)
-            bits, chunk_stats = chunk(sim, float(phi), count, rng)
-            keep = np.flatnonzero(bits[:, 0] >= 0)[: config.n_shots - have]
-            shots.append(attempts + keep)
-            rows.append(bits[keep])
-            have += len(keep)
+            kept, records, chunk_stats = chunk(sim, float(phi), count, rng)
+            take = config.n_shots - have
+            shots.append(attempts + kept[:take])
+            rows.append(records[:take])
+            have += len(rows[-1])
             attempts += count
             for key, value in chunk_stats.items():
                 stats[key] = stats.get(key, 0) + value
@@ -543,19 +522,19 @@ def _match_arrays(
 
 def _sweep_chunk(
     sim: StepSimulator, phi: float, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, np.ndarray, dict]:
     """Run the 10 sweep configurations and match their outcomes into records.
 
     The two 4-photon configurations share ``count`` attempts.  Every 2- and
     1-photon configuration then runs one common number of attempts, sized
     from the exact acceptances so that each experiment's parity-filtered pool
     is expected to be as long as the 4-photon one; equal counts within an
-    experiment keep the matched records on the feed-forward law.  The
-    records fill the first rows; the other rows are -1.
+    experiment keep the matched records on the feed-forward law.  Record i
+    of the chunk is numbered i.
     """
 
     def accepted(n, flags):
-        return float(sim.distribution(n, phi, flags).cum_probs[-1])
+        return float(sim.distribution(n, phi, flags)[-1])
 
     reps = {4: (count // 2, count - count // 2)}
     pool = sum(r * accepted(4, f) for r, f in zip(reps[4], SWEEP_FLAGS[4])) / 2
@@ -571,9 +550,7 @@ def _sweep_chunk(
             flags.append(np.tile(np.asarray(f, dtype=np.int8), (len(b), 1)))
         pools += [np.concatenate(bits), np.concatenate(flags)]
     m = _match_arrays(*pools, rng=rng)
-    out = np.full((count, 7), -1, dtype=np.int8)
-    out[: len(m)] = m
-    return out, {}
+    return np.arange(len(m)), m, {}
 
 
 def simulate_sweep_dataset(config: ProtocolConfig) -> QuantumDataset:
@@ -588,14 +565,13 @@ def simulate_sweep_dataset(config: ProtocolConfig) -> QuantumDataset:
 
 def _classical_chunk(
     sim: StepSimulator, phi: float, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, dict]:
-    rows, accepted = sim.sample_step(1, phi, (0, 0, 0), count * CLASSICAL_QUBITS, rng)
-    bits = np.full(count * CLASSICAL_QUBITS, -1, dtype=np.int8)
-    bits[rows] = accepted[:, 0]
-    bits = bits.reshape(count, CLASSICAL_QUBITS)
-    bad = (bits < 0).any(axis=1)
-    bits[bad] = -1  # a lost photon discards the whole 7-bit repetition
-    return bits, {}
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    rows, bits = sim.sample_step(1, phi, (0, 0, 0), count * CLASSICAL_QUBITS, rng)
+    shot = rows // CLASSICAL_QUBITS
+    whole = np.bincount(shot, minlength=count) == CLASSICAL_QUBITS
+    # A lost photon discards the whole 7-bit repetition; rows ascend, so the
+    # bits of each whole repetition are CLASSICAL_QUBITS consecutive entries.
+    return np.flatnonzero(whole), bits[whole[shot], 0].reshape(-1, CLASSICAL_QUBITS), {}
 
 
 def simulate_classical_dataset(config: ProtocolConfig) -> ClassicalDataset:

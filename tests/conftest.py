@@ -24,13 +24,9 @@ def distribution_dict(counts, probs) -> dict:
     return {tuple(int(c) for c in row): float(p) for row, p in zip(counts, probs)}
 
 
-def dense_probabilities(dist, n):
-    """Accepted probability of every outcome code of a StepDistribution, [2**n]."""
-    out = np.zeros(1 << n)
-    out[dist.outcomes.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))] = np.diff(
-        dist.cum_probs, prepend=0.0
-    )
-    return out
+def dense_probabilities(cum_probs):
+    """Accepted probability of every outcome code from a step's cumulative distribution."""
+    return np.diff(cum_probs, prepend=0.0)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

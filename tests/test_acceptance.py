@@ -256,8 +256,8 @@ def test_criterion_5_pipeline_equivalence():
             rng = derive_rng(1006, 10 + phase_tag)
             records = []
             while len(records) < 10000:
-                m, _ = _quantum_chunk(sim, phi, 8192, rng)
-                records.extend(m[m[:, 0] >= 0].tolist())
+                _, m, _ = _quantum_chunk(sim, phi, 8192, rng)
+                records.extend(m.tolist())
             b_ff = np.array(records[:10000], dtype=np.int8)[:, [6, 5, 3]]
 
             # configuration sweep + matching route

@@ -100,11 +100,20 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["discard_stats"]["quantum"]["valid"] == 4 * 20
 
-    @pytest.mark.parametrize("strategy", ["quantum", "classical"])
-    def test_run_without_valid_repetitions_fails(self, tmp_path, capsys, strategy):
+    # At eta = 0 no source class can be accepted: every step's mixture is empty.
+    @pytest.mark.parametrize(
+        "strategy, eta",
+        [
+            pytest.param("quantum", "0.05", id="quantum"),
+            pytest.param("classical", "0.05", id="classical"),
+            pytest.param("quantum", "0", id="quantum-eta0"),
+            pytest.param("classical", "0", id="classical-eta0"),
+        ],
+    )
+    def test_run_without_valid_repetitions_fails(self, tmp_path, capsys, strategy, eta):
         out = tmp_path / "empty"
         code = run_cli(
-            ["simulate", "--out", out, "--strategy", strategy, "--set", "noise.eta=0.05",
+            ["simulate", "--out", out, "--strategy", strategy, "--set", f"noise.eta={eta}",
              "--n-phases", "2", "--n-shots", "5"]
         )
         assert code == 3
@@ -179,7 +188,6 @@ OUT_OF_RANGE = {
     "noise.sigma_phi": "-1",
     "analysis.n_curve_points": "0",
     "analysis.n_resamples": "1",
-    "analysis.resources_per_shot": "0",
     "ml.dae.d_in": "16",
     "ml.dae.epochs": "0",
     "ml.dae.batch_size": "-1",
@@ -276,12 +284,12 @@ class TestByteIdentity:
     # The manifests hold the discard counters of each run.
     SWEEP_SHA256 = {
         "quantum.csv": "b397e770755da548ed6bcc80008a3f2902a61c849143318203c8045beb5e07c0",
-        "manifest.json": "f7c702adae23d2a06de36664a812826fec085548a2dba1c1830960e4e9b0685b",
+        "manifest.json": "4e789bea3d32eac16d48dfa3f316da265f3c785b90d4ea9555120899d0ce33e0",
     }
     PROGRAMMING_ERROR_SHA256 = {
         "quantum.csv": "546afdc117d573624c377aa8fb7857b4d43991d2a6029fd4cca28a5167b8d531",
         "classical.csv": "751588619f677842d5157f9bcb86a4a17f584031ae063a96cfdcffc82612731a",
-        "manifest.json": "6eb13fbfdf1668e4e579b9920f30a32f2ea8bcec2c95f2589851c251c2ee4745",
+        "manifest.json": "3de98c8dffed4eb1d9000bdfc6757eaf49721366e405fc226a5c3c473cb58d46",
     }
 
     def test_pinned_sweep_and_programming_error_bytes(self, tmp_path):
@@ -303,12 +311,12 @@ class TestByteIdentity:
     DAE_SHA256 = {
         "model_dae.json": "8078f8ebd87e2203f342e82808343ec542454fca00661509736606c451c4df4e",
         "loss_dae.csv": "b0b2be860622c9d35ed9687350e809f0ce29f75a40f9ace1798f4129a9e9c2a0",
-        "manifest.json": "bcc04130d18b404031edd50df1e0d518c88c12b38c94113e742fbc2129ed1b31",
+        "manifest.json": "090cbf89b18be3c2096c4721179c0559d531875032f0bcd5d830e1c93fe1612b",
     }
     ESTIMATOR_SHA256 = {
         "model_estimator.json": "2ff858bc1385c9ed381327ef0baad4809e4af8d3a38e7195c8b6453be7107247",
         "loss_estimator.csv": "55759c9ef7f57605212dc46571c3dbba0b996ac1c3563aacad701d6639f927a6",
-        "manifest.json": "ab0e4bf287235e6ee92cdf63849e7d284748ad9492f6f29cd85ab8e4bb140b50",
+        "manifest.json": "310ce8a89cb5edf11b5a017c5b28338e7834fae2566aed8ac59f40701ea221e6",
     }
     REPORT_SHA256 = {
         "phase_comparison.csv": "37c4637e6196275beef7c7d25ea6eb9478d3e0d8279742b1ea67ece51fd4f6b9",

@@ -1,6 +1,6 @@
 """Guard against code that no code path in ``src/qadc`` reaches.
 
-A function, class, method or private module constant counts as referenced
+A function, class, method or module-level name counts as referenced
 when its name is read as a name or used as an attribute anywhere in
 ``src/qadc`` outside the package ``__init__`` re-exports.  The scan is by bare
 name, so a method is also counted as referenced when another class's method
@@ -24,7 +24,7 @@ KEPT_UNREFERENCED = {
 
 
 def definitions(tree: ast.Module, stem: str):
-    """(bare, qualified) names of the module's functions, classes, methods and private constants."""
+    """(bare, qualified) names of the module's functions, classes, methods and module-level names."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, f"{stem}.{node.name}"
@@ -34,7 +34,7 @@ def definitions(tree: ast.Module, stem: str):
                     yield sub.name, f"{stem}.{node.name}.{sub.name}"
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
-                if isinstance(target, ast.Name) and target.id.startswith("_"):
+                if isinstance(target, ast.Name):
                     yield target.id, f"{stem}.{target.id}"
 
 

@@ -176,8 +176,8 @@ def valid_rows(chunk, phi, n_valid, rng, chunk_size=64):
     sim = StepSimulator(NOISELESS, seed=1)
     rows, have = [], 0
     while have < n_valid:
-        bits, _ = chunk(sim, phi, chunk_size, rng)
-        rows.append(bits[bits[:, 0] >= 0])
+        _, records, _ = chunk(sim, phi, chunk_size, rng)
+        rows.append(records)
         have += len(rows[-1])
     return np.concatenate(rows)[:n_valid]
 
@@ -198,13 +198,14 @@ class TestSingleShotApis:
         sim = StepSimulator(NOISELESS, seed=1)
         rng = derive_rng(7, 0)
         for phi, bit in ((0.0, 0), (math.pi, 1)):
-            bits, _ = _classical_chunk(sim, phi, 10, rng)
-            assert (bits == bit).all()  # no discards, every bit deterministic
+            kept, bits, _ = _classical_chunk(sim, phi, 10, rng)
+            assert np.array_equal(kept, np.arange(10))  # no discards
+            assert (bits == bit).all()  # every bit deterministic
 
     def test_classical_binomial_at_half(self):
         sim = StepSimulator(NOISELESS, seed=1)
-        bits, _ = _classical_chunk(sim, math.pi / 2, 3000, derive_rng(8, 0))
-        assert (bits >= 0).all()
+        kept, bits, _ = _classical_chunk(sim, math.pi / 2, 3000, derive_rng(8, 0))
+        assert len(kept) == len(bits) == 3000
         totals = bits.sum(axis=1)
         mean = np.mean(totals)
         sigma = math.sqrt(7 * 0.25 / 3000)
@@ -367,7 +368,7 @@ def class_accepted(sim, n, phi, flags, class_key):
     ensemble = sim._class_ensemble(n, class_key)
     if ensemble is None:
         return np.zeros(1 << n)
-    return sim._accepted(n, phi, flags, ensemble)
+    return sim._accepted(n, sim.unitary(n, phi, flags), ensemble)
 
 
 def direct_mixture(sim, n, phi, flags):
@@ -418,15 +419,13 @@ def test_post_selection_equals_pattern_loop():
     for phi in 2 * math.pi * np.arange(3) / 3:
         for n in PROBE_SIZES:
             for flags in SWEEP_FLAGS[n]:
-                assert sim.distribution(n, phi, flags).outcomes.dtype == np.uint8
                 for class_key in range(1 << (2 * n)):
                     acc = class_accepted(sim, n, phi, flags, class_key)
                     codes = np.flatnonzero(acc > 0.0)
                     outcomes, cum_probs = reference_step_distribution(
                         sim, n, phi, flags, class_key
                     )
-                    bits = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1
-                    assert np.array_equal(bits, outcomes)
+                    assert np.array_equal(protocol._OUTCOME_BITS[n][codes], outcomes)
                     assert np.array_equal(np.cumsum(acc[codes]), cum_probs)
 
 
@@ -441,7 +440,7 @@ class TestPhaseSeries:
         for n in PROBE_SIZES:
             for flags in SWEEP_FLAGS[n]:
                 for phi in self.PHASES:
-                    got = dense_probabilities(sim.distribution(n, phi, flags), n)
+                    got = dense_probabilities(sim.distribution(n, phi, flags))
                     want = direct_mixture(sim, n, phi, flags)
                     assert np.abs(got - want).max() <= 1e-14
 
@@ -461,8 +460,20 @@ class TestPhaseSeries:
         assert weights[0b0001_0111] > 0.0
         self.check_mixture(noise)
 
-    @pytest.mark.parametrize("n_phases", [9, 33])
-    def test_builds_do_not_grow_with_the_grid(self, monkeypatch, n_phases):
+    # Noiseless: one class per step, 2k + 1 nodes for the 4-photon flags, the
+    # two 2-photon flags and the four 1-photon flags.  Device noise: every
+    # class of a step at the 2k + 1 nodes of its largest class (k = n + 2):
+    # 11 classes at n = 4, 4 at n = 2 and 2 at n = 1.
+    @pytest.mark.parametrize(
+        "noise, n_phases, builds",
+        [
+            pytest.param(NOISELESS, 9, 9 + 2 * 5 + 4 * 3, id="9"),
+            pytest.param(NOISELESS, 33, 9 + 2 * 5 + 4 * 3, id="33"),
+            pytest.param(DEVICE_NOISE, 9, 13 * 11 + 2 * 9 * 4 + 4 * 5 * 2, id="device-9"),
+            pytest.param(DEVICE_NOISE, 33, 13 * 11 + 2 * 9 * 4 + 4 * 5 * 2, id="device-33"),
+        ],
+    )
+    def test_builds_do_not_grow_with_the_grid(self, monkeypatch, noise, n_phases, builds):
         calls = []
 
         def counted(*args):
@@ -470,16 +481,16 @@ class TestPhaseSeries:
             return full_output_distribution(*args)
 
         monkeypatch.setattr(protocol, "full_output_distribution", counted)
-        simulate_quantum_dataset(noiseless_config(n_phases=n_phases, n_shots=50))
-        # One class per step: 2k + 1 nodes for the 4-photon flags, the two
-        # 2-photon flags and the four 1-photon flags.
-        assert len(calls) == 9 + 2 * 5 + 4 * 3
+        simulate_quantum_dataset(
+            ProtocolConfig(n_phases=n_phases, n_shots=50, noise=noise, seed=1)
+        )
+        assert len(calls) == builds
 
     def test_programming_errors_build_directly(self, monkeypatch):
         def no_series(*args):
             raise AssertionError("series built under programming errors")
 
-        monkeypatch.setattr(StepSimulator, "_build_series", no_series)
+        monkeypatch.setattr(StepSimulator, "_mixed_series", no_series)
         noise = NoiseConfig(delta=0.9, brightness=0.5, sigma_theta=0.05)
         simulate_quantum_dataset(ProtocolConfig(n_phases=3, n_shots=20, noise=noise, seed=2))
         sim = StepSimulator(noise, seed=2)
@@ -487,7 +498,7 @@ class TestPhaseSeries:
             for n in PROBE_SIZES:
                 for flags in SWEEP_FLAGS[n]:
                     want = np.cumsum(direct_mixture(sim, n, phi, flags))
-                    assert np.array_equal(sim.distribution(n, phi, flags).cum_probs, want)
+                    assert np.array_equal(sim.distribution(n, phi, flags), want)
 
 
 class TestDatasetFiles:

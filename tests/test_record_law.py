@@ -40,7 +40,7 @@ LAW_SEED = 8128
 
 def step_law(sim, n, phi, flags):
     """Accepted probability of each outcome code of one step, mixed over source classes."""
-    return dense_probabilities(sim.distribution(n, phi, flags), n)
+    return dense_probabilities(sim.distribution(n, phi, flags))
 
 
 def record_law(sim, phi):

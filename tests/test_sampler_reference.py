@@ -6,8 +6,9 @@ array of -1 rows for every attempt, pick each outcome code by counting the
 cumulative steps at or below its uniform, spell the code out bit by bit, and
 select each feed-forward group by a mask of full length.  The shipped sampler
 uses one `searchsorted`, the precomputed outcome rows and compacted survivor
-arrays; with the same generator state it must give the same bits, the same
-discard counts and leave the generator in the same state.
+arrays, and returns only the accepted attempts; with the same generator state
+it must keep the same attempts with the same bits, give the same discard
+counts and leave the generator in the same state.
 """
 
 import math
@@ -32,7 +33,7 @@ from qadc.protocol import (
 def reference_sample_step(sim, n, phi, flags, count, rng):
     """``count`` outcomes; rows of -1 mark post-selection discards."""
     out = np.full((count, n), -1, dtype=np.int8)
-    cum_probs = sim.distribution(n, phi, flags).cum_probs
+    cum_probs = sim.distribution(n, phi, flags)
     draws = rng.random(count)
     codes = (cum_probs[None, :] <= draws[:, None]).sum(axis=1)
     for i in range(count):
@@ -137,12 +138,16 @@ def test_chunks_equal_reference(name):
     for p, phi in enumerate(PHASES):
         for count in COUNTS:
             rng, ref_rng = derive_rng(9, 100 + p, count), derive_rng(9, 100 + p, count)
-            m, stats = _quantum_chunk(sim, phi, count, rng)
+            kept, m, stats = _quantum_chunk(sim, phi, count, rng)
             m_ref, stats_ref = reference_quantum_chunk(sim, phi, count, ref_rng)
             assert same_state(rng, ref_rng)
-            assert m.dtype == np.int8 and np.array_equal(m, m_ref)
+            ok = np.flatnonzero(m_ref[:, 0] >= 0)
+            assert np.array_equal(kept, ok)
+            assert m.dtype == np.int8 and np.array_equal(m, m_ref[ok])
             assert stats == stats_ref
-            c, _ = _classical_chunk(sim, phi, count, rng)
+            kept, c, _ = _classical_chunk(sim, phi, count, rng)
             c_ref, _ = reference_classical_chunk(sim, phi, count, ref_rng)
             assert same_state(rng, ref_rng)
-            assert c.dtype == np.int8 and np.array_equal(c, c_ref)
+            ok = np.flatnonzero(c_ref[:, 0] >= 0)
+            assert np.array_equal(kept, ok)
+            assert c.dtype == np.int8 and np.array_equal(c, c_ref[ok])
