@@ -13,14 +13,18 @@ long.
 All strategies run through one per-phase loop (`_acquire`) on arrays of
 attempts (`_quantum_chunk`, `_sweep_chunk`, `_classical_chunk`).  Each chunk
 returns only what it keeps: the attempt indices in ascending order and their
-record rows, as `StepSimulator.sample_step` does for one step, and each
-feed-forward stage runs on the survivors of the stage before.  Outcomes are
-drawn from exact distributions per (experiment, phase, control flags), each
-the mixture over the source realization classes (which photons survive, which
-bins add a second photon) weighted by their exact probabilities, so an
-attempt costs one uniform and one ``searchsorted``: the source class is
-summed over, never drawn.  The distributions are memoized, so sampling large
-shot counts is cheap; the memo behaves as a pure cache.
+record rows, as `StepSimulator.sample_step` does for one step.  Outcomes come
+from exact distributions per (experiment, phase, control flags), each the
+mixture over the source realization classes (which photons survive, which
+bins add a second photon) weighted by their exact probabilities: the source
+class is summed over, never drawn.  Attempts are independent, so a
+feed-forward or classical repetition is drawn whole from its exact record law
+(`StepSimulator.record_law`): the step mixtures composed along the
+feed-forward tree, or seven independent 1-photon steps.  A repetition costs
+one uniform, and an accepted one a ``searchsorted`` over its 128 records.
+Only the sweep samples step by step (`StepSimulator.sample_step`).
+Distributions and laws are memoized, so sampling large shot counts is cheap;
+the memo behaves as a pure cache.
 
 The phase enters only as ``e^{i phi}`` on each logical-|1> rail, so with k
 photons in a class every accepted-outcome probability is a trigonometric
@@ -181,10 +185,29 @@ def _place(n: int) -> np.ndarray:
     return 1 << np.arange(n - 1, -1, -1)
 
 
-#: [2**n, n] int8 logical bits of every outcome code of an n-qubit step.
+#: [2**n, n] int8 logical bits of every outcome code of an n-qubit step, and
+#: of every 7-bit record (n = 7, m6 or c6 the high bit).
 _OUTCOME_BITS = {
-    n: ((np.arange(1 << n)[:, None] & _place(n)) > 0).astype(np.int8) for n in PROBE_SIZES
+    n: ((np.arange(1 << n)[:, None] & _place(n)) > 0).astype(np.int8)
+    for n in (*PROBE_SIZES, CLASSICAL_QUBITS)
 }
+_N_RECORDS = 1 << CLASSICAL_QUBITS
+
+
+def _tree_indices() -> tuple[np.ndarray, ...]:
+    """Per record m6..m0: the codes and flags of its three feed-forward steps.
+
+    The 4-photon code holds (m6, m5, m4) and a last bit that makes its parity
+    b3 = m3; the 2-photon step runs with flags (0, b3, 0) and code (x0, x1)
+    with x0 = m2 and b2 = m1 = x0 ^ x1; the 1-photon step runs with flags
+    (0, b2, b3) and gives b1 = m0.
+    """
+    m6, m5, m4, b3, x0, b2, b1 = _OUTCOME_BITS[CLASSICAL_QUBITS].T.astype(np.intp)
+    code4 = m6 << 3 | m5 << 2 | m4 << 1 | (m6 ^ m5 ^ m4 ^ b3)
+    return code4, b3, x0 << 1 | (x0 ^ b2), b2, b1
+
+
+_TREE = _tree_indices()
 
 
 class StepSimulator:
@@ -202,13 +225,16 @@ class StepSimulator:
     miss evaluates the mixture's Fourier series per (n, flags), built once
     from `_mixture` at 2k + 1 nodes; with them the mixture is built at the
     phase.  Classes that can never be accepted are left out, so their weight
-    is discarded with the other rejected attempts.
+    is discarded with the other rejected attempts.  `record_law` composes the
+    step distributions into the law of a whole repetition, memoized per
+    (strategy, phase bits).
     """
 
     def __init__(self, noise: NoiseConfig, seed: int):
         self.noise = noise
         self.seed = seed
         self._dists: dict = {}
+        self._laws: dict = {}
         self._series: dict = {}
         self._perturbed = noise.sigma_theta > 0 or noise.sigma_phi > 0
         self._classes = {n: self._weighted_classes(n) for n in PROBE_SIZES}
@@ -322,6 +348,39 @@ class StepSimulator:
             self._series[key] = coef
         return self._series[key]
 
+    def record_law(self, strategy: str, phi: float) -> np.ndarray:
+        """Cumulative law of one ``"quantum"`` or ``"classical"`` repetition at ``phi``.
+
+        The first 128 entries run over the 7-bit records (m6..m0 or c6..c0,
+        the first bit high), so entry 127 is the acceptance A(phi).  A
+        quantum law then holds the repetitions lost at the 1-, the 2- and the
+        4-photon step, in that order; a classical law, seven independent
+        1-photon steps with flags (0, 0, 0), holds its losses in one bin.  A
+        bin lost to roundoff is clipped to 0, so the entries never decrease.
+        """
+        key = (strategy, _float_key(phi))
+        if key not in self._laws:
+
+            def step(n, flags):
+                return np.diff(self.distribution(n, phi, flags), prepend=0.0)
+
+            if strategy == "quantum":
+                code4, b3, code2, b2, b1 = _TREE
+                p4 = step(4, (0, 0, 0))
+                p2 = np.stack([step(2, (0, v, 0)) for v in (0, 1)])
+                p1 = np.array([[step(1, (0, r2, r3)) for r3 in (0, 1)] for r2 in (0, 1)])
+                reached = p4[code4] * p2[b3, code2]  # before the 1-photon step
+                law = reached * p1[b2, b3, b1]
+                # The even records (m0 = 0) hold each 4- and 2-photon outcome
+                # pair once; the 2-photon step is reached with sum(p4).
+                reach1 = reached[::2].sum()
+                losses = [reach1 - law.sum(), p4.sum() - reach1, 1.0 - p4.sum()]
+            else:
+                law = step(1, (0, 0, 0))[_OUTCOME_BITS[CLASSICAL_QUBITS]].prod(axis=1)
+                losses = [1.0 - law.sum()]
+            self._laws[key] = np.cumsum(np.append(law, np.maximum(losses, 0.0)))
+        return self._laws[key]
+
     # -- sampling --------------------------------------------------------------
 
     def sample_step(
@@ -378,44 +437,40 @@ class ClassicalDataset:
     stats: dict = field(default_factory=dict)
 
 
+def _draw_records(
+    cum: np.ndarray, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One uniform per repetition against the cumulative `record_law` ``cum``.
+
+    Returns the uniforms, the accepted repetitions in ascending order and
+    their [len(kept), 7] int8 record rows.
+    """
+    u = rng.random(count)
+    kept = np.flatnonzero(u < cum[_N_RECORDS - 1])
+    codes = np.searchsorted(cum[:_N_RECORDS], u[kept], side="right")
+    return u, kept, _OUTCOME_BITS[CLASSICAL_QUBITS][codes]
+
+
 def _quantum_chunk(
     sim: StepSimulator, phi: float, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Simulate ``count`` feed-forward attempts; the valid ones and their m rows.
+    """Simulate ``count`` feed-forward repetitions; the valid ones and their m rows.
 
-    Each stage runs only on the survivors of the one before, kept as
-    ascending attempt indices; a sub-step gets its control flags' survivors
-    in that order, so its draws go to the same attempts as on a full mask.
+    A discarded repetition is counted at the step that lost it; uniforms past
+    the 2-photon loss bin, roundoff included, count as 4-photon losses.
     """
-    rows, bits4 = sim.sample_step(4, phi, (0, 0, 0), count, rng)
-    stats = {"discard_4": count - len(rows)}
-    b3 = (bits4.sum(axis=1) % 2).astype(np.int8)  # parity correction folds sigma_z
-
-    bits2 = np.full((len(rows), 2), -1, dtype=np.int8)
-    for v in (0, 1):
-        sub = np.flatnonzero(b3 == v)
-        if len(sub):
-            hit, bits = sim.sample_step(2, phi, (0, v, 0), len(sub), rng)
-            bits2[sub[hit]] = bits
-    ok = np.flatnonzero(bits2[:, 0] >= 0)
-    stats["discard_2"] = len(rows) - len(ok)
-    rows, bits4, b3, bits2 = rows[ok], bits4[ok], b3[ok], bits2[ok]
-    b2 = bits2[:, 0] ^ bits2[:, 1]  # sigma_z as a flip by the control bit
-
-    bits1 = np.full(len(rows), -1, dtype=np.int8)
-    for r2v in (0, 1):
-        for r3v in (0, 1):
-            sub = np.flatnonzero((b2 == r2v) & (b3 == r3v))
-            if len(sub):
-                hit, bits = sim.sample_step(1, phi, (0, r2v, r3v), len(sub), rng)
-                bits1[sub[hit]] = bits[:, 0]
-    ok = np.flatnonzero(bits1 >= 0)
-    stats["discard_1"] = len(rows) - len(ok)
-    m = np.column_stack([bits4[:, 0:3], b3, bits2[:, 0], b2, bits1])
-    return rows[ok], m[ok], stats
+    cum = sim.record_law("quantum", phi)
+    u, kept, m = _draw_records(cum, count, rng)
+    past1, past2 = (int(np.count_nonzero(u < edge)) for edge in cum[_N_RECORDS : _N_RECORDS + 2])
+    stats = {
+        "discard_4": count - past2,
+        "discard_2": past2 - past1,
+        "discard_1": past1 - len(kept),
+    }
+    return kept, m, stats
 
 
-def _acquire(cls, config: ProtocolConfig, stream: int, chunk, label: str):
+def _acquire(cls, config: ProtocolConfig, stream: int, chunk, label: str, law: bool = False):
     """Per-phase acquisition loop shared by every strategy.
 
     Each phase draws from its own ``derive_rng(seed, stream, phase)`` stream
@@ -426,9 +481,21 @@ def _acquire(cls, config: ProtocolConfig, stream: int, chunk, label: str):
     of ``max_attempt_factor * n_shots`` attempts.  Phases
     left short go to ``stats["short_phases"]`` with a warning; a run without
     any row raises PostSelectionEmpty.  Both messages start with ``label``.
+    With ``law``, ``label`` names a `StepSimulator.record_law` strategy, and
+    a run whose expected valid repetitions within the cap, cap * A(phi), are
+    below 1 at every phase raises PostSelectionEmpty before any attempt.
     """
     sim = StepSimulator(config.noise, config.seed)
     cap = config.n_shots * config.max_attempt_factor
+    if law:
+        expected = cap * max(
+            sim.record_law(label, float(phi))[_N_RECORDS - 1] for phi in config.phases()
+        )
+        if expected < 1.0:
+            raise PostSelectionEmpty(
+                f"{label}: no valid repetitions expected at any of the {config.n_phases}"
+                f" phases (at most {expected:.3g} within the attempt cap)"
+            )
     stats = {"attempts": 0, "valid": 0}
     counts, shots, rows = [], [], []
     for p_idx, phi in enumerate(config.phases()):
@@ -469,7 +536,9 @@ def _acquire(cls, config: ProtocolConfig, stream: int, chunk, label: str):
 
 def simulate_quantum_dataset(config: ProtocolConfig) -> QuantumDataset:
     """Run the feed-forward protocol until n_shots valid repetitions per phase."""
-    return _acquire(QuantumDataset, config, _STREAM_QUANTUM, _quantum_chunk, "quantum")
+    return _acquire(
+        QuantumDataset, config, _STREAM_QUANTUM, _quantum_chunk, "quantum", law=True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -566,18 +635,15 @@ def simulate_sweep_dataset(config: ProtocolConfig) -> QuantumDataset:
 def _classical_chunk(
     sim: StepSimulator, phi: float, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    rows, bits = sim.sample_step(1, phi, (0, 0, 0), count * CLASSICAL_QUBITS, rng)
-    shot = rows // CLASSICAL_QUBITS
-    whole = np.bincount(shot, minlength=count) == CLASSICAL_QUBITS
-    # A lost photon discards the whole 7-bit repetition; rows ascend, so the
-    # bits of each whole repetition are CLASSICAL_QUBITS consecutive entries.
-    return np.flatnonzero(whole), bits[whole[shot], 0].reshape(-1, CLASSICAL_QUBITS), {}
+    """Simulate ``count`` classical repetitions: a lost photon discards all 7 bits."""
+    _, kept, c = _draw_records(sim.record_law("classical", phi), count, rng)
+    return kept, c, {}
 
 
 def simulate_classical_dataset(config: ProtocolConfig) -> ClassicalDataset:
     """Run the classical baseline until n_shots valid repetitions per phase."""
     return _acquire(
-        ClassicalDataset, config, _STREAM_CLASSICAL, _classical_chunk, "classical"
+        ClassicalDataset, config, _STREAM_CLASSICAL, _classical_chunk, "classical", law=True
     )
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qadc
-from qadc import cli
+from qadc import cli, protocol
 from qadc.cli import main
 from qadc.linop import SizeLimitError
 from qadc.photonics import ModelError
@@ -115,6 +115,24 @@ class TestSimulate:
         code = run_cli(
             ["simulate", "--out", out, "--strategy", strategy, "--set", f"noise.eta={eta}",
              "--n-phases", "2", "--n-shots", "5"]
+        )
+        assert code == 3
+        assert f"{strategy}: no valid repetitions" in capsys.readouterr().err
+        assert not out.exists()
+
+    # At eta = 0.1 a repetition needs 7 surviving photons, so it is accepted
+    # with A of at most about 1e-7: the cap of 400 x 20 attempts expects far below
+    # one valid row at either phase, and the run stops before drawing any.
+    @pytest.mark.parametrize("strategy", ["quantum", "classical"])
+    def test_hopeless_run_fails_before_any_attempt(self, tmp_path, capsys, monkeypatch, strategy):
+        def never(*args):
+            raise AssertionError("an attempt was drawn")
+
+        monkeypatch.setattr(protocol, f"_{strategy}_chunk", never)
+        out = tmp_path / "hopeless"
+        code = run_cli(
+            ["simulate", "--out", out, "--strategy", strategy, "--set", "noise.eta=0.1",
+             "--n-phases", "2", "--n-shots", "20"]
         )
         assert code == 3
         assert f"{strategy}: no valid repetitions" in capsys.readouterr().err
@@ -257,13 +275,13 @@ class TestByteIdentity:
     format, the sampling order or the MI pipeline shows here."""
 
     NOISELESS_SHA256 = {
-        "quantum.csv": "2c9ee6af81eb93b23ee6ca914b49c9d97e127b617687fcdda2a903d1a8f528d0",
-        "classical.csv": "20b1270d84f69c9824b89b625afed34fa61b213975573f90a2a6903f4579ee6b",
+        "quantum.csv": "901d1934952194d623c9234f174ea1f2a2bf25fbf40caf1f8fce59d082f2458a",
+        "classical.csv": "876ce4c94fcc6dbbce25675d80c3d03e4021559d8d3fe78a3d3f558abc866239",
     }
     DEVICE_SHA256 = {
-        "quantum.csv": "c48f468abf28d526d88da3ed0ef4c014bba43bf058e877e0b741f4950919accf",
+        "quantum.csv": "2cbe7b73911493eb4d9994af56730a4cc00105fb00375c378ec31fdbc28d0485",
     }
-    MI_CURVES_SHA256 = "3057c96ead4254471476cb80ce4e39d95e0e3bf662f2ad0ee5ce793964d7c719"
+    MI_CURVES_SHA256 = "56ce197aab6a1c691f939cddf0e978b6cc154a75d1e16819a421f97cdf9229d1"
 
     def test_pinned_dataset_and_curve_bytes(self, tmp_path):
         small = ["--n-phases", "5", "--n-shots", "40", "--seed", "3"]
@@ -287,9 +305,9 @@ class TestByteIdentity:
         "manifest.json": "4e789bea3d32eac16d48dfa3f316da265f3c785b90d4ea9555120899d0ce33e0",
     }
     PROGRAMMING_ERROR_SHA256 = {
-        "quantum.csv": "546afdc117d573624c377aa8fb7857b4d43991d2a6029fd4cca28a5167b8d531",
-        "classical.csv": "751588619f677842d5157f9bcb86a4a17f584031ae063a96cfdcffc82612731a",
-        "manifest.json": "3de98c8dffed4eb1d9000bdfc6757eaf49721366e405fc226a5c3c473cb58d46",
+        "quantum.csv": "875f5a1cdd3b3f7d9aba6d94bbb774d96b67797fde21923dc55cdb1b2c67aae5",
+        "classical.csv": "eeb3bb2a949b7bfd8f1305c5d8e6d9eecea05cdf35e8acba3417cff932f2829c",
+        "manifest.json": "1f87cad1990ec9149e54c286fd6f27043b3e5d7b6a76a896dc0e0733b962c5a0",
     }
 
     def test_pinned_sweep_and_programming_error_bytes(self, tmp_path):
@@ -319,8 +337,8 @@ class TestByteIdentity:
         "manifest.json": "310ce8a89cb5edf11b5a017c5b28338e7834fae2566aed8ac59f40701ea221e6",
     }
     REPORT_SHA256 = {
-        "phase_comparison.csv": "37c4637e6196275beef7c7d25ea6eb9478d3e0d8279742b1ea67ece51fd4f6b9",
-        "mi_summary.json": "604a1459e0ab05e67298d59e05e23b2c2176d4848b2d6404cb544933b9e6df6b",
+        "phase_comparison.csv": "2832cbd90283dcf55d590d0c52259625e86affb0b3c9c41b9c865360d5ccffa5",
+        "mi_summary.json": "4d86173943ac4aa0fa17c142060a8f5d4771f6ec104b92d598bcb17bac05d093",
     }
 
     def test_pinned_training_and_report_bytes(self, tmp_path):

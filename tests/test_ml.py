@@ -240,13 +240,19 @@ class TestFlatTrainingMatchesReference:
         v = [np.zeros_like(p) for p in ref_params]
         cfg = TrainConfig(learning_rate=3e-3)
         opt = _Adam(net.params, cfg)
-        for t in range(1, 201):  # past three subnormal flushes
+        # Past several subnormal flushes and past t = 356, where 1 - beta1**t
+        # rounds to 1.0; then across t = 37,412, where 1 - beta2**t does.
+        steps = [*range(1, 401), *range(37_400, 37_431)]
+        for t in steps:
+            opt.t = t - 1
             grad = rng.normal(scale=10.0 ** rng.uniform(-6, 1), size=net.n_parameters)
             grad[rng.random(grad.size) < 0.2] = 0.0
             grad[:3] = (-0.0, 5e-324, -1e-310)  # signed zero and subnormals
             opt.step(net.params, grad)
             grads = sum(_layer_views(self.SPEC, grad), [])
             reference_adam_step(ref_params, grads, m, v, t, cfg)
+        assert 1 - cfg.beta1 ** 356 == 1 - cfg.beta2 ** 37_412 == 1.0
+        assert 1 - cfg.beta1 ** 355 < 1.0 and 1 - cfg.beta2 ** 37_411 < 1.0
         assert net.params.tobytes() == ref_flat.tobytes()
 
 

@@ -7,11 +7,14 @@ exact step distributions along the feed-forward tree:
 * the 2-photon step runs with flags (0, b3, 0): m2 = x0 and b2 = m1 = x0 ^ x1;
 * the 1-photon step runs with flags (0, b2, b3) and gives b1 = m0.
 
-The law reads only `StepSimulator.distribution`, never `sample_step`, so it
-checks the sampler against something other than itself.
+A classical repetition is seven independent 1-photon steps with flags
+(0, 0, 0).  The laws here read only `StepSimulator.distribution`, never
+`sample_step` or `record_law`, so they check the samplers against something
+other than themselves.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.stats import chi2
@@ -23,6 +26,7 @@ from qadc.analysis import (
     marginalize_to_bits,
     mutual_information,
     quadrature_mi_quantum,
+    table_from_classical,
     table_from_quantum,
 )
 from qadc.protocol import (
@@ -30,12 +34,18 @@ from qadc.protocol import (
     NoiseConfig,
     ProtocolConfig,
     StepSimulator,
+    _quantum_chunk,
+    derive_rng,
+    simulate_classical_dataset,
     simulate_quantum_dataset,
     simulate_sweep_dataset,
 )
 
 THREE_SIGMA_ALPHA = 0.0026998  # two-sided 3-sigma tail probability, as criterion 4
 LAW_SEED = 8128
+#: Device noise with every photon surviving with probability 0.7, so that
+#: repetitions are lost at every step.
+LOSSY_DEVICE_NOISE = replace(DEVICE_NOISE, eta=0.7)
 
 
 def step_law(sim, n, phi, flags):
@@ -58,6 +68,31 @@ def record_law(sim, phi):
             for b1 in (0, 1):
                 m = (c4 >> 1) << 4 | b3 << 3 | x0 << 2 | b2 << 1 | b1
                 law[m] = p4[c4] * p2[b3][c2] * p1[(b2, b3)][b1]
+    return law
+
+
+def stage_losses(sim, phi):
+    """Probability that a feed-forward repetition is lost at each step, by discard key."""
+    p4 = step_law(sim, 4, phi, (0, 0, 0))
+    lost = {"discard_4": 1.0 - p4.sum(), "discard_2": 0.0, "discard_1": 0.0}
+    for c4 in range(16):
+        b3 = bin(c4).count("1") % 2
+        p2 = step_law(sim, 2, phi, (0, b3, 0))
+        lost["discard_2"] += p4[c4] * (1.0 - p2.sum())
+        for c2 in range(4):
+            b2 = (c2 >> 1) ^ (c2 & 1)
+            p1 = step_law(sim, 1, phi, (0, b2, b3))
+            lost["discard_1"] += p4[c4] * p2[c2] * (1.0 - p1.sum())
+    return lost
+
+
+def classical_law(sim, phi):
+    """P(c, accepted | phi) over the 128 codes of c (c6 the high bit)."""
+    p1 = step_law(sim, 1, phi, (0, 0, 0))
+    law = np.ones(128)
+    for c in range(128):
+        for q in range(7):
+            law[c] *= p1[(c >> (6 - q)) & 1]
     return law
 
 
@@ -89,7 +124,8 @@ def assert_follows_law(counts, law, phase):
     """Per-phase 3-sigma chi-square of sampled record counts against the law.
 
     Cells of law < 1e-12 must be empty; cells expected below 5 are pooled
-    into one.
+    into one.  A law with one live cell (the classical string at phase 0)
+    leaves nothing more to test.
     """
     expected = counts.sum() * law / law.sum()
     dead = law < 1e-12
@@ -100,6 +136,8 @@ def assert_follows_law(counts, law, phase):
     if pooled.any():
         obs = np.append(obs, counts[pooled].sum())
         exp = np.append(exp, expected[pooled].sum())
+    if len(obs) == 1:
+        return
     stat = float(((obs - exp) ** 2 / exp).sum())
     threshold = chi2.ppf(1 - THREE_SIGMA_ALPHA, df=len(obs) - 1)
     assert stat < threshold, f"phase {phase}: chi2 {stat:.1f} > {threshold:.1f}"
@@ -134,3 +172,32 @@ def test_device_noise_sweep_records_follow_the_law():
     for i, law in enumerate(laws):
         assert counts[i].sum() == n_shots
         assert_follows_law(counts[i], law, i)
+
+
+def test_lossy_classical_samples_follow_the_law():
+    n_shots = 20000
+    config = ProtocolConfig(
+        n_phases=5, n_shots=n_shots, noise=LOSSY_DEVICE_NOISE, seed=LAW_SEED
+    )
+    ds = simulate_classical_dataset(config)
+    counts = table_from_classical(ds).counts
+    sim = StepSimulator(LOSSY_DEVICE_NOISE, seed=LAW_SEED)
+    for i, phi in enumerate(ds.phases):
+        law = classical_law(sim, float(phi))
+        assert counts[i].sum() == n_shots
+        assert_follows_law(counts[i], law, i)
+        accept = law.sum()
+        attempts = int(ds.shot_index[ds.phase_index == i][-1]) + 1
+        z = (n_shots - attempts * accept) / math.sqrt(attempts * accept * (1 - accept))
+        assert abs(z) < 4.0, f"phase {i}: acceptance z {z:.2f}"
+
+
+def test_lossy_discards_follow_the_stage_losses():
+    # Fixed-size chunks, so each discard count is binomial in the attempts.
+    count = 100_000
+    sim = StepSimulator(LOSSY_DEVICE_NOISE, seed=LAW_SEED)
+    for p, phi in enumerate(2 * math.pi * np.arange(5) / 5):
+        _, _, stats = _quantum_chunk(sim, float(phi), count, derive_rng(LAW_SEED, 15, p))
+        for key, prob in stage_losses(sim, float(phi)).items():
+            z = (stats[key] - count * prob) / math.sqrt(count * prob * (1 - prob))
+            assert abs(z) < 4.0, f"phase {p}: {key} z {z:.2f}"
