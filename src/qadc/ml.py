@@ -329,19 +329,11 @@ class _Adam:
         np.square(grad, out=step)
         step *= 1 - c.beta2
         v += step
-        # p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps); once a
-        # correction rounds to 1.0 its divide is skipped, as x / 1.0 == x.
-        correction1, correction2 = 1 - c.beta1**self.t, 1 - c.beta2**self.t
-        if correction1 == 1.0:
-            np.multiply(m, c.learning_rate, out=step)
-        else:
-            np.divide(m, correction1, out=step)
-            step *= c.learning_rate
-        if correction2 == 1.0:
-            np.sqrt(v, out=denom)
-        else:
-            np.divide(v, correction2, out=denom)
-            np.sqrt(denom, out=denom)
+        # p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
+        np.divide(m, 1 - c.beta1**self.t, out=step)
+        step *= c.learning_rate
+        np.divide(v, 1 - c.beta2**self.t, out=denom)
+        np.sqrt(denom, out=denom)
         denom += c.eps
         step /= denom
         params -= step

@@ -470,7 +470,7 @@ def _quantum_chunk(
     return kept, m, stats
 
 
-def _acquire(cls, config: ProtocolConfig, stream: int, chunk, label: str, law: bool = False):
+def _acquire(cls, config: ProtocolConfig, stream: int, chunk, label: str, acceptance=None):
     """Per-phase acquisition loop shared by every strategy.
 
     Each phase draws from its own ``derive_rng(seed, stream, phase)`` stream
@@ -481,20 +481,18 @@ def _acquire(cls, config: ProtocolConfig, stream: int, chunk, label: str, law: b
     of ``max_attempt_factor * n_shots`` attempts.  Phases
     left short go to ``stats["short_phases"]`` with a warning; a run without
     any row raises PostSelectionEmpty.  Both messages start with ``label``.
-    With ``law``, ``label`` names a `StepSimulator.record_law` strategy, and
-    a run whose expected valid repetitions within the cap, cap * A(phi), are
-    below 1 at every phase raises PostSelectionEmpty before any attempt.
+    Given ``acceptance(sim, phi) -> A(phi)``, a run that expects fewer than
+    one valid repetition in all, the sum over phases of cap * A(phi), raises
+    PostSelectionEmpty before any attempt.
     """
     sim = StepSimulator(config.noise, config.seed)
     cap = config.n_shots * config.max_attempt_factor
-    if law:
-        expected = cap * max(
-            sim.record_law(label, float(phi))[_N_RECORDS - 1] for phi in config.phases()
-        )
+    if acceptance is not None:
+        expected = cap * sum(acceptance(sim, float(phi)) for phi in config.phases())
         if expected < 1.0:
             raise PostSelectionEmpty(
-                f"{label}: no valid repetitions expected at any of the {config.n_phases}"
-                f" phases (at most {expected:.3g} within the attempt cap)"
+                f"{label}: no valid repetitions expected over the {config.n_phases}"
+                f" phases ({expected:.3g} within the attempt cap)"
             )
     stats = {"attempts": 0, "valid": 0}
     counts, shots, rows = [], [], []
@@ -537,7 +535,8 @@ def _acquire(cls, config: ProtocolConfig, stream: int, chunk, label: str, law: b
 def simulate_quantum_dataset(config: ProtocolConfig) -> QuantumDataset:
     """Run the feed-forward protocol until n_shots valid repetitions per phase."""
     return _acquire(
-        QuantumDataset, config, _STREAM_QUANTUM, _quantum_chunk, "quantum", law=True
+        QuantumDataset, config, _STREAM_QUANTUM, _quantum_chunk, "quantum",
+        acceptance=lambda sim, phi: sim.record_law("quantum", phi)[_N_RECORDS - 1],
     )
 
 
@@ -643,7 +642,8 @@ def _classical_chunk(
 def simulate_classical_dataset(config: ProtocolConfig) -> ClassicalDataset:
     """Run the classical baseline until n_shots valid repetitions per phase."""
     return _acquire(
-        ClassicalDataset, config, _STREAM_CLASSICAL, _classical_chunk, "classical", law=True
+        ClassicalDataset, config, _STREAM_CLASSICAL, _classical_chunk, "classical",
+        acceptance=lambda sim, phi: sim.record_law("classical", phi)[_N_RECORDS - 1],
     )
 
 

@@ -121,8 +121,9 @@ class TestSimulate:
         assert not out.exists()
 
     # At eta = 0.1 a repetition needs 7 surviving photons, so it is accepted
-    # with A of at most about 1e-7: the cap of 400 x 20 attempts expects far below
-    # one valid row at either phase, and the run stops before drawing any.
+    # with A of at most about 1e-7: the cap of 400 x 20 attempts per phase
+    # expects far below one valid row over both phases, and the run stops
+    # before drawing any.
     @pytest.mark.parametrize("strategy", ["quantum", "classical"])
     def test_hopeless_run_fails_before_any_attempt(self, tmp_path, capsys, monkeypatch, strategy):
         def never(*args):
@@ -137,6 +138,22 @@ class TestSimulate:
         assert code == 3
         assert f"{strategy}: no valid repetitions" in capsys.readouterr().err
         assert not out.exists()
+
+    # Here cap * A(phi) is about 0.88 (quantum) or 0.89 (classical) at each
+    # of 40 phases: no phase expects a row, but the run expects about 35, so
+    # it draws and keeps the rows it gets, with the short phases reported.
+    @pytest.mark.parametrize("strategy, eta", [("quantum", "0.62"), ("classical", "0.418")])
+    def test_run_expecting_rows_over_its_phases_succeeds(self, tmp_path, capsys, strategy, eta):
+        out = tmp_path / "sparse"
+        code = run_cli(
+            ["simulate", "--out", out, "--strategy", strategy, "--set", f"noise.eta={eta}",
+             "--n-phases", "40", "--n-shots", "1"]
+        )
+        assert code == 0
+        assert f"{strategy}: attempt cap reached before n_shots" in capsys.readouterr().err
+        stats = json.loads((out / "manifest.json").read_text())["discard_stats"][strategy]
+        assert 0 < stats["valid"] < 40
+        assert len(stats["short_phases"]) == 40 - stats["valid"]
 
     def test_warnings_print_as_one_line(self, tmp_path, capsys):
         shown = warnings.showwarning
