@@ -298,7 +298,16 @@ class TestByteIdentity:
     DEVICE_SHA256 = {
         "quantum.csv": "2cbe7b73911493eb4d9994af56730a4cc00105fb00375c378ec31fdbc28d0485",
     }
-    MI_CURVES_SHA256 = "56ce197aab6a1c691f939cddf0e978b6cc154a75d1e16819a421f97cdf9229d1"
+    ANALYZE_SHA256 = {
+        "mi_curves.csv": "56ce197aab6a1c691f939cddf0e978b6cc154a75d1e16819a421f97cdf9229d1",
+        "histogram_quantum.csv": "afaa6f66fce304af8305e9a810bb29907827404df30cb2052fac896e1e4c0a7b",
+        "histogram_classical.csv": "5d264fd1ed5aad9d24836b6385f81df6fa75bb30dc8ec30fd114468fdc057bec",
+        "phase_estimates_quantum.csv":
+            "96811ce6ca0919c1713a65f792bbf907b70912f0b5705f1542784ee8003d2b90",
+        "phase_estimates_classical.csv":
+            "4e3f05da50f2fd2bc18f3c5ac3be150e1c85a9c6cb0e5d4b70cbe68c39ff5731",
+        "manifest.json": "431809a9397d6354a2bb4ae4618c8b4dd018fc95c27154397ac5a776f8f64391",
+    }
 
     def test_pinned_dataset_and_curve_bytes(self, tmp_path):
         small = ["--n-phases", "5", "--n-shots", "40", "--seed", "3"]
@@ -314,7 +323,8 @@ class TestByteIdentity:
         assert run_cli(["analyze", "--out", curves, "--quantum", noiseless / "quantum.csv",
                         "--classical", noiseless / "classical.csv", "--seed", "3",
                         "--set", "analysis.n_resamples=20"]) == 0
-        assert sha256(curves / "mi_curves.csv") == self.MI_CURVES_SHA256
+        pinned = self.ANALYZE_SHA256
+        assert {name: sha256(curves / name) for name in pinned} == pinned
 
     # The manifests hold the discard counters of each run.
     SWEEP_SHA256 = {
