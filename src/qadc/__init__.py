@@ -13,7 +13,6 @@ from qadc.linop import (
     build_step_program,
     cell_unitary,
     mesh_unitary,
-    moduli_fidelity,
     permanent,
     perturb_program,
 )

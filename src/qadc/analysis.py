@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qadc.protocol import ClassicalDataset, QuantumDataset
+from qadc.protocol import Dataset
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,16 +97,18 @@ _B_FROM_M = np.array(
 )
 
 
-def table_from_quantum(ds: QuantumDataset) -> CondProbTable:
+def _table(ds: Dataset, kind: str) -> CondProbTable:
     counts = np.zeros((ds.n_phases, M_OUTCOMES))
-    np.add.at(counts, (ds.phase_index, m_codes(ds.m)), 1.0)
-    return CondProbTable(ds.phases, counts, kind="m7")
+    np.add.at(counts, (ds.phase_index, m_codes(ds.bits)), 1.0)
+    return CondProbTable(ds.phases, counts, kind=kind)
 
 
-def table_from_classical(ds: ClassicalDataset) -> CondProbTable:
-    counts = np.zeros((ds.n_phases, M_OUTCOMES))
-    np.add.at(counts, (ds.phase_index, m_codes(ds.c)), 1.0)
-    return CondProbTable(ds.phases, counts, kind="c7")
+def table_from_quantum(ds: Dataset) -> CondProbTable:
+    return _table(ds, "m7")
+
+
+def table_from_classical(ds: Dataset) -> CondProbTable:
+    return _table(ds, "c7")
 
 
 def marginalize_to_bits(table: CondProbTable) -> CondProbTable:
@@ -139,12 +141,6 @@ def circular_mean(angles: np.ndarray, weights: np.ndarray | None = None) -> floa
     s = float(np.sum(w * np.sin(a)))
     c = float(np.sum(w * np.cos(a)))
     return float(np.arctan2(s, c) % TWO_PI)
-
-
-def wrap_difference(a: float, b: float) -> float:
-    """Signed circular difference a - b in (-pi, pi]."""
-    d = (a - b) % TWO_PI
-    return d - TWO_PI if d > math.pi else d
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +232,13 @@ def quantum_phase_histograms(table: CondProbTable) -> np.ndarray:
     return table.probabilities()
 
 
-def classical_phase_histograms(ds: ClassicalDataset) -> np.ndarray:
+def classical_phase_histograms(ds: Dataset) -> np.ndarray:
     """Per-phase frequencies of classical estimates in the same 8-bin layout.
 
     Each estimate (in [0, pi]) is assigned to the nearest of the 8 digital bin
     centers.
     """
-    diffs = np.abs(classical_estimates(ds.c)[:, None] - HISTOGRAM_BIN_CENTERS[None, :])
+    diffs = np.abs(classical_estimates(ds.bits)[:, None] - HISTOGRAM_BIN_CENTERS[None, :])
     diffs = np.minimum(diffs, TWO_PI - diffs)
     bins = np.argmin(diffs, axis=1)
     counts = np.zeros((ds.n_phases, 8))
@@ -320,14 +316,14 @@ def mean_quantum_estimates(table: CondProbTable) -> tuple[np.ndarray, np.ndarray
     return circ, arith
 
 
-def mean_classical_estimates(ds: ClassicalDataset) -> np.ndarray:
+def mean_classical_estimates(ds: Dataset) -> np.ndarray:
     """Arithmetic mean of the classical estimate per phase (image in [0, pi]).
 
     NaN at a phase without rows, which has no estimate.
     """
     sums = np.zeros(ds.n_phases)
     counts = np.zeros(ds.n_phases)
-    np.add.at(sums, ds.phase_index, classical_estimates(ds.c))
+    np.add.at(sums, ds.phase_index, classical_estimates(ds.bits))
     np.add.at(counts, ds.phase_index, 1.0)
     means = np.full(ds.n_phases, np.nan)
     return np.divide(sums, counts, out=means, where=counts > 0)

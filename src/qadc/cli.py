@@ -369,10 +369,9 @@ def cmd_simulate(args) -> int:
     # fails on one strategy leaves no outputs.
     datasets = {}
     if config["strategy"] in ("quantum", "both"):
-        if config["mode"] == "sweep":
-            datasets["quantum"] = (simulate_sweep_dataset(proto), write_quantum_csv)
-        else:
-            datasets["quantum"] = (simulate_quantum_dataset(proto), write_quantum_csv)
+        sweep = config["mode"] == "sweep"
+        simulate = simulate_sweep_dataset if sweep else simulate_quantum_dataset
+        datasets["quantum"] = (simulate(proto), write_quantum_csv)
     if config["strategy"] in ("classical", "both"):
         datasets["classical"] = (simulate_classical_dataset(proto), write_classical_csv)
     files = []
@@ -409,11 +408,11 @@ def _phase_ranks(phase_index, shot_index) -> np.ndarray:
     return ranks
 
 
-def _prefix_counts(phase_index, ranks, codes, n_phases, n_outcomes, k):
-    """Per-phase counts over the first k valid records (by shot order)."""
-    counts = np.zeros((n_phases, n_outcomes))
+def _prefix_counts(ds, ranks, codes, k):
+    """Per-phase counts of the 128 records over the first k valid records (by shot order)."""
+    counts = np.zeros((ds.n_phases, analysis.M_OUTCOMES))
     keep = ranks < k
-    np.add.at(counts, (phase_index[keep], codes[keep]), 1.0)
+    np.add.at(counts, (ds.phase_index[keep], codes[keep]), 1.0)
     return counts
 
 
@@ -422,55 +421,40 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     acfg = config["analysis"]
     rng = derive_rng(config["seed"], 101)
-    quantum = read_quantum_csv(args.quantum) if args.quantum else None
-    classical = read_classical_csv(args.classical) if args.classical else None
-    if quantum is None and classical is None:
+    datasets, tables = {}, {}
+    for name, path, read, tabulate in (
+        ("quantum", args.quantum, read_quantum_csv, analysis.table_from_quantum),
+        ("classical", args.classical, read_classical_csv, analysis.table_from_classical),
+    ):
+        if path:
+            datasets[name] = read(path)
+            tables[name] = tabulate(datasets[name])
+    if not datasets:
         raise ConfigError("analyze needs --quantum and/or --classical datasets")
 
-    max_shots = 0
-    tables = {}
-    if quantum is not None:
-        tables["quantum"] = analysis.table_from_quantum(quantum)
-        max_shots = max(max_shots, int(tables["quantum"].n_shots_effective.max()))
-    if classical is not None:
-        tables["classical"] = analysis.table_from_classical(classical)
-        max_shots = max(max_shots, int(tables["classical"].n_shots_effective.max()))
-
+    max_shots = max(int(table.n_shots_effective.max()) for table in tables.values())
     points = _curve_points(max_shots, acfg["n_curve_points"])
     bound_sql = analysis.reference_bounds(analysis.RESOURCES_PER_SHOT)[0]
     bound_classical = analysis.quadrature_mi_classical()
     bound_quantum = analysis.quadrature_mi_quantum()
 
-    datasets = {
-        name: ds for name, ds in (("quantum", quantum), ("classical", classical))
-        if ds is not None
-    }
     ranks = {
         name: _phase_ranks(ds.phase_index, ds.shot_index) for name, ds in datasets.items()
     }
-    codes = {
-        name: analysis.m_codes(ds.m if name == "quantum" else ds.c)
-        for name, ds in datasets.items()
-    }
+    codes = {name: analysis.m_codes(ds.bits) for name, ds in datasets.items()}
     lines = [
         "n_shots,mi_quantum,mi_quantum_err,mi_classical,mi_classical_err,"
         "bound_sql,bound_classical,bound_quantum"
     ]
     for k in points:
         row = [str(k)]
-        for name, ds in (("quantum", quantum), ("classical", classical)):
-            if ds is None:
+        for name in ("quantum", "classical"):
+            if name not in datasets:
                 row += ["nan", "nan"]
                 continue
-            counts = _prefix_counts(
-                ds.phase_index,
-                ranks[name],
-                codes[name],
-                ds.n_phases,
-                analysis.M_OUTCOMES,
-                k,
-            )
-            table = analysis.CondProbTable(ds.phases, counts, kind="m7" if name == "quantum" else "c7")
+            ds = datasets[name]
+            counts = _prefix_counts(ds, ranks[name], codes[name], k)
+            table = analysis.CondProbTable(ds.phases, counts, kind=tables[name].kind)
             est = analysis.bootstrap_mi(table, acfg["n_resamples"], rng)
             row += [_fmt(est.value), _fmt(est.stderr)]
         row += [_fmt(bound_sql), _fmt(bound_classical), _fmt(bound_quantum)]
@@ -479,26 +463,20 @@ def cmd_analyze(args) -> int:
     atomic_write(curves_path, "\n".join(lines) + "\n")
     files = [curves_path]
 
-    if quantum is not None:
-        hist = analysis.quantum_phase_histograms(tables["quantum"])
-        files.append(_write_histogram(out_dir / "histogram_quantum.csv", hist))
-        circ, arith = analysis.mean_quantum_estimates(tables["quantum"])
-        est_lines = ["phase_index,phase_rad,phi_est_circular,phi_est_arithmetic"]
-        for i in range(quantum.n_phases):
-            est_lines.append(
-                f"{i},{_fmt(quantum.phases[i])},{_fmt(circ[i])},{_fmt(arith[i])}"
-            )
-        path = out_dir / "phase_estimates_quantum.csv"
-        atomic_write(path, "\n".join(est_lines) + "\n")
-        files.append(path)
-    if classical is not None:
-        hist = analysis.classical_phase_histograms(classical)
-        files.append(_write_histogram(out_dir / "histogram_classical.csv", hist))
-        means = analysis.mean_classical_estimates(classical)
-        est_lines = ["phase_index,phase_rad,phi_est_mean"]
-        for i in range(classical.n_phases):
-            est_lines.append(f"{i},{_fmt(classical.phases[i])},{_fmt(means[i])}")
-        path = out_dir / "phase_estimates_classical.csv"
+    for name, ds in datasets.items():
+        if name == "quantum":
+            hist = analysis.quantum_phase_histograms(tables[name])
+            circ, arith = analysis.mean_quantum_estimates(tables[name])
+            estimates = {"phi_est_circular": circ, "phi_est_arithmetic": arith}
+        else:
+            hist = analysis.classical_phase_histograms(ds)
+            estimates = {"phi_est_mean": analysis.mean_classical_estimates(ds)}
+        files.append(_write_histogram(out_dir / f"histogram_{name}.csv", hist))
+        est_lines = [",".join(["phase_index,phase_rad", *estimates])]
+        for i in range(ds.n_phases):
+            cells = [str(i), _fmt(ds.phases[i]), *(_fmt(e[i]) for e in estimates.values())]
+            est_lines.append(",".join(cells))
+        path = out_dir / f"phase_estimates_{name}.csv"
         atomic_write(path, "\n".join(est_lines) + "\n")
         files.append(path)
 

@@ -91,10 +91,6 @@ class MZCell:
         object.__setattr__(self, "theta", wrap_theta(self.theta))
         object.__setattr__(self, "phi", wrap_phase(self.phi))
 
-    @property
-    def modes(self) -> tuple[int, int]:
-        return (self.top_mode, self.top_mode + 1)
-
 
 def rectangular_layout(n_modes: int) -> list[tuple[int, int]]:
     """Cell coordinates (layer, top_mode) of the full rectangular layout.
@@ -193,22 +189,6 @@ def mesh_unitary(program: MeshProgram) -> np.ndarray:
     return u
 
 
-def moduli_fidelity(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity of the entry-wise moduli of two matrices.
-
-    Returns ``sum |u_ij||v_ij| / sqrt(sum |u_ij|^2 * sum |v_ij|^2)``, which is
-    1 exactly when the moduli coincide and 0 for disjoint support.
-    """
-    a = np.abs(np.asarray(u))
-    b = np.abs(np.asarray(v))
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    denom = math.sqrt(float(np.sum(a * a)) * float(np.sum(b * b)))
-    if denom == 0.0:
-        raise ValueError("moduli fidelity undefined for zero matrices")
-    return float(np.sum(a * b) / denom)
-
-
 def perturb_program(
     program: MeshProgram,
     sigma_theta: float,
@@ -260,13 +240,6 @@ def logical_rail_pairs(n_qubits: int) -> tuple[tuple[int, int], ...]:
     if n_qubits not in _LOGICAL_PAIRS:
         raise ValueError(f"unsupported probe size {n_qubits}, expected 1, 2 or 4")
     return _LOGICAL_PAIRS[n_qubits]
-
-
-def physical_rail_pairs(n_qubits: int) -> tuple[tuple[int, int], ...]:
-    """Plain (even, odd) mode pairs of each qubit, ignoring the logical frame."""
-    if n_qubits not in _LOGICAL_PAIRS:
-        raise ValueError(f"unsupported probe size {n_qubits}, expected 1, 2 or 4")
-    return tuple((2 * k, 2 * k + 1) for k in range(n_qubits))
 
 
 def build_step_program(

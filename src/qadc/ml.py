@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,11 +100,10 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Inputs, targets and the generator parameters they came from."""
+    """Training inputs and their targets, one row per sample."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.inputs.shape[0] != self.targets.shape[0]:
@@ -458,9 +457,7 @@ def dae_training_set(
     else:
         raise ValueError(f"unsupported DAE width {d_in} (use 128 or 8)")
     noisy = corrupt_rows(clean, sigma, rng)
-    return TrainingSet(
-        noisy, clean, {"sigma": sigma, "n_samples": n_samples, "delta": delta}
-    )
+    return TrainingSet(noisy, clean)
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +516,11 @@ def estimator_training_set(
         noisy_b = corrupt_rows(clean_b, sigma, rng) if sigma > 0 else clean_b
         inputs.append(np.concatenate([noisy_a, noisy_b], axis=1))
         targets.append(phases)
-    return TrainingSet(
-        np.concatenate(inputs, axis=0),
-        np.concatenate(targets, axis=0),
-        {"sigma": sigma, "n_phases": n_phases, "replicas": replicas, "delta": delta},
-    )
+    return TrainingSet(np.concatenate(inputs, axis=0), np.concatenate(targets, axis=0))
 
 
 def circular_errors(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Elementwise `wrap_difference` (same floats): signed errors in (-pi, pi]."""
+    """Signed circular errors predicted - truth in (-pi, pi], elementwise."""
     d = np.mod(np.asarray(predicted, dtype=float) - np.asarray(truth, dtype=float), TWO_PI)
     return np.where(d > math.pi, d - TWO_PI, d)
 

@@ -209,46 +209,17 @@ def g2_to_probs(g2: float, brightness: float) -> tuple[float, float, float]:
     return (1.0 - brightness, brightness - p2, p2)
 
 
-def sample_survivors(
-    model: SourceModel,
-    count: int,
-    n_bins: int,
-    rng: np.random.Generator,
-    conditioned: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` realizations of ``n_bins`` source bins.
-
-    Returns two [count, n_bins] bool masks: the main photon of a bin was
-    emitted and survived, and a second photon was emitted in it and survived.
-    Each bin emits 0/1/2 photons with (p0, p1, p2) and each photon survives
-    with probability eta.  ``conditioned`` conditions every bin on having
-    fired, so only the doubling is drawn.
-    """
-    shape = (count, n_bins)
-    if conditioned:
-        p_all = model.emission_probability
-        if p_all <= 0:
-            raise ValueError("conditioned source needs non-zero brightness")
-        doubled = rng.random(shape) < model.p2 / p_all
-        main_alive = rng.random(shape) < model.eta
-    else:
-        u = rng.random(shape)
-        doubled = u >= model.p0 + model.p1
-        main_alive = (u >= model.p0) & (rng.random(shape) < model.eta)
-    extra_alive = doubled & (rng.random(shape) < model.eta)
-    return main_alive, extra_alive
-
-
 def class_probabilities(
     model: SourceModel, n_bins: int, conditioned: bool = False
 ) -> np.ndarray:
     """Exact probability of every survival key of ``n_bins`` bins, [2**(2 n_bins)].
 
     Bit k of a key: the main photon of bin k was emitted and survived; bit
-    n_bins + k: a second photon was emitted in bin k and survived.  These are
-    the two masks `sample_survivors` draws, with the same laws.  Bins are
-    independent, so a key's probability is a product over bins of one 2 x 2
-    (main, extra) table.
+    n_bins + k: a second photon was emitted in bin k and survived.  Each bin
+    emits 0/1/2 photons with (p0, p1, p2), or with ``conditioned`` 1/2 in
+    proportion to (p1, p2), and each photon survives with probability eta.
+    Bins are independent, so a key's probability is a product over bins of
+    one 2 x 2 (main, extra) table.
     """
     eta = model.eta
     if conditioned:
@@ -430,9 +401,6 @@ class MultimodeState:
         self.n_internal = max(1, n_internal)
         self.amplitudes = amplitudes
 
-    def norm_squared(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
     def spatial_marginals(self) -> dict[tuple[int, ...], float]:
         """Probability of each spatial count pattern, internal modes traced out."""
         out: dict[tuple[int, ...], float] = {}
@@ -579,18 +547,8 @@ def state_fidelity(state: DualRailState, target: np.ndarray) -> float:
     return min(1.0, float(_clip_probability(val, "state fidelity")))
 
 
-def ghz_target(n_qubits: int, physical_frame: bool = False) -> np.ndarray:
-    """The ideal probe state vector in the post-selected qubit register.
-
-    Logically the probe is (|0...0> + |1...1>)/sqrt(2).  In the physical
-    (even-rail = 0) frame the same state reads (|0101...> + |1010...>)/sqrt(2).
-    """
-    dim = 2 ** n_qubits
-    vec = np.zeros(dim, dtype=complex)
-    if physical_frame:
-        a = int("".join("01"[k % 2] for k in range(n_qubits)), 2)
-        b = int("".join("10"[k % 2] for k in range(n_qubits)), 2)
-    else:
-        a, b = 0, dim - 1
-    vec[a] = vec[b] = 1.0 / math.sqrt(2.0)
+def ghz_target(n_qubits: int) -> np.ndarray:
+    """The ideal probe (|0...0> + |1...1>)/sqrt(2) in the logical qubit register."""
+    vec = np.zeros(2**n_qubits, dtype=complex)
+    vec[0] = vec[-1] = 1.0 / math.sqrt(2.0)
     return vec

@@ -11,7 +11,8 @@ acceptances, so that the three pools it matches are expected to be equally
 long.
 
 All strategies run through one per-phase loop (`_acquire`) on arrays of
-attempts (`_quantum_chunk`, `_sweep_chunk`, `_classical_chunk`).  Each chunk
+attempts (`_quantum_chunk`, `_sweep_chunk`, `_classical_chunk`) and return one
+`Dataset` type, whose 7-bit records are m6..m0 or c6..c0.  Each chunk
 returns only what it keeps: the attempt indices in ascending order and their
 record rows, as `StepSimulator.sample_step` does for one step.  Outcomes come
 from exact distributions per (experiment, phase, control flags), each the
@@ -411,29 +412,17 @@ class StepSimulator:
 
 
 @dataclass
-class QuantumDataset:
+class Dataset:
+    """The valid 7-bit records of a quantum or a classical run, in phase order."""
+
     n_phases: int
     phases: np.ndarray
     phase_index: np.ndarray  # [n_records]
-    # Feed-forward: the attempt index; gaps are discarded repetitions.  Sweep:
-    # the 4-photon attempts of earlier chunks plus the rank among its chunk's matches.
+    # Feed-forward and classical: the attempt index; gaps are discarded
+    # repetitions.  Sweep: the 4-photon attempts of earlier chunks plus the
+    # rank among its chunk's matches.
     shot_index: np.ndarray  # [n_records]
-    m: np.ndarray  # [n_records, 7] bits m6..m0
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def b(self) -> np.ndarray:
-        """(b1, b2, b3) columns derived from the frozen m positions."""
-        return self.m[:, _B_POSITIONS]
-
-
-@dataclass
-class ClassicalDataset:
-    n_phases: int
-    phases: np.ndarray
-    phase_index: np.ndarray
-    shot_index: np.ndarray
-    c: np.ndarray  # [n_records, 7] bits c6..c0
+    bits: np.ndarray  # [n_records, 7] int8 bits m6..m0 (quantum) or c6..c0 (classical)
     stats: dict = field(default_factory=dict)
 
 
@@ -470,7 +459,7 @@ def _quantum_chunk(
     return kept, m, stats
 
 
-def _acquire(cls, config: ProtocolConfig, stream: int, chunk, label: str, acceptance=None):
+def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, acceptance=None):
     """Per-phase acquisition loop shared by every strategy.
 
     Each phase draws from its own ``derive_rng(seed, stream, phase)`` stream
@@ -522,7 +511,7 @@ def _acquire(cls, config: ProtocolConfig, stream: int, chunk, label: str, accept
             f"{label}: attempt cap reached before n_shots at {len(short_phases)} phases"
         )
         stats["short_phases"] = short_phases
-    return cls(
+    return Dataset(
         config.n_phases,
         config.phases(),
         np.repeat(np.arange(config.n_phases, dtype=np.int64), counts),
@@ -532,10 +521,10 @@ def _acquire(cls, config: ProtocolConfig, stream: int, chunk, label: str, accept
     )
 
 
-def simulate_quantum_dataset(config: ProtocolConfig) -> QuantumDataset:
+def simulate_quantum_dataset(config: ProtocolConfig) -> Dataset:
     """Run the feed-forward protocol until n_shots valid repetitions per phase."""
     return _acquire(
-        QuantumDataset, config, _STREAM_QUANTUM, _quantum_chunk, "quantum",
+        config, _STREAM_QUANTUM, _quantum_chunk, "quantum",
         acceptance=lambda sim, phi: sim.record_law("quantum", phi)[_N_RECORDS - 1],
     )
 
@@ -621,9 +610,9 @@ def _sweep_chunk(
     return np.arange(len(m)), m, {}
 
 
-def simulate_sweep_dataset(config: ProtocolConfig) -> QuantumDataset:
-    """Dataset via the configuration sweep plus matching post-processing."""
-    return _acquire(QuantumDataset, config, _STREAM_SWEEP, _sweep_chunk, "sweep")
+def simulate_sweep_dataset(config: ProtocolConfig) -> Dataset:
+    """Quantum dataset via the configuration sweep plus matching post-processing."""
+    return _acquire(config, _STREAM_SWEEP, _sweep_chunk, "sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +628,10 @@ def _classical_chunk(
     return kept, c, {}
 
 
-def simulate_classical_dataset(config: ProtocolConfig) -> ClassicalDataset:
+def simulate_classical_dataset(config: ProtocolConfig) -> Dataset:
     """Run the classical baseline until n_shots valid repetitions per phase."""
     return _acquire(
-        ClassicalDataset, config, _STREAM_CLASSICAL, _classical_chunk, "classical",
+        config, _STREAM_CLASSICAL, _classical_chunk, "classical",
         acceptance=lambda sim, phi: sim.record_law("classical", phi)[_N_RECORDS - 1],
     )
 
@@ -661,14 +650,15 @@ class DatasetError(ValueError):
     """A dataset file that cannot be read: bad header, row, bit value or layout."""
 
 
-def _write_dataset(path, header: str, ds, bits: np.ndarray, columns) -> None:
-    """Write ``header`` and one CSV row per record of ``ds``, with ``bits[:, columns]``.
+def _write_dataset(path, header: str, ds: Dataset, columns) -> None:
+    """Write ``header`` and one CSV row per record of ``ds``, with ``ds.bits[:, columns]``.
 
     Each run of rows with equal ``phase_index`` is formatted as one block: the
     ``phase_index,phase_rad,`` prefix once, the shot indices as fixed-width
     byte strings and the 0/1 columns as a uint8 block of ``,b,b,...\n``.
     Blocks are built one at a time, so no whole-file copy is held.
     """
+    bits = ds.bits
     if bits.size and (bits.min() < 0 or bits.max() > 1):
         raise ValueError("bit columns must be 0/1")
     width = 2 * len(columns) + 1
@@ -692,12 +682,12 @@ def _write_dataset(path, header: str, ds, bits: np.ndarray, columns) -> None:
             fh.write(prefix + prefix.join(rows.tolist()))
 
 
-def write_quantum_csv(ds: QuantumDataset, path) -> None:
-    _write_dataset(path, QUANTUM_CSV_HEADER, ds, ds.m, [*range(7), *_B_POSITIONS])
+def write_quantum_csv(ds: Dataset, path) -> None:
+    _write_dataset(path, QUANTUM_CSV_HEADER, ds, [*range(7), *_B_POSITIONS])
 
 
-def write_classical_csv(ds: ClassicalDataset, path) -> None:
-    _write_dataset(path, CLASSICAL_CSV_HEADER, ds, ds.c, list(range(CLASSICAL_QUBITS)))
+def write_classical_csv(ds: Dataset, path) -> None:
+    _write_dataset(path, CLASSICAL_CSV_HEADER, ds, list(range(CLASSICAL_QUBITS)))
 
 
 @contextlib.contextmanager
@@ -785,11 +775,12 @@ def _grid_size(seen: np.ndarray, values: np.ndarray) -> int:
     return n if on_grid else top + 1
 
 
-def _parse_dataset(path, header, bit_cols):
+def _parse_dataset(path, header: str) -> Dataset:
+    n_cols = header.count(",") + 1
     try:
-        columns = _load_columns(path, header, 3 + bit_cols)
+        columns = _load_columns(path, header, n_cols)
         if columns is None:
-            columns = _parse_rows(path, header, 3 + bit_cols)
+            columns = _parse_rows(path, header, n_cols)
     except OSError as exc:
         raise DatasetError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -807,7 +798,7 @@ def _parse_dataset(path, header, bit_cols):
     n_phases = _grid_size(seen, values)
     phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
     phases[seen] = values
-    return (
+    return Dataset(
         n_phases,
         phases,
         np.ascontiguousarray(phase_index),
@@ -816,19 +807,14 @@ def _parse_dataset(path, header, bit_cols):
     )
 
 
-def read_quantum_csv(path) -> QuantumDataset:
-    n_phases, phases, phase_index, shot_index, bits = _parse_dataset(
-        path, QUANTUM_CSV_HEADER, 10
-    )
-    m = bits[:, :7]
-    b = bits[:, 7:]
+def read_quantum_csv(path) -> Dataset:
+    ds = _parse_dataset(path, QUANTUM_CSV_HEADER)
+    m, b = ds.bits[:, :7], ds.bits[:, 7:]
     if np.any(b != m[:, _B_POSITIONS]):
         raise DatasetError(f"{path}: b columns disagree with the frozen m positions")
-    return QuantumDataset(n_phases, phases, phase_index, shot_index, m)
+    ds.bits = m
+    return ds
 
 
-def read_classical_csv(path) -> ClassicalDataset:
-    n_phases, phases, phase_index, shot_index, bits = _parse_dataset(
-        path, CLASSICAL_CSV_HEADER, 7
-    )
-    return ClassicalDataset(n_phases, phases, phase_index, shot_index, bits)
+def read_classical_csv(path) -> Dataset:
+    return _parse_dataset(path, CLASSICAL_CSV_HEADER)

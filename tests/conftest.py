@@ -1,5 +1,6 @@
 """Shared helpers: independent oracles and random-instance generators."""
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -46,3 +47,74 @@ def random_gram(n: int, rng: np.random.Generator) -> GramMatrix:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250811)
+
+
+def b_bits(ds):
+    """The (b1, b2, b3) columns of a quantum dataset: m6, m5 and m3."""
+    return ds.bits[:, [6, 5, 3]]
+
+
+def wrap_difference(a: float, b: float) -> float:
+    """Signed circular difference a - b in (-pi, pi]."""
+    d = (a - b) % (2 * math.pi)
+    return d - 2 * math.pi if d > math.pi else d
+
+
+def moduli_fidelity(u, v) -> float:
+    """Cosine similarity of the entry-wise moduli of two matrices.
+
+    Returns ``sum |u_ij||v_ij| / sqrt(sum |u_ij|^2 * sum |v_ij|^2)``, which is
+    1 exactly when the moduli coincide and 0 for disjoint support.
+    """
+    a = np.abs(np.asarray(u))
+    b = np.abs(np.asarray(v))
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    denom = math.sqrt(float(np.sum(a * a)) * float(np.sum(b * b)))
+    if denom == 0.0:
+        raise ValueError("moduli fidelity undefined for zero matrices")
+    return float(np.sum(a * b) / denom)
+
+
+def physical_rail_pairs(n_qubits: int) -> tuple[tuple[int, int], ...]:
+    """Plain (even, odd) mode pairs of each qubit, ignoring the logical frame."""
+    return tuple((2 * k, 2 * k + 1) for k in range(n_qubits))
+
+
+def physical_ghz_target(n_qubits: int) -> np.ndarray:
+    """The probe in the physical (even rail = 0) frame: (|0101...> + |1010...>)/sqrt(2)."""
+    vec = np.zeros(2**n_qubits, dtype=complex)
+    a = int("".join("01"[k % 2] for k in range(n_qubits)), 2)
+    b = int("".join("10"[k % 2] for k in range(n_qubits)), 2)
+    vec[a] = vec[b] = 1.0 / math.sqrt(2.0)
+    return vec
+
+
+def norm_squared(state) -> float:
+    """Squared norm of an explicit `MultimodeState`."""
+    return float(sum(abs(a) ** 2 for a in state.amplitudes.values()))
+
+
+def sample_survivors(model, count: int, n_bins: int, rng, conditioned: bool = False):
+    """Draw ``count`` realizations of ``n_bins`` source bins.
+
+    Returns two [count, n_bins] bool masks: the main photon of a bin was
+    emitted and survived, and a second photon was emitted in it and survived.
+    Each bin emits 0/1/2 photons with (p0, p1, p2) and each photon survives
+    with probability eta.  ``conditioned`` conditions every bin on having
+    fired, so only the doubling is drawn.  A Monte Carlo cross-check of
+    `qadc.photonics.class_probabilities`.
+    """
+    shape = (count, n_bins)
+    if conditioned:
+        p_all = model.emission_probability
+        if p_all <= 0:
+            raise ValueError("conditioned source needs non-zero brightness")
+        doubled = rng.random(shape) < model.p2 / p_all
+        main_alive = rng.random(shape) < model.eta
+    else:
+        u = rng.random(shape)
+        doubled = u >= model.p0 + model.p1
+        main_alive = (u >= model.p0) & (rng.random(shape) < model.eta)
+    extra_alive = doubled & (rng.random(shape) < model.eta)
+    return main_alive, extra_alive

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from conftest import distribution_dict, naive_permanent, random_gram, random_unitary
+from conftest import (
+    b_bits,
+    distribution_dict,
+    moduli_fidelity,
+    naive_permanent,
+    random_gram,
+    random_unitary,
+)
 from qadc import ml
 from qadc.analysis import (
     CondProbTable,
@@ -34,7 +41,6 @@ from qadc.linop import (
     build_step_program,
     logical_rail_pairs,
     mesh_unitary,
-    moduli_fidelity,
     permanent,
 )
 from qadc.photonics import (
@@ -195,7 +201,7 @@ def test_criterion_4_protocol_correctness():
         ds = simulate_quantum_dataset(cfg)
         assert ds.stats["valid"] == 8000
         for j in range(8):
-            rows = ds.b[ds.phase_index == j]
+            rows = b_bits(ds)[ds.phase_index == j]
             expected = ((j >> 2) & 1, (j >> 1) & 1, j & 1)
             assert set(map(tuple, rows.tolist())) == {expected}
 
@@ -222,7 +228,7 @@ def test_criterion_4_protocol_correctness():
         # the three stated conditional laws, pooled per phase (4-sigma guard)
         for i in (3, 11, 19, 27):
             phi = ds.phases[i]
-            rows = ds.b[ds.phase_index == i]
+            rows = b_bits(ds)[ds.phase_index == i]
             p3 = np.mean(rows[:, 2] == 0)
             law3 = math.cos(2 * phi) ** 2
             se = math.sqrt(max(law3 * (1 - law3), 1e-12) / len(rows))
@@ -456,7 +462,7 @@ def test_criterion_8_ml_stack():
             )
             mi_denoised = mutual_information(denoised_marg).value
             raw_estimates = HISTOGRAM_BIN_CENTERS[
-                ds.b[:, 0] * 4 + ds.b[:, 1] * 2 + ds.b[:, 2]
+                b_bits(ds)[:, 0] * 4 + b_bits(ds)[:, 1] * 2 + b_bits(ds)[:, 2]
             ]
             raw_rmse = ml.circular_rmse(raw_estimates, ds.phases[ds.phase_index])
             inputs = ml.estimator_inputs_from_rows(

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from conftest import wrap_difference
 from qadc import analysis
 from qadc.analysis import (
     CondProbTable,
@@ -26,10 +27,9 @@ from qadc.analysis import (
     quantum_phase_histograms,
     reference_bounds,
     table_from_quantum,
-    wrap_difference,
 )
 from qadc.protocol import (
-    ClassicalDataset,
+    Dataset,
     NoiseConfig,
     ProtocolConfig,
     simulate_classical_dataset,
@@ -355,7 +355,7 @@ class TestMeanEstimates:
         rng = np.random.default_rng(9)
         phase_index = np.array([0, 2, 0, 2, 2, 3, 0])
         c = rng.integers(0, 2, size=(len(phase_index), 7)).astype(np.int8)
-        ds = ClassicalDataset(4, grid(4), phase_index, np.arange(7), c)
+        ds = Dataset(4, grid(4), phase_index, np.arange(7), c)
         means = mean_classical_estimates(ds)
         for i in (0, 2, 3):
             rows = c[phase_index == i]

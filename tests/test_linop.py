@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import naive_permanent, random_unitary
+from conftest import moduli_fidelity, naive_permanent, random_unitary
 from qadc.linop import (
     LayoutError,
     MZCell,
@@ -13,7 +13,6 @@ from qadc.linop import (
     cell_unitary,
     logical_rail_pairs,
     mesh_unitary,
-    moduli_fidelity,
     permanent,
     perturb_program,
     rectangular_layout,

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qadc.analysis import bit_chain_probabilities, wrap_difference
+from conftest import wrap_difference
+from qadc.analysis import bit_chain_probabilities
 from qadc.ml import (
     ESTIMATOR_PHASE_SHIFT,
     Network,

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from conftest import distribution_dict, naive_permanent, random_gram, random_unitary
+from conftest import (
+    distribution_dict,
+    naive_permanent,
+    norm_squared,
+    physical_ghz_target,
+    physical_rail_pairs,
+    random_gram,
+    random_unitary,
+    sample_survivors,
+)
 from qadc import photonics
 from qadc.linop import (
     GHZ_INPUT_MODES,
@@ -15,7 +24,6 @@ from qadc.linop import (
     cell_unitary,
     logical_rail_pairs,
     mesh_unitary,
-    physical_rail_pairs,
 )
 from qadc.photonics import (
     DualRailState,
@@ -33,7 +41,6 @@ from qadc.photonics import (
     output_probability,
     pivoted_cholesky,
     postselect_dualrail,
-    sample_survivors,
     state_fidelity,
     uniform_gram,
 )
@@ -246,7 +253,7 @@ class TestOracle:
             u = random_unitary(5, rng)
             ens = PhotonEnsemble((0, 2, 4), random_gram(3, rng))
             state = oracle_full_state(u, ens)
-            assert state.norm_squared() == pytest.approx(1.0, abs=1e-9)
+            assert norm_squared(state) == pytest.approx(1.0, abs=1e-9)
             assert sum(state.spatial_marginals().values()) == pytest.approx(
                 1.0, abs=1e-9
             )
@@ -272,7 +279,7 @@ class TestPostSelection:
     def test_ideal_ghz4(self):
         ds = postselect_dualrail(self.prep_state(4, 1.0), physical_rail_pairs(4))
         assert ds.success_prob == pytest.approx(0.125, abs=1e-10)
-        fid = state_fidelity(ds, ghz_target(4, physical_frame=True))
+        fid = state_fidelity(ds, physical_ghz_target(4))
         assert fid >= 1 - 1e-10
 
     def test_distinguishable_ghz4_is_incoherent_mixture(self):
@@ -281,7 +288,7 @@ class TestPostSelection:
         target[0b0101, 0b0101] = 0.5
         target[0b1010, 0b1010] = 0.5
         assert np.allclose(ds.rho, target, atol=1e-9)
-        fid = state_fidelity(ds, ghz_target(4, physical_frame=True))
+        fid = state_fidelity(ds, physical_ghz_target(4))
         assert fid == pytest.approx(0.5, abs=1e-9)
 
     def test_fidelity_monotone_in_delta(self):

@@ -5,14 +5,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import dense_probabilities, distribution_dict
+from conftest import b_bits, dense_probabilities, distribution_dict, sample_survivors
 from qadc import protocol
 from qadc.linop import logical_rail_pairs
 from qadc.photonics import (
     class_probabilities,
     ensemble_from_parts,
     full_output_distribution,
-    sample_survivors,
 )
 from qadc.protocol import (
     CLASSICAL_CSV_HEADER,
@@ -61,7 +60,7 @@ class TestGridDeterminism:
         cfg = noiseless_config(n_phases=8, n_shots=150, seed=3)
         ds = simulate_quantum_dataset(cfg)
         for j in range(8):
-            rows = ds.b[ds.phase_index == j]
+            rows = b_bits(ds)[ds.phase_index == j]
             assert len(rows) == 150
             expected = ((j >> 2) & 1, (j >> 1) & 1, j & 1)
             assert set(map(tuple, rows.tolist())) == {expected}
@@ -69,7 +68,7 @@ class TestGridDeterminism:
     def test_dataset_deterministic(self):
         a = simulate_quantum_dataset(noiseless_config(seed=9, n_shots=50))
         b = simulate_quantum_dataset(noiseless_config(seed=9, n_shots=50))
-        assert np.array_equal(a.m, b.m)
+        assert np.array_equal(a.bits, b.bits)
         assert np.array_equal(a.shot_index, b.shot_index)
 
     def test_different_seed_differs(self):
@@ -88,7 +87,7 @@ class TestMarginalLaws:
     def test_b3_law(self, dataset):
         for j in range(dataset.n_phases):
             phi = dataset.phases[j]
-            rows = dataset.b[dataset.phase_index == j]
+            rows = b_bits(dataset)[dataset.phase_index == j]
             p_hat = np.mean(rows[:, 2] == 0)
             p = math.cos(2 * phi) ** 2
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / len(rows))
@@ -97,7 +96,7 @@ class TestMarginalLaws:
     def test_b2_law_conditional(self, dataset):
         for j in (2, 5, 9, 14):
             phi = dataset.phases[j]
-            rows = dataset.b[dataset.phase_index == j]
+            rows = b_bits(dataset)[dataset.phase_index == j]
             for b3 in (0, 1):
                 sel = rows[rows[:, 2] == b3]
                 if len(sel) < 200:
@@ -110,7 +109,7 @@ class TestMarginalLaws:
     def test_b1_law_conditional(self, dataset):
         for j in (3, 8, 12):
             phi = dataset.phases[j]
-            rows = dataset.b[dataset.phase_index == j]
+            rows = b_bits(dataset)[dataset.phase_index == j]
             for b2 in (0, 1):
                 for b3 in (0, 1):
                     sel = rows[(rows[:, 1] == b2) & (rows[:, 2] == b3)]
@@ -148,7 +147,7 @@ class TestMarginalLaws:
         p_b3 = np.zeros(n)
         p_b2 = np.zeros(n)
         for j in range(n):
-            rows = dataset.b[dataset.phase_index == j]
+            rows = b_bits(dataset)[dataset.phase_index == j]
             p_b3[j] = np.mean(rows[:, 2])
             p_b2[j] = np.mean(rows[:, 1])
         phases = dataset.phases
@@ -165,7 +164,7 @@ class TestMarginalLaws:
         assert np.allclose(np.cos(4 * phases), shifted, atol=1e-12)
 
     def test_junk_bits_uniform(self, dataset):
-        m = dataset.m
+        m = dataset.bits
         for col in (0, 1, 2, 4):  # m6 m5 m4 m2
             frac = np.mean(m[:, col])
             assert abs(frac - 0.5) < 0.01
@@ -222,7 +221,7 @@ class TestDistinguishabilityEffects:
         )
         ds = simulate_quantum_dataset(cfg)
         for j in range(4):
-            rows = ds.b[ds.phase_index == j]
+            rows = b_bits(ds)[ds.phase_index == j]
             frac = np.mean(rows[:, 2])
             assert abs(frac - 0.5) < 4 * math.sqrt(0.25 / len(rows))
 
@@ -237,7 +236,7 @@ class TestDistinguishabilityEffects:
         ds = simulate_quantum_dataset(cfg)
         for j in (1, 4):
             phi = ds.phases[j]
-            rows = ds.b[ds.phase_index == j]
+            rows = b_bits(ds)[ds.phase_index == j]
             p_hat = np.mean(rows[:, 2] == 0)
             p = 0.5 * (1 + delta**2 * math.cos(4 * phi))
             sigma = math.sqrt(p * (1 - p) / len(rows))
@@ -300,7 +299,7 @@ class TestSweepAndMatching:
         ds = simulate_sweep_dataset(cfg)
         # grid phases stay deterministic through the matching pipeline
         for j in range(8):
-            rows = ds.m[ds.phase_index == j][:, [6, 5, 3]]
+            rows = b_bits(ds)[ds.phase_index == j]
             expected = ((j >> 2) & 1, (j >> 1) & 1, j & 1)
             assert set(map(tuple, rows.tolist())) == {expected}
 
@@ -349,7 +348,7 @@ class TestNoiseChannels:
         )
         ds = simulate_quantum_dataset(cfg)
         for j in range(8):
-            per_phase = set(map(tuple, ds.b[ds.phase_index == j].tolist()))
+            per_phase = set(map(tuple, b_bits(ds)[ds.phase_index == j].tolist()))
             assert len(per_phase) > 1
 
     def test_unconditioned_source_matches_brightness(self):
@@ -508,7 +507,7 @@ class TestDatasetFiles:
         write_quantum_csv(ds, path)
         back = read_quantum_csv(path)
         assert back.n_phases == 4
-        assert np.array_equal(back.m, ds.m)
+        assert np.array_equal(back.bits, ds.bits)
         assert np.array_equal(back.shot_index, ds.shot_index)
         assert np.allclose(back.phases, ds.phases)
 
@@ -517,7 +516,7 @@ class TestDatasetFiles:
         path = tmp_path / "c.csv"
         write_classical_csv(ds, path)
         back = read_classical_csv(path)
-        assert np.array_equal(back.c, ds.c)
+        assert np.array_equal(back.bits, ds.bits)
 
     def test_shot_index_preserves_gaps(self, tmp_path):
         ds = simulate_quantum_dataset(noiseless_config(n_phases=1, n_shots=100))
@@ -605,9 +604,9 @@ READER_CASES = [
 
 DATASET_KINDS = {
     "quantum": (simulate_quantum_dataset, write_quantum_csv, read_quantum_csv,
-                QUANTUM_CSV_HEADER, "m"),
+                QUANTUM_CSV_HEADER),
     "classical": (simulate_classical_dataset, write_classical_csv, read_classical_csv,
-                  CLASSICAL_CSV_HEADER, "c"),
+                  CLASSICAL_CSV_HEADER),
 }
 
 
@@ -616,7 +615,7 @@ class TestReaderPaths:
 
     @pytest.mark.parametrize("kind", sorted(DATASET_KINDS))
     def test_written_file_loads_in_one_pass(self, tmp_path, kind):
-        simulate, write, _, header, _ = DATASET_KINDS[kind]
+        simulate, write, _, header = DATASET_KINDS[kind]
         path = tmp_path / "data.csv"
         write(simulate(noiseless_config(n_phases=3, n_shots=4)), path)
         n_cols = len(header.split(","))
@@ -631,7 +630,7 @@ class TestReaderPaths:
         [pytest.param(k, e, x, id=f"{k}-{n}") for k, n, e, x in READER_CASES],
     )
     def test_paths_agree_on_edited_files(self, tmp_path, kind, edit, expect):
-        simulate, write, read, header, bits_attr = DATASET_KINDS[kind]
+        simulate, write, read, header = DATASET_KINDS[kind]
         ds = simulate(noiseless_config(n_phases=3, n_shots=4))
         path = tmp_path / "data.csv"
         write(ds, path)
@@ -657,5 +656,5 @@ class TestReaderPaths:
         back = read(path)
         assert np.array_equal(back.phase_index, ds.phase_index)
         assert np.array_equal(back.shot_index, ds.shot_index)
-        assert np.array_equal(getattr(back, bits_attr), getattr(ds, bits_attr))
+        assert np.array_equal(back.bits, ds.bits)
         assert np.allclose(back.phases, ds.phases)
