@@ -135,6 +135,17 @@ MUTANTS = (
         ("tests/test_dead_api.py::test_every_private_name_is_referenced",),
     ),
     Mutant(
+        "attempts-counted-past-the-last-kept-repetition",
+        "src/qadc/protocol.py",
+        "    if need and len(kept) == need:\n        u = u[: kept[-1] + 1]\n",
+        "",
+        (
+            "tests/test_record_law.py::test_recorded_attempts_follow_the_acceptance[quantum]",
+            "tests/test_record_law.py::test_recorded_attempts_follow_the_acceptance[classical]",
+            "tests/test_sampler_reference.py::test_chunks_stop_at_the_last_needed_repetition[device]",
+        ),
+    ),
+    Mutant(
         "series-without-k0-default",
         "src/qadc/protocol.py",
         "k = max((ensemble.n_photons for _, ensemble in self._classes[n]), default=0)",

@@ -13,8 +13,9 @@ long.
 All strategies run through one per-phase loop (`_acquire`) on arrays of
 attempts (`_quantum_chunk`, `_sweep_chunk`, `_classical_chunk`) and return one
 `Dataset` type, whose 7-bit records are m6..m0 or c6..c0.  Each chunk
-returns only what it keeps: the attempt indices in ascending order and their
-record rows, as `StepSimulator.sample_step` does for one step.  Outcomes come
+returns only what it keeps, at most the records still needed: the attempt
+indices in ascending order and their record rows, as
+`StepSimulator.sample_step` does for one step, with the attempts it used.  Outcomes come
 from exact distributions per (experiment, phase, control flags), each the
 mixture over the source realization classes (which photons survive, which
 bins add a second photon) weighted by their exact probabilities: the source
@@ -427,32 +428,38 @@ class Dataset:
 
 
 def _draw_records(
-    cum: np.ndarray, count: int, rng: np.random.Generator
+    cum: np.ndarray, count: int, need: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One uniform per repetition against the cumulative `record_law` ``cum``.
 
-    Returns the uniforms, the accepted repetitions in ascending order and
-    their [len(kept), 7] int8 record rows.
+    Returns the uniforms of the repetitions used, the first ``need`` accepted
+    repetitions in ascending order and their [len(kept), 7] int8 record rows.
+    All ``count`` uniforms are drawn; once ``need`` are accepted, the
+    repetitions after the last of them are not used.
     """
     u = rng.random(count)
-    kept = np.flatnonzero(u < cum[_N_RECORDS - 1])
+    kept = np.flatnonzero(u < cum[_N_RECORDS - 1])[:need]
+    if need and len(kept) == need:
+        u = u[: kept[-1] + 1]
     codes = np.searchsorted(cum[:_N_RECORDS], u[kept], side="right")
     return u, kept, _OUTCOME_BITS[CLASSICAL_QUBITS][codes]
 
 
 def _quantum_chunk(
-    sim: StepSimulator, phi: float, count: int, rng: np.random.Generator
+    sim: StepSimulator, phi: float, count: int, need: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Simulate ``count`` feed-forward repetitions; the valid ones and their m rows.
 
-    A discarded repetition is counted at the step that lost it; uniforms past
-    the 2-photon loss bin, roundoff included, count as 4-photon losses.
+    A discarded repetition among those used is counted at the step that lost
+    it; uniforms past the 2-photon loss bin, roundoff included, count as
+    4-photon losses.
     """
     cum = sim.record_law("quantum", phi)
-    u, kept, m = _draw_records(cum, count, rng)
+    u, kept, m = _draw_records(cum, count, need, rng)
     past1, past2 = (int(np.count_nonzero(u < edge)) for edge in cum[_N_RECORDS : _N_RECORDS + 2])
     stats = {
-        "discard_4": count - past2,
+        "attempts": len(u),
+        "discard_4": len(u) - past2,
         "discard_2": past2 - past1,
         "discard_1": past1 - len(kept),
     }
@@ -463,12 +470,15 @@ def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, acceptance=
     """Per-phase acquisition loop shared by every strategy.
 
     Each phase draws from its own ``derive_rng(seed, stream, phase)`` stream
-    and calls ``chunk(sim, phi, count, rng) -> (kept, records, stats)`` on at
-    most 4096 attempts at a time, where ``kept`` holds the valid attempts'
-    indices in ascending order and ``records`` their rows, the contract of
-    `StepSimulator.sample_step`.  Records are kept until n_shots or the cap
-    of ``max_attempt_factor * n_shots`` attempts.  Phases
-    left short go to ``stats["short_phases"]`` with a warning; a run without
+    and calls ``chunk(sim, phi, count, need, rng) -> (kept, records, stats)``
+    on at most 4096 attempts at a time, where ``kept`` holds the indices of at
+    most ``need`` valid attempts in ascending order and ``records`` their
+    rows, the contract of `StepSimulator.sample_step`.  ``stats["attempts"]``
+    is the number of attempts the chunk used and the other entries count
+    within them; every entry is summed into the run's stats.  Records are
+    kept until n_shots or the cap of ``max_attempt_factor * n_shots``
+    attempts.  Phases left short go to ``stats["short_phases"]`` with a
+    warning; a run without
     any row raises PostSelectionEmpty.  Both messages start with ``label``.
     Given ``acceptance(sim, phi) -> A(phi)``, a run that expects fewer than
     one valid repetition in all, the sum over phases of cap * A(phi), raises
@@ -489,16 +499,15 @@ def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, acceptance=
         rng = derive_rng(config.seed, stream, p_idx)
         have = attempts = 0
         while have < config.n_shots and attempts < cap:
-            count = min(4096, cap - attempts)
-            kept, records, chunk_stats = chunk(sim, float(phi), count, rng)
-            take = config.n_shots - have
-            shots.append(attempts + kept[:take])
-            rows.append(records[:take])
-            have += len(rows[-1])
-            attempts += count
+            kept, records, chunk_stats = chunk(
+                sim, float(phi), min(4096, cap - attempts), config.n_shots - have, rng
+            )
+            shots.append(attempts + kept)
+            rows.append(records)
+            have += len(kept)
+            attempts += chunk_stats["attempts"]
             for key, value in chunk_stats.items():
                 stats[key] = stats.get(key, 0) + value
-        stats["attempts"] += attempts
         stats["valid"] += have
         counts.append(have)
     if not stats["valid"]:
@@ -578,7 +587,7 @@ def _match_arrays(
 
 
 def _sweep_chunk(
-    sim: StepSimulator, phi: float, count: int, rng: np.random.Generator
+    sim: StepSimulator, phi: float, count: int, need: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Run the 10 sweep configurations and match their outcomes into records.
 
@@ -587,7 +596,9 @@ def _sweep_chunk(
     from the exact acceptances so that each experiment's parity-filtered pool
     is expected to be as long as the 4-photon one; equal counts within an
     experiment keep the matched records on the feed-forward law.  Record i
-    of the chunk is numbered i.
+    of the chunk is numbered i, so the chunk's indices are match ranks, not
+    attempts: it keeps its first ``need`` records and counts all ``count``
+    4-photon attempts as used.
     """
 
     def accepted(n, flags):
@@ -606,8 +617,8 @@ def _sweep_chunk(
             bits.append(b)
             flags.append(np.tile(np.asarray(f, dtype=np.int8), (len(b), 1)))
         pools += [np.concatenate(bits), np.concatenate(flags)]
-    m = _match_arrays(*pools, rng=rng)
-    return np.arange(len(m)), m, {}
+    m = _match_arrays(*pools, rng=rng)[:need]
+    return np.arange(len(m)), m, {"attempts": count}
 
 
 def simulate_sweep_dataset(config: ProtocolConfig) -> Dataset:
@@ -621,11 +632,11 @@ def simulate_sweep_dataset(config: ProtocolConfig) -> Dataset:
 
 
 def _classical_chunk(
-    sim: StepSimulator, phi: float, count: int, rng: np.random.Generator
+    sim: StepSimulator, phi: float, count: int, need: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Simulate ``count`` classical repetitions: a lost photon discards all 7 bits."""
-    _, kept, c = _draw_records(sim.record_law("classical", phi), count, rng)
-    return kept, c, {}
+    u, kept, c = _draw_records(sim.record_law("classical", phi), count, need, rng)
+    return kept, c, {"attempts": len(u)}
 
 
 def simulate_classical_dataset(config: ProtocolConfig) -> Dataset:

@@ -262,7 +262,7 @@ def test_criterion_5_pipeline_equivalence():
             rng = derive_rng(1006, 10 + phase_tag)
             records = []
             while len(records) < 10000:
-                _, m, _ = _quantum_chunk(sim, phi, 8192, rng)
+                _, m, _ = _quantum_chunk(sim, phi, 8192, 8192, rng)
                 records.extend(m.tolist())
             b_ff = np.array(records[:10000], dtype=np.int8)[:, [6, 5, 3]]
 

@@ -334,7 +334,7 @@ class TestByteIdentity:
     PROGRAMMING_ERROR_SHA256 = {
         "quantum.csv": "875f5a1cdd3b3f7d9aba6d94bbb774d96b67797fde21923dc55cdb1b2c67aae5",
         "classical.csv": "eeb3bb2a949b7bfd8f1305c5d8e6d9eecea05cdf35e8acba3417cff932f2829c",
-        "manifest.json": "1f87cad1990ec9149e54c286fd6f27043b3e5d7b6a76a896dc0e0733b962c5a0",
+        "manifest.json": "715953cec709bf4b27b61448de599883a3e031105d81a486ac5a59752f5c67da",
     }
 
     def test_pinned_sweep_and_programming_error_bytes(self, tmp_path):

@@ -175,7 +175,7 @@ def valid_rows(chunk, phi, n_valid, rng, chunk_size=64):
     sim = StepSimulator(NOISELESS, seed=1)
     rows, have = [], 0
     while have < n_valid:
-        _, records, _ = chunk(sim, phi, chunk_size, rng)
+        _, records, _ = chunk(sim, phi, chunk_size, chunk_size, rng)
         rows.append(records)
         have += len(rows[-1])
     return np.concatenate(rows)[:n_valid]
@@ -197,13 +197,13 @@ class TestSingleShotApis:
         sim = StepSimulator(NOISELESS, seed=1)
         rng = derive_rng(7, 0)
         for phi, bit in ((0.0, 0), (math.pi, 1)):
-            kept, bits, _ = _classical_chunk(sim, phi, 10, rng)
+            kept, bits, _ = _classical_chunk(sim, phi, 10, 10, rng)
             assert np.array_equal(kept, np.arange(10))  # no discards
             assert (bits == bit).all()  # every bit deterministic
 
     def test_classical_binomial_at_half(self):
         sim = StepSimulator(NOISELESS, seed=1)
-        kept, bits, _ = _classical_chunk(sim, math.pi / 2, 3000, derive_rng(8, 0))
+        kept, bits, _ = _classical_chunk(sim, math.pi / 2, 3000, 3000, derive_rng(8, 0))
         assert len(kept) == len(bits) == 3000
         totals = bits.sum(axis=1)
         mean = np.mean(totals)

@@ -17,6 +17,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy.stats import chi2
 
 from conftest import dense_probabilities
@@ -46,6 +47,7 @@ LAW_SEED = 8128
 #: Device noise with every photon surviving with probability 0.7, so that
 #: repetitions are lost at every step.
 LOSSY_DEVICE_NOISE = replace(DEVICE_NOISE, eta=0.7)
+ATTEMPTS_SEED = 1601
 
 
 def step_law(sim, n, phi, flags):
@@ -192,12 +194,39 @@ def test_lossy_classical_samples_follow_the_law():
         assert abs(z) < 4.0, f"phase {i}: acceptance z {z:.2f}"
 
 
+@pytest.mark.parametrize(
+    "simulate, noise, law",
+    [
+        pytest.param(simulate_quantum_dataset, DEVICE_NOISE, record_law, id="quantum"),
+        pytest.param(simulate_classical_dataset, LOSSY_DEVICE_NOISE, classical_law,
+                     id="classical"),
+    ],
+)
+def test_recorded_attempts_follow_the_acceptance(simulate, noise, law):
+    # A run counts the attempts of each phase up to its last kept repetition.
+    # n valid repetitions at acceptance A take n plus a negative binomial
+    # number of discards: mean n / A and variance n (1 - A) / A**2 attempts.
+    n_shots, n_phases = 2000, 9
+    config = ProtocolConfig(n_phases=n_phases, n_shots=n_shots, noise=noise, seed=ATTEMPTS_SEED)
+    ds = simulate(config)
+    sim = StepSimulator(noise, seed=ATTEMPTS_SEED)
+    accept = np.array([law(sim, float(phi)).sum() for phi in ds.phases])
+    mean = float((n_shots / accept).sum())
+    sd = math.sqrt(float((n_shots * (1 - accept) / accept**2).sum()))
+    z = (ds.stats["attempts"] - mean) / sd
+    assert ds.stats["valid"] == n_phases * n_shots
+    assert abs(z) < 4.0, f"attempts {ds.stats['attempts']}, expected {mean:.0f}: z {z:.2f}"
+    discards = sum(ds.stats.get(key, 0) for key in ("discard_4", "discard_2", "discard_1"))
+    if discards:
+        assert ds.stats["attempts"] == ds.stats["valid"] + discards
+
+
 def test_lossy_discards_follow_the_stage_losses():
     # Fixed-size chunks, so each discard count is binomial in the attempts.
     count = 100_000
     sim = StepSimulator(LOSSY_DEVICE_NOISE, seed=LAW_SEED)
     for p, phi in enumerate(2 * math.pi * np.arange(5) / 5):
-        _, _, stats = _quantum_chunk(sim, float(phi), count, derive_rng(LAW_SEED, 15, p))
+        _, _, stats = _quantum_chunk(sim, float(phi), count, count, derive_rng(LAW_SEED, 15, p))
         for key, prob in stage_losses(sim, float(phi)).items():
             z = (stats[key] - count * prob) / math.sqrt(count * prob * (1 - prob))
             assert abs(z) < 4.0, f"phase {p}: {key} z {z:.2f}"

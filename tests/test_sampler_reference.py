@@ -11,8 +11,8 @@ bits and leave the generator in the same state.
 repetition, from a record law that the loops of `reference_record_law`
 compose from the step distributions, never from `StepSimulator.record_law`;
 `_quantum_chunk` and `_classical_chunk` must keep the same repetitions with
-the same rows, give the same discard counts and leave the generator in the
-same state.  The staged samplers of before, one `reference_sample_step` per
+the same rows, stop at the same repetition once enough are kept, give the
+same attempt and discard counts and leave the generator in the same state.  The staged samplers of before, one `reference_sample_step` per
 feed-forward stage on the survivors of the stage before, stay as a
 statistical comparator: a two-sample 3-sigma chi-square against the chunks.
 """
@@ -96,11 +96,12 @@ def reference_record_law(sim, strategy, phi):
     return law + losses
 
 
-def reference_chunk(sim, strategy, phi, count, rng):
+def reference_chunk(sim, strategy, phi, count, need, rng):
     """``count`` repetitions of a full-mask record-law sampler: (rows, stats).
 
     Rows of -1 mark discards; a uniform at or past the last cumulative step
-    counts as a loss of the last bin.
+    counts as a loss of the last bin.  Once ``need`` repetitions are valid,
+    the ones after the last of them are dropped before counting.
     """
     cum, total = [], 0.0
     for p in reference_record_law(sim, strategy, phi):
@@ -108,15 +109,20 @@ def reference_chunk(sim, strategy, phi, count, rng):
         cum.append(total)
     draws = rng.random(count)
     codes = (np.array(cum)[None, :] <= draws[:, None]).sum(axis=1)
+    valid = np.flatnonzero(codes < 128)
+    if 0 < need <= len(valid):
+        count = int(valid[need - 1]) + 1
+        codes = codes[:count]
     out = np.full((count, 7), -1, dtype=np.int8)
     for i in range(count):
         code = int(codes[i])
         if code < 128:
             out[i] = [(code >> (6 - q)) & 1 for q in range(7)]
     if strategy == "classical":
-        return out, {}
+        return out, {"attempts": count}
     lost = np.minimum(codes[codes >= 128] - 128, 2)
-    return out, {key: int(np.count_nonzero(lost == k)) for k, key in enumerate(LOSSES)}
+    losses = {key: int(np.count_nonzero(lost == k)) for k, key in enumerate(LOSSES)}
+    return out, {"attempts": count, **losses}
 
 
 def staged_quantum_chunk(sim, phi, count, rng):
@@ -217,8 +223,8 @@ def test_chunks_equal_reference(name):
         for count in COUNTS:
             rng, ref_rng = derive_rng(9, 100 + p, count), derive_rng(9, 100 + p, count)
             for strategy, chunk in CHUNKS.items():
-                kept, rows, stats = chunk(sim, phi, count, rng)
-                expected, stats_ref = reference_chunk(sim, strategy, phi, count, ref_rng)
+                kept, rows, stats = chunk(sim, phi, count, count, rng)
+                expected, stats_ref = reference_chunk(sim, strategy, phi, count, count, ref_rng)
                 assert same_state(rng, ref_rng)
                 ok = np.flatnonzero(expected[:, 0] >= 0)
                 assert np.array_equal(kept, ok)
@@ -226,11 +232,30 @@ def test_chunks_equal_reference(name):
                 assert stats == stats_ref
 
 
+@pytest.mark.parametrize("name", NOISE)
+def test_chunks_stop_at_the_last_needed_repetition(name):
+    # A chunk that reaches its needed count counts attempts and discards only
+    # up to the last repetition it keeps, but draws all its uniforms.
+    sim = StepSimulator(NOISE[name], seed=9)
+    count = 4096
+    for p, phi in enumerate(PHASES):
+        for need in (1, 3, 40):
+            rng, ref_rng = derive_rng(9, 400 + p, need), derive_rng(9, 400 + p, need)
+            for strategy, chunk in CHUNKS.items():
+                kept, rows, stats = chunk(sim, phi, count, need, rng)
+                expected, stats_ref = reference_chunk(sim, strategy, phi, count, need, ref_rng)
+                assert same_state(rng, ref_rng)
+                ok = np.flatnonzero(expected[:, 0] >= 0)
+                assert len(ok) <= need and np.array_equal(kept, ok)
+                assert np.array_equal(rows, expected[ok])
+                assert stats == stats_ref
+
+
 def outcome_counts(rows, stats):
     """Counts of the 128 records, then of each discard bin in ``stats``."""
     valid = rows[rows[:, 0] >= 0]
     counts = np.bincount(m_codes(valid), minlength=128)
-    discards = [stats[key] for key in LOSSES] if stats else [len(rows) - len(valid)]
+    discards = [stats[key] for key in LOSSES] if LOSSES[0] in stats else [len(rows) - len(valid)]
     return np.append(counts, discards)
 
 
@@ -242,7 +267,7 @@ def test_chunks_follow_the_staged_sampler(name):
     count = 100_000
     for p, phi in enumerate(PHASES):
         for s, (strategy, chunk) in enumerate(CHUNKS.items()):
-            kept, rows, stats = chunk(sim, phi, count, derive_rng(9, 200 + p, s))
+            kept, rows, stats = chunk(sim, phi, count, count, derive_rng(9, 200 + p, s))
             full = np.full((count, 7), -1, dtype=np.int8)
             full[kept] = rows
             a = outcome_counts(full, stats)
