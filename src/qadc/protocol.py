@@ -15,11 +15,11 @@ attempts (`_quantum_chunk`, `_sweep_chunk`, `_classical_chunk`) and return one
 `Dataset` type, whose 7-bit records are m6..m0 or c6..c0.  Each chunk
 returns only what it keeps, at most the records still needed: the attempt
 indices in ascending order and their record rows, as
-`StepSimulator.sample_step` does for one step, with the attempts it used.  Outcomes come
-from exact distributions per (experiment, phase, control flags), each the
-mixture over the source realization classes (which photons survive, which
-bins add a second photon) weighted by their exact probabilities: the source
-class is summed over, never drawn.  Attempts are independent, so a
+`StepSimulator.sample_step` does for one step, and the attempts it used.
+Outcomes come from exact distributions per (experiment, phase, control
+flags), each the mixture over the source realization classes (which photons
+survive, which bins add a second photon) weighted by their exact
+probabilities: the source class is summed over, never drawn.  Attempts are independent, so a
 feed-forward or classical repetition is drawn whole from its exact record law
 (`StepSimulator.record_law`): the step mixtures composed along the
 feed-forward tree, or seven independent 1-photon steps.  A repetition costs
@@ -478,8 +478,8 @@ def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, acceptance=
     within them; every entry is summed into the run's stats.  Records are
     kept until n_shots or the cap of ``max_attempt_factor * n_shots``
     attempts.  Phases left short go to ``stats["short_phases"]`` with a
-    warning; a run without
-    any row raises PostSelectionEmpty.  Both messages start with ``label``.
+    warning; a run without any row raises PostSelectionEmpty.  Both messages
+    start with ``label``.
     Given ``acceptance(sim, phi) -> A(phi)``, a run that expects fewer than
     one valid repetition in all, the sum over phases of cap * A(phi), raises
     PostSelectionEmpty before any attempt.

@@ -216,9 +216,9 @@ def test_recorded_attempts_follow_the_acceptance(simulate, noise, law):
     z = (ds.stats["attempts"] - mean) / sd
     assert ds.stats["valid"] == n_phases * n_shots
     assert abs(z) < 4.0, f"attempts {ds.stats['attempts']}, expected {mean:.0f}: z {z:.2f}"
-    discards = sum(ds.stats.get(key, 0) for key in ("discard_4", "discard_2", "discard_1"))
-    if discards:
-        assert ds.stats["attempts"] == ds.stats["valid"] + discards
+    if "discard_4" in ds.stats:
+        lost = sum(ds.stats[key] for key in ("discard_4", "discard_2", "discard_1"))
+        assert ds.stats["attempts"] == ds.stats["valid"] + lost
 
 
 def test_lossy_discards_follow_the_stage_losses():
