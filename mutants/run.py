@@ -2,8 +2,7 @@
 
 Run from anywhere, with the interpreter that runs the test suite::
 
-    python mutants/run.py            # every mutant
-    python mutants/run.py NAME ...   # the named mutants only
+    python mutants/run.py
 
 Each row of `MUTANTS` gives a file of the repository, an exact text that
 must occur in it once, the text that replaces it, and the pytest node ids
@@ -137,7 +136,7 @@ MUTANTS = (
     Mutant(
         "attempts-counted-past-the-last-kept-repetition",
         "src/qadc/protocol.py",
-        "    if need and len(kept) == need:\n        u = u[: kept[-1] + 1]\n",
+        "    if len(kept) == need:\n        u = u[: kept[-1] + 1]\n",
         "",
         (
             "tests/test_record_law.py::test_recorded_attempts_follow_the_acceptance[quantum]",
@@ -193,8 +192,8 @@ def outcomes(tree: Path, node_ids: list[str]) -> dict[str, str]:
     return {node: found.get(junit_key(node), "missing") for node in node_ids}
 
 
-def check_texts(mutants) -> None:
-    for mutant in mutants:
+def check_texts() -> None:
+    for mutant in MUTANTS:
         count = (ROOT / mutant.path).read_text().count(mutant.old)
         if count != 1:
             raise SystemExit(
@@ -202,18 +201,14 @@ def check_texts(mutants) -> None:
             )
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        raise SystemExit(f"unknown mutants: {', '.join(sorted(unknown))}")
-    check_texts(chosen)
+def main() -> int:
+    check_texts()
     start = time.perf_counter()
     ok = True
     with tempfile.TemporaryDirectory(prefix="qadc-mutants-") as tmp:
         base = Path(tmp) / "unmutated"
         copy_tree(base)
-        named = sorted({node for m in chosen for node in m.tests})
+        named = sorted({node for m in MUTANTS for node in m.tests})
         for node, outcome in outcomes(base, named).items():
             if outcome != "passed":
                 print(f"UNMUTATED {outcome.upper()}: {node}")
@@ -221,7 +216,7 @@ def main(argv: list[str]) -> int:
         if not ok:
             print("the unmutated tree must pass every named test; no mutant was run")
             return 1
-        for mutant in chosen:
+        for mutant in MUTANTS:
             tree = Path(tmp) / mutant.name
             copy_tree(tree)
             target = tree / mutant.path
@@ -234,10 +229,10 @@ def main(argv: list[str]) -> int:
                 for node, outcome in results.items():
                     print(f"    {outcome}: {node}")
             shutil.rmtree(tree)
-    print(f"{len(chosen)} mutants in {time.perf_counter() - start:.0f} s: "
+    print(f"{len(MUTANTS)} mutants in {time.perf_counter() - start:.0f} s: "
           f"{'all killed' if ok else 'some survived'}")
     return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -439,7 +439,7 @@ def _draw_records(
     """
     u = rng.random(count)
     kept = np.flatnonzero(u < cum[_N_RECORDS - 1])[:need]
-    if need and len(kept) == need:
+    if len(kept) == need:
         u = u[: kept[-1] + 1]
     codes = np.searchsorted(cum[:_N_RECORDS], u[kept], side="right")
     return u, kept, _OUTCOME_BITS[CLASSICAL_QUBITS][codes]

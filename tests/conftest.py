@@ -50,7 +50,12 @@ def rng():
 
 
 def b_bits(ds):
-    """The (b1, b2, b3) columns of a quantum dataset: m6, m5 and m3."""
+    """The (b1, b2, b3) columns of a quantum dataset: m0, m1 and m3.
+
+    ``ds.bits`` holds m6..m0, so these are columns 6, 5 and 3.  The literal is
+    kept apart from ``protocol._B_POSITIONS`` so that the tests read the
+    paper's bit positions rather than the writer's constant.
+    """
     return ds.bits[:, [6, 5, 3]]
 
 

@@ -110,7 +110,7 @@ def reference_chunk(sim, strategy, phi, count, need, rng):
     draws = rng.random(count)
     codes = (np.array(cum)[None, :] <= draws[:, None]).sum(axis=1)
     valid = np.flatnonzero(codes < 128)
-    if 0 < need <= len(valid):
+    if need <= len(valid):
         count = int(valid[need - 1]) + 1
         codes = codes[:count]
     out = np.full((count, 7), -1, dtype=np.int8)
@@ -222,9 +222,10 @@ def test_chunks_equal_reference(name):
     for p, phi in enumerate(PHASES):
         for count in COUNTS:
             rng, ref_rng = derive_rng(9, 100 + p, count), derive_rng(9, 100 + p, count)
+            need = max(count, 1)  # `_acquire` asks every chunk for n_shots >= 1 records
             for strategy, chunk in CHUNKS.items():
-                kept, rows, stats = chunk(sim, phi, count, count, rng)
-                expected, stats_ref = reference_chunk(sim, strategy, phi, count, count, ref_rng)
+                kept, rows, stats = chunk(sim, phi, count, need, rng)
+                expected, stats_ref = reference_chunk(sim, strategy, phi, count, need, ref_rng)
                 assert same_state(rng, ref_rng)
                 ok = np.flatnonzero(expected[:, 0] >= 0)
                 assert np.array_equal(kept, ok)
