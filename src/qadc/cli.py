@@ -1,18 +1,20 @@
 """Command-line orchestration: simulate, analyze, train, report, selftest.
 
 Every command reads a JSON run configuration (flags override fields dot-path
-style), derives all randomness from a single seed and writes its outputs
-atomically together with a manifest sufficient to reproduce the run.  Outputs
-are plain CSV/JSON; plotting is out of scope.
+style), derives all randomness from a single seed, computes all its outputs and
+only then writes them atomically together with a manifest sufficient to
+reproduce the run.  Outputs are plain CSV/JSON; plotting is out of scope.
 
-Exit codes: 0 ok, 2 configuration error or unreadable input data, 3 numerical
-failure or a run with no valid repetitions.
+Exit codes: 0 ok, 2 configuration error, unreadable input data or an output
+directory that cannot be written, 3 numerical failure or a run with no valid
+repetitions.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -341,7 +343,11 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir: Path, command: str, config: dict, files: list[Path], extra: dict) -> None:
+def write_manifest(
+    out_dir: Path, command: str, config: dict, files: list[Path], extra: dict
+) -> str:
+    """The text of ``out_dir``'s manifest: the command, its config and seed,
+    the SHA-256 and size of each written file in ``files``, and ``extra``."""
     manifest = {
         "command": command,
         "config": config,
@@ -351,9 +357,37 @@ def write_manifest(out_dir: Path, command: str, config: dict, files: list[Path],
         },
     }
     manifest.update(extra)
-    atomic_write(
-        out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n"
-    )
+    return json.dumps(manifest, sort_keys=True, indent=1) + "\n"
+
+
+def _publish(out_dir: Path, command: str, config: dict, outputs: dict, extra: dict) -> int:
+    """Write ``outputs`` and then the manifest to ``out_dir``, and print one line.
+
+    ``outputs`` maps each file name, in order, to its text or to a writer
+    called with the path.  Every command computes all its outputs before it
+    calls this, so a run that fails writes nothing.  A file that cannot be
+    written is an output error: one stderr line and exit 2.
+    """
+    paths = [out_dir / name for name in outputs]
+
+    def manifest(path: Path) -> None:  # runs once every output is in place
+        path.write_bytes(write_manifest(out_dir, command, config, paths, extra).encode())
+
+    try:
+        for name, content in {**outputs, "manifest.json": manifest}.items():
+            path = out_dir / name
+            atomic_write(path, content)
+    except OSError as exc:
+        print(f"output error: {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(f"{command.replace('-', ' ')}: wrote {', '.join(outputs)} to {out_dir}")
+    return EXIT_OK
+
+
+def _csv(header: str, rows) -> str:
+    """``header`` and one line per row; a non-string cell is written with `format_float`."""
+    lines = [",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows]
+    return "\n".join([header, *lines]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +397,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, files: list[Path],
 
 def cmd_simulate(args) -> int:
     config = load_config(args)
-    out_dir = Path(args.out)
     proto = protocol_config(config)
-    # Every dataset is simulated before any file is written, so a run that
-    # fails on one strategy leaves no outputs.
     datasets = {}
     if config["strategy"] in ("quantum", "both"):
         sweep = config["mode"] == "sweep"
@@ -374,15 +405,10 @@ def cmd_simulate(args) -> int:
         datasets["quantum"] = (simulate(proto), write_quantum_csv)
     if config["strategy"] in ("classical", "both"):
         datasets["classical"] = (simulate_classical_dataset(proto), write_classical_csv)
-    files = []
-    for name, (ds, write) in datasets.items():
-        path = out_dir / f"{name}.csv"
-        atomic_write(path, lambda p: write(ds, p))
-        files.append(path)
+    # Each CSV is streamed to its file by a writer.
+    outputs = {f"{n}.csv": functools.partial(write, ds) for n, (ds, write) in datasets.items()}
     stats = {name: ds.stats for name, (ds, _) in datasets.items()}
-    write_manifest(out_dir, "simulate", config, files, {"discard_stats": stats})
-    print(f"simulate: wrote {', '.join(p.name for p in files)} to {out_dir}")
-    return EXIT_OK
+    return _publish(Path(args.out), "simulate", config, outputs, {"discard_stats": stats})
 
 
 def _curve_points(n_shots: int, n_points: int) -> list[int]:
@@ -418,7 +444,6 @@ def _prefix_counts(ds, ranks, codes, k):
 
 def cmd_analyze(args) -> int:
     config = load_config(args)
-    out_dir = Path(args.out)
     acfg = config["analysis"]
     rng = derive_rng(config["seed"], 101)
     datasets, tables = {}, {}
@@ -442,10 +467,7 @@ def cmd_analyze(args) -> int:
         name: _phase_ranks(ds.phase_index, ds.shot_index) for name, ds in datasets.items()
     }
     codes = {name: analysis.m_codes(ds.bits) for name, ds in datasets.items()}
-    lines = [
-        "n_shots,mi_quantum,mi_quantum_err,mi_classical,mi_classical_err,"
-        "bound_sql,bound_classical,bound_quantum"
-    ]
+    curves = []
     for k in points:
         row = [str(k)]
         for name in ("quantum", "classical"):
@@ -456,12 +478,11 @@ def cmd_analyze(args) -> int:
             counts = _prefix_counts(ds, ranks[name], codes[name], k)
             table = analysis.CondProbTable(ds.phases, counts, kind=tables[name].kind)
             est = analysis.bootstrap_mi(table, acfg["n_resamples"], rng)
-            row += [_fmt(est.value), _fmt(est.stderr)]
-        row += [_fmt(bound_sql), _fmt(bound_classical), _fmt(bound_quantum)]
-        lines.append(",".join(row))
-    curves_path = out_dir / "mi_curves.csv"
-    atomic_write(curves_path, "\n".join(lines) + "\n")
-    files = [curves_path]
+            row += [est.value, est.stderr]
+        curves.append(row + [bound_sql, bound_classical, bound_quantum])
+    header = ("n_shots,mi_quantum,mi_quantum_err,mi_classical,mi_classical_err,"
+              "bound_sql,bound_classical,bound_quantum")
+    outputs = {"mi_curves.csv": _csv(header, curves)}
 
     for name, ds in datasets.items():
         if name == "quantum":
@@ -471,32 +492,22 @@ def cmd_analyze(args) -> int:
         else:
             hist = analysis.classical_phase_histograms(ds)
             estimates = {"phi_est_mean": analysis.mean_classical_estimates(ds)}
-        files.append(_write_histogram(out_dir / f"histogram_{name}.csv", hist))
-        est_lines = [",".join(["phase_index,phase_rad", *estimates])]
-        for i in range(ds.n_phases):
-            cells = [str(i), _fmt(ds.phases[i]), *(_fmt(e[i]) for e in estimates.values())]
-            est_lines.append(",".join(cells))
-        path = out_dir / f"phase_estimates_{name}.csv"
-        atomic_write(path, "\n".join(est_lines) + "\n")
-        files.append(path)
-
-    write_manifest(out_dir, "analyze", config, files, {})
-    print(f"analyze: wrote {', '.join(p.name for p in files)} to {out_dir}")
-    return EXIT_OK
-
-
-def _write_histogram(path: Path, hist: np.ndarray) -> Path:
-    lines = ["phase_index,bin_center_rad,frequency"]
-    for i, row in enumerate(hist):
-        for center, freq in zip(analysis.HISTOGRAM_BIN_CENTERS, row):
-            lines.append(f"{i},{_fmt(center)},{_fmt(freq)}")
-    atomic_write(path, "\n".join(lines) + "\n")
-    return path
+        outputs[f"histogram_{name}.csv"] = _csv(
+            "phase_index,bin_center_rad,frequency",
+            ([str(i), center, freq]
+             for i, row in enumerate(hist)
+             for center, freq in zip(analysis.HISTOGRAM_BIN_CENTERS, row)),
+        )
+        outputs[f"phase_estimates_{name}.csv"] = _csv(
+            ",".join(["phase_index,phase_rad", *estimates]),
+            ([str(i), ds.phases[i], *(e[i] for e in estimates.values())]
+             for i in range(ds.n_phases)),
+        )
+    return _publish(Path(args.out), "analyze", config, outputs, {})
 
 
 def cmd_train(args) -> int:
     config = load_config(args)
-    out_dir = Path(args.out)
     stage = args.stage
     block = config["ml"][stage]
     cfg = ml.TrainConfig(
@@ -538,25 +549,16 @@ def cmd_train(args) -> int:
         warnings.warn(
             f"train {stage}: final loss {trace[-1]:.3g} above initial {trace[0]:.3g}"
         )
-    model_path = out_dir / f"model_{stage}.json"
-    atomic_write(
-        model_path,
-        json.dumps(net.to_json_dict(cfg, seed=config["seed"]), sort_keys=True) + "\n",
-    )
-    loss_path = out_dir / f"loss_{stage}.csv"
-    atomic_write(
-        loss_path,
-        "\n".join(["epoch,train_loss"] + [f"{i},{_fmt(l)}" for i, l in enumerate(trace)])
-        + "\n",
-    )
-    write_manifest(out_dir, f"train-{stage}", config, [model_path, loss_path], extra)
-    print(f"train {stage}: wrote {model_path.name}, {loss_path.name} to {out_dir}")
-    return EXIT_OK
+    outputs = {
+        f"model_{stage}.json":
+            json.dumps(net.to_json_dict(cfg, seed=config["seed"]), sort_keys=True) + "\n",
+        f"loss_{stage}.csv": _csv("epoch,train_loss", ([str(i), l] for i, l in enumerate(trace))),
+    }
+    return _publish(Path(args.out), f"train-{stage}", config, outputs, extra)
 
 
 def cmd_report(args) -> int:
     config = load_config(args)
-    out_dir = Path(args.out)
     dae = load_model(args.dae, DAE_WIDTHS) if args.dae else None
     est_net = load_model(args.estimator, ESTIMATOR_WIDTHS) if args.estimator else None
     quantum = read_quantum_csv(args.quantum)
@@ -594,17 +596,13 @@ def cmd_report(args) -> int:
         analysis.mean_classical_estimates(classical) if classical is not None else None
     )
 
-    lines = ["phi_true,phi_raw_quantum,phi_raw_classical,phi_nn"]
-    for i in range(quantum.n_phases):
-        cells = [
-            _fmt(quantum.phases[i]),
-            _fmt(circ[i]),
-            _fmt(classical_means[i]) if classical_means is not None else "nan",
-            _fmt(phi_nn[i]) if phi_nn is not None else "nan",
-        ]
-        lines.append(",".join(cells))
-    cmp_path = out_dir / "phase_comparison.csv"
-    atomic_write(cmp_path, "\n".join(lines) + "\n")
+    comparison = _csv(
+        "phi_true,phi_raw_quantum,phi_raw_classical,phi_nn",
+        ([quantum.phases[i], circ[i],
+          classical_means[i] if classical_means is not None else "nan",
+          phi_nn[i] if phi_nn is not None else "nan"]
+         for i in range(quantum.n_phases)),
+    )
 
     mi_summary = {
         "mi_raw_full": analysis.mutual_information(table).value,
@@ -626,11 +624,11 @@ def cmd_report(args) -> int:
         mi_summary["raw_rmse_circular"] = ml.circular_rmse(
             circ[estimated], quantum.phases[estimated]
         )
-    summary_path = out_dir / "mi_summary.json"
-    atomic_write(summary_path, json.dumps(mi_summary, sort_keys=True, indent=1) + "\n")
-    write_manifest(out_dir, "report", config, [cmp_path, summary_path], {})
-    print(f"report: wrote {cmp_path.name}, {summary_path.name} to {out_dir}")
-    return EXIT_OK
+    outputs = {
+        "phase_comparison.csv": comparison,
+        "mi_summary.json": json.dumps(mi_summary, sort_keys=True, indent=1) + "\n",
+    }
+    return _publish(Path(args.out), "report", config, outputs, {})
 
 
 #: (input, output) widths a model given to ``report`` may have.
@@ -714,8 +712,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-phases", dest="n_phases", type=int)
     p.add_argument("--n-shots", dest="n_shots", type=int)
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--noiseless", action="store_true", help="ideal-source preset")
-    p.add_argument(
+    presets = p.add_mutually_exclusive_group()
+    presets.add_argument("--noiseless", action="store_true", help="ideal-source preset")
+    presets.add_argument(
         "--device-noise",
         dest="device_noise",
         action="store_true",

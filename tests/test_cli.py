@@ -169,6 +169,29 @@ class TestSimulate:
         assert run_cli(["simulate", "--out", tmp_path / "x", "--strategy", "quantum",
                         "--set", "noise.delta=1.4"]) == 2
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_unusable_out_is_output_error(self, tmp_path, capsys, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = blocker / below if below else blocker
+        code = run_cli(["simulate", "--out", out, "--strategy", "classical",
+                        "--n-phases", "2", "--n-shots", "5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"output error: {out}: "), err
+        assert err.count("\n") == 1, err
+        assert blocker.read_text() == "kept\n"
+
+    def test_presets_are_exclusive(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(["simulate", "--out", out, "--device-noise", "--noiseless"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "argument --noiseless: not allowed with argument --device-noise" in err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path):
         assert run_cli(["simulate", "--out", tmp_path / "x",
                         "--set", "noise.nonsense=1"]) == 2
@@ -648,6 +671,23 @@ class TestTrainAndReport:
             assert err.startswith(f"input error: {path}: "), err
             assert err.count("\n") == 1, err
             assert not out.exists(), name
+
+
+# Each failure comes after the command's first output is computed.
+@pytest.mark.parametrize("command, failing", [
+    pytest.param(["analyze", "--set", "analysis.n_resamples=2"], "mean_quantum_estimates",
+                 id="analyze"),
+    pytest.param(["report"], "quadrature_mi_quantum", id="report"),
+])
+def test_failed_command_writes_nothing(small_run, tmp_path, capsys, monkeypatch, command, failing):
+    def fail(*args):
+        raise ArithmeticError("injected")
+
+    monkeypatch.setattr(cli.analysis, failing, fail)
+    out = tmp_path / "x"
+    assert run_cli([*command, "--out", out, "--quantum", small_run / "quantum.csv"]) == 3
+    assert capsys.readouterr().err == "numerical failure: injected\n"
+    assert not out.exists()
 
 
 def run_python(*args):
