@@ -154,6 +154,17 @@ MUTANTS = (
             "tests/test_cli.py::TestSimulate::test_run_without_valid_repetitions_fails[classical-eta0]",
         ),
     ),
+    Mutant(
+        "cell-theta-reflected-to-0-pi",
+        "src/qadc/linop.py",
+        '        object.__setattr__(self, "theta", wrap_phase(self.theta))\n',
+        "        theta = wrap_phase(self.theta)\n"
+        '        object.__setattr__(self, "theta", TWO_PI - theta if theta > math.pi else theta)\n',
+        (
+            "tests/test_linop.py::TestCell::test_wrapped_cell_keeps_the_unwrapped_unitary",
+            "tests/test_cli.py::TestByteIdentity::test_pinned_sweep_and_programming_error_bytes",
+        ),
+    ),
 )
 
 

@@ -13,7 +13,10 @@ Cell matrix convention (fixed once, all tests depend on it)::
                                      [e^{i phi} cos(theta/2), -sin(theta/2)]]
 
 so ``theta = 0`` is the cross configuration (R = 0), ``theta = pi/2`` a
-balanced splitter and ``theta = pi`` the bar configuration.  A cell with
+balanced splitter and ``theta = pi`` the bar configuration.  U has period
+2*pi in theta and in phi, and cells store both wrapped to [0, 2*pi).
+Reflecting theta to 2*pi - theta keeps R but not U (it gives D U D with
+D = diag(1, -1), up to a global phase), so it is not used.  A cell with
 ``theta = pi, phi = pi`` is exactly the 2x2 identity, which is how unused
 cells of the full layout are padded.
 """
@@ -54,26 +57,14 @@ def wrap_phase(phi: float) -> float:
     return out
 
 
-def wrap_theta(theta: float) -> float:
-    """Reduce an internal phase to [0, pi] using 2*pi periodicity and reflection.
-
-    The reflection ``t -> 2*pi - t`` preserves the reflectance R(theta), so the
-    R contract survives canonical wrapping.  The closed endpoint ``pi`` is kept
-    because the bar configuration (R = 1) lives there.
-    """
-    t = wrap_phase(theta)
-    if t > math.pi:
-        t = TWO_PI - t
-    return t
-
-
 @dataclass(frozen=True)
 class MZCell:
     """One Mach-Zehnder unit cell of the rectangular mesh.
 
     ``layer`` and ``top_mode`` locate the cell: it couples the adjacent mode
-    pair ``(top_mode, top_mode + 1)`` within its layer.  Angles are stored
-    canonically wrapped (theta in [0, pi], phi in [0, 2*pi)).
+    pair ``(top_mode, top_mode + 1)`` within its layer.  Both angles are
+    stored wrapped to [0, 2*pi), a period of the cell unitary in each, so a
+    programming error keeps its sign across the bar and cross settings.
     """
 
     layer: int
@@ -88,7 +79,7 @@ class MZCell:
             raise LayoutError(
                 f"cell at layer {self.layer} cannot sit on top mode {self.top_mode}"
             )
-        object.__setattr__(self, "theta", wrap_theta(self.theta))
+        object.__setattr__(self, "theta", wrap_phase(self.theta))
         object.__setattr__(self, "phi", wrap_phase(self.phi))
 
 

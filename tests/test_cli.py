@@ -355,9 +355,9 @@ class TestByteIdentity:
         "manifest.json": "4e789bea3d32eac16d48dfa3f316da265f3c785b90d4ea9555120899d0ce33e0",
     }
     PROGRAMMING_ERROR_SHA256 = {
-        "quantum.csv": "875f5a1cdd3b3f7d9aba6d94bbb774d96b67797fde21923dc55cdb1b2c67aae5",
-        "classical.csv": "eeb3bb2a949b7bfd8f1305c5d8e6d9eecea05cdf35e8acba3417cff932f2829c",
-        "manifest.json": "715953cec709bf4b27b61448de599883a3e031105d81a486ac5a59752f5c67da",
+        "quantum.csv": "2a1f49a908e9b0176bb76a3702beeba11c2f9f3e3966f2b0638a06101e9208ae",
+        "classical.csv": "9be05863885afa66e2773cb5d5fc81f9765e135a29c056bbae73d368aa859250",
+        "manifest.json": "52f3ed40de5f7273926907995f62673d6c6a6aeca84d90a1948c6b7bf0d1b7ae",
     }
 
     def test_pinned_sweep_and_programming_error_bytes(self, tmp_path):

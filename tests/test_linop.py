@@ -17,7 +17,6 @@ from qadc.linop import (
     perturb_program,
     rectangular_layout,
     wrap_phase,
-    wrap_theta,
 )
 
 TWO_PI = 2 * math.pi
@@ -95,12 +94,26 @@ class TestCell:
 
     def test_angle_wrapping(self):
         cell = MZCell(0, 0, -0.3, -1.0)
-        assert 0.0 <= cell.theta <= math.pi
+        assert 0.0 <= cell.theta < TWO_PI
         assert 0.0 <= cell.phi < TWO_PI
-        # reflection preserves the reflectance
+        # wrapping preserves the reflectance
         assert math.sin(cell.theta / 2) ** 2 == pytest.approx(math.sin(0.15) ** 2)
-        assert wrap_theta(math.pi) == pytest.approx(math.pi)
         assert wrap_phase(TWO_PI) == 0.0
+
+    def test_wrapped_cell_keeps_the_unwrapped_unitary(self):
+        # A programming error on a bar (pi) or cross (0) cell keeps its sign:
+        # reflecting theta to 2 pi - theta would keep R but not the unitary.
+        thetas = np.concatenate([np.linspace(-TWO_PI + 0.01, 2 * TWO_PI - 0.01, 37),
+                                 [math.pi - 0.05, math.pi + 0.05, -0.05, 0.05]])
+        for theta in thetas:
+            for phi in (0.0, 1.3, math.pi):
+                half = theta / 2
+                expected = 1j * np.exp(1j * half) * np.array(
+                    [[np.exp(1j * phi) * math.sin(half), math.cos(half)],
+                     [np.exp(1j * phi) * math.cos(half), -math.sin(half)]]
+                )
+                u = cell_unitary(MZCell(0, 0, theta, phi))
+                assert np.allclose(u, expected, rtol=0.0, atol=1e-12), (theta, phi)
 
     def test_layer_parity_constraint(self):
         with pytest.raises(LayoutError):
