@@ -465,8 +465,8 @@ def dae_training_set(
 # ---------------------------------------------------------------------------
 
 
-def shifted_rows(phases: np.ndarray, rows: np.ndarray, shift: float = ESTIMATOR_PHASE_SHIFT) -> np.ndarray:
-    """Rows at phi + shift by circular linear interpolation on the grid.
+def shifted_rows(phases: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows at phi + `ESTIMATOR_PHASE_SHIFT` by circular linear interpolation on the grid.
 
     The shift is generally not a multiple of the grid spacing, so the two
     nearest grid rows are blended and renormalized.
@@ -477,7 +477,7 @@ def shifted_rows(phases: np.ndarray, rows: np.ndarray, shift: float = ESTIMATOR_
     if n < 2:
         raise ValueError("need at least two grid rows to interpolate")
     spacing = TWO_PI / n
-    pos = ((phases + shift) % TWO_PI) / spacing
+    pos = ((phases + ESTIMATOR_PHASE_SHIFT) % TWO_PI) / spacing
     lo = np.floor(pos).astype(int) % n
     frac = pos - np.floor(pos)
     hi = (lo + 1) % n
@@ -485,12 +485,9 @@ def shifted_rows(phases: np.ndarray, rows: np.ndarray, shift: float = ESTIMATOR_
     return renormalize_rows(blended)
 
 
-def estimator_inputs_from_rows(
-    phases: np.ndarray, rows: np.ndarray, shift: float = ESTIMATOR_PHASE_SHIFT
-) -> np.ndarray:
+def estimator_inputs_from_rows(phases: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """[n_phases, 16] regressor inputs from a grid of 8-outcome rows."""
-    shifted = shifted_rows(phases, rows, shift)
-    return np.concatenate([rows, shifted], axis=1)
+    return np.concatenate([rows, shifted_rows(phases, rows)], axis=1)
 
 
 def estimator_training_set(
@@ -547,12 +544,7 @@ def evaluate_estimator(net: Network, phases: np.ndarray, inputs: np.ndarray) -> 
         branch = float(np.mean(errs < math.pi / 2))
     else:
         branch = float("nan")
-    return {
-        "rmse": rmse,
-        "rmse_raw": rmse_raw,
-        "branch_accuracy": branch,
-        "predictions": predicted,
-    }
+    return {"rmse": rmse, "rmse_raw": rmse_raw, "branch_accuracy": branch}
 
 
 def train_and_eval_estimator(
@@ -560,22 +552,19 @@ def train_and_eval_estimator(
     n_train_phases: int = 160,
     noise_sigma: float = 0.01,
     replicas: int = 4,
-    holdout_phases: int = 99,
     delta: float = 1.0,
 ) -> tuple[Network, list[float], dict]:
     """Train the regressor on simulated data and report held-out metrics.
 
-    The held-out grid is offset from the training grids; inputs are clean
-    analytic rows (the denoised-probability use case).
+    The held-out grid of 99 phases is offset from the training grids; inputs
+    are clean analytic rows (the denoised-probability use case).
     """
     rng = np.random.default_rng(cfg.seed)
     dataset = estimator_training_set(n_train_phases, noise_sigma, rng, replicas, delta)
     net = Network.initialize(build_estimator(), rng)
     trace = train(net, dataset, cfg)
-    grid = (TWO_PI * np.arange(holdout_phases) / holdout_phases + 0.013) % TWO_PI
+    grid = (TWO_PI * np.arange(99) / 99 + 0.013) % TWO_PI
     clean_a = bit_chain_probabilities(grid, delta)
     clean_b = bit_chain_probabilities((grid + ESTIMATOR_PHASE_SHIFT) % TWO_PI, delta)
     inputs = np.concatenate([clean_a, clean_b], axis=1)
-    metrics = evaluate_estimator(net, grid, inputs)
-    metrics["final_loss"] = trace[-1]
-    return net, trace, metrics
+    return net, trace, evaluate_estimator(net, grid, inputs)

@@ -53,11 +53,11 @@ def _clip_probability(p, context: str):
     return np.where(p < 0.0, 0.0, p)
 
 
-def pivoted_cholesky(s: np.ndarray, tol: float = PSD_PIVOT_TOL) -> np.ndarray:
+def pivoted_cholesky(s: np.ndarray) -> np.ndarray:
     """Pivoted Cholesky factor L (rows x rank) with S = L L^dagger.
 
     Handles rank-deficient positive semidefinite matrices; raises ModelError
-    if a residual diagonal entry is negative beyond ``tol``.
+    if a residual diagonal entry is negative beyond `PSD_PIVOT_TOL`.
     """
     s = np.asarray(s, dtype=complex)
     n = s.shape[0]
@@ -68,8 +68,8 @@ def pivoted_cholesky(s: np.ndarray, tol: float = PSD_PIVOT_TOL) -> np.ndarray:
     for k in range(n):
         d_masked = np.where(done, -np.inf, d)
         j = int(np.argmax(d_masked)) if n else 0
-        if n == 0 or d_masked[j] <= tol:
-            if n and np.any(d[~done] < -tol):
+        if n == 0 or d_masked[j] <= PSD_PIVOT_TOL:
+            if n and np.any(d[~done] < -PSD_PIVOT_TOL):
                 raise ModelError("matrix is not positive semidefinite")
             break
         done[j] = True
@@ -201,11 +201,9 @@ def g2_to_probs(g2: float, brightness: float) -> tuple[float, float, float]:
         return (1.0 - brightness, brightness, 0.0)
 
     # p2 is the smaller root of g2 (B + p2)^2 = 2 p2, written without cancellation.
+    # Under the guards the discriminant h^2 - (g2 B)^2 = 1 - 2 g2 B exceeds 0.8.
     h = 1.0 - g2 * brightness
-    disc = h * h - (g2 * brightness) ** 2
-    if disc < 0.0:
-        raise ModelError(f"no solution for g2 = {g2} at brightness {brightness}")
-    p2 = g2 * brightness**2 / (h + math.sqrt(disc))
+    p2 = g2 * brightness**2 / (h + math.sqrt(h * h - (g2 * brightness) ** 2))
     return (1.0 - brightness, brightness - p2, p2)
 
 
