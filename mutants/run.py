@@ -82,12 +82,12 @@ MUTANTS = (
     Mutant(
         "adam-bias-corrections-folded",
         "src/qadc/ml.py",
-        "        np.divide(m, 1 - c.beta1**self.t, out=step)\n"
-        "        step *= c.learning_rate\n"
-        "        np.divide(v, 1 - c.beta2**self.t, out=denom)\n"
+        "        np.divide(m, 1 - ADAM_BETA1**self.t, out=step)\n"
+        "        step *= self.cfg.learning_rate\n"
+        "        np.divide(v, 1 - ADAM_BETA2**self.t, out=denom)\n"
         "        np.sqrt(denom, out=denom)\n",
-        "        np.multiply(m, c.learning_rate * (1 - c.beta2**self.t) ** 0.5\n"
-        "                    / (1 - c.beta1**self.t), out=step)\n"
+        "        np.multiply(m, self.cfg.learning_rate * (1 - ADAM_BETA2**self.t) ** 0.5\n"
+        "                    / (1 - ADAM_BETA1**self.t), out=step)\n"
         "        np.sqrt(v, out=denom)\n",
         ("tests/test_ml.py::TestFlatTrainingMatchesReference::test_adam_equals_per_tensor_steps",),
     ),
@@ -127,11 +127,26 @@ MUTANTS = (
         ("tests/test_record_law.py::test_device_noise_sweep_records_follow_the_law",),
     ),
     Mutant(
+        "sweep-cap-unscaled",
+        "src/qadc/protocol.py",
+        "phase_cap = cap if cap_scale is None else math.ceil(cap * cap_scale(sim, float(phi)))",
+        "phase_cap = cap",
+        ("tests/test_protocol.py::TestNoiseChannels::test_sweep_cap_counts_feed_forward_repetitions",),
+    ),
+    Mutant(
         "stream-match-re-added",
         "src/qadc/protocol.py",
         "_STREAM_SWEEP = 3\n",
         "_STREAM_SWEEP = 3\n_STREAM_MATCH = 4\n",
         ("tests/test_dead_api.py::test_every_private_name_is_referenced",),
+    ),
+    Mutant(
+        "mesh-program-unitary-added",
+        "src/qadc/linop.py",
+        '                f"({len(self.cells)} cells, expected {len(expected)})"\n            )\n',
+        '                f"({len(self.cells)} cells, expected {len(expected)})"\n            )\n'
+        "\n    def unitary(self) -> np.ndarray:\n        return mesh_unitary(self)\n",
+        ("tests/test_dead_api.py::test_every_unreferenced_public_name_is_allowlisted",),
     ),
     Mutant(
         "attempts-counted-past-the-last-kept-repetition",

@@ -174,9 +174,6 @@ CONFIG_FIELDS = (
     Field("analysis.n_resamples", 100, Domain(int, "an integer of at least 2", lambda v: v >= 2),
           "bootstrap replicates for MI error bars"),
     *_training_fields("dae", "denoising autoencoder"),
-    Field("ml.dae.d_in", analysis.M_OUTCOMES,
-          _one_of(int, (analysis.B_OUTCOMES, analysis.M_OUTCOMES)),
-          "outcomes per probability row: 8 (b bits) or 128 (m bits)"),
     Field("ml.dae.n_train_samples", 1024, POSITIVE_INT, "training rows"),
     *_training_fields("estimator", "phase regressor"),
     Field("ml.estimator.n_train_phases", 160, POSITIVE_INT, "training phases per replica"),
@@ -423,14 +420,9 @@ def _curve_points(n_shots: int, n_points: int) -> list[int]:
 def _phase_ranks(phase_index, shot_index) -> np.ndarray:
     """Rank of each record within its phase, ordered by shot index."""
     order = np.lexsort((shot_index, phase_index))
-    ranks = np.empty(len(order), dtype=np.int64)
     sorted_phases = phase_index[order]
-    boundaries = np.flatnonzero(np.diff(sorted_phases)) + 1
-    positions = np.arange(len(order))
-    starts = np.zeros(len(order), dtype=np.int64)
-    starts[boundaries] = positions[boundaries]
-    starts = np.maximum.accumulate(starts)
-    ranks[order] = positions - starts
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.arange(len(order)) - np.searchsorted(sorted_phases, sorted_phases)
     return ranks
 
 
@@ -516,17 +508,16 @@ def cmd_train(args) -> int:
         learning_rate=block["learning_rate"],
         seed=config["seed"],
     )
-    rng = derive_rng(config["seed"], 201 if stage == "dae" else 202)
     extra: dict = {}
     if stage == "dae":
+        rng = derive_rng(config["seed"], 201)
         dataset = ml.dae_training_set(
             block["n_train_samples"],
             block["noise_sigma"],
             rng,
-            d_in=block["d_in"],
             delta=block["delta"],
         )
-        net = ml.Network.initialize(ml.build_dae(block["d_in"]), rng)
+        net = ml.Network.initialize(ml.build_dae(), rng)
         trace = ml.train(net, dataset, cfg)
     else:
         net, trace, metrics = ml.train_and_eval_estimator(
@@ -570,17 +561,11 @@ def cmd_report(args) -> int:
         )
 
     table = analysis.table_from_quantum(quantum)
-    rows = table.probabilities()
     if dae is not None:
-        if dae.spec.widths[0] == analysis.M_OUTCOMES:
-            denoised_full = ml.dae_denoise(dae, rows)
-            marginal_rows = analysis.marginalize_to_bits(
-                analysis.CondProbTable(table.phases, denoised_full, kind="m7")
-            ).probabilities()
-        else:
-            marginal_rows = ml.dae_denoise(
-                dae, analysis.marginalize_to_bits(table).probabilities()
-            )
+        denoised_full = ml.dae_denoise(dae, table.probabilities())
+        marginal_rows = analysis.marginalize_to_bits(
+            analysis.CondProbTable(table.phases, denoised_full, kind="m7")
+        ).probabilities()
         denoised_table = analysis.CondProbTable(table.phases, marginal_rows, kind="b3")
     else:
         denoised_table = analysis.marginalize_to_bits(table)
@@ -631,16 +616,13 @@ def cmd_report(args) -> int:
     return _publish(Path(args.out), "report", config, outputs, {})
 
 
-#: (input, output) widths a model given to ``report`` may have.
-DAE_WIDTHS = (
-    (analysis.M_OUTCOMES, analysis.M_OUTCOMES),
-    (analysis.B_OUTCOMES, analysis.B_OUTCOMES),
-)
-ESTIMATOR_WIDTHS = ((2 * analysis.B_OUTCOMES, 1),)
+#: (input, output) widths of each model given to ``report``.
+DAE_WIDTHS = (analysis.M_OUTCOMES, analysis.M_OUTCOMES)
+ESTIMATOR_WIDTHS = (2 * analysis.B_OUTCOMES, 1)
 
 
-def load_model(path: str, widths) -> ml.Network:
-    """A trained network from its JSON file, with (input, output) widths in ``widths``.
+def load_model(path: str, widths: tuple[int, int]) -> ml.Network:
+    """A trained network from its JSON file, mapping ``widths[0]`` to ``widths[1]`` values.
 
     A file that is missing, unreadable, not JSON, not a model document or a
     model of other widths raises InputError.
@@ -655,8 +637,8 @@ def load_model(path: str, widths) -> ml.Network:
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
     got = (net.spec.widths[0], net.spec.widths[-1])
-    if got not in widths:
-        expected = " or ".join(f"{a} to {b}" for a, b in widths)
+    if got != widths:
+        expected = f"{widths[0]} to {widths[1]}"
         raise InputError(f"{path}: model maps {got[0]} to {got[1]} values, expected {expected}")
     return net
 

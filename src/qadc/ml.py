@@ -19,8 +19,8 @@ while its first moment is subnormal: a subnormal moment moves any larger
 parameter by less than half an ulp, and a subnormal ``v`` is swamped by
 ``eps``.
 
-The denoising autoencoder maps noise-corrupted conditional-probability rows to
-clean ones (encoder 64/32, bottleneck 16, decoder 32/64, linear output).  The
+The denoising autoencoder maps noise-corrupted rows p(m | phi) of the 128
+records to clean ones (encoder 64/32, bottleneck 16, decoder 32/64).  The
 phase regressor maps the 8 informative-bit probabilities at phi and at a fixed
 shift phi + 0.44 rad (16 inputs) through three 52-neuron hidden layers to a
 single linear output, removing the quantization bias of the raw digital
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from qadc.analysis import (
-    B_OUTCOMES,
     M_OUTCOMES,
     TWO_PI,
     _B_FROM_M,
@@ -46,6 +45,11 @@ from qadc.analysis import (
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "linear")
 
 ESTIMATOR_PHASE_SHIFT = 0.44  # rad, fixed second input row
+
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # Adam zeroes its subnormal moments once every this many steps (see `_Adam`).
 _FLUSH_EVERY = 64
@@ -86,9 +90,6 @@ class TrainConfig:
     epochs: int = 4000
     batch_size: int = 10
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -208,9 +209,9 @@ class Network:
                 "epochs": train_config.epochs,
                 "batch_size": train_config.batch_size,
                 "learning_rate": train_config.learning_rate,
-                "beta1": train_config.beta1,
-                "beta2": train_config.beta2,
-                "eps": train_config.eps,
+                "beta1": ADAM_BETA1,
+                "beta2": ADAM_BETA2,
+                "eps": ADAM_EPS,
                 "seed": train_config.seed,
             }
         if seed is not None:
@@ -316,24 +317,23 @@ class _Adam:
         self._denom = np.empty_like(params)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        c = self.cfg
         self.t += 1
         m, v, step, denom = self.m, self.v, self._step, self._denom
         # m = b1*m + (1-b1)*g
-        m *= c.beta1
-        np.multiply(grad, 1 - c.beta1, out=step)
+        m *= ADAM_BETA1
+        np.multiply(grad, 1 - ADAM_BETA1, out=step)
         m += step
         # v = b2*v + (1-b2)*g**2
-        v *= c.beta2
+        v *= ADAM_BETA2
         np.square(grad, out=step)
-        step *= 1 - c.beta2
+        step *= 1 - ADAM_BETA2
         v += step
         # p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
-        np.divide(m, 1 - c.beta1**self.t, out=step)
-        step *= c.learning_rate
-        np.divide(v, 1 - c.beta2**self.t, out=denom)
+        np.divide(m, 1 - ADAM_BETA1**self.t, out=step)
+        step *= self.cfg.learning_rate
+        np.divide(v, 1 - ADAM_BETA2**self.t, out=denom)
         np.sqrt(denom, out=denom)
-        denom += c.eps
+        denom += ADAM_EPS
         step /= denom
         params -= step
         if self.t % _FLUSH_EVERY == 0:
@@ -383,11 +383,9 @@ def train(net: Network, dataset: TrainingSet, cfg: TrainConfig) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def build_dae(d_in: int) -> NetworkSpec:
-    """Denoising autoencoder: [d_in, 64, 32, 16, 32, 64, d_in], ReLU hidden."""
-    if d_in < 1:
-        raise ValueError("input width must be positive")
-    widths = (d_in, 64, 32, 16, 32, 64, d_in)
+def build_dae() -> NetworkSpec:
+    """Denoising autoencoder: [128, 64, 32, 16, 32, 64, 128], ReLU hidden."""
+    widths = (M_OUTCOMES, 64, 32, 16, 32, 64, M_OUTCOMES)
     return NetworkSpec(widths, ("relu",) * 5 + ("linear",))
 
 
@@ -424,12 +422,7 @@ def corrupt_rows(rows: np.ndarray, sigma: float, rng: np.random.Generator) -> np
 
 def dae_denoise(net: Network, rows: np.ndarray) -> np.ndarray:
     """Denoise probability rows; outputs are valid distributions."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[1] != net.spec.widths[0]:
-        raise ValueError(
-            f"row width {rows.shape[1]} does not match DAE input {net.spec.widths[0]}"
-        )
-    return renormalize_rows(forward(net, rows))
+    return renormalize_rows(forward(net, _as_batch(rows)))
 
 
 def ideal_full_rows(phases: np.ndarray, delta: float = 1.0) -> np.ndarray:
@@ -445,17 +438,11 @@ def dae_training_set(
     n_samples: int,
     sigma: float,
     rng: np.random.Generator,
-    d_in: int = M_OUTCOMES,
     delta: float = 1.0,
 ) -> TrainingSet:
-    """Corrupted ideal probability rows with clean targets, random phases."""
+    """Corrupted ideal 128-outcome rows with clean targets, random phases."""
     phases = rng.uniform(0.0, TWO_PI, size=n_samples)
-    if d_in == M_OUTCOMES:
-        clean = ideal_full_rows(phases, delta)
-    elif d_in == B_OUTCOMES:
-        clean = bit_chain_probabilities(phases, delta)
-    else:
-        raise ValueError(f"unsupported DAE width {d_in} (use 128 or 8)")
+    clean = ideal_full_rows(phases, delta)
     noisy = corrupt_rows(clean, sigma, rng)
     return TrainingSet(noisy, clean)
 

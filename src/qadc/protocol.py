@@ -466,7 +466,9 @@ def _quantum_chunk(
     return kept, m, stats
 
 
-def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, acceptance=None):
+def _acquire(
+    config: ProtocolConfig, stream: int, chunk, label: str, acceptance=None, cap_scale=None
+):
     """Per-phase acquisition loop shared by every strategy.
 
     Each phase draws from its own ``derive_rng(seed, stream, phase)`` stream
@@ -477,9 +479,9 @@ def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, acceptance=
     is the number of attempts the chunk used and the other entries count
     within them; every entry is summed into the run's stats.  Records are
     kept until n_shots or the cap of ``max_attempt_factor * n_shots``
-    attempts.  Phases left short go to ``stats["short_phases"]`` with a
-    warning; a run without any row raises PostSelectionEmpty.  Both messages
-    start with ``label``.
+    attempts, times ``cap_scale(sim, phi)`` if given.  Phases left short go to
+    ``stats["short_phases"]`` with a warning; a run without any row raises
+    PostSelectionEmpty.  Both messages start with ``label``.
     Given ``acceptance(sim, phi) -> A(phi)``, a run that expects fewer than
     one valid repetition in all, the sum over phases of cap * A(phi), raises
     PostSelectionEmpty before any attempt.
@@ -497,10 +499,11 @@ def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, acceptance=
     counts, shots, rows = [], [], []
     for p_idx, phi in enumerate(config.phases()):
         rng = derive_rng(config.seed, stream, p_idx)
+        phase_cap = cap if cap_scale is None else math.ceil(cap * cap_scale(sim, float(phi)))
         have = attempts = 0
-        while have < config.n_shots and attempts < cap:
+        while have < config.n_shots and attempts < phase_cap:
             kept, records, chunk_stats = chunk(
-                sim, float(phi), min(4096, cap - attempts), config.n_shots - have, rng
+                sim, float(phi), min(4096, phase_cap - attempts), config.n_shots - have, rng
             )
             shots.append(attempts + kept)
             rows.append(records)
@@ -621,9 +624,17 @@ def _sweep_chunk(
     return np.arange(len(m)), m, {"attempts": count}
 
 
+def _sweep_cap_scale(sim: StepSimulator, phi: float) -> float:
+    """max(1, 16 A / acc4): a repetition yields A(phi) records and a 4-photon
+    sweep attempt about acc4 / 16, acc4 the mean 4-photon acceptance."""
+    acc4 = np.mean([sim.distribution(4, phi, f)[-1] for f in SWEEP_FLAGS[4]])
+    a16 = 16.0 * sim.record_law("quantum", phi)[_N_RECORDS - 1]
+    return a16 / acc4 if a16 > acc4 else 1.0
+
+
 def simulate_sweep_dataset(config: ProtocolConfig) -> Dataset:
     """Quantum dataset via the configuration sweep plus matching post-processing."""
-    return _acquire(config, _STREAM_SWEEP, _sweep_chunk, "sweep")
+    return _acquire(config, _STREAM_SWEEP, _sweep_chunk, "sweep", cap_scale=_sweep_cap_scale)
 
 
 # ---------------------------------------------------------------------------

@@ -435,8 +435,8 @@ def test_criterion_8_ml_stack():
         # noisy preset: NN-refined beats the raw digital estimator and the
         # denoised tables carry at least the raw information, per seed
         rng = np.random.default_rng(1013)
-        dae_set = ml.dae_training_set(1024, 0.01, rng, d_in=128)
-        dae = ml.Network.initialize(ml.build_dae(128), rng)
+        dae_set = ml.dae_training_set(1024, 0.01, rng)
+        dae = ml.Network.initialize(ml.build_dae(), rng)
         ml.train(dae, dae_set, ml.TrainConfig(epochs=300, batch_size=10, seed=1013))
         noisy_net, _, _ = ml.train_and_eval_estimator(
             ml.TrainConfig(epochs=700, batch_size=10, seed=1014),

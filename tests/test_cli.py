@@ -15,6 +15,7 @@ import qadc
 from qadc import cli, protocol
 from qadc.cli import main
 from qadc.linop import SizeLimitError
+from qadc.ml import Network, NetworkSpec
 from qadc.photonics import ModelError
 from qadc.protocol import CLASSICAL_CSV_HEADER, QUANTUM_CSV_HEADER
 
@@ -192,9 +193,12 @@ class TestSimulate:
         assert "argument --noiseless: not allowed with argument --device-noise" in err
         assert not out.exists()
 
-    def test_unknown_config_key_rejected(self, tmp_path):
-        assert run_cli(["simulate", "--out", tmp_path / "x",
-                        "--set", "noise.nonsense=1"]) == 2
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        for section, key, value in (("noise", "nonsense", 1), ("ml.dae", "d_in", 8)):
+            item = f"{section}.{key}={value}"
+            assert run_cli(["simulate", "--out", tmp_path / "x", "--set", item]) == 2, item
+            err = capsys.readouterr().err
+            assert err == f"config error: config field {section}: {key} is not a known key\n"
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         out = tmp_path / "env"
@@ -246,7 +250,6 @@ OUT_OF_RANGE = {
     "noise.sigma_phi": "-1",
     "analysis.n_curve_points": "0",
     "analysis.n_resamples": "1",
-    "ml.dae.d_in": "16",
     "ml.dae.epochs": "0",
     "ml.dae.batch_size": "-1",
     "ml.dae.learning_rate": "0",
@@ -329,7 +332,7 @@ class TestByteIdentity:
             "96811ce6ca0919c1713a65f792bbf907b70912f0b5705f1542784ee8003d2b90",
         "phase_estimates_classical.csv":
             "4e3f05da50f2fd2bc18f3c5ac3be150e1c85a9c6cb0e5d4b70cbe68c39ff5731",
-        "manifest.json": "431809a9397d6354a2bb4ae4618c8b4dd018fc95c27154397ac5a776f8f64391",
+        "manifest.json": "159ca8e83ac8131fd34c52277f2e5e0cce37228168b59be43a9632a8ea2e805d",
     }
 
     def test_pinned_dataset_and_curve_bytes(self, tmp_path):
@@ -352,12 +355,12 @@ class TestByteIdentity:
     # The manifests hold the discard counters of each run.
     SWEEP_SHA256 = {
         "quantum.csv": "b397e770755da548ed6bcc80008a3f2902a61c849143318203c8045beb5e07c0",
-        "manifest.json": "4e789bea3d32eac16d48dfa3f316da265f3c785b90d4ea9555120899d0ce33e0",
+        "manifest.json": "592aebc92ada475f93c02afed9af56a87fd86ef4e065dec2895a2ec56949d864",
     }
     PROGRAMMING_ERROR_SHA256 = {
         "quantum.csv": "2a1f49a908e9b0176bb76a3702beeba11c2f9f3e3966f2b0638a06101e9208ae",
         "classical.csv": "9be05863885afa66e2773cb5d5fc81f9765e135a29c056bbae73d368aa859250",
-        "manifest.json": "52f3ed40de5f7273926907995f62673d6c6a6aeca84d90a1948c6b7bf0d1b7ae",
+        "manifest.json": "116b4e923a6a6b513bab2ffb719318ef52bfc11dd220ead748b29f219595e049",
     }
 
     def test_pinned_sweep_and_programming_error_bytes(self, tmp_path):
@@ -379,12 +382,12 @@ class TestByteIdentity:
     DAE_SHA256 = {
         "model_dae.json": "8078f8ebd87e2203f342e82808343ec542454fca00661509736606c451c4df4e",
         "loss_dae.csv": "b0b2be860622c9d35ed9687350e809f0ce29f75a40f9ace1798f4129a9e9c2a0",
-        "manifest.json": "090cbf89b18be3c2096c4721179c0559d531875032f0bcd5d830e1c93fe1612b",
+        "manifest.json": "cd079e4b610bf369a7206021675f27aa1c6378c8b2087188e940c674bd410640",
     }
     ESTIMATOR_SHA256 = {
         "model_estimator.json": "2ff858bc1385c9ed381327ef0baad4809e4af8d3a38e7195c8b6453be7107247",
         "loss_estimator.csv": "55759c9ef7f57605212dc46571c3dbba0b996ac1c3563aacad701d6639f927a6",
-        "manifest.json": "310ce8a89cb5edf11b5a017c5b28338e7834fae2566aed8ac59f40701ea221e6",
+        "manifest.json": "88a3ee1fbe4398f8993371e3df534d55f7c104fd5f76a1b593a65ad05dd1f559",
     }
     REPORT_SHA256 = {
         "phase_comparison.csv": "2832cbd90283dcf55d590d0c52259625e86affb0b3c9c41b9c865360d5ccffa5",
@@ -643,6 +646,8 @@ class TestTrainAndReport:
         missing_layer = dict(good, weights=good["weights"][:-1])
         other_net = (models / "model_dae.json" if flag == "--estimator"
                      else models / "model_estimator.json").read_text()
+        small_dae = NetworkSpec((8, 64, 32, 16, 32, 64, 8), ("relu",) * 5 + ("linear",))
+        dae8 = Network.initialize(small_dae, np.random.default_rng(0)).to_json_dict()
         cases = {
             "missing.json": None,
             "directory.json": "dir",
@@ -653,6 +658,7 @@ class TestTrainAndReport:
             "short_weight.json": json.dumps(short_weight),
             "missing_layer.json": json.dumps(missing_layer),
             "other_network.json": other_net,
+            "dae8.json": json.dumps(dae8),
         }
         for name, content in cases.items():
             path = tmp_path / name
@@ -671,6 +677,8 @@ class TestTrainAndReport:
             assert err.startswith(f"input error: {path}: "), err
             assert err.count("\n") == 1, err
             assert not out.exists(), name
+            if name == "dae8.json" and flag == "--dae":
+                assert err.endswith(": model maps 8 to 8 values, expected 128 to 128\n"), err
 
 
 # Each failure comes after the command's first output is computed.

@@ -7,6 +7,9 @@ import pytest
 from conftest import wrap_difference
 from qadc.analysis import bit_chain_probabilities
 from qadc.ml import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     ESTIMATOR_PHASE_SHIFT,
     Network,
     NetworkSpec,
@@ -39,16 +42,15 @@ from qadc.protocol import derive_rng
 
 TWO_PI = 2 * math.pi
 
+#: The DAE's layers on 8-outcome rows: a small net for quick tests.
+SMALL_DAE = NetworkSpec((8, 64, 32, 16, 32, 64, 8), ("relu",) * 5 + ("linear",))
+
 
 class TestSpecs:
     def test_dae_shape(self):
-        spec = build_dae(128)
+        spec = build_dae()
         assert spec.widths == (128, 64, 32, 16, 32, 64, 128)
         assert spec.activations == ("relu",) * 5 + ("linear",)
-
-    def test_dae_parametric_width(self):
-        assert build_dae(8).widths == (8, 64, 32, 16, 32, 64, 8)
-        assert build_dae(8).widths[0] == build_dae(8).widths[-1]
 
     def test_estimator_shape_and_parameter_count(self):
         spec = build_estimator()
@@ -89,7 +91,7 @@ class TestFlatParameters:
                 Network(spec, weights, biases)
 
     def test_from_json_dict_rejects_malformed_documents(self, rng):
-        doc = Network.initialize(build_dae(8), rng).to_json_dict()
+        doc = Network.initialize(SMALL_DAE, rng).to_json_dict()
         for bad in ({}, [], dict(doc, weights=doc["weights"][:-1]),
                     dict(doc, weights=doc["weights"] + [[0.0]]),
                     dict(doc, biases=doc["biases"][1:] + [[0.0]])):
@@ -205,11 +207,11 @@ def reference_gradients(net, x, y):
 def reference_adam_step(params, grads, m, v, t, c):
     """Per-tensor Adam step as first written: the bitwise reference."""
     for i, (p, g) in enumerate(zip(params, grads)):
-        m[i] = c.beta1 * m[i] + (1 - c.beta1) * g
-        v[i] = c.beta2 * v[i] + (1 - c.beta2) * g**2
-        m_hat = m[i] / (1 - c.beta1**t)
-        v_hat = v[i] / (1 - c.beta2**t)
-        p -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.eps)
+        m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
+        v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g**2
+        m_hat = m[i] / (1 - ADAM_BETA1**t)
+        v_hat = v[i] / (1 - ADAM_BETA2**t)
+        p -= c.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class TestFlatTrainingMatchesReference:
@@ -252,8 +254,8 @@ class TestFlatTrainingMatchesReference:
             opt.step(net.params, grad)
             grads = sum(_layer_views(self.SPEC, grad), [])
             reference_adam_step(ref_params, grads, m, v, t, cfg)
-        assert 1 - cfg.beta1 ** 356 == 1 - cfg.beta2 ** 37_412 == 1.0
-        assert 1 - cfg.beta1 ** 355 < 1.0 and 1 - cfg.beta2 ** 37_411 < 1.0
+        assert 1 - ADAM_BETA1 ** 356 == 1 - ADAM_BETA2 ** 37_412 == 1.0
+        assert 1 - ADAM_BETA1 ** 355 < 1.0 and 1 - ADAM_BETA2 ** 37_411 < 1.0
         assert net.params.tobytes() == ref_flat.tobytes()
 
 
@@ -268,8 +270,8 @@ class TestSubnormalFlush:
         # 6,500 on.  Both runs take the same batches, one with the shipped
         # step and one with the flush patched out.
         rng = derive_rng(1, 201)
-        dataset = dae_training_set(1024, 0.01, rng, d_in=128)
-        net = Network.initialize(build_dae(128), rng)
+        dataset = dae_training_set(1024, 0.01, rng)
+        net = Network.initialize(build_dae(), rng)
         ref = Network(net.spec, net.weights, net.biases)
         cfg = TrainConfig(seed=1)
         opt, ref_opt = _Adam(net.params, cfg), _Adam(ref.params, cfg)
@@ -373,7 +375,7 @@ class TestRows:
 
 class TestDae:
     def test_denoise_outputs_distributions(self, rng):
-        net = Network.initialize(build_dae(8), rng)
+        net = Network.initialize(SMALL_DAE, rng)
         rows = rng.uniform(0, 1, size=(5, 8))
         out = dae_denoise(net, rows)
         assert out.shape == (5, 8)
@@ -381,7 +383,7 @@ class TestDae:
         assert np.all(out >= 0)
 
     def test_width_mismatch(self, rng):
-        net = Network.initialize(build_dae(8), rng)
+        net = Network.initialize(SMALL_DAE, rng)
         with pytest.raises(ValueError):
             dae_denoise(net, np.ones((2, 128)))
 
@@ -391,8 +393,8 @@ class TestDae:
         # floors slightly above sigma on clean inputs even at full training)
         rng = np.random.default_rng(21)
         sigma = 0.01
-        dataset = dae_training_set(1024, sigma, rng, d_in=128)
-        net = Network.initialize(build_dae(128), rng)
+        dataset = dae_training_set(1024, sigma, rng)
+        net = Network.initialize(build_dae(), rng)
         cfg = TrainConfig(epochs=400, batch_size=10, seed=21)
         train(net, dataset, cfg)
         phases = TWO_PI * np.arange(37) / 37
@@ -415,8 +417,8 @@ class TestDenoisingImprovesMi:
         )
 
         rng = np.random.default_rng(31)
-        dataset = dae_training_set(1024, 0.01, rng, d_in=128)
-        net = Network.initialize(build_dae(128), rng)
+        dataset = dae_training_set(1024, 0.01, rng)
+        net = Network.initialize(build_dae(), rng)
         train(net, dataset, TrainConfig(epochs=300, batch_size=10, seed=31))
         istar = quadrature_mi_quantum()
         phases = TWO_PI * np.arange(99) / 99
@@ -513,7 +515,7 @@ class TestModelSerialization:
         assert np.allclose(forward(net, x), forward(clone, x))
 
     def test_json_fields(self, rng):
-        net = Network.initialize(build_dae(8), rng)
+        net = Network.initialize(SMALL_DAE, rng)
         doc = net.to_json_dict(TrainConfig(epochs=10), seed=4)
         assert set(doc) == {"spec", "weights", "biases", "train_config", "seed"}
         assert doc["train_config"]["epochs"] == 10

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from functools import partial
 
 import numpy as np
@@ -325,11 +326,12 @@ class TestNoiseChannels:
         assert b.stats["attempts"] > 1.5 * a.stats["attempts"]
 
     @pytest.mark.parametrize(
-        "simulate", [simulate_quantum_dataset, simulate_classical_dataset]
+        "simulate", [simulate_quantum_dataset, simulate_classical_dataset, simulate_sweep_dataset]
     )
     def test_attempt_cap_records_short_phases(self, simulate):
-        # 1400 attempts per phase at eta = 0.7 leave both strategies short of
-        # 200 valid repetitions, but neither dataset empty.
+        # 1400 attempts per phase at eta = 0.7 leave every strategy short of
+        # 200 valid repetitions, but no dataset empty; the sweep's cap in
+        # feed-forward-equivalent repetitions gives it feed-forward's budget.
         label = simulate.__name__.split("_")[1]
         cfg = ProtocolConfig(
             n_phases=2, n_shots=200, max_attempt_factor=7, noise=NoiseConfig(eta=0.7)
@@ -338,6 +340,17 @@ class TestNoiseChannels:
             ds = simulate(cfg)
         assert ds.stats["short_phases"] == [0, 1]
         assert 0 < ds.stats["valid"] < 2 * 200
+
+    def test_sweep_cap_counts_feed_forward_repetitions(self):
+        # At eta = 0.7 a 4-photon sweep attempt yields about 1/2.74 of a
+        # record per feed-forward repetition's worth: a cap of 20,000 4-photon
+        # attempts per phase kept only 67 of these 100 records.
+        cfg = ProtocolConfig(n_phases=2, n_shots=50, seed=2, noise=NoiseConfig(eta=0.7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = simulate_sweep_dataset(cfg)
+        assert ds.stats["valid"] == 2 * 50
+        assert "short_phases" not in ds.stats
 
     def test_programming_noise_breaks_grid_determinism(self):
         cfg = ProtocolConfig(
