@@ -72,11 +72,29 @@ MUTANTS = (
     Mutant(
         "no-pre-flight",
         "src/qadc/protocol.py",
-        "        if expected < 1.0:\n",
-        "        if False:\n",
+        "    if expected < 1.0:\n",
+        "    if False:\n",
         (
             "tests/test_cli.py::TestSimulate::test_hopeless_run_fails_before_any_attempt[quantum]",
             "tests/test_cli.py::TestSimulate::test_hopeless_run_fails_before_any_attempt[classical]",
+        ),
+    ),
+    Mutant(
+        "sweep-no-pre-flight",
+        "src/qadc/protocol.py",
+        '"sweep", _quantum_acceptance, _sweep_cap_scale',
+        '"sweep", lambda sim, phi: 1.0, _sweep_cap_scale',
+        ("tests/test_cli.py::TestSimulate::test_hopeless_run_fails_before_any_attempt[sweep]",),
+    ),
+    Mutant(
+        "b-positions-swapped",
+        "src/qadc/protocol.py",
+        "_B_POSITIONS = [6, 5, 3]",
+        "_B_POSITIONS = [6, 3, 5]",
+        (
+            "tests/test_analysis.py::TestHistograms::test_deterministic_phase_mass",
+            "tests/test_cli.py::TestByteIdentity::test_pinned_dataset_and_curve_bytes",
+            "tests/test_protocol.py::TestDatasetFiles::test_every_record_code_round_trips[quantum]",
         ),
     ),
     Mutant(
@@ -146,6 +164,14 @@ MUTANTS = (
         '                f"({len(self.cells)} cells, expected {len(expected)})"\n            )\n',
         '                f"({len(self.cells)} cells, expected {len(expected)})"\n            )\n'
         "\n    def unitary(self) -> np.ndarray:\n        return mesh_unitary(self)\n",
+        ("tests/test_dead_api.py::test_every_unreferenced_public_name_is_allowlisted",),
+    ),
+    Mutant(
+        "mesh-program-distribution-added",
+        "src/qadc/linop.py",
+        '                f"({len(self.cells)} cells, expected {len(expected)})"\n            )\n',
+        '                f"({len(self.cells)} cells, expected {len(expected)})"\n            )\n'
+        "\n    def distribution(self) -> np.ndarray:\n        return mesh_unitary(self)\n",
         ("tests/test_dead_api.py::test_every_unreferenced_public_name_is_allowlisted",),
     ),
     Mutant(

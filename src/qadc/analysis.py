@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qadc.protocol import Dataset
+from qadc.protocol import _B_FROM_M, Dataset
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,25 +81,10 @@ class MIEstimate:
             raise ValueError("stderr must be non-negative")
 
 
-def m_codes(m_bits: np.ndarray) -> np.ndarray:
-    """7-bit rows (m6..m0) to table column indices."""
-    weights = np.array([64, 32, 16, 8, 4, 2, 1], dtype=np.int64)
-    return np.asarray(m_bits, dtype=np.int64) @ weights
-
-
-def b_code(b1: int, b2: int, b3: int) -> int:
-    return 4 * b1 + 2 * b2 + b3
-
-
-_B_FROM_M = np.array(
-    [b_code((c >> 0) & 1, (c >> 1) & 1, (c >> 3) & 1) for c in range(M_OUTCOMES)],
-    dtype=np.int64,
-)
-
-
-def _table(ds: Dataset, kind: str) -> CondProbTable:
+def _table(ds: Dataset, kind: str, keep=slice(None)) -> CondProbTable:
+    """Per-phase counts of the records of ``ds`` that ``keep`` selects (default: all)."""
     counts = np.zeros((ds.n_phases, M_OUTCOMES))
-    np.add.at(counts, (ds.phase_index, m_codes(ds.bits)), 1.0)
+    np.add.at(counts, (ds.phase_index[keep], ds.records[keep]), 1.0)
     return CondProbTable(ds.phases, counts, kind=kind)
 
 
@@ -125,12 +110,16 @@ def marginalize_to_bits(table: CondProbTable) -> CondProbTable:
 # ---------------------------------------------------------------------------
 
 
-def classical_estimates(c: np.ndarray) -> np.ndarray:
-    """Interferometric estimates 2*arccos(sqrt(N0/7)) of 7-bit rows, in [0, pi].
+#: Number of ones in every 7-bit code.
+_ONES = np.array([bin(c).count("1") for c in range(M_OUTCOMES)])
+
+
+def classical_estimates(codes: np.ndarray) -> np.ndarray:
+    """Interferometric estimates 2*arccos(sqrt(N0/7)) of 7-bit record codes, in [0, pi].
 
     The digital estimate of a b-index j is ``HISTOGRAM_BIN_CENTERS[j]``.
     """
-    n0 = 7 - c.sum(axis=1)
+    n0 = 7 - _ONES[codes]
     return 2.0 * np.arccos(np.sqrt(n0 / 7.0))
 
 
@@ -238,7 +227,7 @@ def classical_phase_histograms(ds: Dataset) -> np.ndarray:
     Each estimate (in [0, pi]) is assigned to the nearest of the 8 digital bin
     centers.
     """
-    diffs = np.abs(classical_estimates(ds.bits)[:, None] - HISTOGRAM_BIN_CENTERS[None, :])
+    diffs = np.abs(classical_estimates(ds.records)[:, None] - HISTOGRAM_BIN_CENTERS[None, :])
     diffs = np.minimum(diffs, TWO_PI - diffs)
     bins = np.argmin(diffs, axis=1)
     counts = np.zeros((ds.n_phases, 8))
@@ -277,8 +266,7 @@ def classical_string_probabilities(phi) -> np.ndarray:
     """Likelihoods of the 128 classical outcome strings, p(1) = sin^2(phi/2)."""
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     p1 = np.sin(phi / 2.0) ** 2
-    ones = np.array([bin(c).count("1") for c in range(M_OUTCOMES)])
-    return p1[:, None] ** ones[None, :] * (1 - p1)[:, None] ** (7 - ones)[None, :]
+    return p1[:, None] ** _ONES[None, :] * (1 - p1)[:, None] ** (7 - _ONES)[None, :]
 
 
 def quadrature_mi_quantum(delta: float = 1.0, n_nodes: int = 20000) -> float:
@@ -323,7 +311,7 @@ def mean_classical_estimates(ds: Dataset) -> np.ndarray:
     """
     sums = np.zeros(ds.n_phases)
     counts = np.zeros(ds.n_phases)
-    np.add.at(sums, ds.phase_index, classical_estimates(ds.bits))
+    np.add.at(sums, ds.phase_index, classical_estimates(ds.records))
     np.add.at(counts, ds.phase_index, 1.0)
     means = np.full(ds.n_phases, np.nan)
     return np.divide(sums, counts, out=means, where=counts > 0)

@@ -426,14 +426,6 @@ def _phase_ranks(phase_index, shot_index) -> np.ndarray:
     return ranks
 
 
-def _prefix_counts(ds, ranks, codes, k):
-    """Per-phase counts of the 128 records over the first k valid records (by shot order)."""
-    counts = np.zeros((ds.n_phases, analysis.M_OUTCOMES))
-    keep = ranks < k
-    np.add.at(counts, (ds.phase_index[keep], codes[keep]), 1.0)
-    return counts
-
-
 def cmd_analyze(args) -> int:
     config = load_config(args)
     acfg = config["analysis"]
@@ -458,7 +450,6 @@ def cmd_analyze(args) -> int:
     ranks = {
         name: _phase_ranks(ds.phase_index, ds.shot_index) for name, ds in datasets.items()
     }
-    codes = {name: analysis.m_codes(ds.bits) for name, ds in datasets.items()}
     curves = []
     for k in points:
         row = [str(k)]
@@ -466,9 +457,8 @@ def cmd_analyze(args) -> int:
             if name not in datasets:
                 row += ["nan", "nan"]
                 continue
-            ds = datasets[name]
-            counts = _prefix_counts(ds, ranks[name], codes[name], k)
-            table = analysis.CondProbTable(ds.phases, counts, kind=tables[name].kind)
+            # The table of each phase's first k records, in shot order.
+            table = analysis._table(datasets[name], tables[name].kind, ranks[name] < k)
             est = analysis.bootstrap_mi(table, acfg["n_resamples"], rng)
             row += [est.value, est.stderr]
         curves.append(row + [bound_sql, bound_classical, bound_quantum])

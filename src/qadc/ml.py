@@ -35,12 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qadc.analysis import (
-    M_OUTCOMES,
-    TWO_PI,
-    _B_FROM_M,
-    bit_chain_probabilities,
-)
+from qadc.analysis import M_OUTCOMES, TWO_PI, bit_chain_probabilities
+from qadc.protocol import _B_FROM_M
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "linear")
 
@@ -427,11 +423,7 @@ def dae_denoise(net: Network, rows: np.ndarray) -> np.ndarray:
 
 def ideal_full_rows(phases: np.ndarray, delta: float = 1.0) -> np.ndarray:
     """Ideal 128-outcome rows: informative-bit chain times uniform junk bits."""
-    b_rows = bit_chain_probabilities(phases, delta)
-    rows = np.empty((len(np.atleast_1d(phases)), M_OUTCOMES))
-    for code in range(M_OUTCOMES):
-        rows[:, code] = b_rows[:, _B_FROM_M[code]] / 16.0
-    return rows
+    return bit_chain_probabilities(phases, delta)[:, _B_FROM_M] / 16.0
 
 
 def dae_training_set(

@@ -12,10 +12,10 @@ long.
 
 All strategies run through one per-phase loop (`_acquire`) on arrays of
 attempts (`_quantum_chunk`, `_sweep_chunk`, `_classical_chunk`) and return one
-`Dataset` type, whose 7-bit records are m6..m0 or c6..c0.  Each chunk
-returns only what it keeps, at most the records still needed: the attempt
-indices in ascending order and their record rows, as
-`StepSimulator.sample_step` does for one step, and the attempts it used.
+`Dataset` type, whose 7-bit records are the codes of m6..m0 or c6..c0.  Each
+chunk returns only what it keeps, at most the records still needed: the
+attempt indices in ascending order and their record codes, and the attempts
+it used.
 Outcomes come from exact distributions per (experiment, phase, control
 flags), each the mixture over the source realization classes (which photons
 survive, which bins add a second photon) weighted by their exact
@@ -69,6 +69,7 @@ from qadc.photonics import (
 PROBE_SIZES = (4, 2, 1)
 CLASSICAL_QUBITS = 7  # 2**t - 1 with t = 3
 _B_POSITIONS = [6, 5, 3]  # columns of m (m6..m0) that hold (b1, b2, b3)
+MAX_ATTEMPT_FACTOR = 400  # attempts allowed per phase, in units of n_shots
 
 QUANTUM_CSV_HEADER = (
     "phase_index,phase_rad,shot_index,m6,m5,m4,m3,m2,m1,m0,b1,b2,b3"
@@ -168,15 +169,12 @@ class ProtocolConfig:
     n_shots: int = 5377
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     seed: int = 0
-    max_attempt_factor: int = 400
 
     def __post_init__(self):
         if self.n_phases < 1:
             raise ValueError("need at least one phase")
         if self.n_shots < 1:
             raise ValueError("need at least one shot")
-        if self.max_attempt_factor < 1:
-            raise ValueError("max_attempt_factor must be positive")
 
     def phases(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.n_phases) / self.n_phases
@@ -194,6 +192,8 @@ _OUTCOME_BITS = {
     for n in (*PROBE_SIZES, CLASSICAL_QUBITS)
 }
 _N_RECORDS = 1 << CLASSICAL_QUBITS
+#: b-index 4 b1 + 2 b2 + b3 of every 7-bit record code.
+_B_FROM_M = _OUTCOME_BITS[CLASSICAL_QUBITS][:, _B_POSITIONS] @ _place(3)
 
 
 def _tree_indices() -> tuple[np.ndarray, ...]:
@@ -423,7 +423,7 @@ class Dataset:
     # repetitions.  Sweep: the 4-photon attempts of earlier chunks plus the
     # rank among its chunk's matches.
     shot_index: np.ndarray  # [n_records]
-    bits: np.ndarray  # [n_records, 7] int8 bits m6..m0 (quantum) or c6..c0 (classical)
+    records: np.ndarray  # [n_records] uint8 codes of m6..m0 or c6..c0, the first bit high
     stats: dict = field(default_factory=dict)
 
 
@@ -433,7 +433,7 @@ def _draw_records(
     """One uniform per repetition against the cumulative `record_law` ``cum``.
 
     Returns the uniforms of the repetitions used, the first ``need`` accepted
-    repetitions in ascending order and their [len(kept), 7] int8 record rows.
+    repetitions in ascending order and their uint8 record codes.
     All ``count`` uniforms are drawn; once ``need`` are accepted, the
     repetitions after the last of them are not used.
     """
@@ -442,13 +442,13 @@ def _draw_records(
     if len(kept) == need:
         u = u[: kept[-1] + 1]
     codes = np.searchsorted(cum[:_N_RECORDS], u[kept], side="right")
-    return u, kept, _OUTCOME_BITS[CLASSICAL_QUBITS][codes]
+    return u, kept, codes.astype(np.uint8)
 
 
 def _quantum_chunk(
     sim: StepSimulator, phi: float, count: int, need: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Simulate ``count`` feed-forward repetitions; the valid ones and their m rows.
+    """Simulate ``count`` feed-forward repetitions; the valid ones and their m codes.
 
     A discarded repetition among those used is counted at the step that lost
     it; uniforms past the 2-photon loss bin, roundoff included, count as
@@ -466,35 +466,31 @@ def _quantum_chunk(
     return kept, m, stats
 
 
-def _acquire(
-    config: ProtocolConfig, stream: int, chunk, label: str, acceptance=None, cap_scale=None
-):
+def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, acceptance, cap_scale=None):
     """Per-phase acquisition loop shared by every strategy.
 
     Each phase draws from its own ``derive_rng(seed, stream, phase)`` stream
     and calls ``chunk(sim, phi, count, need, rng) -> (kept, records, stats)``
     on at most 4096 attempts at a time, where ``kept`` holds the indices of at
     most ``need`` valid attempts in ascending order and ``records`` their
-    rows, the contract of `StepSimulator.sample_step`.  ``stats["attempts"]``
-    is the number of attempts the chunk used and the other entries count
-    within them; every entry is summed into the run's stats.  Records are
-    kept until n_shots or the cap of ``max_attempt_factor * n_shots``
-    attempts, times ``cap_scale(sim, phi)`` if given.  Phases left short go to
-    ``stats["short_phases"]`` with a warning; a run without any row raises
-    PostSelectionEmpty.  Both messages start with ``label``.
-    Given ``acceptance(sim, phi) -> A(phi)``, a run that expects fewer than
-    one valid repetition in all, the sum over phases of cap * A(phi), raises
-    PostSelectionEmpty before any attempt.
+    codes.  ``stats["attempts"]`` is the number of attempts the chunk used and
+    the other entries count within them; every entry is summed into the run's
+    stats.  Records are kept until n_shots or the cap of ``MAX_ATTEMPT_FACTOR
+    * n_shots`` attempts, times ``cap_scale(sim, phi)`` if given.  Phases left
+    short go to ``stats["short_phases"]`` with a warning; a run without any
+    row raises PostSelectionEmpty.  A run that expects fewer than one valid
+    repetition in all, the sum over phases of cap * ``acceptance(sim, phi)``,
+    raises PostSelectionEmpty before any attempt.  The messages start with
+    ``label``.
     """
     sim = StepSimulator(config.noise, config.seed)
-    cap = config.n_shots * config.max_attempt_factor
-    if acceptance is not None:
-        expected = cap * sum(acceptance(sim, float(phi)) for phi in config.phases())
-        if expected < 1.0:
-            raise PostSelectionEmpty(
-                f"{label}: no valid repetitions expected over the {config.n_phases}"
-                f" phases ({expected:.3g} within the attempt cap)"
-            )
+    cap = config.n_shots * MAX_ATTEMPT_FACTOR
+    expected = cap * sum(acceptance(sim, float(phi)) for phi in config.phases())
+    if expected < 1.0:
+        raise PostSelectionEmpty(
+            f"{label}: no valid repetitions expected over the {config.n_phases}"
+            f" phases ({expected:.3g} within the attempt cap)"
+        )
     stats = {"attempts": 0, "valid": 0}
     counts, shots, rows = [], [], []
     for p_idx, phi in enumerate(config.phases()):
@@ -533,12 +529,14 @@ def _acquire(
     )
 
 
+def _quantum_acceptance(sim: StepSimulator, phi: float) -> float:
+    """A(phi): the chance that a feed-forward repetition yields a record."""
+    return sim.record_law("quantum", phi)[_N_RECORDS - 1]
+
+
 def simulate_quantum_dataset(config: ProtocolConfig) -> Dataset:
     """Run the feed-forward protocol until n_shots valid repetitions per phase."""
-    return _acquire(
-        config, _STREAM_QUANTUM, _quantum_chunk, "quantum",
-        acceptance=lambda sim, phi: sim.record_law("quantum", phi)[_N_RECORDS - 1],
-    )
+    return _acquire(config, _STREAM_QUANTUM, _quantum_chunk, "quantum", _quantum_acceptance)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +553,7 @@ def _match_arrays(
     one_flags: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Array core of the matching pipeline; returns the valid m rows."""
+    """Array core of the matching pipeline; returns the codes of the valid m."""
     # Step 1: drop outcomes whose dialed correction contradicts the parity of
     # the measured control bits.
     if len(four_bits):
@@ -574,8 +572,6 @@ def _match_arrays(
     # Step 3: zip homologous entries; keep triples whose dialed rotations agree
     # with the informative bits produced by the other experiments.
     n = min(len(four_bits), len(two_bits), len(one_bits))
-    if n == 0:
-        return np.zeros((0, 7), dtype=np.int8)
     four_bits, two_bits, one_bits = four_bits[:n], two_bits[:n], one_bits[:n]
     two_flags, one_flags = two_flags[:n], one_flags[:n]
     b3 = four_bits[:, 3]
@@ -583,10 +579,8 @@ def _match_arrays(
     agree = (
         (two_flags[:, 1] == b3) & (one_flags[:, 1] == b2) & (one_flags[:, 2] == b3)
     )
-    m = np.concatenate(
-        [four_bits[agree], two_bits[agree], one_bits[agree]], axis=1
-    ).astype(np.int8)
-    return m
+    m = np.concatenate([four_bits[agree], two_bits[agree], one_bits[agree]], axis=1)
+    return (m @ _place(CLASSICAL_QUBITS)).astype(np.uint8)
 
 
 def _sweep_chunk(
@@ -620,21 +614,23 @@ def _sweep_chunk(
             bits.append(b)
             flags.append(np.tile(np.asarray(f, dtype=np.int8), (len(b), 1)))
         pools += [np.concatenate(bits), np.concatenate(flags)]
-    m = _match_arrays(*pools, rng=rng)[:need]
-    return np.arange(len(m)), m, {"attempts": count}
+    records = _match_arrays(*pools, rng=rng)[:need]
+    return np.arange(len(records)), records, {"attempts": count}
 
 
 def _sweep_cap_scale(sim: StepSimulator, phi: float) -> float:
     """max(1, 16 A / acc4): a repetition yields A(phi) records and a 4-photon
     sweep attempt about acc4 / 16, acc4 the mean 4-photon acceptance."""
     acc4 = np.mean([sim.distribution(4, phi, f)[-1] for f in SWEEP_FLAGS[4]])
-    a16 = 16.0 * sim.record_law("quantum", phi)[_N_RECORDS - 1]
+    a16 = 16.0 * _quantum_acceptance(sim, phi)
     return a16 / acc4 if a16 > acc4 else 1.0
 
 
 def simulate_sweep_dataset(config: ProtocolConfig) -> Dataset:
     """Quantum dataset via the configuration sweep plus matching post-processing."""
-    return _acquire(config, _STREAM_SWEEP, _sweep_chunk, "sweep", cap_scale=_sweep_cap_scale)
+    return _acquire(
+        config, _STREAM_SWEEP, _sweep_chunk, "sweep", _quantum_acceptance, _sweep_cap_scale
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +650,7 @@ def simulate_classical_dataset(config: ProtocolConfig) -> Dataset:
     """Run the classical baseline until n_shots valid repetitions per phase."""
     return _acquire(
         config, _STREAM_CLASSICAL, _classical_chunk, "classical",
-        acceptance=lambda sim, phi: sim.record_law("classical", phi)[_N_RECORDS - 1],
+        lambda sim, phi: sim.record_law("classical", phi)[_N_RECORDS - 1],
     )
 
 
@@ -672,20 +668,26 @@ class DatasetError(ValueError):
     """A dataset file that cannot be read: bad header, row, bit value or layout."""
 
 
-def _write_dataset(path, header: str, ds: Dataset, columns) -> None:
-    """Write ``header`` and one CSV row per record of ``ds``, with ``ds.bits[:, columns]``.
+def _tails(columns) -> np.ndarray:
+    """The ``,b,b,...\n`` row tail of every 7-bit record code: its bits at ``columns``."""
+    rows = _OUTCOME_BITS[CLASSICAL_QUBITS][:, columns].tolist()
+    return np.array([("," + ",".join(map(str, row)) + "\n").encode() for row in rows])
+
+
+_QUANTUM_TAILS = _tails([*range(CLASSICAL_QUBITS), *_B_POSITIONS])
+_CLASSICAL_TAILS = _tails(list(range(CLASSICAL_QUBITS)))
+
+
+def _write_dataset(path, header: str, ds: Dataset, tails: np.ndarray) -> None:
+    """Write ``header`` and one CSV row per record of ``ds``, ending in ``tails[record]``.
 
     Each run of rows with equal ``phase_index`` is formatted as one block: the
-    ``phase_index,phase_rad,`` prefix once, the shot indices as fixed-width
-    byte strings and the 0/1 columns as a uint8 block of ``,b,b,...\n``.
-    Blocks are built one at a time, so no whole-file copy is held.
+    ``phase_index,phase_rad,`` prefix once, then the shot indices as
+    fixed-width byte strings, each joined to its record's tail.  Blocks are
+    built one at a time, so no whole-file copy is held.
     """
-    bits = ds.bits
-    if bits.size and (bits.min() < 0 or bits.max() > 1):
-        raise ValueError("bit columns must be 0/1")
-    width = 2 * len(columns) + 1
     index = ds.phase_index
-    bounds = [0, *(np.flatnonzero(index[1:] != index[:-1]) + 1), len(bits)]
+    bounds = [0, *(np.flatnonzero(index[1:] != index[:-1]) + 1), len(index)]
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for start, stop in zip(bounds[:-1], bounds[1:]):
@@ -693,23 +695,19 @@ def _write_dataset(path, header: str, ds: Dataset, columns) -> None:
                 continue
             p = int(index[start])
             prefix = f"{p},{format_float(ds.phases[p])},".encode()
-            tail = np.empty((stop - start, width), dtype=np.uint8)
-            tail[:, 0:-1:2] = ord(",")
-            tail[:, 1::2] = bits[start:stop, columns] + ord("0")
-            tail[:, -1] = ord("\n")
             rows = np.char.add(
-                ds.shot_index[start:stop].astype("S20"), tail.view(f"S{width}")[:, 0]
+                ds.shot_index[start:stop].astype("S20"), tails[ds.records[start:stop]]
             )
             # prefix.join puts the prefix before every row but the first.
             fh.write(prefix + prefix.join(rows.tolist()))
 
 
 def write_quantum_csv(ds: Dataset, path) -> None:
-    _write_dataset(path, QUANTUM_CSV_HEADER, ds, [*range(7), *_B_POSITIONS])
+    _write_dataset(path, QUANTUM_CSV_HEADER, ds, _QUANTUM_TAILS)
 
 
 def write_classical_csv(ds: Dataset, path) -> None:
-    _write_dataset(path, CLASSICAL_CSV_HEADER, ds, list(range(CLASSICAL_QUBITS)))
+    _write_dataset(path, CLASSICAL_CSV_HEADER, ds, _CLASSICAL_TAILS)
 
 
 @contextlib.contextmanager
@@ -820,22 +818,21 @@ def _parse_dataset(path, header: str) -> Dataset:
     n_phases = _grid_size(seen, values)
     phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
     phases[seen] = values
+    records = bits[:, :CLASSICAL_QUBITS] @ _place(CLASSICAL_QUBITS)
+    b = bits[:, CLASSICAL_QUBITS:]
+    if b.size and np.any(b @ _place(b.shape[1]) != _B_FROM_M[records]):
+        raise DatasetError(f"{path}: b columns disagree with the frozen m positions")
     return Dataset(
         n_phases,
         phases,
         np.ascontiguousarray(phase_index),
         np.ascontiguousarray(shot_index),
-        bits.astype(np.int8),
+        records.astype(np.uint8),
     )
 
 
 def read_quantum_csv(path) -> Dataset:
-    ds = _parse_dataset(path, QUANTUM_CSV_HEADER)
-    m, b = ds.bits[:, :7], ds.bits[:, 7:]
-    if np.any(b != m[:, _B_POSITIONS]):
-        raise DatasetError(f"{path}: b columns disagree with the frozen m positions")
-    ds.bits = m
-    return ds
+    return _parse_dataset(path, QUANTUM_CSV_HEADER)
 
 
 def read_classical_csv(path) -> Dataset:

@@ -49,14 +49,33 @@ def rng():
     return np.random.default_rng(20250811)
 
 
+#: Bit weight of each column of a 7-bit record row, m6 (or c6) the high bit.
+_RECORD_PLACES = 1 << np.arange(6, -1, -1)
+
+
+def record_bits(codes):
+    """[n, 7] int8 rows m6..m0 (or c6..c0) of 7-bit record codes."""
+    return ((np.asarray(codes)[:, None] & _RECORD_PLACES) > 0).astype(np.int8)
+
+
+def record_codes(bits):
+    """7-bit record codes of [n, 7] rows m6..m0 (or c6..c0)."""
+    return np.asarray(bits, dtype=np.int64) @ _RECORD_PLACES
+
+
+def b_code(b1: int, b2: int, b3: int) -> int:
+    """b-index of the informative bits: column of a b-table, estimate 2 pi j / 8."""
+    return 4 * b1 + 2 * b2 + b3
+
+
 def b_bits(ds):
     """The (b1, b2, b3) columns of a quantum dataset: m0, m1 and m3.
 
-    ``ds.bits`` holds m6..m0, so these are columns 6, 5 and 3.  The literal is
-    kept apart from ``protocol._B_POSITIONS`` so that the tests read the
-    paper's bit positions rather than the writer's constant.
+    The rows m6..m0 of ``ds.records`` hold them at columns 6, 5 and 3.  The
+    literal is kept apart from ``protocol._B_POSITIONS`` so that the tests
+    read the paper's bit positions rather than the writer's constant.
     """
-    return ds.bits[:, [6, 5, 3]]
+    return record_bits(ds.records)[:, [6, 5, 3]]
 
 
 def wrap_difference(a: float, b: float) -> float:

@@ -15,17 +15,18 @@ from scipy.stats import chi2
 
 from conftest import (
     b_bits,
+    b_code,
     distribution_dict,
     moduli_fidelity,
     naive_permanent,
     random_gram,
     random_unitary,
+    record_bits,
 )
 from qadc import ml
 from qadc.analysis import (
     CondProbTable,
     HISTOGRAM_BIN_CENTERS,
-    b_code,
     bit_chain_probabilities,
     classical_estimates,
     marginalize_to_bits,
@@ -264,7 +265,7 @@ def test_criterion_5_pipeline_equivalence():
             while len(records) < 10000:
                 _, m, _ = _quantum_chunk(sim, phi, 8192, 8192, rng)
                 records.extend(m.tolist())
-            b_ff = np.array(records[:10000], dtype=np.int8)[:, [6, 5, 3]]
+            b_ff = record_bits(records[:10000])[:, [6, 5, 3]]
 
             # configuration sweep + matching route
             reps = 700000
@@ -286,7 +287,7 @@ def test_criterion_5_pipeline_equivalence():
                 *pools[4], *pools[2], *pools[1], rng=derive_rng(1006, 30 + phase_tag)
             )
             assert len(matched) >= 10000
-            b_sw = matched[:10000][:, [6, 5, 3]]
+            b_sw = record_bits(matched[:10000])[:, [6, 5, 3]]
 
             d_ff = b_distribution(b_ff)
             d_sw = b_distribution(b_sw)
@@ -381,8 +382,8 @@ def test_criterion_7_estimators():
         assert max(quantum_values) > math.pi  # spans [0, 2 pi)
 
         classical_values = set()
-        all_bits = np.array([[(code >> k) & 1 for k in range(7)] for code in range(128)])
-        for bits, value in zip(all_bits, classical_estimates(all_bits)):
+        all_codes = np.arange(128, dtype=np.uint8)
+        for bits, value in zip(record_bits(all_codes), classical_estimates(all_codes)):
             n0 = list(bits).count(0)
             assert value == pytest.approx(2 * math.acos(math.sqrt(n0 / 7)), abs=1e-12)
             classical_values.add(round(value, 12))

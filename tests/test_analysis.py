@@ -5,13 +5,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import wrap_difference
+from conftest import b_code, record_bits, record_codes, wrap_difference
 from qadc import analysis
 from qadc.analysis import (
     CondProbTable,
     HISTOGRAM_BIN_CENTERS,
     MIEstimate,
-    b_code,
     bit_chain_probabilities,
     bootstrap_mi,
     circular_mean,
@@ -49,7 +48,7 @@ def quantum_estimate(b1, b2, b3):
 
 
 def classical_estimate(bits):
-    return classical_estimates(np.array([bits]))[0]
+    return classical_estimates(record_codes([bits]))[0]
 
 
 class TestEstimators:
@@ -79,8 +78,8 @@ class TestEstimators:
         assert val == pytest.approx(1.427, abs=2e-3)
 
     def test_classical_exhaustive_closed_form_and_range(self):
-        bits = np.array([[(code >> k) & 1 for k in range(7)] for code in range(128)], np.int8)
-        for row, val in zip(bits, classical_estimates(bits)):
+        codes = np.arange(128, dtype=np.uint8)
+        for row, val in zip(record_bits(codes), classical_estimates(codes)):
             expected = 2 * math.acos(math.sqrt(list(row).count(0) / 7))
             assert val == pytest.approx(expected, abs=1e-12)
             assert 0.0 <= val <= math.pi
@@ -355,7 +354,7 @@ class TestMeanEstimates:
         rng = np.random.default_rng(9)
         phase_index = np.array([0, 2, 0, 2, 2, 3, 0])
         c = rng.integers(0, 2, size=(len(phase_index), 7)).astype(np.int8)
-        ds = Dataset(4, grid(4), phase_index, np.arange(7), c)
+        ds = Dataset(4, grid(4), phase_index, np.arange(7), record_codes(c).astype(np.uint8))
         means = mean_classical_estimates(ds)
         for i in (0, 2, 3):
             rows = c[phase_index == i]

@@ -124,20 +124,21 @@ class TestSimulate:
     # At eta = 0.1 a repetition needs 7 surviving photons, so it is accepted
     # with A of at most about 1e-7: the cap of 400 x 20 attempts per phase
     # expects far below one valid row over both phases, and the run stops
-    # before drawing any.
-    @pytest.mark.parametrize("strategy", ["quantum", "classical"])
-    def test_hopeless_run_fails_before_any_attempt(self, tmp_path, capsys, monkeypatch, strategy):
+    # before drawing any.  The sweep is gated by the same feed-forward A(phi).
+    @pytest.mark.parametrize("label", ["quantum", "classical", "sweep"])
+    def test_hopeless_run_fails_before_any_attempt(self, tmp_path, capsys, monkeypatch, label):
         def never(*args):
             raise AssertionError("an attempt was drawn")
 
-        monkeypatch.setattr(protocol, f"_{strategy}_chunk", never)
+        monkeypatch.setattr(protocol, f"_{label}_chunk", never)
+        strategy, mode = ("quantum", "sweep") if label == "sweep" else (label, "direct")
         out = tmp_path / "hopeless"
         code = run_cli(
-            ["simulate", "--out", out, "--strategy", strategy, "--set", "noise.eta=0.1",
-             "--n-phases", "2", "--n-shots", "20"]
+            ["simulate", "--out", out, "--strategy", strategy, "--mode", mode,
+             "--set", "noise.eta=0.1", "--n-phases", "2", "--n-shots", "20"]
         )
         assert code == 3
-        assert f"{strategy}: no valid repetitions" in capsys.readouterr().err
+        assert f"{label}: no valid repetitions expected" in capsys.readouterr().err
         assert not out.exists()
 
     # Here cap * A(phi) is about 0.88 (quantum) or 0.89 (classical) at each

@@ -4,11 +4,19 @@ A module-level function, class or name counts as referenced when its name is
 read as a name or used as an attribute anywhere in ``src/qadc`` outside the
 package ``__init__`` re-exports.  A method or property counts as referenced
 only when its name is used as an attribute: a variable of the same name does
-not keep it.  A ``self.<name>`` read keeps only the member of the class whose
-body holds it; other receivers are not resolved, so a method is also counted
-as referenced when an attribute of the same name is used on any other
-receiver.  Unreferenced public names must be allowlisted; unreferenced
-private names (dunders aside) must not exist at all.
+not keep it.  Two receivers are resolved:
+
+- a ``self.<name>`` read keeps only the member of the class whose body holds
+  it;
+- a read on a function parameter annotated with a class of ``src/qadc``, in
+  the function's body or in a nested function or lambda that does not take a
+  parameter of that name, keeps only that class's member.  A parameter that
+  is assigned anywhere in its function is not resolved.
+
+Other receivers are not resolved, so a method is also counted as referenced
+when an attribute of the same name is used on any of them.  Unreferenced
+public names must be allowlisted; unreferenced private names (dunders aside)
+must not exist at all.
 """
 
 import ast
@@ -45,32 +53,79 @@ def is_self_attribute(node: ast.AST) -> bool:
     )
 
 
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def parameters(scope) -> list[ast.arg]:
+    a = scope.args
+    return [x for x in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if x]
+
+
+def reads_on(node: ast.AST, name: str):
+    """Attribute reads on the bare ``name`` below ``node``, skipping nested
+    functions and lambdas that take a parameter ``name``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, SCOPES) and name in {a.arg for a in parameters(child)}:
+            continue
+        if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+            if child.value.id == name:
+                yield child
+        yield from reads_on(child, name)
+
+
+def typed_reads(tree: ast.Module, classes: dict[str, str]):
+    """(attribute node, qualified member) of each read on a class-annotated parameter."""
+    for scope in ast.walk(tree):
+        if not isinstance(scope, SCOPES):
+            continue
+        for arg in parameters(scope):
+            cls = arg.annotation.id if isinstance(arg.annotation, ast.Name) else None
+            rebound = any(
+                isinstance(n, ast.Name) and n.id == arg.arg and not isinstance(n.ctx, ast.Load)
+                for n in ast.walk(scope)
+            )
+            if cls in classes and not rebound:
+                for read in reads_on(scope, arg.arg):
+                    yield read, f"{classes[cls]}.{cls}.{read.attr}"
+
+
 def unreferenced_names(src: Path) -> set[str]:
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(src.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    classes = {
+        node.name: stem
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
     defined: list[tuple[str, str, bool]] = []
     names: set[str] = set()
     attributes: set[str] = set()
-    self_members: set[str] = set()  # qualified members read as self.<name> in their class
-    for path in sorted(src.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        defined += definitions(tree, path.stem)
+    resolved: set[str] = set()  # qualified members read on a receiver of known class
+    for stem, tree in trees.items():
+        defined += definitions(tree, stem)
+        typed = dict(typed_reads(tree, classes))
+        resolved.update(typed.values())
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
-                self_members.update(
-                    f"{path.stem}.{node.name}.{sub.attr}"
+                resolved.update(
+                    f"{stem}.{node.name}.{sub.attr}"
                     for sub in ast.walk(node)
                     if is_self_attribute(sub)
                 )
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and not is_self_attribute(node):
-                attributes.add(node.attr)
+                if node not in typed:
+                    attributes.add(node.attr)
     return {
         qualified
         for name, qualified, member in defined
         if name not in attributes
-        and qualified not in self_members
+        and qualified not in resolved
         and (member or name not in names)
         and not (name.startswith("__") and name.endswith("__"))
     }

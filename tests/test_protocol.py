@@ -6,7 +6,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import b_bits, dense_probabilities, distribution_dict, sample_survivors
+from conftest import (
+    b_bits,
+    dense_probabilities,
+    distribution_dict,
+    record_bits,
+    sample_survivors,
+)
 from qadc import protocol
 from qadc.linop import logical_rail_pairs
 from qadc.photonics import (
@@ -69,7 +75,7 @@ class TestGridDeterminism:
     def test_dataset_deterministic(self):
         a = simulate_quantum_dataset(noiseless_config(seed=9, n_shots=50))
         b = simulate_quantum_dataset(noiseless_config(seed=9, n_shots=50))
-        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(a.records, b.records)
         assert np.array_equal(a.shot_index, b.shot_index)
 
     def test_different_seed_differs(self):
@@ -165,7 +171,7 @@ class TestMarginalLaws:
         assert np.allclose(np.cos(4 * phases), shifted, atol=1e-12)
 
     def test_junk_bits_uniform(self, dataset):
-        m = dataset.bits
+        m = record_bits(dataset.records)
         for col in (0, 1, 2, 4):  # m6 m5 m4 m2
             frac = np.mean(m[:, col])
             assert abs(frac - 0.5) < 0.01
@@ -186,25 +192,26 @@ class TestSingleShotApis:
     """Repetition laws, checked on the array chunks that acquisition runs."""
 
     def test_run_quantum_shot_at_pi(self):
-        m = valid_rows(_quantum_chunk, math.pi, 20, derive_rng(5, 0))
-        assert m.dtype == np.int8
-        assert (m[:, [6, 5, 3]] == (1, 0, 0)).all()
+        codes = valid_rows(_quantum_chunk, math.pi, 20, derive_rng(5, 0))
+        assert codes.dtype == np.uint8
+        assert (record_bits(codes)[:, [6, 5, 3]] == (1, 0, 0)).all()
 
     def test_run_quantum_shot_at_quarter(self):
-        m = valid_rows(_quantum_chunk, math.pi / 4, 20, derive_rng(6, 0))
+        m = record_bits(valid_rows(_quantum_chunk, math.pi / 4, 20, derive_rng(6, 0)))
         assert (m[:, [6, 5, 3]] == (0, 0, 1)).all()
 
     def test_classical_shot_extremes(self):
         sim = StepSimulator(NOISELESS, seed=1)
         rng = derive_rng(7, 0)
         for phi, bit in ((0.0, 0), (math.pi, 1)):
-            kept, bits, _ = _classical_chunk(sim, phi, 10, 10, rng)
+            kept, codes, _ = _classical_chunk(sim, phi, 10, 10, rng)
             assert np.array_equal(kept, np.arange(10))  # no discards
-            assert (bits == bit).all()  # every bit deterministic
+            assert (record_bits(codes) == bit).all()  # every bit deterministic
 
     def test_classical_binomial_at_half(self):
         sim = StepSimulator(NOISELESS, seed=1)
-        kept, bits, _ = _classical_chunk(sim, math.pi / 2, 3000, 3000, derive_rng(8, 0))
+        kept, codes, _ = _classical_chunk(sim, math.pi / 2, 3000, 3000, derive_rng(8, 0))
+        bits = record_bits(codes)
         assert len(kept) == len(bits) == 3000
         totals = bits.sum(axis=1)
         mean = np.mean(totals)
@@ -261,12 +268,14 @@ class TestSweepAndMatching:
 
     @staticmethod
     def match(four, two, one, rng):
-        """``_match_arrays`` on (bits, flags) row lists per experiment."""
+        """``_match_arrays`` on (bits, flags) row lists per experiment, as bit rows."""
         arrays = []
         for n, outcomes in ((4, four), (2, two), (1, one)):
             arrays.append(np.array([bits for bits, _ in outcomes], dtype=np.int8).reshape(-1, n))
             arrays.append(np.array([flags for _, flags in outcomes], dtype=np.int8).reshape(-1, 3))
-        return _match_arrays(*arrays, rng=rng)
+        codes = _match_arrays(*arrays, rng=rng)
+        assert codes.dtype == np.uint8
+        return record_bits(codes)
 
     def test_step1_parity_filter(self):
         # Each call holds one row that only its parity filter drops and that
@@ -280,7 +289,6 @@ class TestSweepAndMatching:
         one = ((1,), (0, 1, 1))  # (r2, r3) = (b2, b3) = (1, 1)
         record = [1, 0, 0, 1, 0, 1, 1]
         m = self.match([kept4, dropped4], [kept2, kept2], [one, one], derive_rng(31, 0))
-        assert m.dtype == np.int8
         assert m.tolist() == [record]
         m = self.match([kept4, kept4], [kept2, dropped2], [one, one], derive_rng(31, 1))
         assert m.tolist() == [record]
@@ -328,14 +336,13 @@ class TestNoiseChannels:
     @pytest.mark.parametrize(
         "simulate", [simulate_quantum_dataset, simulate_classical_dataset, simulate_sweep_dataset]
     )
-    def test_attempt_cap_records_short_phases(self, simulate):
+    def test_attempt_cap_records_short_phases(self, simulate, monkeypatch):
         # 1400 attempts per phase at eta = 0.7 leave every strategy short of
         # 200 valid repetitions, but no dataset empty; the sweep's cap in
         # feed-forward-equivalent repetitions gives it feed-forward's budget.
         label = simulate.__name__.split("_")[1]
-        cfg = ProtocolConfig(
-            n_phases=2, n_shots=200, max_attempt_factor=7, noise=NoiseConfig(eta=0.7)
-        )
+        monkeypatch.setattr(protocol, "MAX_ATTEMPT_FACTOR", 7)
+        cfg = ProtocolConfig(n_phases=2, n_shots=200, noise=NoiseConfig(eta=0.7))
         with pytest.warns(UserWarning, match=f"^{label}: attempt cap .* at 2 phases$"):
             ds = simulate(cfg)
         assert ds.stats["short_phases"] == [0, 1]
@@ -520,7 +527,7 @@ class TestDatasetFiles:
         write_quantum_csv(ds, path)
         back = read_quantum_csv(path)
         assert back.n_phases == 4
-        assert np.array_equal(back.bits, ds.bits)
+        assert np.array_equal(back.records, ds.records)
         assert np.array_equal(back.shot_index, ds.shot_index)
         assert np.allclose(back.phases, ds.phases)
 
@@ -529,7 +536,32 @@ class TestDatasetFiles:
         path = tmp_path / "c.csv"
         write_classical_csv(ds, path)
         back = read_classical_csv(path)
-        assert np.array_equal(back.bits, ds.bits)
+        assert np.array_equal(back.records, ds.records)
+
+    @pytest.mark.parametrize("kind", ["quantum", "classical"])
+    def test_every_record_code_round_trips(self, tmp_path, kind):
+        # Each of two phases holds all 128 codes, which no noiseless run
+        # reaches; every written line is checked against its own rendering.
+        _, write, read, _ = DATASET_KINDS[kind]
+        codes = np.concatenate([np.arange(128), np.arange(128)[::-1]]).astype(np.uint8)
+        phase_index = np.repeat(np.arange(2), 128)
+        shot_index = 7 * np.arange(256) + 10**15
+        ds = protocol.Dataset(2, np.array([0.0, math.pi]), phase_index, shot_index, codes)
+        path = tmp_path / "all.csv"
+        write(ds, path)
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == 256
+        for line, p, shot, code in zip(lines, phase_index, shot_index, codes.tolist()):
+            m = [(code >> k) & 1 for k in range(6, -1, -1)]  # m6..m0 or c6..c0
+            if kind == "quantum":
+                m += [m[6], m[5], m[3]]  # b1, b2, b3 = m0, m1, m3
+            bits = ",".join(map(str, m))
+            assert line == f"{p},{protocol.format_float(ds.phases[p])},{shot},{bits}"
+        back = read(path)
+        assert back.records.dtype == np.uint8
+        assert np.array_equal(back.records, codes)
+        assert np.array_equal(back.phase_index, phase_index)
+        assert np.array_equal(back.shot_index, shot_index)
 
     def test_shot_index_preserves_gaps(self, tmp_path):
         ds = simulate_quantum_dataset(noiseless_config(n_phases=1, n_shots=100))
@@ -669,5 +701,5 @@ class TestReaderPaths:
         back = read(path)
         assert np.array_equal(back.phase_index, ds.phase_index)
         assert np.array_equal(back.shot_index, ds.shot_index)
-        assert np.array_equal(back.bits, ds.bits)
+        assert np.array_equal(back.records, ds.records)
         assert np.allclose(back.phases, ds.phases)

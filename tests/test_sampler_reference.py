@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from qadc.analysis import m_codes
+from conftest import record_bits, record_codes
 from qadc.protocol import (
     DEVICE_NOISE,
     CLASSICAL_QUBITS,
@@ -229,7 +229,7 @@ def test_chunks_equal_reference(name):
                 assert same_state(rng, ref_rng)
                 ok = np.flatnonzero(expected[:, 0] >= 0)
                 assert np.array_equal(kept, ok)
-                assert rows.dtype == np.int8 and np.array_equal(rows, expected[ok])
+                assert rows.dtype == np.uint8 and np.array_equal(record_bits(rows), expected[ok])
                 assert stats == stats_ref
 
 
@@ -248,14 +248,14 @@ def test_chunks_stop_at_the_last_needed_repetition(name):
                 assert same_state(rng, ref_rng)
                 ok = np.flatnonzero(expected[:, 0] >= 0)
                 assert len(ok) <= need and np.array_equal(kept, ok)
-                assert np.array_equal(rows, expected[ok])
+                assert np.array_equal(record_bits(rows), expected[ok])
                 assert stats == stats_ref
 
 
 def outcome_counts(rows, stats):
     """Counts of the 128 records, then of each discard bin in ``stats``."""
     valid = rows[rows[:, 0] >= 0]
-    counts = np.bincount(m_codes(valid), minlength=128)
+    counts = np.bincount(record_codes(valid), minlength=128)
     discards = [stats[key] for key in LOSSES] if LOSSES[0] in stats else [len(rows) - len(valid)]
     return np.append(counts, discards)
 
@@ -270,7 +270,7 @@ def test_chunks_follow_the_staged_sampler(name):
         for s, (strategy, chunk) in enumerate(CHUNKS.items()):
             kept, rows, stats = chunk(sim, phi, count, count, derive_rng(9, 200 + p, s))
             full = np.full((count, 7), -1, dtype=np.int8)
-            full[kept] = rows
+            full[kept] = record_bits(rows)
             a = outcome_counts(full, stats)
             b = outcome_counts(*STAGED[strategy](sim, phi, count, derive_rng(9, 300 + p, s)))
             assert a.sum() == b.sum() == count
