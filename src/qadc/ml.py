@@ -423,7 +423,9 @@ def dae_denoise(net: Network, rows: np.ndarray) -> np.ndarray:
 
 def ideal_full_rows(phases: np.ndarray, delta: float = 1.0) -> np.ndarray:
     """Ideal 128-outcome rows: informative-bit chain times uniform junk bits."""
-    return bit_chain_probabilities(phases, delta)[:, _B_FROM_M] / 16.0
+    rows = bit_chain_probabilities(phases, delta)[:, _B_FROM_M]
+    rows /= 16.0  # in place: one [n, 128] array at a time
+    return rows
 
 
 def dae_training_set(
