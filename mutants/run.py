@@ -100,14 +100,43 @@ MUTANTS = (
     Mutant(
         "adam-bias-corrections-folded",
         "src/qadc/ml.py",
-        "        np.divide(m, 1 - ADAM_BETA1**self.t, out=step)\n"
-        "        step *= self.cfg.learning_rate\n"
-        "        np.divide(v, 1 - ADAM_BETA2**self.t, out=denom)\n"
-        "        np.sqrt(denom, out=denom)\n",
+        "        correction1 = 1 - ADAM_BETA1**self.t\n"
+        "        if correction1 == 1.0:\n"
+        "            np.multiply(m, self.cfg.learning_rate, out=step)\n"
+        "        else:\n"
+        "            np.divide(m, correction1, out=step)\n"
+        "            step *= self.cfg.learning_rate\n"
+        "        correction2 = 1 - ADAM_BETA2**self.t\n"
+        "        if correction2 == 1.0:\n"
+        "            np.sqrt(v, out=denom)\n"
+        "        else:\n"
+        "            np.divide(v, correction2, out=denom)\n"
+        "            np.sqrt(denom, out=denom)\n",
         "        np.multiply(m, self.cfg.learning_rate * (1 - ADAM_BETA2**self.t) ** 0.5\n"
         "                    / (1 - ADAM_BETA1**self.t), out=step)\n"
         "        np.sqrt(v, out=denom)\n",
         ("tests/test_ml.py::TestFlatTrainingMatchesReference::test_adam_equals_per_tensor_steps",),
+    ),
+    Mutant(
+        "adam-beta1-correction-skipped-near-one",
+        "src/qadc/ml.py",
+        "        if correction1 == 1.0:\n",
+        "        if abs(correction1 - 1.0) < 1e-9:\n",
+        ("tests/test_ml.py::TestFlatTrainingMatchesReference::test_adam_equals_per_tensor_steps",),
+    ),
+    Mutant(
+        "adam-beta2-correction-skipped-near-one",
+        "src/qadc/ml.py",
+        "        if correction2 == 1.0:\n",
+        "        if abs(correction2 - 1.0) < 1e-9:\n",
+        ("tests/test_ml.py::TestFlatTrainingMatchesReference::test_adam_equals_per_tensor_steps",),
+    ),
+    Mutant(
+        "relu-mask-keeps-zero-outputs",
+        "src/qadc/ml.py",
+        "        delta *= post > 0\n",
+        "        delta *= post >= 0\n",
+        ("tests/test_ml.py::TestFlatTrainingMatchesReference::test_gradients_equal_per_tensor_backprop",),
     ),
     Mutant(
         "reader-no-row-count-check",
@@ -172,6 +201,16 @@ MUTANTS = (
         '                f"({len(self.cells)} cells, expected {len(expected)})"\n            )\n',
         '                f"({len(self.cells)} cells, expected {len(expected)})"\n            )\n'
         "\n    def distribution(self) -> np.ndarray:\n        return mesh_unitary(self)\n",
+        ("tests/test_dead_api.py::test_every_unreferenced_public_name_is_allowlisted",),
+    ),
+    Mutant(
+        "train-config-from-json-dict-added",
+        "src/qadc/ml.py",
+        '            raise ValueError("learning rate must be positive")\n',
+        '            raise ValueError("learning rate must be positive")\n'
+        "\n    @classmethod\n"
+        '    def from_json_dict(cls, doc: dict) -> "TrainConfig":\n'
+        "        return cls(**doc)\n",
         ("tests/test_dead_api.py::test_every_unreferenced_public_name_is_allowlisted",),
     ),
     Mutant(

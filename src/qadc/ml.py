@@ -107,23 +107,37 @@ class TrainingSet:
             raise ValueError("inputs and targets must have matching sample counts")
 
 
-def _act(name: str, x: np.ndarray) -> np.ndarray:
+def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    """Apply activation ``name`` to the fresh array ``z`` in place; returns ``z``."""
     if name == "relu":
-        return np.maximum(x, 0.0)
-    if name == "tanh":
-        return np.tanh(x)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-x))
-    return x
+        np.maximum(z, 0.0, out=z)
+    elif name == "tanh":
+        np.tanh(z, out=z)
+    elif name == "sigmoid":  # 1 / (1 + exp(-z)), in that order
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+    return z
 
 
-def _act_grad(name: str, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    """Derivative of a nonlinear activation (``linear`` has none to apply)."""
+def _layer(h: np.ndarray, w: np.ndarray, b: np.ndarray, act: str) -> np.ndarray:
+    """One affine layer and its activation, computed in one new array."""
+    z = h @ w.T
+    z += b
+    return _activate(act, z)
+
+
+def _times_derivative(name: str, post: np.ndarray, delta: np.ndarray) -> None:
+    """Multiply ``delta`` in place by the activation's derivative, taken from
+    the layer output ``post``.  For ReLU, ``post > 0`` is the mask
+    ``pre > 0``: the output is positive exactly where the input is."""
     if name == "relu":
-        return pre > 0
-    if name == "tanh":
-        return 1.0 - post**2
-    return post * (1.0 - post)  # sigmoid
+        delta *= post > 0
+    elif name == "tanh":
+        delta *= 1.0 - post**2
+    elif name == "sigmoid":
+        delta *= post * (1.0 - post)
 
 
 def _as_batch(a) -> np.ndarray:
@@ -239,7 +253,7 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
     if h.shape[1] != net.spec.widths[0]:
         raise ValueError(f"input width {h.shape[1]}, expected {net.spec.widths[0]}")
     for w, b, act in zip(net.weights, net.biases, net.spec.activations):
-        h = _act(act, h @ w.T + b)
+        h = _layer(h, w, b, act)
     return h[0] if np.ndim(x) == 1 else h
 
 
@@ -256,24 +270,19 @@ def gradients(net: Network, x: np.ndarray, y: np.ndarray, out=None):
     if out is None:
         out = _layer_views(net.spec, np.empty(net.n_parameters))
     d_weights, d_biases = out
-    pres, posts = [], [x]
-    h = x
+    posts = [x]
     for w, b, act in zip(net.weights, net.biases, net.spec.activations):
-        pre = h @ w.T
-        pre += b
-        h = _act(act, pre)
-        pres.append(pre)
-        posts.append(h)
+        posts.append(_layer(posts[-1], w, b, act))
+    h = posts[-1]
     if y.shape != h.shape:
         raise ValueError(f"target shape {y.shape}, expected {h.shape}")
     delta = h - y
-    loss = float(np.mean(delta**2))
+    # the reduction np.mean runs, without its Python wrapper
+    loss = float(np.add.reduce(delta * delta, axis=None)) / delta.size
     delta *= 2.0
     delta /= h.size
     for i in reversed(range(len(net.weights))):
-        act = net.spec.activations[i]
-        if act != "linear":
-            delta *= _act_grad(act, pres[i], posts[i + 1])
+        _times_derivative(net.spec.activations[i], posts[i + 1], delta)
         np.matmul(delta.T, posts[i], out=d_weights[i])
         delta.sum(axis=0, out=d_biases[i])
         if i:
@@ -287,7 +296,12 @@ class _Adam:
     Every element goes through the same operations in the same order as the
     per-tensor textbook form: the bias corrections divide ``m`` and ``v``
     separately, and are not folded into one step size, because folding
-    changes the rounding and with it the trained model.
+    changes the rounding and with it the trained model.  A correction
+    ``1 - beta**t`` that has rounded to exactly 1.0 is not divided by at all,
+    which is exact because ``x / 1.0 == x`` in IEEE-754: at the default
+    rates ``1 - beta1**t`` is 1.0 from t = 356 on and ``1 - beta2**t`` from
+    t = 37,412 on.  Only the exact value is tested, since skipping a
+    correction merely close to 1 would change the rounding.
 
     Every `_FLUSH_EVERY` steps, entries of ``m`` and ``v`` below the smallest
     normal float are set to zero.  Parameters whose gradient is exactly 0
@@ -324,11 +338,20 @@ class _Adam:
         np.square(grad, out=step)
         step *= 1 - ADAM_BETA2
         v += step
-        # p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
-        np.divide(m, 1 - ADAM_BETA1**self.t, out=step)
-        step *= self.cfg.learning_rate
-        np.divide(v, 1 - ADAM_BETA2**self.t, out=denom)
-        np.sqrt(denom, out=denom)
+        # p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps), leaving
+        # out a division by a correction that has rounded to 1.0
+        correction1 = 1 - ADAM_BETA1**self.t
+        if correction1 == 1.0:
+            np.multiply(m, self.cfg.learning_rate, out=step)
+        else:
+            np.divide(m, correction1, out=step)
+            step *= self.cfg.learning_rate
+        correction2 = 1 - ADAM_BETA2**self.t
+        if correction2 == 1.0:
+            np.sqrt(v, out=denom)
+        else:
+            np.divide(v, correction2, out=denom)
+            np.sqrt(denom, out=denom)
         denom += ADAM_EPS
         step /= denom
         params -= step

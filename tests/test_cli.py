@@ -395,6 +395,20 @@ class TestByteIdentity:
         "mi_summary.json": "4d86173943ac4aa0fa17c142060a8f5d4771f6ec104b92d598bcb17bac05d093",
     }
 
+    # 384 Adam steps: from step 356 on, 1 - beta1**t is 1.0 and the step
+    # leaves out that division.
+    ESTIMATOR_384_STEPS_SHA256 = {
+        "model_estimator.json": "03d1ea5667f38d5f0bfe78ba28a2c0594f591b0492112e401a5b3a3e0e64e307",
+        "loss_estimator.csv": "5ed4e1cadb70e212cefed570e3aebc90c3adbb2951dd99e2a028bec0504afac0",
+        "manifest.json": "b0822732bec41acfc6a5488e4e090afb07f5e0dc3153c719a678b753a6dfaab5",
+    }
+
+    def test_pinned_training_past_the_first_bias_correction(self, tmp_path):
+        assert run_cli(["train", "estimator", "--out", tmp_path, "--seed", "3",
+                        "--set", "ml.estimator.epochs=6"]) == 0
+        pinned = self.ESTIMATOR_384_STEPS_SHA256
+        assert {name: sha256(tmp_path / name) for name in pinned} == pinned
+
     def test_pinned_training_and_report_bytes(self, tmp_path):
         data, dae, est, report = (tmp_path / name for name in ("data", "dae", "est", "report"))
         assert run_cli(["simulate", "--out", data, "--noiseless", "--strategy", "both",

@@ -4,14 +4,17 @@ A module-level function, class or name counts as referenced when its name is
 read as a name or used as an attribute anywhere in ``src/qadc`` outside the
 package ``__init__`` re-exports.  A method or property counts as referenced
 only when its name is used as an attribute: a variable of the same name does
-not keep it.  Two receivers are resolved:
+not keep it.  Three receivers are resolved:
 
 - a ``self.<name>`` read keeps only the member of the class whose body holds
   it;
 - a read on a function parameter annotated with a class of ``src/qadc``, in
   the function's body or in a nested function or lambda that does not take a
   parameter of that name, keeps only that class's member.  A parameter that
-  is assigned anywhere in its function is not resolved.
+  is assigned anywhere in its function is not resolved;
+- a read on a class of ``src/qadc`` named directly, ``Class.<name>`` or
+  ``module.Class.<name>`` (such as ``ml.Network.from_json_dict``), keeps only
+  that class's member.
 
 Other receivers are not resolved, so a method is also counted as referenced
 when an attribute of the same name is used on any of them.  Unreferenced
@@ -89,6 +92,23 @@ def typed_reads(tree: ast.Module, classes: dict[str, str]):
                     yield read, f"{classes[cls]}.{cls}.{read.attr}"
 
 
+def class_reads(tree: ast.Module, classes: dict[str, str]):
+    """(attribute node, qualified member) of each ``Class.<name>`` and
+    ``module.Class.<name>`` read."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        receiver = node.value
+        if isinstance(receiver, ast.Name) and receiver.id in classes:
+            yield node, f"{classes[receiver.id]}.{receiver.id}.{node.attr}"
+        elif (
+            isinstance(receiver, ast.Attribute)
+            and isinstance(receiver.value, ast.Name)
+            and classes.get(receiver.attr) == receiver.value.id
+        ):
+            yield node, f"{receiver.value.id}.{receiver.attr}.{node.attr}"
+
+
 def unreferenced_names(src: Path) -> set[str]:
     trees = {
         path.stem: ast.parse(path.read_text(), filename=str(path))
@@ -107,8 +127,9 @@ def unreferenced_names(src: Path) -> set[str]:
     resolved: set[str] = set()  # qualified members read on a receiver of known class
     for stem, tree in trees.items():
         defined += definitions(tree, stem)
-        typed = dict(typed_reads(tree, classes))
-        resolved.update(typed.values())
+        receivers = dict(typed_reads(tree, classes))
+        receivers.update(class_reads(tree, classes))
+        resolved.update(receivers.values())
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 resolved.update(
@@ -119,7 +140,7 @@ def unreferenced_names(src: Path) -> set[str]:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and not is_self_attribute(node):
-                if node not in typed:
+                if node not in receivers:
                     attributes.add(node.attr)
     return {
         qualified

@@ -33,7 +33,6 @@ from qadc.ml import (
     shifted_rows,
     train,
     train_and_eval_estimator,
-    _act,
     _Adam,
     _FLUSH_EVERY,
     _layer_views,
@@ -174,13 +173,23 @@ class TestGradients:
             gradients(net, x, x.ravel())  # would broadcast to [4, 4]
 
 
+def reference_activation(name, pre):
+    if name == "relu":
+        return np.maximum(pre, 0.0)
+    if name == "tanh":
+        return np.tanh(pre)
+    if name == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-pre))
+    return pre
+
+
 def reference_gradients(net, x, y):
     """Per-tensor backprop as first written: the bitwise reference."""
     pres, posts = [], [x]
     h = x
     for w, b, act in zip(net.weights, net.biases, net.spec.activations):
         pre = h @ w.T + b
-        h = _act(act, pre)
+        h = reference_activation(act, pre)
         pres.append(pre)
         posts.append(h)
     loss = float(np.mean((h - y) ** 2))
@@ -257,6 +266,34 @@ class TestFlatTrainingMatchesReference:
         assert 1 - ADAM_BETA1 ** 356 == 1 - ADAM_BETA2 ** 37_412 == 1.0
         assert 1 - ADAM_BETA1 ** 355 < 1.0 and 1 - ADAM_BETA2 ** 37_411 < 1.0
         assert net.params.tobytes() == ref_flat.tobytes()
+
+    def test_train_equals_reference_loop(self, rng):
+        # 45 samples in batches of 10, the last one short, for 90 epochs:
+        # 450 steps, past t = 356 where 1 - beta1**t rounds to 1.0
+        net = Network.initialize(self.SPEC, rng)
+        net.biases[0][:3] = -5.0  # dead ReLU units give exact zeros
+        ref = Network(net.spec, net.weights, net.biases)
+        x, y = rng.normal(size=(45, 5)), rng.normal(size=(45, 3))
+        cfg = TrainConfig(epochs=90, batch_size=10, learning_rate=3e-3, seed=4)
+        trace = train(net, TrainingSet(x, y), cfg)
+        params = ref.weights + ref.biases
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        order_rng = np.random.default_rng(cfg.seed)
+        ref_trace, t = [], 0
+        for _ in range(cfg.epochs):
+            order = order_rng.permutation(len(x))
+            epoch_loss = 0.0
+            for n_batches, start in enumerate(range(0, len(x), cfg.batch_size), 1):
+                idx = order[start : start + cfg.batch_size]
+                d_weights, d_biases, loss = reference_gradients(ref, x[idx], y[idx])
+                t += 1
+                reference_adam_step(params, d_weights + d_biases, m, v, t, cfg)
+                epoch_loss += loss
+            ref_trace.append(epoch_loss / n_batches)
+        assert t == 450
+        assert trace == ref_trace
+        assert net.params.tobytes() == ref.params.tobytes()
 
 
 def n_subnormal(a):
