@@ -48,8 +48,8 @@ MUTANTS = (
     Mutant(
         "sweep-1photon-r2-r3-swapped",
         "src/qadc/protocol.py",
-        "(one_flags[:, 1] == b2) & (one_flags[:, 2] == b3)",
-        "(one_flags[:, 1] == b3) & (one_flags[:, 2] == b2)",
+        "(f1[:, 1] == b2) & (f1[:, 2] == b3)",
+        "(f1[:, 1] == b3) & (f1[:, 2] == b2)",
         ("tests/test_record_law.py::test_device_noise_sweep_records_follow_the_law",),
     ),
     Mutant(
@@ -161,8 +161,15 @@ MUTANTS = (
     Mutant(
         "4photon-parity-filter-removed",
         "src/qadc/protocol.py",
-        "keep4 = four_flags[:, 0] == (four_bits[:, 0:3].sum(axis=1) % 2)",
-        "keep4 = np.ones(len(four_bits), dtype=bool)",
+        "keep4 = f4[:, 0] == (x4 ^ x4 >> 1 ^ x4 >> 2) & 1",
+        "keep4 = np.ones(len(c4), dtype=bool)",
+        ("tests/test_protocol.py::TestSweepAndMatching::test_step1_parity_filter",),
+    ),
+    Mutant(
+        "2photon-parity-filter-removed",
+        "src/qadc/protocol.py",
+        "keep2 = f2[:, 0] == c2 >> 1",
+        "keep2 = np.ones(len(c2), dtype=bool)",
         ("tests/test_protocol.py::TestSweepAndMatching::test_step1_parity_filter",),
     ),
     Mutant(
@@ -216,7 +223,7 @@ MUTANTS = (
     Mutant(
         "attempts-counted-past-the-last-kept-repetition",
         "src/qadc/protocol.py",
-        "    if len(kept) == need:\n        u = u[: kept[-1] + 1]\n",
+        "    if need and len(kept) == need:\n        u = u[: kept[-1] + 1]\n",
         "",
         (
             "tests/test_record_law.py::test_recorded_attempts_follow_the_acceptance[quantum]",

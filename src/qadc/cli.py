@@ -409,7 +409,8 @@ def cmd_simulate(args) -> int:
 
 
 def _curve_points(n_shots: int, n_points: int) -> list[int]:
-    if n_shots <= 1:
+    """At most ``n_points`` log-spaced prefix sizes from 10, the last one ``n_shots``."""
+    if n_shots <= 1 or n_points == 1:
         return [n_shots]
     points = np.unique(
         np.rint(np.geomspace(10, n_shots, n_points)).astype(int).clip(1, n_shots)
@@ -544,6 +545,15 @@ def cmd_report(args) -> int:
     est_net = load_model(args.estimator, ESTIMATOR_WIDTHS) if args.estimator else None
     quantum = read_quantum_csv(args.quantum)
     classical = read_classical_csv(args.classical) if args.classical else None
+    if classical is not None and not (
+        classical.n_phases == quantum.n_phases
+        and np.allclose(classical.phases, quantum.phases, rtol=1e-9, atol=1e-12)
+    ):
+        # The comparison pairs the two datasets phase by phase.
+        raise InputError(
+            f"{args.classical}: its grid of {classical.n_phases} phases differs from"
+            f" the {quantum.n_phases} phases of {args.quantum}"
+        )
     if est_net is not None and quantum.n_phases < 2:
         # The estimator's second input row interpolates between grid phases.
         raise InputError(

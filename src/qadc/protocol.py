@@ -24,7 +24,9 @@ feed-forward or classical repetition is drawn whole from its exact record law
 (`StepSimulator.record_law`): the step mixtures composed along the
 feed-forward tree, or seven independent 1-photon steps.  A repetition costs
 one uniform, and an accepted one a ``searchsorted`` over its 128 records.
-Only the sweep samples step by step (`StepSimulator.sample_step`).
+Only the sweep samples step by step (`StepSimulator.sample_step`), with the
+same one-uniform sampler (`_draw_records`) over a step's outcome codes, and
+matches those codes into records.
 Distributions and laws are memoized, so sampling large shot counts is cheap;
 the memo behaves as a pure cache.
 
@@ -185,15 +187,11 @@ def _place(n: int) -> np.ndarray:
     return 1 << np.arange(n - 1, -1, -1)
 
 
-#: [2**n, n] int8 logical bits of every outcome code of an n-qubit step, and
-#: of every 7-bit record (n = 7, m6 or c6 the high bit).
-_OUTCOME_BITS = {
-    n: ((np.arange(1 << n)[:, None] & _place(n)) > 0).astype(np.int8)
-    for n in (*PROBE_SIZES, CLASSICAL_QUBITS)
-}
 _N_RECORDS = 1 << CLASSICAL_QUBITS
+#: [128, 7] int8 bits m6..m0 (or c6..c0) of every 7-bit record code.
+_RECORD_BITS = ((np.arange(_N_RECORDS)[:, None] & _place(CLASSICAL_QUBITS)) > 0).astype(np.int8)
 #: b-index 4 b1 + 2 b2 + b3 of every 7-bit record code.
-_B_FROM_M = _OUTCOME_BITS[CLASSICAL_QUBITS][:, _B_POSITIONS] @ _place(3)
+_B_FROM_M = _RECORD_BITS[:, _B_POSITIONS] @ _place(3)
 
 
 def _tree_indices() -> tuple[np.ndarray, ...]:
@@ -204,7 +202,7 @@ def _tree_indices() -> tuple[np.ndarray, ...]:
     with x0 = m2 and b2 = m1 = x0 ^ x1; the 1-photon step runs with flags
     (0, b2, b3) and gives b1 = m0.
     """
-    m6, m5, m4, b3, x0, b2, b1 = _OUTCOME_BITS[CLASSICAL_QUBITS].T.astype(np.intp)
+    m6, m5, m4, b3, x0, b2, b1 = _RECORD_BITS.T.astype(np.intp)
     code4 = m6 << 3 | m5 << 2 | m4 << 1 | (m6 ^ m5 ^ m4 ^ b3)
     return code4, b3, x0 << 1 | (x0 ^ b2), b2, b1
 
@@ -378,7 +376,7 @@ class StepSimulator:
                 reach1 = reached[::2].sum()
                 losses = [reach1 - law.sum(), p4.sum() - reach1, 1.0 - p4.sum()]
             else:
-                law = step(1, (0, 0, 0))[_OUTCOME_BITS[CLASSICAL_QUBITS]].prod(axis=1)
+                law = step(1, (0, 0, 0))[_RECORD_BITS].prod(axis=1)
                 losses = [1.0 - law.sum()]
             self._laws[key] = np.cumsum(np.append(law, np.maximum(losses, 0.0)))
         return self._laws[key]
@@ -395,16 +393,14 @@ class StepSimulator:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Run ``count`` attempts and return the ones post-selection accepts.
 
-        Returns ``(rows, bits)``: the accepted attempt indices in ascending
-        order and their [len(rows), n] int8 outcome bits.  Attempt i draws
-        one uniform, which picks its outcome from the class mixture's
-        cumulative `distribution` or, past the acceptance, discards it.  The
-        source class is never drawn: the mixture already sums over it.
+        Returns ``(rows, codes)``: the accepted attempt indices in ascending
+        order and their uint8 outcome codes (qubit 0 the high bit).  Attempt
+        i draws one uniform through `_draw_records`, which picks its outcome
+        from the class mixture's cumulative `distribution` or, past the
+        acceptance, discards it.  The source class is never drawn: the
+        mixture already sums over it.
         """
-        cum_probs = self.distribution(n, phi, flags)
-        idx = np.searchsorted(cum_probs, rng.random(count), side="right")
-        rows = np.flatnonzero(idx < len(cum_probs))
-        return rows, _OUTCOME_BITS[n][idx[rows]]
+        return _draw_records(self.distribution(n, phi, flags), 1 << n, count, count, rng)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -428,20 +424,22 @@ class Dataset:
 
 
 def _draw_records(
-    cum: np.ndarray, count: int, need: int, rng: np.random.Generator
+    cum: np.ndarray, n_codes: int, count: int, need: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One uniform per repetition against the cumulative `record_law` ``cum``.
+    """One uniform per repetition against the cumulative law ``cum``.
 
-    Returns the uniforms of the repetitions used, the first ``need`` accepted
-    repetitions in ascending order and their uint8 record codes.
-    All ``count`` uniforms are drawn; once ``need`` are accepted, the
-    repetitions after the last of them are not used.
+    The first ``n_codes`` entries of ``cum`` run over the outcome codes: 128
+    for a `record_law`, 2**n for a step `distribution`.  Returns the
+    uniforms of the repetitions used, the first ``need`` accepted
+    repetitions in ascending order and their uint8 codes.  All ``count``
+    uniforms are drawn; once ``need`` (> 0) are accepted, the repetitions
+    after the last of them are not used.
     """
     u = rng.random(count)
-    kept = np.flatnonzero(u < cum[_N_RECORDS - 1])[:need]
-    if len(kept) == need:
+    kept = np.flatnonzero(u < cum[n_codes - 1])[:need]
+    if need and len(kept) == need:
         u = u[: kept[-1] + 1]
-    codes = np.searchsorted(cum[:_N_RECORDS], u[kept], side="right")
+    codes = np.searchsorted(cum[:n_codes], u[kept], side="right")
     return u, kept, codes.astype(np.uint8)
 
 
@@ -455,7 +453,7 @@ def _quantum_chunk(
     4-photon losses.
     """
     cum = sim.record_law("quantum", phi)
-    u, kept, m = _draw_records(cum, count, need, rng)
+    u, kept, m = _draw_records(cum, _N_RECORDS, count, need, rng)
     past1, past2 = (int(np.count_nonzero(u < edge)) for edge in cum[_N_RECORDS : _N_RECORDS + 2])
     stats = {
         "attempts": len(u),
@@ -544,43 +542,36 @@ def simulate_quantum_dataset(config: ProtocolConfig) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _match_arrays(
-    four_bits: np.ndarray,
-    four_flags: np.ndarray,
-    two_bits: np.ndarray,
-    two_flags: np.ndarray,
-    one_bits: np.ndarray,
-    one_flags: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Array core of the matching pipeline; returns the codes of the valid m."""
+def _match_arrays(four, two, one, rng: np.random.Generator) -> np.ndarray:
+    """Match the sweep's outcomes into records; the uint8 codes of the valid m.
+
+    ``four``, ``two`` and ``one`` are each a ``(codes, flags)`` pair: the
+    outcome codes of one experiment's accepted attempts (qubit 0 the high
+    bit) and the [k, 3] dialed (sigma_z, r2, r3) of each.  A record m6..m0
+    is its 4-, 2- and 1-photon codes, in that order.
+    """
+    (c4, f4), (c2, f2), (c1, f1) = four, two, one
     # Step 1: drop outcomes whose dialed correction contradicts the parity of
     # the measured control bits.
-    if len(four_bits):
-        keep4 = four_flags[:, 0] == (four_bits[:, 0:3].sum(axis=1) % 2)
-        four_bits, four_flags = four_bits[keep4], four_flags[keep4]
-    if len(two_bits):
-        keep2 = two_flags[:, 0] == two_bits[:, 0]
-        two_bits, two_flags = two_bits[keep2], two_flags[keep2]
+    x4 = c4 >> 1  # the control bits m6, m5, m4
+    keep4 = f4[:, 0] == (x4 ^ x4 >> 1 ^ x4 >> 2) & 1
+    keep2 = f2[:, 0] == c2 >> 1
+    c4, f4, c2, f2 = c4[keep4], f4[keep4], c2[keep2], f2[keep2]
     # Step 2: pool survivors per experiment in randomized order, keeping flags.
-    perm4 = rng.permutation(len(four_bits))
-    perm2 = rng.permutation(len(two_bits))
-    perm1 = rng.permutation(len(one_bits))
-    four_bits, four_flags = four_bits[perm4], four_flags[perm4]
-    two_bits, two_flags = two_bits[perm2], two_flags[perm2]
-    one_bits, one_flags = one_bits[perm1], one_flags[perm1]
+    perm4 = rng.permutation(len(c4))
+    perm2 = rng.permutation(len(c2))
+    perm1 = rng.permutation(len(c1))
+    c4, f4 = c4[perm4], f4[perm4]
+    c2, f2 = c2[perm2], f2[perm2]
+    c1, f1 = c1[perm1], f1[perm1]
     # Step 3: zip homologous entries; keep triples whose dialed rotations agree
     # with the informative bits produced by the other experiments.
-    n = min(len(four_bits), len(two_bits), len(one_bits))
-    four_bits, two_bits, one_bits = four_bits[:n], two_bits[:n], one_bits[:n]
-    two_flags, one_flags = two_flags[:n], one_flags[:n]
-    b3 = four_bits[:, 3]
-    b2 = two_bits[:, 1]
-    agree = (
-        (two_flags[:, 1] == b3) & (one_flags[:, 1] == b2) & (one_flags[:, 2] == b3)
-    )
-    m = np.concatenate([four_bits[agree], two_bits[agree], one_bits[agree]], axis=1)
-    return (m @ _place(CLASSICAL_QUBITS)).astype(np.uint8)
+    n = min(len(c4), len(c2), len(c1))
+    c4, c2, c1, f2, f1 = c4[:n], c2[:n], c1[:n], f2[:n], f1[:n]
+    b3 = c4 & 1
+    b2 = c2 & 1
+    agree = (f2[:, 1] == b3) & (f1[:, 1] == b2) & (f1[:, 2] == b3)
+    return (c4 << 3 | c2 << 1 | c1)[agree].astype(np.uint8)
 
 
 def _sweep_chunk(
@@ -608,13 +599,10 @@ def _sweep_chunk(
         reps[n] = [math.ceil(pool / rate) if rate > 0 else 0] * len(SWEEP_FLAGS[n])
     pools = []
     for n in PROBE_SIZES:
-        bits, flags = [], []
-        for r, f in zip(reps[n], SWEEP_FLAGS[n]):
-            _, b = sim.sample_step(n, phi, f, r, rng)
-            bits.append(b)
-            flags.append(np.tile(np.asarray(f, dtype=np.int8), (len(b), 1)))
-        pools += [np.concatenate(bits), np.concatenate(flags)]
-    records = _match_arrays(*pools, rng=rng)[:need]
+        codes = [sim.sample_step(n, phi, f, r, rng)[1] for r, f in zip(reps[n], SWEEP_FLAGS[n])]
+        counts = [len(c) for c in codes]
+        pools.append((np.concatenate(codes), np.repeat(SWEEP_FLAGS[n], counts, axis=0)))
+    records = _match_arrays(*pools, rng)[:need]
     return np.arange(len(records)), records, {"attempts": count}
 
 
@@ -642,7 +630,7 @@ def _classical_chunk(
     sim: StepSimulator, phi: float, count: int, need: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Simulate ``count`` classical repetitions: a lost photon discards all 7 bits."""
-    u, kept, c = _draw_records(sim.record_law("classical", phi), count, need, rng)
+    u, kept, c = _draw_records(sim.record_law("classical", phi), _N_RECORDS, count, need, rng)
     return kept, c, {"attempts": len(u)}
 
 
@@ -670,7 +658,7 @@ class DatasetError(ValueError):
 
 def _tails(columns) -> np.ndarray:
     """The ``,b,b,...\n`` row tail of every 7-bit record code: its bits at ``columns``."""
-    rows = _OUTCOME_BITS[CLASSICAL_QUBITS][:, columns].tolist()
+    rows = _RECORD_BITS[:, columns].tolist()
     return np.array([("," + ",".join(map(str, row)) + "\n").encode() for row in rows])
 
 

@@ -59,8 +59,13 @@ def record_bits(codes):
 
 
 def record_codes(bits):
-    """7-bit record codes of [n, 7] rows m6..m0 (or c6..c0)."""
-    return np.asarray(bits, dtype=np.int64) @ _RECORD_PLACES
+    """Codes of [k, n] bit rows, the first column high.
+
+    The rows are 7-bit records m6..m0 (or c6..c0), or the outcome bits of an
+    n-qubit step, qubit 0 first.
+    """
+    bits = np.asarray(bits, dtype=np.int64)
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
 
 
 def b_code(b1: int, b2: int, b3: int) -> int:

@@ -59,9 +59,8 @@ from qadc.protocol import (
     NoiseConfig,
     ProtocolConfig,
     StepSimulator,
-    SWEEP_FLAGS,
-    _match_arrays,
     _quantum_chunk,
+    _sweep_chunk,
     derive_rng,
     simulate_classical_dataset,
     simulate_quantum_dataset,
@@ -267,27 +266,11 @@ def test_criterion_5_pipeline_equivalence():
                 records.extend(m.tolist())
             b_ff = record_bits(records[:10000])[:, [6, 5, 3]]
 
-            # configuration sweep + matching route
-            reps = 700000
+            # configuration sweep + matching route: the production chunk
             rng2 = derive_rng(1006, 20 + phase_tag)
-            pools = {}
-            for n in (4, 2, 1):
-                bits_list, flag_list = [], []
-                for flags in SWEEP_FLAGS[n]:
-                    _, bits = sim.sample_step(n, phi, flags, reps, rng2)
-                    bits_list.append(bits)
-                    flag_list.append(
-                        np.tile(np.asarray(flags, dtype=np.int8), (len(bits), 1))
-                    )
-                pools[n] = (
-                    np.concatenate(bits_list),
-                    np.concatenate(flag_list),
-                )
-            matched = _match_arrays(
-                *pools[4], *pools[2], *pools[1], rng=derive_rng(1006, 30 + phase_tag)
-            )
-            assert len(matched) >= 10000
-            b_sw = record_bits(matched[:10000])[:, [6, 5, 3]]
+            _, matched, _ = _sweep_chunk(sim, phi, 1_600_000, 10000, rng2)
+            assert len(matched) == 10000
+            b_sw = record_bits(matched)[:, [6, 5, 3]]
 
             d_ff = b_distribution(b_ff)
             d_sw = b_distribution(b_sw)

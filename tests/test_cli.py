@@ -481,6 +481,19 @@ class TestAnalyze:
         assert rows[3][2:] == rows[5][2:] == ["nan", "nan"]
         assert "nan" not in str([rows[i] for i in (0, 1, 2, 4)])
 
+    @pytest.mark.parametrize("n_points", [1, 2, 12])
+    def test_curve_ends_at_the_full_dataset(self, tmp_path, n_points):
+        data, out = tmp_path / "data", tmp_path / "analysis"
+        assert run_cli(["simulate", "--out", data, "--noiseless", "--strategy", "quantum",
+                        "--n-phases", "4", "--n-shots", "20", "--seed", "5"]) == 0
+        assert run_cli(["analyze", "--out", out, "--quantum", data / "quantum.csv",
+                        "--seed", "7", "--set", "analysis.n_resamples=20",
+                        "--set", f"analysis.n_curve_points={n_points}"]) == 0
+        rows = (out / "mi_curves.csv").read_text().splitlines()[1:]
+        shots = [int(row.split(",")[0]) for row in rows]
+        assert shots == cli._curve_points(20, n_points)
+        assert len(shots) <= n_points and shots[-1] == 20
+
     def test_quantum_asymptote_exceeds_classical(self, small_run, tmp_path):
         out = tmp_path / "analysis"
         run_cli(["analyze", "--out", out, "--quantum", small_run / "quantum.csv",
@@ -640,6 +653,26 @@ class TestTrainAndReport:
         assert code == 2
         assert capsys.readouterr().err == (
             f"input error: {data / 'quantum.csv'}: the estimator needs at least two phases, got 1\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_quantum, n_classical", [(5, 3), (3, 5)])
+    def test_report_rejects_datasets_on_different_grids(
+        self, tmp_path, capsys, n_quantum, n_classical
+    ):
+        quantum, classical = tmp_path / "q", tmp_path / "c"
+        for out, strategy, n_phases in ((quantum, "quantum", n_quantum),
+                                        (classical, "classical", n_classical)):
+            assert run_cli(["simulate", "--out", out, "--noiseless", "--strategy", strategy,
+                            "--n-phases", str(n_phases), "--n-shots", "20"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "report"
+        code = run_cli(["report", "--out", out, "--quantum", quantum / "quantum.csv",
+                        "--classical", classical / "classical.csv"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"input error: {classical / 'classical.csv'}: its grid of {n_classical} phases"
+            f" differs from the {n_quantum} phases of {quantum / 'quantum.csv'}\n"
         )
         assert not out.exists()
 

@@ -11,6 +11,7 @@ from conftest import (
     dense_probabilities,
     distribution_dict,
     record_bits,
+    record_codes,
     sample_survivors,
 )
 from qadc import protocol
@@ -269,11 +270,12 @@ class TestSweepAndMatching:
     @staticmethod
     def match(four, two, one, rng):
         """``_match_arrays`` on (bits, flags) row lists per experiment, as bit rows."""
-        arrays = []
+        pairs = []
         for n, outcomes in ((4, four), (2, two), (1, one)):
-            arrays.append(np.array([bits for bits, _ in outcomes], dtype=np.int8).reshape(-1, n))
-            arrays.append(np.array([flags for _, flags in outcomes], dtype=np.int8).reshape(-1, 3))
-        codes = _match_arrays(*arrays, rng=rng)
+            codes = record_codes(np.array([bits for bits, _ in outcomes]).reshape(-1, n))
+            flags = np.array([flags for _, flags in outcomes], dtype=np.int8).reshape(-1, 3)
+            pairs.append((codes.astype(np.uint8), flags))
+        codes = _match_arrays(*pairs, rng)
         assert codes.dtype == np.uint8
         return record_bits(codes)
 
@@ -444,7 +446,7 @@ def test_post_selection_equals_pattern_loop():
                     outcomes, cum_probs = reference_step_distribution(
                         sim, n, phi, flags, class_key
                     )
-                    assert np.array_equal(protocol._OUTCOME_BITS[n][codes], outcomes)
+                    assert np.array_equal(codes, record_codes(outcomes))
                     assert np.array_equal(np.cumsum(acc[codes]), cum_probs)
 
 

@@ -4,8 +4,8 @@
 (`StepSimulator.distribution`) with one uniform per attempt, holds a -1 row
 for every discarded attempt, picks each outcome code by counting the
 cumulative steps at or below its uniform and spells the code out bit by bit;
-`sample_step` (the sweep's sampler) must keep the same attempts with the same
-bits and leave the generator in the same state.
+`sample_step` (the sweep's sampler) must keep the same attempts with the codes
+of the same bits and leave the generator in the same state.
 
 `reference_chunk` does the same for a whole feed-forward or classical
 repetition, from a record law that the loops of `reference_record_law`
@@ -205,13 +205,13 @@ def test_sample_step_equals_reference(name):
             for f, flags in enumerate(SWEEP_FLAGS[n]):
                 for count in COUNTS:
                     rng, ref_rng = derive_rng(9, p, n, f, count), derive_rng(9, p, n, f, count)
-                    rows, bits = sim.sample_step(n, phi, flags, count, rng)
+                    rows, codes = sim.sample_step(n, phi, flags, count, rng)
                     expected = reference_sample_step(sim, n, phi, flags, count, ref_rng)
                     assert same_state(rng, ref_rng)
                     ok = np.flatnonzero(expected[:, 0] >= 0)
                     assert np.array_equal(rows, ok)
-                    assert bits.dtype == np.int8 and bits.shape == (len(ok), n)
-                    assert np.array_equal(bits, expected[ok])
+                    assert codes.dtype == np.uint8 and codes.shape == (len(ok),)
+                    assert np.array_equal(codes, record_codes(expected[ok]))
     if name == "unconditioned":
         assert sum(len(sim._classes[n]) for n in PROBE_SIZES) > 50
 
