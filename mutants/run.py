@@ -242,6 +242,54 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "writer-shot-offset-dropped",
+        "src/qadc/protocol.py",
+        "texts[block - lo]",
+        "texts[block]",
+        (
+            "tests/test_protocol.py::TestDatasetFiles::test_narrow_shot_indices_round_trip[quantum-1000003]",
+            "tests/test_protocol.py::TestDatasetFiles::test_narrow_shot_indices_round_trip[quantum--200]",
+            "tests/test_protocol.py::TestDatasetFiles::test_narrow_shot_indices_round_trip[classical-1000003]",
+            "tests/test_protocol.py::TestDatasetFiles::test_narrow_shot_indices_round_trip[classical--200]",
+        ),
+    ),
+    Mutant(
+        "reader-negative-bits-accepted",
+        "src/qadc/protocol.py",
+        "if bits.min() < 0 or bits.max() > 1:",
+        "if bits.max() > 1:",
+        (
+            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[quantum-bit value -1]",
+            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[classical-bit value -1]",
+        ),
+    ),
+    Mutant(
+        "bootstrap-zero-row-fallback-dropped",
+        "src/qadc/analysis.py",
+        "        if ok.all():\n",
+        "        if ok.any():\n",
+        ("tests/test_analysis.py::TestBootstrapMatchesDenseReference::test_tables[phases-resampled-to-zero]",),
+    ),
+    Mutant(
+        "bootstrap-marginal-over-nonzero-cells",
+        "src/qadc/analysis.py",
+        "p_m = np.bincount(cols, weights=p, minlength=n_cols) / n_rows",
+        "p_m = np.bincount(cols, weights=p, minlength=n_cols) / len(rows)",
+        (
+            "tests/test_analysis.py::TestBootstrapMatchesDenseReference::test_analyze_curve_tables[quantum]",
+            "tests/test_analysis.py::TestBootstrapMatchesDenseReference::test_analyze_curve_tables[classical]",
+        ),
+    ),
+    Mutant(
+        # The bare-name scan keeps it through `net.to_json_dict` in cli.cmd_train.
+        "mesh-program-to-json-dict-added",
+        "src/qadc/linop.py",
+        '                f"({len(self.cells)} cells, expected {len(expected)})"\n            )\n',
+        '                f"({len(self.cells)} cells, expected {len(expected)})"\n            )\n'
+        "\n    def to_json_dict(self) -> dict:\n        return {\"cells\": len(self.cells)}\n",
+        ("tests/test_dead_api.py::test_every_unreferenced_public_name_is_allowlisted",),
+    ),
+    Mutant(
         "cell-theta-reflected-to-0-pi",
         "src/qadc/linop.py",
         '        object.__setattr__(self, "theta", wrap_phase(self.theta))\n',

@@ -3,6 +3,9 @@
 Tables hold per-phase outcome counts; probabilities are plug-in frequencies
 N_m / n_shots and the phase average realizes the uniform prior over the
 sampled grid.  Bootstrap errors resample per-cell counts from Poisson laws.
+Only the observed (non-zero) cells are drawn: a Poisson law of mean 0 gives 0
+without consuming the generator, so the replicates and the generator's stream
+are those of drawing every cell.
 Independent quadrature oracles evaluate the analytic noiseless likelihood
 chains on dense grids; they share no code with the sampling pipeline and
 anchor the acceptance suite.
@@ -164,6 +167,23 @@ def mutual_information(table: CondProbTable) -> MIEstimate:
     return MIEstimate(_mi_from_probabilities(p_cond))
 
 
+def _sparse_mi(rows: np.ndarray, cols: np.ndarray, p: np.ndarray, shape) -> float:
+    """``_mi_from_probabilities`` of the table that is ``p`` at (``rows``, ``cols``), 0 elsewhere.
+
+    Every row must be a distribution.  The cells are in row-major order, so
+    ``bincount`` adds each column's entries row by row, as ``mean(axis=0)``
+    does, and the terms are summed over full rows: the result has the same
+    bits as the dense computation.
+    """
+    n_rows, n_cols = shape
+    p_m = np.bincount(cols, weights=p, minlength=n_cols) / n_rows
+    hit = p > 0
+    r, c, q = rows[hit], cols[hit], p[hit]
+    terms = np.zeros(shape)
+    terms[r, c] = q * np.log2(q / p_m[c])
+    return float(terms.sum(axis=1).mean())
+
+
 def bootstrap_mi(
     table: CondProbTable, n_resamples: int, rng: np.random.Generator
 ) -> MIEstimate:
@@ -175,19 +195,30 @@ def bootstrap_mi(
     replicate whose cells all resample to 0 has no estimate and is left out of
     the spread; ``n_resamples`` of the result counts the replicates kept, and
     with fewer than two the error is NaN.
+
+    Only the observed cells are drawn.  numpy's Poisson sampler returns 0 for
+    a mean of 0 without drawing a random number, so this gives the replicates
+    of drawing every cell and leaves ``rng`` in the same state.
     """
     if n_resamples < 2:
         raise ValueError("need at least two bootstrap resamples")
     point = mutual_information(table)
     keep = table.n_shots_effective > 0
     counts = table.counts[keep]
+    rows, cols = np.nonzero(counts)
+    means = counts[rows, cols]
     values = []
     for _ in range(n_resamples):
-        resampled = rng.poisson(counts).astype(float)
-        totals = resampled.sum(axis=1)
+        drawn = rng.poisson(means).astype(float)
+        totals = np.bincount(rows, weights=drawn, minlength=counts.shape[0])
         ok = totals > 0
-        if ok.any():
-            values.append(_mi_from_probabilities(resampled[ok] / totals[ok, None]))
+        if ok.all():
+            values.append(_sparse_mi(rows, cols, drawn / totals[rows], counts.shape))
+        elif ok.any():
+            # A phase resampled to no shots: drop its row as the dense estimate does.
+            full = np.zeros(counts.shape)
+            full[rows, cols] = drawn
+            values.append(_mi_from_probabilities(full[ok] / totals[ok, None]))
     stderr = float(np.std(values, ddof=1)) if len(values) > 1 else math.nan
     return MIEstimate(point.value, stderr, len(values))
 
@@ -225,13 +256,14 @@ def classical_phase_histograms(ds: Dataset) -> np.ndarray:
     """Per-phase frequencies of classical estimates in the same 8-bin layout.
 
     Each estimate (in [0, pi]) is assigned to the nearest of the 8 digital bin
-    centers.
+    centers; the 128 codes are binned once and each record looks its bin up.
     """
-    diffs = np.abs(classical_estimates(ds.records)[:, None] - HISTOGRAM_BIN_CENTERS[None, :])
+    codes = np.arange(M_OUTCOMES)
+    diffs = np.abs(classical_estimates(codes)[:, None] - HISTOGRAM_BIN_CENTERS[None, :])
     diffs = np.minimum(diffs, TWO_PI - diffs)
     bins = np.argmin(diffs, axis=1)
     counts = np.zeros((ds.n_phases, 8))
-    np.add.at(counts, (ds.phase_index, bins), 1.0)
+    np.add.at(counts, (ds.phase_index, bins[ds.records]), 1.0)
     return CondProbTable(ds.phases, counts, kind="b3").probabilities()
 
 

@@ -672,10 +672,19 @@ def _write_dataset(path, header: str, ds: Dataset, tails: np.ndarray) -> None:
     Each run of rows with equal ``phase_index`` is formatted as one block: the
     ``phase_index,phase_rad,`` prefix once, then the shot indices as
     fixed-width byte strings, each joined to its record's tail.  Blocks are
-    built one at a time, so no whole-file copy is held.
+    built one at a time, so no whole-file copy is held.  When the range from
+    the smallest to the largest shot index holds no more values than there are
+    rows, each value in it is formatted once into a table that the blocks
+    index; a wider range is formatted block by block.
     """
     index = ds.phase_index
     bounds = [0, *(np.flatnonzero(index[1:] != index[:-1]) + 1), len(index)]
+    shots, lo, texts = ds.shot_index, 0, None
+    if len(shots):
+        lo, hi = int(shots.min()), int(shots.max())
+        if hi - lo < len(shots):
+            width = max(len(str(lo)), len(str(hi)))
+            texts = np.arange(lo, hi + 1, dtype=np.int64).astype(f"S{width}")
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for start, stop in zip(bounds[:-1], bounds[1:]):
@@ -683,9 +692,9 @@ def _write_dataset(path, header: str, ds: Dataset, tails: np.ndarray) -> None:
                 continue
             p = int(index[start])
             prefix = f"{p},{format_float(ds.phases[p])},".encode()
-            rows = np.char.add(
-                ds.shot_index[start:stop].astype("S20"), tails[ds.records[start:stop]]
-            )
+            block = shots[start:stop]
+            block = block.astype("S20") if texts is None else texts[block - lo]
+            rows = np.char.add(block, tails[ds.records[start:stop]])
             # prefix.join puts the prefix before every row but the first.
             fh.write(prefix + prefix.join(rows.tolist()))
 
@@ -796,7 +805,7 @@ def _parse_dataset(path, header: str) -> Dataset:
     phase_index, phase_rad, shot_index, bits = columns
     if not len(phase_index):
         raise DatasetError(f"{path}: no data rows")
-    if np.any((bits != 0) & (bits != 1)):
+    if bits.min() < 0 or bits.max() > 1:
         raise DatasetError(f"{path}: bit columns must be 0/1")
     if phase_index.min() < 0:
         raise DatasetError(f"{path}: phase_index must be non-negative")

@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from qadc.analysis import MIEstimate, _mi_from_probabilities, mutual_information
 from qadc.photonics import GramMatrix
 
 
@@ -28,6 +29,25 @@ def distribution_dict(counts, probs) -> dict:
 def dense_probabilities(cum_probs):
     """Accepted probability of every outcome code from a step's cumulative distribution."""
     return np.diff(cum_probs, prepend=0.0)
+
+
+def dense_bootstrap_mi(table, n_resamples: int, rng: np.random.Generator) -> MIEstimate:
+    """Reference bootstrap: Poisson-resample every cell of the kept rows, zero or not.
+
+    The dense form of `qadc.analysis.bootstrap_mi`: a replicate with some
+    all-zero rows drops them, one with only zero rows is left out.
+    """
+    point = mutual_information(table)
+    counts = table.counts[table.n_shots_effective > 0]
+    values = []
+    for _ in range(n_resamples):
+        resampled = rng.poisson(counts).astype(float)
+        totals = resampled.sum(axis=1)
+        ok = totals > 0
+        if ok.any():
+            values.append(_mi_from_probabilities(resampled[ok] / totals[ok, None]))
+    stderr = float(np.std(values, ddof=1)) if len(values) > 1 else math.nan
+    return MIEstimate(point.value, stderr, len(values))
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,8 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import b_code, record_bits, record_codes, wrap_difference
-from qadc import analysis
+from conftest import b_code, dense_bootstrap_mi, record_bits, record_codes, wrap_difference
+from qadc import analysis, cli
 from qadc.analysis import (
     CondProbTable,
     HISTOGRAM_BIN_CENTERS,
@@ -240,6 +240,55 @@ class TestBootstrap:
             bootstrap_mi(table, 1, np.random.default_rng(0))
 
 
+def assert_bootstrap_matches_dense(table, n_resamples, rng):
+    """``bootstrap_mi`` equals the dense reference and leaves ``rng`` in its state."""
+    reference_rng = np.random.default_rng()
+    reference_rng.bit_generator.state = rng.bit_generator.state
+    got = bootstrap_mi(table, n_resamples, rng)
+    want = dense_bootstrap_mi(table, n_resamples, reference_rng)
+    assert (got.value, got.n_resamples) == (want.value, want.n_resamples)
+    assert got.stderr == want.stderr or (math.isnan(got.stderr) and math.isnan(want.stderr))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def _sparse_float_counts():
+    counts = 4.0 * np.random.default_rng(3).random((9, 128))
+    counts[counts < 2.5] = 0.0
+    return counts
+
+
+class TestBootstrapMatchesDenseReference:
+    """Drawing only the observed cells keeps every replicate and the generator state."""
+
+    @pytest.mark.parametrize(
+        "simulate",
+        [simulate_quantum_dataset, simulate_classical_dataset],
+        ids=["quantum", "classical"],
+    )
+    def test_analyze_curve_tables(self, simulate):
+        ds = simulate(ProtocolConfig(n_phases=12, n_shots=300, noise=NOISELESS, seed=5))
+        ranks = cli._phase_ranks(ds.phase_index, ds.shot_index)
+        rng = np.random.default_rng(101)
+        for k in cli._curve_points(300, 12):
+            table = analysis._table(ds, "m7", ranks < k)
+            assert (table.counts == 0).mean() > 0.5
+            assert_bootstrap_matches_dense(table, 100, rng)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            pytest.param(np.eye(4, 8), id="phases-resampled-to-zero"),
+            pytest.param(np.vstack([np.zeros(128), np.arange(128.0) % 3]), id="zero-shot-phase"),
+            pytest.param(_sparse_float_counts(), id="float-counts"),
+        ],
+    )
+    def test_tables(self, counts):
+        table = CondProbTable(grid(len(counts)), counts, kind="b3")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "1 phases with zero valid shots excluded")
+            assert_bootstrap_matches_dense(table, 200, np.random.default_rng(7))
+
+
 class TestBounds:
     def test_examples(self):
         assert reference_bounds(8) == pytest.approx((1.5, 3.0))
@@ -285,6 +334,22 @@ class TestHistograms:
         assert np.allclose(hist.sum(axis=1), 1.0)
         # classical estimates live in [0, pi]: bins past pi stay empty
         assert np.allclose(hist[:, 5:], 0.0)
+
+
+    def test_classical_bins_of_every_code(self):
+        # Phase 0 holds each code once, phase 1 code c (c % 5 + 1) times, so a
+        # code put in a wrong bin changes a frequency.
+        codes = np.arange(128)
+        repeats = np.concatenate([np.ones(128, dtype=int), codes % 5 + 1])
+        records = np.repeat(np.concatenate([codes, codes]), repeats).astype(np.uint8)
+        phase_index = np.repeat([0, 1], [128, int(repeats[128:].sum())])
+        ds = Dataset(2, grid(2), phase_index, np.arange(len(records)), records)
+        counts = np.zeros((2, 8))
+        for p, estimate in zip(phase_index, classical_estimates(records)):
+            distance = [abs(wrap_difference(estimate, c)) for c in HISTOGRAM_BIN_CENTERS]
+            counts[p, int(np.argmin(distance))] += 1
+        hist = classical_phase_histograms(ds)
+        assert np.array_equal(hist, counts / counts.sum(axis=1, keepdims=True))
 
 
 class TestAnalyticLikelihoods:

@@ -540,16 +540,13 @@ class TestDatasetFiles:
         back = read_classical_csv(path)
         assert np.array_equal(back.records, ds.records)
 
-    @pytest.mark.parametrize("kind", ["quantum", "classical"])
-    def test_every_record_code_round_trips(self, tmp_path, kind):
-        # Each of two phases holds all 128 codes, which no noiseless run
-        # reaches; every written line is checked against its own rendering.
+    @staticmethod
+    def check_written_lines(path, kind, shot_index):
+        """Write two phases holding all 128 codes with ``shot_index``, check every line, read back."""
         _, write, read, _ = DATASET_KINDS[kind]
         codes = np.concatenate([np.arange(128), np.arange(128)[::-1]]).astype(np.uint8)
         phase_index = np.repeat(np.arange(2), 128)
-        shot_index = 7 * np.arange(256) + 10**15
         ds = protocol.Dataset(2, np.array([0.0, math.pi]), phase_index, shot_index, codes)
-        path = tmp_path / "all.csv"
         write(ds, path)
         lines = path.read_text().splitlines()[1:]
         assert len(lines) == 256
@@ -564,6 +561,22 @@ class TestDatasetFiles:
         assert np.array_equal(back.records, codes)
         assert np.array_equal(back.phase_index, phase_index)
         assert np.array_equal(back.shot_index, shot_index)
+
+    @pytest.mark.parametrize("kind", ["quantum", "classical"])
+    def test_every_record_code_round_trips(self, tmp_path, kind):
+        # Each of two phases holds all 128 codes, which no noiseless run
+        # reaches; every written line is checked against its own rendering.
+        # The shot indices span more values than there are rows.
+        self.check_written_lines(tmp_path / "all.csv", kind, 7 * np.arange(256) + 10**15)
+
+    @pytest.mark.parametrize("first", [10**6 + 3, -200])
+    @pytest.mark.parametrize("kind", ["quantum", "classical"])
+    def test_narrow_shot_indices_round_trip(self, tmp_path, kind, first):
+        # 256 distinct shot indices from ``first`` on, out of order, so the
+        # writer formats them from its table of every value in their span;
+        # from -200 the widest text ("-200") is the smallest value's.
+        shot_index = first + (37 * np.arange(256)) % 256
+        self.check_written_lines(tmp_path / "narrow.csv", kind, shot_index)
 
     def test_shot_index_preserves_gaps(self, tmp_path):
         ds = simulate_quantum_dataset(noiseless_config(n_phases=1, n_shots=100))
@@ -634,6 +647,9 @@ READER_CASES = [
          r"row 5: expected \d+ columns"),
         ("bit value 2",
          partial(_edit_line, lineno=3, edit=partial(_set_column, col=5, value=lambda v: "2")),
+         "bit columns must be 0/1"),
+        ("bit value -1",
+         partial(_edit_line, lineno=3, edit=partial(_set_column, col=5, value=lambda v: "-1")),
          "bit columns must be 0/1"),
         ("no final newline", lambda t: t.rstrip("\n"), None),
         ("negative phase index",
