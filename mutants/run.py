@@ -6,13 +6,15 @@ Run from anywhere, with the interpreter that runs the test suite::
 
 Each row of `MUTANTS` gives a file of the repository, an exact text that
 must occur in it once, the text that replaces it, and the pytest node ids
-that must pass on the unmutated tree and fail on the mutated one.  The
-working tree's ``src``, ``tests`` and ``pyproject.toml`` are copied to a
-temporary directory, once unmutated and once per mutant, and the named tests
-run there with ``PYTHONPATH`` set to the copy's ``src``.  A mutant is killed
-when every one of its tests reports a failure; a test that errors, is
-skipped, or is never reached (a collection error) does not count.  A mutant
-whose old text is missing or ambiguous stops the run before any test runs.
+that must pass on the unmutated tree and fail on the mutated one.  A row may
+make further (file, old text, new text) edits of the same kind, for a fault
+that spans two places.  The working tree's ``src``, ``tests`` and
+``pyproject.toml`` are copied to a temporary directory, once unmutated and
+once per mutant, and the named tests run there with ``PYTHONPATH`` set to
+the copy's ``src``.  A mutant is killed when every one of its tests reports a
+failure; a test that errors, is skipped, or is never reached (a collection
+error) does not count.  A mutant whose old text is missing or ambiguous stops
+the run before any test runs.
 
 Exit code 0 when the unmutated tree passes every named test and every
 mutant is killed, 1 otherwise.  A surviving mutant is a fault of the tests
@@ -42,6 +44,10 @@ class Mutant:
     old: str
     new: str
     tests: tuple[str, ...]  # pytest node ids that must fail
+    more: tuple[tuple[str, str, str], ...] = ()  # further (path, old, new) edits
+
+    def edits(self) -> tuple[tuple[str, str, str], ...]:
+        return ((self.path, self.old, self.new), *self.more)
 
 
 MUTANTS = (
@@ -300,6 +306,32 @@ MUTANTS = (
             "tests/test_cli.py::TestByteIdentity::test_pinned_sweep_and_programming_error_bytes",
         ),
     ),
+    Mutant(
+        "memo-key-without-unitary",
+        "src/qadc/photonics.py",
+        "    key: tuple = (u.tobytes(),)\n",
+        "    key: tuple = ()\n",
+        ("tests/test_photonics.py::TestConvolutionMemo::test_memo_keys_the_unitary",),
+    ),
+    Mutant(
+        "memo-key-without-gram-block",
+        "src/qadc/photonics.py",
+        "        key += (modes, sub.tobytes())\n",
+        "        key += (modes,)\n",
+        ("tests/test_photonics.py::TestConvolutionMemo::test_memo_keys_the_gram_block",),
+    ),
+    Mutant(
+        "memo-kept-for-the-run-without-unitary",
+        "src/qadc/protocol.py",
+        "        memo: dict = {}\n",
+        '        memo: dict = self.__dict__.setdefault("_memo", {})\n',
+        (
+            "tests/test_protocol.py::TestPhaseSeries::test_mixture_shares_builds_without_changing_bits",
+        ),
+        more=(
+            ("src/qadc/photonics.py", "    key: tuple = (u.tobytes(),)\n", "    key: tuple = ()\n"),
+        ),
+    ),
 )
 
 
@@ -340,11 +372,12 @@ def outcomes(tree: Path, node_ids: list[str]) -> dict[str, str]:
 
 def check_texts() -> None:
     for mutant in MUTANTS:
-        count = (ROOT / mutant.path).read_text().count(mutant.old)
-        if count != 1:
-            raise SystemExit(
-                f"mutant {mutant.name}: its old text occurs {count} times in {mutant.path}"
-            )
+        for path, old, _ in mutant.edits():
+            count = (ROOT / path).read_text().count(old)
+            if count != 1:
+                raise SystemExit(
+                    f"mutant {mutant.name}: its old text occurs {count} times in {path}"
+                )
 
 
 def main() -> int:
@@ -365,8 +398,9 @@ def main() -> int:
         for mutant in MUTANTS:
             tree = Path(tmp) / mutant.name
             copy_tree(tree)
-            target = tree / mutant.path
-            target.write_text(target.read_text().replace(mutant.old, mutant.new))
+            for path, old, new in mutant.edits():
+                target = tree / path
+                target.write_text(target.read_text().replace(old, new))
             results = outcomes(tree, list(mutant.tests))
             killed = all(outcome == "failure" for outcome in results.values())
             ok &= killed

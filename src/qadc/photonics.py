@@ -319,7 +319,7 @@ def _block_distribution(
 
 
 def full_output_distribution(
-    u: np.ndarray, ensemble: PhotonEnsemble
+    u: np.ndarray, ensemble: PhotonEnsemble, memo: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probability of every output count pattern for the full ensemble.
 
@@ -330,6 +330,16 @@ def full_output_distribution(
     convolved: every pattern row of one block is added to every row of the
     next, and equal sums are merged.  Validated against `oracle_full_state`
     spatial marginals in the acceptance suite.
+
+    ``memo`` holds each prefix of the convolution, keyed by the bytes of
+    ``u`` and the (input modes, Gram sub-block bytes) of its blocks, so
+    ensembles that share leading blocks under one unitary (the source classes
+    of one step program: the same main photons plus a few distinguishable
+    extras) build and convolve them once; a device-noise run builds 255
+    blocks in place of 555.  A prefix does not depend on the pattern codes'
+    radix, so ensembles of any photon count can share it, and the result has
+    the same bits with or without a memo.  Without one a fresh dict is used.
+    The arrays returned may be held by the memo and must not be modified.
     """
     u = np.asarray(u, dtype=complex)
     n_modes = u.shape[0]
@@ -341,11 +351,18 @@ def full_output_distribution(
     if base**n_modes > 2**63:
         raise SizeLimitError(f"pattern codes of {base - 1} photons on {n_modes} modes")
     radix = base ** np.arange(n_modes, dtype=np.int64)
+    if memo is None:
+        memo = {}
+    key: tuple = (u.tobytes(),)
     counts = np.zeros((1, n_modes), dtype=np.int64)
     probs = np.ones(1)
     for block in _distinguishable_blocks(ensemble.gram):
         modes = tuple(ensemble.input_modes[i] for i in block)
         sub = ensemble.gram.entries[np.ix_(block, block)]
+        key += (modes, sub.tobytes())
+        if key in memo:
+            counts, probs = memo[key]
+            continue
         block_counts, block_probs = _block_distribution(u, modes, sub)
         codes = (counts @ radix)[:, None] + (block_counts @ radix)[None, :]
         # Patterns keep the order of their first appearance, and each sum
@@ -357,6 +374,7 @@ def full_output_distribution(
         probs = np.bincount(rank[inverse], weights=np.outer(probs, block_probs).ravel())
         pair = first[order]
         counts = counts[pair // len(block_counts)] + block_counts[pair % len(block_counts)]
+        memo[key] = counts, probs
     return counts, probs
 
 

@@ -303,9 +303,14 @@ class StepSimulator:
             self._dists[key] = np.cumsum(np.where(probs < 0.0, 0.0, probs))
         return self._dists[key]
 
-    def _accepted(self, n: int, u: np.ndarray, ensemble: PhotonEnsemble) -> np.ndarray:
-        """Accepted probability of every outcome code (qubit 0 the high bit), [2**n]."""
-        counts, probs = full_output_distribution(u, ensemble)
+    def _accepted(
+        self, n: int, u: np.ndarray, ensemble: PhotonEnsemble, memo: dict | None = None
+    ) -> np.ndarray:
+        """Accepted probability of every outcome code (qubit 0 the high bit), [2**n].
+
+        ``memo`` is the `full_output_distribution` memo of the unitary ``u``.
+        """
+        counts, probs = full_output_distribution(u, ensemble, memo)
         # Accepted: no photon off the rails and exactly one occupied rail per
         # pair; the bit is set when that rail is the pair's second.
         rail0, rail1 = np.array(logical_rail_pairs(n)).T
@@ -320,10 +325,16 @@ class StepSimulator:
         )
 
     def _mixture(self, n: int, u: np.ndarray) -> np.ndarray:
-        """Class mixture of `_accepted` under the step unitary ``u``, [2**n]."""
+        """Class mixture of `_accepted` under the step unitary ``u``, [2**n].
+
+        The classes share one `full_output_distribution` memo, which lives
+        for this call only: the classes that keep every main photon convolve
+        the same main-photon block, each with a few one-photon extras.
+        """
         probs = np.zeros(1 << n)
+        memo: dict = {}
         for weight, ensemble in self._classes[n]:
-            probs += weight * self._accepted(n, u, ensemble)
+            probs += weight * self._accepted(n, u, ensemble, memo)
         return probs
 
     def _mixed_series(self, n: int, flags: tuple[int, int, int]) -> np.ndarray:
@@ -809,6 +820,8 @@ def _parse_dataset(path, header: str) -> Dataset:
         raise DatasetError(f"{path}: bit columns must be 0/1")
     if phase_index.min() < 0:
         raise DatasetError(f"{path}: phase_index must be non-negative")
+    if not np.isfinite(phase_rad).all():
+        raise DatasetError(f"{path}: phase_rad must be finite")
     # The last row of each phase index sets its phase value.
     seen, last = np.unique(phase_index[::-1], return_index=True)
     values = phase_rad[::-1][last]

@@ -44,7 +44,7 @@ from qadc.photonics import (
     state_fidelity,
     uniform_gram,
 )
-from qadc.protocol import DEVICE_NOISE, NoiseConfig
+from qadc.protocol import DEVICE_NOISE, NoiseConfig, StepSimulator
 
 
 def balanced_splitter():
@@ -245,6 +245,59 @@ class TestDistributionArrays:
             ens = ensemble_from_parts(mains, extras, 0.926)
             dist = distribution_dict(*full_output_distribution(u, ens))
             assert list(dist.items()) == list(reference_convolution(u, ens).items())
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestConvolutionMemo:
+    """A memo shared by many builds gives the bits of building each alone."""
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            pytest.param(DEVICE_NOISE, id="device"),
+            # Lost main photons: classes with a 3- or 2-photon main block.
+            pytest.param(replace(DEVICE_NOISE, condition_on_emission=False, eta=0.8),
+                         id="unconditioned"),
+        ],
+    )
+    def test_source_classes_share_one_memo(self, noise):
+        sim = StepSimulator(noise, seed=1)
+        u = sim.unitary(4, 2.0 * math.pi * 3 / 13, (0, 0, 0))
+        ensembles = [ensemble for _, ensemble in sim._classes[4]]
+        blocks = [photonics._distinguishable_blocks(e.gram) for e in ensembles]
+        main_sizes = {len(b[0]) for b in blocks}
+        if noise is DEVICE_NOISE:
+            assert len(ensembles) == 11 and main_sizes == {4}
+        else:
+            assert main_sizes == {2, 3, 4}
+        memo = {}
+        for ensemble in ensembles:
+            got = full_output_distribution(u, ensemble, memo)
+            assert_same_bits(got, full_output_distribution(u, ensemble))
+        # Some prefixes were reused rather than built again.
+        assert len(memo) < sum(len(b) for b in blocks)
+
+    def test_memo_keys_the_unitary(self, rng):
+        ens = ensemble_from_parts((0, 2, 4, 6), (1, 5), 0.9)
+        memo = {}
+        for u in (random_unitary(8, rng), random_unitary(8, rng)):
+            assert_same_bits(
+                full_output_distribution(u, ens, memo), full_output_distribution(u, ens)
+            )
+
+    def test_memo_keys_the_gram_block(self, rng):
+        u = random_unitary(8, rng)
+        memo = {}
+        for delta in (0.5, 0.9):
+            ens = ensemble_from_parts((0, 2, 4, 6), (3,), delta)
+            assert_same_bits(
+                full_output_distribution(u, ens, memo), full_output_distribution(u, ens)
+            )
 
 
 class TestOracle:

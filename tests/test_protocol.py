@@ -14,7 +14,7 @@ from conftest import (
     record_codes,
     sample_survivors,
 )
-from qadc import protocol
+from qadc import photonics, protocol
 from qadc.linop import logical_rail_pairs
 from qadc.photonics import (
     class_probabilities,
@@ -485,27 +485,54 @@ class TestPhaseSeries:
     # two 2-photon flags and the four 1-photon flags.  Device noise: every
     # class of a step at the 2k + 1 nodes of its largest class (k = n + 2):
     # 11 classes at n = 4, 4 at n = 2 and 2 at n = 1.
+    #
+    # Blocks: the classes of one program share the blocks and convolution
+    # prefixes of their common photons, so each node builds its main block
+    # once and each extra one-photon block once per distinct prefix before
+    # it; 555 blocks without the sharing.  Noiseless, one block per build.
     @pytest.mark.parametrize(
-        "noise, n_phases, builds",
+        "noise, n_phases, builds, blocks",
         [
-            pytest.param(NOISELESS, 9, 9 + 2 * 5 + 4 * 3, id="9"),
-            pytest.param(NOISELESS, 33, 9 + 2 * 5 + 4 * 3, id="33"),
-            pytest.param(DEVICE_NOISE, 9, 13 * 11 + 2 * 9 * 4 + 4 * 5 * 2, id="device-9"),
-            pytest.param(DEVICE_NOISE, 33, 13 * 11 + 2 * 9 * 4 + 4 * 5 * 2, id="device-33"),
+            pytest.param(NOISELESS, 9, 9 + 2 * 5 + 4 * 3, 31, id="9"),
+            pytest.param(NOISELESS, 33, 9 + 2 * 5 + 4 * 3, 31, id="33"),
+            pytest.param(DEVICE_NOISE, 9, 13 * 11 + 2 * 9 * 4 + 4 * 5 * 2, 255, id="device-9"),
+            pytest.param(DEVICE_NOISE, 33, 13 * 11 + 2 * 9 * 4 + 4 * 5 * 2, 255, id="device-33"),
         ],
     )
-    def test_builds_do_not_grow_with_the_grid(self, monkeypatch, noise, n_phases, builds):
-        calls = []
+    def test_builds_do_not_grow_with_the_grid(
+        self, monkeypatch, noise, n_phases, builds, blocks
+    ):
+        calls, block_calls = [], []
+        block_distribution = photonics._block_distribution
 
         def counted(*args):
             calls.append(1)
             return full_output_distribution(*args)
 
+        def counted_block(*args):
+            block_calls.append(1)
+            return block_distribution(*args)
+
         monkeypatch.setattr(protocol, "full_output_distribution", counted)
+        monkeypatch.setattr(photonics, "_block_distribution", counted_block)
         simulate_quantum_dataset(
             ProtocolConfig(n_phases=n_phases, n_shots=50, noise=noise, seed=1)
         )
         assert len(calls) == builds
+        assert len(block_calls) == blocks
+
+    def test_mixture_shares_builds_without_changing_bits(self):
+        # One simulator, several series nodes of each step: the memo of one
+        # `_mixture` call must not serve another unitary.
+        sim = StepSimulator(DEVICE_NOISE, seed=1)
+        for n in PROBE_SIZES:
+            for flags in SWEEP_FLAGS[n][:2]:
+                for phi in (0.0, 2.0 * math.pi / 13, 2.5):
+                    u = sim.unitary(n, phi, flags)
+                    want = np.zeros(1 << n)
+                    for weight, ensemble in sim._classes[n]:
+                        want += weight * sim._accepted(n, u, ensemble)
+                    assert np.array_equal(sim._mixture(n, u), want)
 
     def test_programming_errors_build_directly(self, monkeypatch):
         def no_series(*args):
@@ -655,6 +682,12 @@ READER_CASES = [
         ("negative phase index",
          partial(_edit_line, lineno=3, edit=partial(_set_column, col=0, value=lambda v: "-1")),
          "phase_index must be non-negative"),
+        ("nan phase",
+         partial(_edit_line, lineno=3, edit=partial(_set_column, col=1, value=lambda v: "nan")),
+         "phase_rad must be finite"),
+        ("infinite phase",
+         partial(_edit_line, lineno=3, edit=partial(_set_column, col=1, value=lambda v: "inf")),
+         "phase_rad must be finite"),
         ("shot index beyond int64",
          partial(_edit_line, lineno=3, edit=partial(_set_column, col=2, value=lambda v: "9" * 20)),
          "row 3: integer out of the int64 range"),
@@ -711,7 +744,7 @@ class TestReaderPaths:
             return
         if fast is not None:
             for got, want in zip(fast, rows):
-                assert np.array_equal(got, want)
+                assert np.array_equal(got, want, equal_nan=True)
         if expect is not None:
             with pytest.raises(DatasetError, match=expect):
                 read(path)

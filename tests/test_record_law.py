@@ -26,6 +26,7 @@ from qadc.analysis import (
     bit_chain_probabilities,
     marginalize_to_bits,
     mutual_information,
+    quadrature_mi_classical,
     quadrature_mi_quantum,
     table_from_classical,
     table_from_quantum,
@@ -120,6 +121,53 @@ def test_distinguishability_law_mi_matches_quadrature():
     assert np.abs(marginal.probabilities() - chain).max() <= 1e-12
     mi = mutual_information(marginal).value
     assert abs(mi - quadrature_mi_quantum(delta)) <= 1e-6
+
+
+def exact_mi(noise):
+    """Exact MI of the b1 b2 b3 marginal of the record law on the 99-phase grid."""
+    phases = 2 * math.pi * np.arange(99) / 99
+    table = CondProbTable(phases, law_table(noise, phases))
+    return mutual_information(marginalize_to_bits(table)).value
+
+
+def assert_strictly_falling(noises):
+    mis = [exact_mi(noise) for noise in noises]
+    assert all(b < a for a, b in zip(mis, mis[1:])), mis
+
+
+class TestExactNoiseStatements:
+    """Criterion 6's sampled noise statements, from the exact law (about 3 s, 2 cores).
+
+    Criterion 6's delta and g2 settings, and an eta sweep at g2 0.02, with no
+    sampling spread: each statement holds exactly or fails.
+    """
+
+    def test_mi_falls_with_distinguishability(self):
+        assert_strictly_falling(
+            [NoiseConfig(delta=d, brightness=1.0) for d in (1.0, 0.9, 0.8, 0.6)]
+        )
+
+    def test_small_delta_falls_below_the_classical_quadrature(self):
+        assert exact_mi(NoiseConfig(delta=0.1, brightness=1.0)) < quadrature_mi_classical()
+
+    def test_mi_falls_with_g2(self):
+        assert_strictly_falling(
+            [
+                NoiseConfig(g2_two_photon=g2, g2_four_photon=g2, brightness=0.14, eta=0.85)
+                for g2 in (0.0, 0.02, 0.06)
+            ]
+        )
+
+    def test_mi_falls_with_loss(self):
+        # Loss alone only thins the accepted repetitions; with a second
+        # photon in some bins, a lost main photon can be replaced by an
+        # extra one, whose share of the accepted repetitions grows with loss.
+        assert_strictly_falling(
+            [
+                NoiseConfig(g2_two_photon=0.02, g2_four_photon=0.02, brightness=0.14, eta=eta)
+                for eta in (1.0, 0.85, 0.7)
+            ]
+        )
 
 
 def assert_follows_law(counts, law, phase):
