@@ -332,6 +332,57 @@ MUTANTS = (
             ("src/qadc/photonics.py", "    key: tuple = (u.tobytes(),)\n", "    key: tuple = ()\n"),
         ),
     ),
+    Mutant(
+        "device-noise-preset-without-eta",
+        "src/qadc/protocol.py",
+        '        "brightness": 0.14,\n        "eta": 1.0,\n',
+        '        "brightness": 0.14,\n',
+        ("tests/test_cli.py::TestSimulate::test_override_precedence[device-noise-sets-eta]",),
+    ),
+    Mutant(
+        "flags-applied-after-set",
+        "src/qadc/cli.py",
+        "    # A flag's destination is its field's path (`_add_flags`).\n"
+        "    yield from ((f.path, given[f.path]) for f in CONFIG_FIELDS if given.get(f.path) is not None)\n",
+        "",
+        (
+            "tests/test_cli.py::TestSimulate::test_override_precedence[set-over-flag]",
+            "tests/test_cli.py::TestSimulate::test_override_precedence[set-over-later-flag]",
+        ),
+        more=(
+            (
+                "src/qadc/cli.py",
+                "    if os.environ.get(SEED_ENV_VAR):\n",
+                "    yield from ((f.path, given[f.path]) for f in CONFIG_FIELDS if given.get(f.path) is not None)\n"
+                "    if os.environ.get(SEED_ENV_VAR):\n",
+            ),
+        ),
+    ),
+    Mutant(
+        # Only the rows whose grids are small enough to build unchecked.
+        "reader-max-phases-check-removed",
+        "src/qadc/protocol.py",
+        "    if n_phases > MAX_PHASES:\n",
+        "    if False:\n",
+        (
+            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[quantum-inferred grid above the limit]",
+            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[classical-inferred grid above the limit]",
+        ),
+    ),
+    Mutant(
+        "report-nn-estimate-at-empty-phases",
+        "src/qadc/cli.py",
+        "np.where(estimated, ml.forward(est_net, inputs)[:, 0] % analysis.TWO_PI, np.nan)",
+        "ml.forward(est_net, inputs)[:, 0] % analysis.TWO_PI",
+        ("tests/test_cli.py::TestTrainAndReport::test_nn_estimate_only_at_phases_with_rows",),
+    ),
+    Mutant(
+        "report-nn-rmse-over-empty-phases",
+        "src/qadc/cli.py",
+        "ml.circular_rmse(phi_nn[estimated], truth)",
+        "ml.circular_rmse(phi_nn, quantum.phases)",
+        ("tests/test_cli.py::TestTrainAndReport::test_nn_estimate_only_at_phases_with_rows",),
+    ),
 )
 
 

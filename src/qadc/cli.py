@@ -21,8 +21,8 @@ import math
 import os
 import sys
 import warnings
-from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields
+from collections.abc import Callable, Iterator
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,8 @@ from qadc import analysis, ml
 from qadc.linop import SizeLimitError
 from qadc.photonics import ModelError, PostSelectionEmpty
 from qadc.protocol import (
-    DEVICE_NOISE,
+    MAX_PHASES,
+    NOISE_PRESETS,
     NOISELESS,
     DatasetError,
     NoiseConfig,
@@ -52,24 +53,6 @@ SEED_ENV_VAR = "QADC_SEED"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-#: Measured-platform source values; programming errors and conditioning are
-#: left as configured.
-DEVICE_NOISE_PRESET = {
-    key: value
-    for key, value in asdict(DEVICE_NOISE).items()
-    if key in ("delta", "g2_two_photon", "g2_four_photon", "brightness", "eta")
-}
-
-#: Ideal source and programming; conditioning is left as configured.
-NOISELESS_PRESET = {
-    key: value
-    for key, value in asdict(NOISELESS).items()
-    if key != "condition_on_emission"
-}
-
-STRATEGIES = ("quantum", "classical", "both")
-MODES = ("direct", "sweep")
 
 
 class ConfigError(ValueError):
@@ -131,14 +114,21 @@ _NOISE_HELP = {
 }
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _noise_fields() -> list[Field]:
+    """The noise leaves, which default to the noiseless preset."""
     rows = []
-    for f in fields(NoiseConfig):
-        help_text = _NOISE_HELP[f.name]
-        if f.name in DEVICE_NOISE_PRESET:
-            help_text += f"; --device-noise sets {DEVICE_NOISE_PRESET[f.name]}"
-        domain = BOOL if type(f.default) is bool else NUMBER
-        rows.append(Field(f"noise.{f.name}", f.default, domain, help_text))
+    for name, default in asdict(NOISELESS).items():
+        help_text = _NOISE_HELP[name] + "".join(
+            f"; {_flag(preset)} sets {values[name]}"
+            for preset, values in NOISE_PRESETS.items()
+            if name in values
+        )
+        domain = BOOL if type(default) is bool else NUMBER
+        rows.append(Field(f"noise.{name}", default, domain, help_text))
     return rows
 
 
@@ -162,12 +152,14 @@ _PROTOCOL = ProtocolConfig()
 #: Every leaf of the run configuration.  The table gives the defaults, the
 #: ``--help`` text, and the type and range each value is checked against.
 CONFIG_FIELDS = (
-    Field("strategy", "both", _one_of(str, STRATEGIES), "which datasets to simulate"),
-    Field("n_phases", _PROTOCOL.n_phases, POSITIVE_INT,
+    Field("strategy", "both", _one_of(str, ("quantum", "classical", "both")),
+          "which datasets to simulate"),
+    Field("n_phases", _PROTOCOL.n_phases,
+          Domain(int, f"an integer from 1 to {MAX_PHASES}", lambda v: 1 <= v <= MAX_PHASES),
           "number of equally spaced phases in [0, 2pi)"),
     Field("n_shots", _PROTOCOL.n_shots, POSITIVE_INT,
           "valid repetitions per phase"),
-    Field("mode", "direct", _one_of(str, MODES),
+    Field("mode", "direct", _one_of(str, ("direct", "sweep")),
           "feed-forward (direct) or all configurations plus matching (sweep)"),
     *_noise_fields(),
     Field("analysis.n_curve_points", 12, POSITIVE_INT, "log-spaced prefix sizes of the MI curve"),
@@ -194,8 +186,7 @@ def _nest(pairs) -> dict:
     return tree
 
 
-#: Default run configuration.  ``--device-noise`` and ``--noiseless`` overlay
-#: the presets above on its noise block.
+#: Default run configuration.
 DEFAULT_CONFIG = _nest((f.path, f.default) for f in CONFIG_FIELDS)
 
 
@@ -258,24 +249,15 @@ def _read_config_file(path: str) -> dict:
     return doc
 
 
-def load_config(args) -> dict:
-    """The run configuration: defaults, then the config file, presets, flags,
-    ``--set`` overrides and the seed variable, each leaf checked and typed."""
-    config = copy.deepcopy(DEFAULT_CONFIG)
-    if args.config:
-        doc = _read_config_file(args.config)
-        try:
-            _merge(config, doc)
-        except ConfigError as exc:
-            raise ConfigError(f"{exc} in config file {args.config}") from None
-    if getattr(args, "device_noise", False):
-        config["noise"].update(DEVICE_NOISE_PRESET)
-    if getattr(args, "noiseless", False):
-        config["noise"].update(NOISELESS_PRESET)
-    for flag in ("strategy", "n_phases", "n_shots", "mode", "seed"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            config[flag] = value
+def _overrides(args) -> Iterator[tuple[str, object]]:
+    """The command line's (dot path, value) overrides, the later ones winning:
+    the preset, the flags, the ``--set`` items, then the seed variable."""
+    given = vars(args)
+    for preset, values in NOISE_PRESETS.items():
+        if given.get(preset):
+            yield from ((f"noise.{key}", value) for key, value in values.items())
+    # A flag's destination is its field's path (`_add_flags`).
+    yield from ((f.path, given[f.path]) for f in CONFIG_FIELDS if given.get(f.path) is not None)
     for item in args.set or []:
         path, eq, raw = item.partition("=")
         if not eq:
@@ -284,14 +266,26 @@ def load_config(args) -> dict:
             value = json.loads(raw)
         except ValueError:
             value = raw.strip()
-        for key in reversed(path.strip().split(".")):
-            value = {key: value}
-        _merge(config, value)
+        yield path.strip(), value
     if os.environ.get(SEED_ENV_VAR):
         try:
-            config["seed"] = int(os.environ[SEED_ENV_VAR])
+            yield "seed", int(os.environ[SEED_ENV_VAR])
         except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer")
+            raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from None
+
+
+def load_config(args) -> dict:
+    """The run configuration: defaults, then the config file and the command
+    line's overrides (`_overrides`), each leaf checked and typed."""
+    config = copy.deepcopy(DEFAULT_CONFIG)
+    if args.config:
+        doc = _read_config_file(args.config)
+        try:
+            _merge(config, doc)
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} in config file {args.config}") from None
+    for path, value in _overrides(args):
+        _merge(config, _nest([(path, value)]))
     _check(config)
     return config
 
@@ -571,12 +565,12 @@ def cmd_report(args) -> int:
         denoised_table = analysis.marginalize_to_bits(table)
         marginal_rows = denoised_table.probabilities()
 
+    circ, _ = analysis.mean_quantum_estimates(table)
+    estimated = table.n_shots_effective > 0  # only phases with rows have an estimate
     phi_nn = None
     if est_net is not None:
         inputs = ml.estimator_inputs_from_rows(table.phases, marginal_rows)
-        phi_nn = ml.forward(est_net, inputs)[:, 0] % analysis.TWO_PI
-
-    circ, _ = analysis.mean_quantum_estimates(table)
+        phi_nn = np.where(estimated, ml.forward(est_net, inputs)[:, 0] % analysis.TWO_PI, np.nan)
     classical_means = (
         analysis.mean_classical_estimates(classical) if classical is not None else None
     )
@@ -603,12 +597,9 @@ def cmd_report(args) -> int:
             analysis.table_from_classical(classical)
         ).value
     if phi_nn is not None:
-        mi_summary["nn_rmse_circular"] = ml.circular_rmse(phi_nn, quantum.phases)
-        # Only phases with rows have a raw estimate.
-        estimated = ~np.isnan(circ)
-        mi_summary["raw_rmse_circular"] = ml.circular_rmse(
-            circ[estimated], quantum.phases[estimated]
-        )
+        truth = quantum.phases[estimated]
+        mi_summary["nn_rmse_circular"] = ml.circular_rmse(phi_nn[estimated], truth)
+        mi_summary["raw_rmse_circular"] = ml.circular_rmse(circ[estimated], truth)
     outputs = {
         "phase_comparison.csv": comparison,
         "mi_summary.json": json.dumps(mi_summary, sort_keys=True, indent=1) + "\n",
@@ -668,6 +659,15 @@ def _config_epilog() -> str:
     return "\n".join(lines)
 
 
+def _add_flags(parser: argparse.ArgumentParser, *paths: str) -> None:
+    """A flag for each config leaf in ``paths``, taking its field's type and help;
+    the value is checked with the rest of the config."""
+    for field in CONFIG_FIELDS:
+        if field.path in paths:
+            parser.add_argument(_flag(field.path), dest=field.path,
+                                type=field.domain.kind, help=field.help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qadc",
@@ -679,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON run-configuration file")
-        p.add_argument("--seed", type=int, help="master seed (env QADC_SEED overrides)")
+        _add_flags(p, "seed")
         p.add_argument(
             "--set",
             action="append",
@@ -690,18 +690,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate protocol datasets")
     common(p)
-    p.add_argument("--strategy", choices=STRATEGIES)
-    p.add_argument("--n-phases", dest="n_phases", type=int)
-    p.add_argument("--n-shots", dest="n_shots", type=int)
-    p.add_argument("--mode", choices=MODES)
+    _add_flags(p, "strategy", "n_phases", "n_shots", "mode")
     presets = p.add_mutually_exclusive_group()
-    presets.add_argument("--noiseless", action="store_true", help="ideal-source preset")
-    presets.add_argument(
-        "--device-noise",
-        dest="device_noise",
-        action="store_true",
-        help="measured-device noise preset (delta 0.926, g2 ~5e-3, brightness 0.14)",
-    )
+    for name, values in NOISE_PRESETS.items():
+        settings = ", ".join(f"noise.{key}={value}" for key, value in values.items())
+        presets.add_argument(_flag(name), dest=name, action="store_true",
+                             help=f"noise preset that sets {settings}")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="MI curves, phase estimates and histograms")

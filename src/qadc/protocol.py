@@ -72,6 +72,7 @@ PROBE_SIZES = (4, 2, 1)
 CLASSICAL_QUBITS = 7  # 2**t - 1 with t = 3
 _B_POSITIONS = [6, 5, 3]  # columns of m (m6..m0) that hold (b1, b2, b3)
 MAX_ATTEMPT_FACTOR = 400  # attempts allowed per phase, in units of n_shots
+MAX_PHASES = 2**16  # largest phase grid: its [n_phases, 128] count table is 64 MiB
 
 QUANTUM_CSV_HEADER = (
     "phase_index,phase_rad,shot_index,m6,m5,m4,m3,m2,m1,m0,b1,b2,b3"
@@ -149,18 +150,35 @@ class NoiseConfig:
         return SourceModel(*g2_to_probs(g2, self.brightness), self.eta)
 
 
-NOISELESS = NoiseConfig()
+#: The noise presets: the `NoiseConfig` fields each one sets, and their
+#: values; the fields it leaves out keep their configured values.
+#: ``noiseless`` is the ideal source and programming, and leaves the
+#: conditioning as configured.  ``device_noise`` holds the values measured on
+#: the experimental platform (mean pairwise indistinguishability of the six
+#: photon pairs, source correlations and brightness of the quantum-dot
+#: source, no loss), and leaves programming errors and conditioning as
+#: configured.
+NOISE_PRESETS = {
+    "noiseless": {
+        "delta": 1.0,
+        "g2_two_photon": 0.0,
+        "g2_four_photon": 0.0,
+        "brightness": 1.0,
+        "eta": 1.0,
+        "sigma_theta": 0.0,
+        "sigma_phi": 0.0,
+    },
+    "device_noise": {
+        "delta": 0.926,
+        "g2_two_photon": 5.321e-3,
+        "g2_four_photon": 5.629e-3,
+        "brightness": 0.14,
+        "eta": 1.0,
+    },
+}
 
-#: Defaults measured on the experimental platform (mean pairwise
-#: indistinguishability of the six photon pairs, source correlations and
-#: brightness of the quantum-dot source).
-DEVICE_NOISE = NoiseConfig(
-    delta=0.926,
-    g2_two_photon=5.321e-3,
-    g2_four_photon=5.629e-3,
-    brightness=0.14,
-    eta=1.0,
-)
+NOISELESS = NoiseConfig(**NOISE_PRESETS["noiseless"])
+DEVICE_NOISE = NoiseConfig(**NOISE_PRESETS["device_noise"])
 
 
 @dataclass(frozen=True)
@@ -173,8 +191,8 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_phases < 1:
-            raise ValueError("need at least one phase")
+        if not 1 <= self.n_phases <= MAX_PHASES:
+            raise ValueError(f"need 1 to {MAX_PHASES} phases")
         if self.n_shots < 1:
             raise ValueError("need at least one shot")
 
@@ -826,6 +844,8 @@ def _parse_dataset(path, header: str) -> Dataset:
     seen, last = np.unique(phase_index[::-1], return_index=True)
     values = phase_rad[::-1][last]
     n_phases = _grid_size(seen, values)
+    if n_phases > MAX_PHASES:
+        raise DatasetError(f"{path}: its grid of {n_phases} phases exceeds {MAX_PHASES}")
     phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
     phases[seen] = values
     records = bits[:, :CLASSICAL_QUBITS] @ _place(CLASSICAL_QUBITS)

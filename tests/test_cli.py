@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 import qadc
-from qadc import cli, protocol
+from qadc import cli, ml, protocol
 from qadc.cli import main
 from qadc.linop import SizeLimitError
 from qadc.ml import Network, NetworkSpec
 from qadc.photonics import ModelError
-from qadc.protocol import CLASSICAL_CSV_HEADER, QUANTUM_CSV_HEADER
+from qadc.protocol import CLASSICAL_CSV_HEADER, MAX_PHASES, QUANTUM_CSV_HEADER
 
 BASE_ARGS = ["--n-phases", "6", "--n-shots", "40", "--noiseless"]
 
@@ -208,6 +208,57 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 321
 
+    # Each case: a config file, the command line, and the leaf it must give.
+    @pytest.mark.parametrize("doc, args, path, expect", [
+        pytest.param({"noise": {"delta": 0.8}}, ["--noiseless"], "noise.delta", 1.0,
+                     id="preset-over-file"),
+        pytest.param({"noise": {"eta": 0.5}}, ["--device-noise"], "noise.eta", 1.0,
+                     id="device-noise-sets-eta"),
+        pytest.param({"noise": {"sigma_theta": 0.05}}, ["--device-noise"],
+                     "noise.sigma_theta", 0.05, id="device-noise-keeps-programming-errors"),
+        pytest.param({"noise": {"condition_on_emission": False}}, ["--noiseless"],
+                     "noise.condition_on_emission", False, id="noiseless-keeps-conditioning"),
+        pytest.param({}, ["--device-noise", "--set", "noise.delta=0.9"], "noise.delta", 0.9,
+                     id="set-over-preset"),
+        pytest.param({"n_shots": 4}, ["--n-shots", "3"], "n_shots", 3, id="flag-over-file"),
+        pytest.param({}, ["--n-shots", "3", "--set", "n_shots=2"], "n_shots", 2,
+                     id="set-over-flag"),
+        pytest.param({}, ["--set", "n_shots=2", "--n-shots", "3"], "n_shots", 2,
+                     id="set-over-later-flag"),
+    ])
+    def test_override_precedence(self, tmp_path, doc, args, path, expect):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"strategy": "classical", "n_phases": 2, "n_shots": 5,
+                                        **doc}))
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--out", out, "--config", cfg_path, *args]) == 0
+        value = json.loads((out / "manifest.json").read_text())["config"]
+        for key in path.split("."):
+            value = value[key]
+        assert value == expect and type(value) is type(expect)
+
+    def test_env_seed_overrides_set(self, tmp_path, monkeypatch):
+        out = tmp_path / "env"
+        monkeypatch.setenv("QADC_SEED", "321")
+        assert run_cli(["simulate", "--out", out, "--set", "seed=7", *BASE_ARGS]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 321
+
+    # A flag's value is checked as its config field's: the same one line as --set.
+    @pytest.mark.parametrize("flag, value", [
+        ("--strategy", "bogus"), ("--mode", "bogus"), ("--n-phases", str(MAX_PHASES + 1)),
+        ("--n-phases", "1000000000000"), ("--n-shots", "0"), ("--seed", "-1"),
+    ])
+    def test_bad_flag_is_its_fields_config_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        key = flag[2:].replace("-", "_")
+        assert run_cli(["simulate", "--out", out, flag, value]) == 2
+        from_flag = capsys.readouterr().err
+        assert run_cli(["simulate", "--out", out, "--set", f"{key}={value}"]) == 2
+        assert from_flag == capsys.readouterr().err
+        assert from_flag.startswith(f"config error: config field {key}: must be ")
+        assert from_flag.count("\n") == 1
+        assert not out.exists()
+
     def test_config_file_round_trip(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n_phases": 3, "n_shots": 10,
@@ -285,6 +336,7 @@ CONFIG_CASES = [
     pytest.param("file", '{"n_shot": 5}', "n_shot", id="file-unknown-key"),
     pytest.param("file", '{"noise": 5}', "noise", id="file-section-not-object"),
     pytest.param("file", "[1]", None, id="file-not-object"),
+    pytest.param("set", str(MAX_PHASES + 1), "n_phases", id="n_phases-above-MAX_PHASES"),
 ]
 
 
@@ -519,6 +571,21 @@ class TestAnalyze:
             assert f"{empty}: no data rows" in err
             assert err.startswith("input error:")
 
+    # Phase index 40000 with the phase of a 70000-phase grid implies that grid.
+    @pytest.mark.parametrize("index, n_grid", [(3_000_000_000, 1), (20_000_000, 1),
+                                               (40_000, 70_000)])
+    def test_oversized_phase_grid_is_input_error(self, tmp_path, capsys, index, n_grid):
+        path = tmp_path / "classical.csv"
+        rad = repr(2 * np.pi * index / n_grid)
+        path.write_text(f"{CLASSICAL_CSV_HEADER}\n{index},{rad},0,1,0,1,0,1,0,1\n")
+        out = tmp_path / "x"
+        assert run_cli(["analyze", "--out", out, "--classical", path]) == 2
+        n_phases = max(index + 1, n_grid)
+        assert capsys.readouterr().err == (
+            f"input error: {path}: its grid of {n_phases} phases exceeds {MAX_PHASES}\n"
+        )
+        assert not out.exists()
+
     def test_missing_dataset_is_input_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         assert run_cli(["analyze", "--out", tmp_path / "x", "--quantum", missing]) == 2
@@ -642,6 +709,29 @@ class TestTrainAndReport:
         assert cells[1:3] == ["nan", "nan"]
         summary = json.loads((report / "mi_summary.json").read_text())
         assert np.isfinite(summary["raw_rmse_circular"])
+
+    def test_nn_estimate_only_at_phases_with_rows(self, models, tmp_path):
+        # Phase 3 of an 8-phase file keeps no row: it has neither estimate,
+        # and both RMSEs are over the other seven phases.
+        data, report = tmp_path / "data", tmp_path / "report"
+        assert run_cli(["simulate", "--out", data, "--noiseless", "--strategy", "quantum",
+                        "--n-phases", "8", "--n-shots", "50", "--seed", "3"]) == 0
+        path = data / "quantum.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith("3,")))
+        assert run_cli(["report", "--out", report, "--quantum", path,
+                        "--estimator", models / "model_estimator.json", "--seed", "3"]) == 0
+        rows = (report / "phase_comparison.csv").read_text().splitlines()[1:]
+        table = np.array([[float(c) for c in row.split(",")] for row in rows])
+        truth, raw, nn = table[:, 0], table[:, 1], table[:, 3]
+        assert np.isnan(raw[3]) and np.isnan(nn[3])
+        kept = np.arange(8) != 3
+        assert np.isfinite(raw[kept]).all() and np.isfinite(nn[kept]).all()
+        summary = json.loads((report / "mi_summary.json").read_text())
+        # The CSV holds 12 significant digits.
+        for key, estimate in (("nn_rmse_circular", nn), ("raw_rmse_circular", raw)):
+            rmse = ml.circular_rmse(estimate[kept], truth[kept])
+            assert summary[key] == pytest.approx(rmse, rel=1e-9, abs=1e-9), key
 
     def test_estimator_needs_two_phases(self, models, tmp_path, capsys):
         data, out = tmp_path / "data", tmp_path / "report"

@@ -60,6 +60,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(n_phases=0)
         with pytest.raises(ValueError):
+            ProtocolConfig(n_phases=protocol.MAX_PHASES + 1)
+        assert ProtocolConfig(n_phases=protocol.MAX_PHASES).n_phases == protocol.MAX_PHASES
+        with pytest.raises(ValueError):
             NoiseConfig(delta=1.2)
 
 
@@ -652,6 +655,15 @@ def _set_column(line, col, value):
     return ",".join(parts)
 
 
+def _move_rows(text, index, n_grid):
+    """Every data row of ``text`` at ``phase_index`` ``index``, the phase of
+    that index on a grid of ``n_grid`` phases."""
+    header, *rows = text.split("\n")
+    rad = repr(2 * math.pi * index / n_grid)
+    return "\n".join([header, *(f"{index},{rad}," + row.split(",", 2)[2] if row else row
+                                 for row in rows)])
+
+
 #: (kind, name of the edit, edit of the file text, None or the rejection message)
 READER_CASES = [
     (kind, name, edit, expect)
@@ -691,6 +703,15 @@ READER_CASES = [
         ("shot index beyond int64",
          partial(_edit_line, lineno=3, edit=partial(_set_column, col=2, value=lambda v: "9" * 20)),
          "row 3: integer out of the int64 range"),
+        ("phase index 3000000000",
+         partial(_edit_line, lineno=3,
+                 edit=partial(_set_column, col=0, value=lambda v: "3000000000")),
+         "its grid of 3000000001 phases exceeds 65536"),
+        ("phase index 20000000", partial(_move_rows, index=20_000_000, n_grid=1),
+         "its grid of 20000001 phases exceeds 65536"),
+        # Index 40000 placed on a grid of 70000 phases, whose last 29999 have no rows.
+        ("inferred grid above the limit", partial(_move_rows, index=40_000, n_grid=70_000),
+         "its grid of 70000 phases exceeds 65536"),
     ]
 ] + [
     ("quantum", "b disagrees with m",
@@ -708,6 +729,16 @@ DATASET_KINDS = {
 
 class TestReaderPaths:
     """The one-pass reader agrees with the row parser, or defers to it."""
+
+    @pytest.mark.parametrize("index", [protocol.MAX_PHASES - 1, 40_000])
+    def test_grid_of_max_phases_is_read(self, tmp_path, index):
+        path = tmp_path / "data.csv"
+        ds = simulate_classical_dataset(noiseless_config(n_phases=1, n_shots=3))
+        write_classical_csv(ds, path)
+        path.write_text(_move_rows(path.read_text(), index, protocol.MAX_PHASES))
+        ds = read_classical_csv(path)
+        assert ds.n_phases == protocol.MAX_PHASES
+        assert ds.phases[index] == 2 * math.pi * index / protocol.MAX_PHASES
 
     @pytest.mark.parametrize("kind", sorted(DATASET_KINDS))
     def test_written_file_loads_in_one_pass(self, tmp_path, kind):

@@ -170,6 +170,65 @@ class TestExactNoiseStatements:
         )
 
 
+def classical_mi(noise):
+    """Exact MI of the classical record law on the 99-phase grid."""
+    phases = 2 * math.pi * np.arange(99) / 99
+    sim = StepSimulator(noise, seed=LAW_SEED)
+    laws = np.stack([classical_law(sim, float(phi)) for phi in phases])
+    return mutual_information(CondProbTable(phases, laws)).value
+
+
+class TestExactClassicalMi:
+    """The classical strategy's exact MI, pinned (99-phase grid, 7-bit records)."""
+
+    NOISELESS_MI = 1.3154289611733951
+
+    def test_noiseless_value(self):
+        assert abs(classical_mi(NoiseConfig()) - self.NOISELESS_MI) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseConfig(eta=0.7), NoiseConfig(eta=0.3), NoiseConfig(delta=0.5)],
+        ids=["eta0.7", "eta0.3", "delta0.5"],
+    )
+    def test_loss_and_distinguishability_leave_it(self, noise):
+        # Every qubit is one photon: loss only thins the accepted repetitions
+        # and distinguishability has nothing to act on.
+        assert abs(classical_mi(noise) - classical_mi(NoiseConfig())) <= 1e-15
+
+    def test_two_photon_bins_raise_it(self):
+        # Post-selection accepts a two-photon bin only when both photons
+        # leave by the same rail, which sharpens the accepted law.
+        noise = NoiseConfig(g2_two_photon=0.02, brightness=0.14)
+        assert abs(classical_mi(noise) - 1.3156025645) <= 1e-10
+
+
+MI_SEED = 2718
+
+
+def test_device_noise_sampled_mi_matches_the_exact_law():
+    # The 7-bit plug-in MI of a 99 x 5377 device-noise run, less Miller's
+    # first-order bias (128 - 1) / (2 N ln 2) at N = 5377 shots per phase,
+    # against the exact MI.  The bound is 4 standard deviations of the
+    # plug-in MI to first order: each phase's row is multinomial with N
+    # draws, so the variance is sum_phi Var_{m|phi}[log2 p(m|phi) / p(m)]
+    # / (K^2 N) over the K phases, computed from the exact law.
+    n_phases, n_shots = 99, 5377
+    config = ProtocolConfig(n_phases=n_phases, n_shots=n_shots, noise=DEVICE_NOISE, seed=MI_SEED)
+    ds = simulate_quantum_dataset(config)
+    sampled = mutual_information(table_from_quantum(ds)).value
+    laws = law_table(DEVICE_NOISE, ds.phases)
+    exact = mutual_information(CondProbTable(ds.phases, laws)).value
+    p = laws / laws.sum(axis=1, keepdims=True)
+    live = p > 0
+    info = np.log2(p, where=live, out=np.zeros_like(p)) - np.log2(p.mean(axis=0))
+    spread = (p * info**2).sum(axis=1) - (p * info).sum(axis=1) ** 2
+    sd = math.sqrt(spread.sum() / (n_phases**2 * n_shots))
+    bias = (128 - 1) / (2 * n_shots * math.log(2))
+    z = (sampled - bias - exact) / sd
+    assert abs(z) < 4.0, f"sampled {sampled:.5f}, exact {exact:.5f}, sd {sd:.5f}: z {z:.2f}"
+
+
 def assert_follows_law(counts, law, phase):
     """Per-phase 3-sigma chi-square of sampled record counts against the law.
 
