@@ -145,23 +145,61 @@ MUTANTS = (
         ("tests/test_ml.py::TestFlatTrainingMatchesReference::test_gradients_equal_per_tensor_backprop",),
     ),
     Mutant(
-        "reader-no-row-count-check",
+        "reader-no-final-newline-check",
         "src/qadc/protocol.py",
-        "    if len(table) != n_lines:\n        return None\n",
+        ' or buf[size - 1] != ord("\\n")',
         "",
         (
-            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[quantum-blank line]",
-            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[classical-blank line]",
+            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[quantum-no final newline]",
+            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[classical-no final newline]",
         ),
     ),
     Mutant(
         "reader-no-cr-check",
         "src/qadc/protocol.py",
-        'if b"\\r" in raw or n_lines < 1:',
-        "if n_lines < 1:",
+        'if b"\\r" in text or not',
+        "if not",
         (
-            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[quantum-stray carriage return]",
-            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[classical-stray carriage return]",
+            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[quantum-carriage return in phase text]",
+            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[classical-carriage return in phase text]",
+        ),
+    ),
+    Mutant(
+        "reader-prefix-key-without-length",
+        "src/qadc/protocol.py",
+        "(prefix[1:] != prefix[:-1]).any(axis=1) | (length[1:] != length[:-1])",
+        "(prefix[1:] != prefix[:-1]).any(axis=1)",
+        (
+            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[quantum-trailing NUL in phase text]",
+            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[classical-trailing NUL in phase text]",
+        ),
+    ),
+    Mutant(
+        "reader-shot-sign-dropped",
+        "src/qadc/protocol.py",
+        "shot_index[lo:hi] = np.where(neg, -value, value)",
+        "shot_index[lo:hi] = value",
+        (
+            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[quantum-negative shot index]",
+            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[classical-negative shot index]",
+            "tests/test_protocol.py::TestReaderPaths::test_shot_index_digits_at_the_edge_of_the_one_pass_reader[15 digits and a sign]",
+        ),
+    ),
+    Mutant(
+        "reader-no-seam-comparison",
+        "src/qadc/protocol.py",
+        "new[0] = buf[starts[0] : starts[0] + length[0]].tobytes() != last",
+        "new[0] = False",
+        ("tests/test_protocol.py::TestReaderPaths::test_phase_change_on_a_chunk_seam",),
+    ),
+    Mutant(
+        "reader-no-tail-comma-check",
+        "src/qadc/protocol.py",
+        'if not (tail[:, ::2] == ord(",")).all() or digits.max() > 9:',
+        "if digits.max() > 9:",
+        (
+            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[quantum-semicolon between bits]",
+            "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[classical-semicolon between bits]",
         ),
     ),
     Mutant(

@@ -144,10 +144,10 @@ def _mi_from_probabilities(p_cond: np.ndarray) -> float:
     """Plug-in mutual information in bits from per-phase outcome distributions."""
     p_m = p_cond.mean(axis=0)
     mask = p_cond > 0
-    ratios = np.divide(
-        p_cond, p_m[None, :], out=np.ones_like(p_cond), where=mask
-    )
-    terms = np.where(mask, p_cond * np.log2(ratios), 0.0)
+    # One work array: the ratio is 1 where p_cond is 0, so its log term stays 0.0.
+    terms = np.divide(p_cond, p_m[None, :], out=np.ones_like(p_cond), where=mask)
+    np.log2(terms, out=terms)
+    np.multiply(terms, p_cond, out=terms, where=mask)
     return float(terms.sum(axis=1).mean())
 
 
@@ -298,7 +298,9 @@ def classical_string_probabilities(phi) -> np.ndarray:
     """Likelihoods of the 128 classical outcome strings, p(1) = sin^2(phi/2)."""
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     p1 = np.sin(phi / 2.0) ** 2
-    return p1[:, None] ** _ONES[None, :] * (1 - p1)[:, None] ** (7 - _ONES)[None, :]
+    out = p1[:, None] ** _ONES[None, :]
+    out *= (1 - p1)[:, None] ** (7 - _ONES)[None, :]
+    return out
 
 
 def quadrature_mi_quantum(delta: float = 1.0, n_nodes: int = 20000) -> float:

@@ -44,9 +44,9 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -776,33 +776,128 @@ def _parse_rows(path, header: str, n_cols: int):
     )
 
 
-def _load_columns(path, header: str, n_cols: int):
-    """The columns of ``_parse_rows`` in one ``np.loadtxt`` pass, or None.
+#: Rows per chunk of ``_load_columns``, and bytes per chunk of its newline scan.
+_CHUNK_ROWS = 1 << 16
+_CHUNK_BYTES = 1 << 20
+#: Longest ``phase_index,phase_rad`` prefix that ``_load_columns`` reads.  Its
+#: buffer ends in this many zero bytes, so no prefix window runs past it.
+_PREFIX_MAX = 64
+#: Row L keeps the first L bytes of a prefix window, as 8-byte words.
+_PREFIX_MASKS = (
+    (np.arange(_PREFIX_MAX) < np.arange(_PREFIX_MAX + 1)[:, None]) * np.uint8(0xFF)
+).view(np.uint64)
+#: Most digits of a shot index that ``_load_columns`` reads: below 10**15 the
+#: float64 dot product of the digits with their place values is exact.
+_SHOT_DIGITS = 15
+#: A row's shot window ends where its bits begin: "," or ",-", then the digits.
+_SHOT_WIDTH = _SHOT_DIGITS + 2
+_SHOT_PLACES = 10.0 ** np.arange(_SHOT_WIDTH - 1, -1, -1)
+#: Row n keeps the last n bytes of a shot window.
+_SHOT_MASKS = (np.arange(_SHOT_WIDTH) >= _SHOT_WIDTH - np.arange(_SHOT_WIDTH + 1)[:, None]).astype(np.uint8)
 
-    None means the file needs the row parser: it has a CR, no data line, a
-    line that does not parse as exactly ``n_cols`` int/float/int... fields,
-    or a blank line (``loadtxt`` skips those, so the row count differs).
+
+def _windows(buf: np.ndarray, width: int) -> np.ndarray:
+    """Zero-copy view of ``buf``: element i is its ``width`` bytes from byte i."""
+    return np.ndarray((len(buf) - width + 1,), np.dtype((np.void, width)), buf, strides=(1,))
+
+
+def _prefix_values(text: bytes):
+    """(phase_index, phase_rad) of a row prefix, as ``_parse_rows`` reads them, or None."""
+    try:
+        index, rad = text.decode("ascii").split(",")
+        index, rad = int(index), float(rad)
+    except ValueError:  # also UnicodeDecodeError, and a field count other than 2
+        return None
+    if b"\r" in text or not -(2**63) <= index < 2**63:
+        return None
+    return index, rad
+
+
+def _load_columns(path, header: str, n_cols: int):
+    """The columns of ``_parse_rows`` in one pass over the file's bytes, or None.
+
+    The file must be the header line, then one or more rows of the grammar
+    ``PREFIX "," SHOT ("," DIGIT){n_cols - 3} "\\n"``, where ``DIGIT`` is one
+    ASCII digit, ``SHOT`` is ``-``? and 1 to 15 ASCII digits, and ``PREFIX``
+    is at most 64 ASCII bytes without a CR that split on ``,`` into exactly
+    two fields that ``int`` (in the int64 range) and ``float`` accept.
+    Anything else gives None, and the file is left to the row parser: a CR,
+    a non-ASCII byte, a blank line, no final newline, spaces or ``+`` around
+    a shot index or a bit, a longer shot index, another column count, or no
+    data row.  The bits come back as uint8 digits; ``_parse_dataset`` checks
+    that they are 0 or 1.
+
+    The rows are read in chunks.  One gather of fixed-width windows takes each
+    row's shot index and bits at its end; the prefix before them is compared
+    with the previous row's, bytes and length, across chunk seams too, and
+    only the first row of each run of equal prefixes is decoded.  A written
+    file repeats one prefix per phase, so it decodes one per phase.
     """
-    raw = Path(path).read_bytes()
-    n_lines = raw.count(b"\n") + (not raw.endswith(b"\n")) - 1
-    if b"\r" in raw or n_lines < 1:
-        return None
-    del raw
-    dtype = [
-        ("phase_index", np.int64),
-        ("phase_rad", np.float64),
-        ("shot_index", np.int64),
-        ("bits", np.int64, (n_cols - 3,)),
-    ]
-    with _open_dataset(path, header) as fh, warnings.catch_warnings():
-        warnings.simplefilter("error")  # e.g. integers parsed via float
-        try:
-            table = np.loadtxt(fh, delimiter=",", comments=None, dtype=dtype, ndmin=1)
-        except (ValueError, Warning):
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buf = np.zeros(size + _PREFIX_MAX, dtype=np.uint8)
+        if fh.readinto(buf[:size]) != size:
             return None
-    if len(table) != n_lines:
+    first = (header + "\n").encode()
+    if size <= len(first) or buf[size - 1] != ord("\n") or buf[: len(first)].tobytes() != first:
         return None
-    return tuple(table[name] for name, *_ in dtype)
+    ends = np.concatenate([
+        np.flatnonzero(buf[lo : min(lo + _CHUNK_BYTES, size)] == ord("\n")) + lo
+        for lo in range(len(first) - 1, size, _CHUNK_BYTES)
+    ])
+    n_rows, n_bits = len(ends) - 1, n_cols - 3
+    # The header is longer than a window, so no row's window starts before byte 0.
+    width = _SHOT_WIDTH + 2 * n_bits
+    windows = _windows(buf, width)
+    shot_index = np.empty(n_rows, dtype=np.int64)
+    bits = np.empty((n_rows, n_bits), dtype=np.uint8)
+    run_starts, run_values, last = [], [], None
+    for lo in range(0, n_rows, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n_rows)
+        starts, stops = ends[lo:hi] + 1, ends[lo + 1 : hi + 1]
+        window = windows[stops - width].view(np.uint8).reshape(hi - lo, width)
+        # The tail: "," at every even byte, an ASCII digit at every odd one.
+        tail = window[:, _SHOT_WIDTH:]
+        digits = tail[:, 1::2] - np.uint8(ord("0"))
+        if not (tail[:, ::2] == ord(",")).all() or digits.max() > 9:
+            return None
+        bits[lo:hi] = digits
+        # The shot index: the run of digits before the tail, after "," or ",-".
+        shot = window[:, :_SHOT_WIDTH] - np.uint8(ord("0"))
+        n_digits = np.argmax(shot[:, ::-1] > 9, axis=1)
+        if n_digits.min() < 1 or n_digits.max() > _SHOT_DIGITS:
+            return None
+        flat, rows = window.ravel(), np.arange(0, (hi - lo) * width, width)
+        neg = flat[rows + (_SHOT_WIDTH - 1) - n_digits] == ord("-")
+        comma = _SHOT_WIDTH - 1 - n_digits - neg  # its column in the window
+        if not (flat[rows + comma] == ord(",")).all():
+            return None
+        # The digits are in the last n_digits.max() columns: zero each row's others.
+        keep = -int(n_digits.max())
+        shot = shot[:, keep:] * np.take(_SHOT_MASKS[:, keep:], n_digits, axis=0)
+        value = shot.astype(np.float64) @ _SHOT_PLACES[keep:]
+        shot_index[lo:hi] = np.where(neg, -value, value)
+        # The prefix: every byte of the row before that comma.
+        length = stops - width + comma - starts
+        n_words = (int(length.max()) + 7) // 8
+        if n_words * 8 > _PREFIX_MAX:
+            return None
+        prefix = _windows(buf, max(8 * n_words, 8))[starts].view(np.uint64).reshape(hi - lo, -1)
+        prefix &= np.take(_PREFIX_MASKS[:, : prefix.shape[1]], length, axis=0)
+        new = np.empty(hi - lo, dtype=bool)
+        new[1:] = (prefix[1:] != prefix[:-1]).any(axis=1) | (length[1:] != length[:-1])
+        new[0] = buf[starts[0] : starts[0] + length[0]].tobytes() != last
+        last = buf[starts[-1] : starts[-1] + length[-1]].tobytes()
+        for row in np.flatnonzero(new).tolist():
+            values = _prefix_values(buf[starts[row] : starts[row] + length[row]].tobytes())
+            if values is None:
+                return None
+            run_starts.append(lo + row)
+            run_values.append(values)
+    counts = np.diff(run_starts + [n_rows])
+    phase_index = np.repeat(np.array([i for i, _ in run_values], dtype=np.int64), counts)
+    phase_rad = np.repeat(np.array([r for _, r in run_values], dtype=np.float64), counts)
+    return phase_index, phase_rad, shot_index, bits
 
 
 def _grid_size(seen: np.ndarray, values: np.ndarray) -> int:

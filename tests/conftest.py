@@ -50,6 +50,23 @@ def dense_bootstrap_mi(table, n_resamples: int, rng: np.random.Generator) -> MIE
     return MIEstimate(point.value, stderr, len(values))
 
 
+def reference_mi_from_probabilities(p_cond) -> float:
+    """`qadc.analysis._mi_from_probabilities` as one expression of whole-table temporaries."""
+    p_m = p_cond.mean(axis=0)
+    mask = p_cond > 0
+    ratios = np.divide(p_cond, p_m[None, :], out=np.ones_like(p_cond), where=mask)
+    terms = np.where(mask, p_cond * np.log2(ratios), 0.0)
+    return float(terms.sum(axis=1).mean())
+
+
+def reference_classical_string_probabilities(phi) -> np.ndarray:
+    """`qadc.analysis.classical_string_probabilities` as one product of two powers."""
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    p1 = np.sin(phi / 2.0) ** 2
+    ones = np.array([bin(c).count("1") for c in range(128)])
+    return p1[:, None] ** ones[None, :] * (1 - p1)[:, None] ** (7 - ones)[None, :]
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with phase fixing."""
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

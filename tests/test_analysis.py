@@ -5,7 +5,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import b_code, dense_bootstrap_mi, record_bits, record_codes, wrap_difference
+from conftest import (
+    b_code,
+    dense_bootstrap_mi,
+    record_bits,
+    record_codes,
+    reference_classical_string_probabilities,
+    reference_mi_from_probabilities,
+    wrap_difference,
+)
 from qadc import analysis, cli
 from qadc.analysis import (
     CondProbTable,
@@ -25,6 +33,7 @@ from qadc.analysis import (
     quadrature_mi_quantum,
     quantum_phase_histograms,
     reference_bounds,
+    table_from_classical,
     table_from_quantum,
 )
 from qadc.protocol import (
@@ -168,6 +177,19 @@ class TestMutualInformation:
         with pytest.warns(UserWarning, match="zero valid shots"):
             est = mutual_information(table)
         assert est.value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_in_place_kernel_keeps_the_bits_of_the_reference(self, seed):
+        # Simulated tables at few shots hold zero cells, whose terms must stay exactly 0.0.
+        cfg = ProtocolConfig(n_phases=8, n_shots=300, noise=NOISELESS, seed=seed)
+        tables = [
+            table_from_quantum(simulate_quantum_dataset(cfg)),
+            table_from_classical(simulate_classical_dataset(cfg)),
+        ]
+        for table in [*tables, marginalize_to_bits(tables[0])]:
+            p_cond = table.probabilities()
+            assert (p_cond == 0).any()
+            assert analysis._mi_from_probabilities(p_cond) == reference_mi_from_probabilities(p_cond)
 
     def test_estimate_clipping(self):
         with pytest.raises(ValueError):
@@ -374,6 +396,13 @@ class TestAnalyticLikelihoods:
         assert iq > ic > 0.0
         assert iq == pytest.approx(quadrature_mi_quantum(n_nodes=40000), abs=1e-4)
         assert ic == pytest.approx(quadrature_mi_classical(n_nodes=40000), abs=1e-4)
+
+    def test_quadratures_keep_the_bits_of_the_reference(self):
+        phi = grid(20000)
+        classical = reference_classical_string_probabilities(phi)
+        assert np.array_equal(classical_string_probabilities(phi), classical)
+        assert quadrature_mi_classical() == reference_mi_from_probabilities(classical)
+        assert quadrature_mi_quantum() == reference_mi_from_probabilities(bit_chain_probabilities(phi))
 
     def test_quadrature_node_guard(self):
         with pytest.raises(ValueError):

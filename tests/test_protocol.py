@@ -664,7 +664,11 @@ def _move_rows(text, index, n_grid):
                                  for row in rows)])
 
 
-#: (kind, name of the edit, edit of the file text, None or the rejection message)
+#: The ``expect`` of an edit that is read, with the edited shot indices.
+SHOTS_EDITED = "read with the edited shot indices"
+
+#: (kind, name of the edit, edit of the file text, expect): None when the file
+#: reads back as written, SHOTS_EDITED, or the rejection message.
 READER_CASES = [
     (kind, name, edit, expect)
     for kind in ("quantum", "classical")
@@ -694,6 +698,38 @@ READER_CASES = [
         ("negative phase index",
          partial(_edit_line, lineno=3, edit=partial(_set_column, col=0, value=lambda v: "-1")),
          "phase_index must be non-negative"),
+        ("negative shot index",
+         partial(_edit_line, lineno=4, edit=partial(_set_column, col=2, value=lambda v: "-" + v)),
+         SHOTS_EDITED),
+        # 15 digits are the most that the one-pass reader reads; it leaves 16 to the row parser.
+        ("15-digit shot index",
+         partial(_edit_line, lineno=4, edit=partial(_set_column, col=2, value=lambda v: v.zfill(15))),
+         None),
+        ("16-digit shot index",
+         partial(_edit_line, lineno=4, edit=partial(_set_column, col=2, value=lambda v: v.zfill(16))),
+         None),
+        ("plus sign on shot index",
+         partial(_edit_line, lineno=4, edit=partial(_set_column, col=2, value=lambda v: "+" + v)),
+         None),
+        ("phase index 007",
+         partial(_edit_line, lineno=4, edit=partial(_set_column, col=0, value=lambda v: v.zfill(3))),
+         None),
+        ("phase text changes inside a block",
+         partial(_edit_line, lineno=4, edit=partial(_set_column, col=1, value=lambda v: "1")),
+         None),
+        # Rows 3 and 4 differ only by the NUL: a prefix is compared by its length too.
+        ("trailing NUL in phase text",
+         partial(_edit_line, lineno=4, edit=partial(_set_column, col=1, value=lambda v: v + "\0")),
+         r"row 4: could not convert string to float"),
+        ("carriage return in phase text",
+         partial(_edit_line, lineno=4, edit=partial(_set_column, col=1, value=lambda v: v + "\r")),
+         r"row 4: expected \d+ columns"),
+        ("non-ASCII phase text",  # an Arabic-Indic zero, which float() reads
+         partial(_edit_line, lineno=4, edit=partial(_set_column, col=1, value=lambda v: "\u0660")),
+         None),
+        ("semicolon between bits",
+         partial(_edit_line, lineno=4, edit=lambda line: line[:-2] + ";" + line[-1]),
+         r"row 4: expected \d+ columns"),
         ("nan phase",
          partial(_edit_line, lineno=3, edit=partial(_set_column, col=1, value=lambda v: "nan")),
          "phase_rad must be finite"),
@@ -748,8 +784,40 @@ class TestReaderPaths:
         n_cols = len(header.split(","))
         fast = protocol._load_columns(path, header, n_cols)
         assert fast is not None
-        for got, want in zip(fast, protocol._parse_rows(path, header, n_cols)):
+        rows = protocol._parse_rows(path, header, n_cols)
+        for got, want in zip(fast[:3], rows[:3]):
             assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        # The row parser's bits are int64; the one-pass reader's are their uint8 digits.
+        assert fast[3].dtype == np.uint8
+        assert np.array_equal(fast[3], rows[3])
+
+    @pytest.mark.parametrize(
+        "first, one_pass",
+        [(-(10**15) + 1, True), (10**15 - 256, True), (10**15, False)],
+        ids=["15 digits and a sign", "15 digits", "16 digits"],
+    )
+    def test_shot_index_digits_at_the_edge_of_the_one_pass_reader(self, tmp_path, first, one_pass):
+        path = tmp_path / "data.csv"
+        TestDatasetFiles.check_written_lines(path, "classical", first + np.arange(256))
+        fast = protocol._load_columns(path, CLASSICAL_CSV_HEADER, 10)
+        assert (fast is not None) == one_pass
+        if one_pass:
+            for got, want in zip(fast, protocol._parse_rows(path, CLASSICAL_CSV_HEADER, 10)):
+                assert np.array_equal(got, want)
+
+    def test_phase_change_on_a_chunk_seam(self, tmp_path):
+        # The first row of the second chunk starts a phase: its prefix is
+        # compared with the last row of the first chunk.
+        n_rows = protocol._CHUNK_ROWS + 300
+        phase_index = (np.arange(n_rows) >= protocol._CHUNK_ROWS).astype(np.int64)
+        codes = np.random.default_rng(5).integers(0, 128, n_rows).astype(np.uint8)
+        ds = protocol.Dataset(2, np.array([0.0, math.pi]), phase_index, np.arange(n_rows), codes)
+        path = tmp_path / "data.csv"
+        write_classical_csv(ds, path)
+        fast = protocol._load_columns(path, CLASSICAL_CSV_HEADER, 10)
+        assert fast is not None
+        for got, want in zip(fast, protocol._parse_rows(path, CLASSICAL_CSV_HEADER, 10)):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
@@ -776,12 +844,12 @@ class TestReaderPaths:
         if fast is not None:
             for got, want in zip(fast, rows):
                 assert np.array_equal(got, want, equal_nan=True)
-        if expect is not None:
+        if expect not in (None, SHOTS_EDITED):
             with pytest.raises(DatasetError, match=expect):
                 read(path)
             return
         back = read(path)
         assert np.array_equal(back.phase_index, ds.phase_index)
-        assert np.array_equal(back.shot_index, ds.shot_index)
+        assert np.array_equal(back.shot_index, rows[2] if expect is SHOTS_EDITED else ds.shot_index)
         assert np.array_equal(back.records, ds.records)
         assert np.allclose(back.phases, ds.phases)
