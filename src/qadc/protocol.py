@@ -879,10 +879,10 @@ def _load_columns(path, header: str, n_cols: int):
         shot_index[lo:hi] = np.where(neg, -value, value)
         # The prefix: every byte of the row before that comma.
         length = stops - width + comma - starts
-        n_words = (int(length.max()) + 7) // 8
-        if n_words * 8 > _PREFIX_MAX:
+        if length.min() < 1 or length.max() > _PREFIX_MAX:
             return None
-        prefix = _windows(buf, max(8 * n_words, 8))[starts].view(np.uint64).reshape(hi - lo, -1)
+        n_words = (int(length.max()) + 7) // 8
+        prefix = _windows(buf, 8 * n_words)[starts].view(np.uint64).reshape(hi - lo, -1)
         prefix &= np.take(_PREFIX_MASKS[:, : prefix.shape[1]], length, axis=0)
         new = np.empty(hi - lo, dtype=bool)
         new[1:] = (prefix[1:] != prefix[:-1]).any(axis=1) | (length[1:] != length[:-1])
