@@ -308,11 +308,31 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "bootstrap-zero-row-fallback-dropped",
+        "sparse-mi-kept-rows-not-renumbered",
         "src/qadc/analysis.py",
-        "        if ok.all():\n",
-        "        if ok.any():\n",
+        "rows, cols = (np.cumsum(keep) - 1)[rows[kept]], cols[kept]",
+        "rows, cols = rows[kept], cols[kept]",
         ("tests/test_analysis.py::TestBootstrapMatchesDenseReference::test_tables[phases-resampled-to-zero]",),
+    ),
+    Mutant(
+        "sparse-mi-zero-rows-kept",
+        "src/qadc/analysis.py",
+        "    keep = totals > 0\n    kept = keep[rows]\n",
+        "    keep = totals >= 0\n    kept = keep[rows]\n",
+        (
+            "tests/test_analysis.py::TestMutualInformation::test_zero_shot_phase_excluded_with_warning",
+            "tests/test_analysis.py::TestBootstrapMatchesDenseReference::test_tables[phases-resampled-to-zero]",
+        ),
+    ),
+    Mutant(
+        "class-acceptance-without-two-extras",
+        "src/qadc/protocol.py",
+        "len(extras) <= _MAX_EXTRAS:",
+        "len(extras) < _MAX_EXTRAS:",
+        (
+            "tests/test_protocol.py::TestPhaseSeries::test_series_equals_direct_builder[0.926]",
+            "tests/test_protocol.py::TestPhaseSeries::test_builds_do_not_grow_with_the_grid[device-9]",
+        ),
     ),
     Mutant(
         "bootstrap-marginal-over-nonzero-cells",

@@ -2,13 +2,15 @@
 
 Tables hold per-phase outcome counts; probabilities are plug-in frequencies
 N_m / n_shots and the phase average realizes the uniform prior over the
-sampled grid.  Bootstrap errors resample per-cell counts from Poisson laws.
-Only the observed (non-zero) cells are drawn: a Poisson law of mean 0 gives 0
-without consuming the generator, so the replicates and the generator's stream
-are those of drawing every cell.
+sampled grid.  The b-marginal of a 7-bit quantum table (`marginalize_to_bits`)
+holds the quantum phase histograms.  Bootstrap errors resample per-cell counts
+from Poisson laws.  Only the observed (non-zero) cells are drawn: a Poisson
+law of mean 0 gives 0 without consuming the generator, so the replicates and
+the generator's stream are those of drawing every cell.  The point estimate
+and every replicate are scored by one sparse kernel (`_sparse_mi`).
 Independent quadrature oracles evaluate the analytic noiseless likelihood
-chains on dense grids; they share no code with the sampling pipeline and
-anchor the acceptance suite.
+chains on dense grids with their own dense kernel (`_mi_from_probabilities`);
+they share no code with the sampling pipeline and anchor the acceptance suite.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def circular_mean(angles: np.ndarray, weights: np.ndarray | None = None) -> floa
 
 
 def _mi_from_probabilities(p_cond: np.ndarray) -> float:
-    """Plug-in mutual information in bits from per-phase outcome distributions."""
+    """Plug-in MI in bits of per-phase outcome distributions: the quadratures' dense kernel."""
     p_m = p_cond.mean(axis=0)
     mask = p_cond > 0
     # One work array: the ratio is 1 where p_cond is 0, so its log term stays 0.0.
@@ -163,23 +165,31 @@ def mutual_information(table: CondProbTable) -> MIEstimate:
         raise ValueError("table has no valid shots at any phase")
     if not np.all(keep):
         warnings.warn(f"{int((~keep).sum())} phases with zero valid shots excluded")
-    p_cond = table.probabilities()[keep]
-    return MIEstimate(_mi_from_probabilities(p_cond))
+    counts = table.counts
+    rows, cols = np.nonzero(counts)
+    return MIEstimate(_sparse_mi(rows, cols, counts[rows, cols], totals, counts.shape[1]))
 
 
-def _sparse_mi(rows: np.ndarray, cols: np.ndarray, p: np.ndarray, shape) -> float:
-    """``_mi_from_probabilities`` of the table that is ``p`` at (``rows``, ``cols``), 0 elsewhere.
+def _sparse_mi(
+    rows: np.ndarray, cols: np.ndarray, counts: np.ndarray, totals: np.ndarray, n_cols: int
+) -> float:
+    """Plug-in MI in bits of the table holding ``counts`` at (``rows``, ``cols``), 0 elsewhere.
 
-    Every row must be a distribution.  The cells are in row-major order, so
-    ``bincount`` adds each column's entries row by row, as ``mean(axis=0)``
-    does, and the terms are summed over full rows: the result has the same
-    bits as the dense computation.
+    ``totals`` are the row sums; rows of total 0 are left out and the cells
+    renumbered among the kept rows.  The cells are in row-major order, so
+    ``bincount`` adds each column's entries row by row, as a dense
+    ``mean(axis=0)`` does, and the terms are summed over full rows: the result
+    has the bits of `_mi_from_probabilities` on the kept, normalized rows.
     """
-    n_rows, n_cols = shape
+    keep = totals > 0
+    kept = keep[rows]
+    p = counts[kept] / totals[rows[kept]]
+    rows, cols = (np.cumsum(keep) - 1)[rows[kept]], cols[kept]
+    n_rows = int(np.count_nonzero(keep))
     p_m = np.bincount(cols, weights=p, minlength=n_cols) / n_rows
     hit = p > 0
     r, c, q = rows[hit], cols[hit], p[hit]
-    terms = np.zeros(shape)
+    terms = np.zeros((n_rows, n_cols))
     terms[r, c] = q * np.log2(q / p_m[c])
     return float(terms.sum(axis=1).mean())
 
@@ -191,10 +201,11 @@ def bootstrap_mi(
 
     The counting statistics of each cell are Poissonian, so replicates draw
     counts with the observed means and recompute the plug-in estimate; the
-    reported error is the sample standard deviation over replicates.  A
-    replicate whose cells all resample to 0 has no estimate and is left out of
-    the spread; ``n_resamples`` of the result counts the replicates kept, and
-    with fewer than two the error is NaN.
+    reported error is the sample standard deviation over replicates.  A phase
+    that resamples to no shots is left out of its replicate.  A replicate
+    whose cells all resample to 0 has no estimate and is left out of the
+    spread; ``n_resamples`` of the result counts the replicates kept, and with
+    fewer than two the error is NaN.
 
     Only the observed cells are drawn.  numpy's Poisson sampler returns 0 for
     a mean of 0 without drawing a random number, so this gives the replicates
@@ -203,22 +214,15 @@ def bootstrap_mi(
     if n_resamples < 2:
         raise ValueError("need at least two bootstrap resamples")
     point = mutual_information(table)
-    keep = table.n_shots_effective > 0
-    counts = table.counts[keep]
-    rows, cols = np.nonzero(counts)
-    means = counts[rows, cols]
+    n_rows, n_cols = table.counts.shape
+    rows, cols = np.nonzero(table.counts)
+    means = table.counts[rows, cols]
     values = []
     for _ in range(n_resamples):
         drawn = rng.poisson(means).astype(float)
-        totals = np.bincount(rows, weights=drawn, minlength=counts.shape[0])
-        ok = totals > 0
-        if ok.all():
-            values.append(_sparse_mi(rows, cols, drawn / totals[rows], counts.shape))
-        elif ok.any():
-            # A phase resampled to no shots: drop its row as the dense estimate does.
-            full = np.zeros(counts.shape)
-            full[rows, cols] = drawn
-            values.append(_mi_from_probabilities(full[ok] / totals[ok, None]))
+        totals = np.bincount(rows, weights=drawn, minlength=n_rows)
+        if totals.any():
+            values.append(_sparse_mi(rows, cols, drawn, totals, n_cols))
     stderr = float(np.std(values, ddof=1)) if len(values) > 1 else math.nan
     return MIEstimate(point.value, stderr, len(values))
 
@@ -236,20 +240,6 @@ def reference_bounds(n_resources: int) -> tuple[float, float]:
 
 #: Bin centers of the 8 digital estimates 2*pi*j/8.
 HISTOGRAM_BIN_CENTERS = TWO_PI * np.arange(8) / 8.0
-
-
-def quantum_phase_histograms(table: CondProbTable) -> np.ndarray:
-    """Per-phase frequencies of the 8 digital estimates, rows normalized.
-
-    Accepts a 7-bit table (marginalized internally) or a b-table; column j is
-    the bin centered at 2*pi*j/8, which coincides with the digital estimate of
-    the b-index j.
-    """
-    if table.kind == "m7":
-        table = marginalize_to_bits(table)
-    if table.kind != "b3":
-        raise ValueError("need a quantum table")
-    return table.probabilities()
 
 
 def classical_phase_histograms(ds: Dataset) -> np.ndarray:
@@ -324,11 +314,12 @@ def quadrature_mi_classical(n_nodes: int = 20000) -> float:
 
 
 def mean_quantum_estimates(table: CondProbTable) -> tuple[np.ndarray, np.ndarray]:
-    """(circular mean, arithmetic mean) of the digital estimate per phase.
+    """(circular mean, arithmetic mean) of the digital estimate per phase of a b-table.
 
-    Both are NaN at a phase without rows, which has no estimate.
+    Column j of the table is the estimate ``HISTOGRAM_BIN_CENTERS[j]``.  Both
+    means are NaN at a phase without rows, which has no estimate.
     """
-    hist = quantum_phase_histograms(table)
+    hist = table.probabilities()
     circ = np.array(
         [circular_mean(HISTOGRAM_BIN_CENTERS, row) for row in hist]
     )

@@ -39,6 +39,8 @@ from qadc.protocol import (
     ProtocolConfig,
     derive_rng,
     format_float as _fmt,
+    grid_phases,
+    phases_match,
     read_classical_csv,
     read_quantum_csv,
     simulate_classical_dataset,
@@ -463,8 +465,9 @@ def cmd_analyze(args) -> int:
 
     for name, ds in datasets.items():
         if name == "quantum":
-            hist = analysis.quantum_phase_histograms(tables[name])
-            circ, arith = analysis.mean_quantum_estimates(tables[name])
+            marginal = analysis.marginalize_to_bits(tables[name])
+            hist = marginal.probabilities()
+            circ, arith = analysis.mean_quantum_estimates(marginal)
             estimates = {"phi_est_circular": circ, "phi_est_arithmetic": arith}
         else:
             hist = analysis.classical_phase_histograms(ds)
@@ -539,22 +542,21 @@ def cmd_report(args) -> int:
     est_net = load_model(args.estimator, ESTIMATOR_WIDTHS) if args.estimator else None
     quantum = read_quantum_csv(args.quantum)
     classical = read_classical_csv(args.classical) if args.classical else None
-    if classical is not None and not (
-        classical.n_phases == quantum.n_phases
-        and np.allclose(classical.phases, quantum.phases, rtol=1e-9, atol=1e-12)
-    ):
+    if classical is not None and not phases_match(classical.phases, quantum.phases):
         # The comparison pairs the two datasets phase by phase.
         raise InputError(
             f"{args.classical}: its grid of {classical.n_phases} phases differs from"
             f" the {quantum.n_phases} phases of {args.quantum}"
         )
-    if est_net is not None and quantum.n_phases < 2:
-        # The estimator's second input row interpolates between grid phases.
-        raise InputError(
-            f"{args.quantum}: the estimator needs at least two phases, got {quantum.n_phases}"
-        )
+    n = quantum.n_phases
+    # The estimator's second input row interpolates between the phases 2 pi i / n.
+    if est_net is not None and n < 2:
+        raise InputError(f"{args.quantum}: the estimator needs at least two phases, got {n}")
+    if est_net is not None and not phases_match(quantum.phases, grid_phases(n)):
+        raise InputError(f"{args.quantum}: the estimator needs the phases 2 pi i / {n}")
 
     table = analysis.table_from_quantum(quantum)
+    marginal = analysis.marginalize_to_bits(table)
     if dae is not None:
         denoised_full = ml.dae_denoise(dae, table.probabilities())
         marginal_rows = analysis.marginalize_to_bits(
@@ -562,10 +564,10 @@ def cmd_report(args) -> int:
         ).probabilities()
         denoised_table = analysis.CondProbTable(table.phases, marginal_rows, kind="b3")
     else:
-        denoised_table = analysis.marginalize_to_bits(table)
-        marginal_rows = denoised_table.probabilities()
+        denoised_table = marginal
+        marginal_rows = marginal.probabilities()
 
-    circ, _ = analysis.mean_quantum_estimates(table)
+    circ, _ = analysis.mean_quantum_estimates(marginal)
     estimated = table.n_shots_effective > 0  # only phases with rows have an estimate
     phi_nn = None
     if est_net is not None:
@@ -585,9 +587,7 @@ def cmd_report(args) -> int:
 
     mi_summary = {
         "mi_raw_full": analysis.mutual_information(table).value,
-        "mi_raw_marginal": analysis.mutual_information(
-            analysis.marginalize_to_bits(table)
-        ).value,
+        "mi_raw_marginal": analysis.mutual_information(marginal).value,
         "mi_denoised_marginal": analysis.mutual_information(denoised_table).value,
         "asymptote_quantum": analysis.quadrature_mi_quantum(),
         "asymptote_classical": analysis.quadrature_mi_classical(),

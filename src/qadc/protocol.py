@@ -19,7 +19,8 @@ it used.
 Outcomes come from exact distributions per (experiment, phase, control
 flags), each the mixture over the source realization classes (which photons
 survive, which bins add a second photon) weighted by their exact
-probabilities: the source class is summed over, never drawn.  Attempts are independent, so a
+probabilities (keys decoded in `StepSimulator._weighted_classes` alone): the
+source class is summed over, never drawn.  Attempts are independent, so a
 feed-forward or classical repetition is drawn whole from its exact record law
 (`StepSimulator.record_law`): the step mixtures composed along the
 feed-forward tree, or seven independent 1-photon steps.  A repetition costs
@@ -197,7 +198,17 @@ class ProtocolConfig:
             raise ValueError("need at least one shot")
 
     def phases(self) -> np.ndarray:
-        return 2.0 * math.pi * np.arange(self.n_phases) / self.n_phases
+        return grid_phases(self.n_phases)
+
+
+def grid_phases(n: int) -> np.ndarray:
+    """The uniform grid 2 pi i / n, i = 0..n-1."""
+    return 2.0 * math.pi * np.arange(n) / n
+
+
+def phases_match(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two phase arrays agree to the 12 significant digits of a dataset file."""
+    return a.shape == b.shape and bool(np.allclose(a, b, rtol=1e-9, atol=1e-12))
 
 
 def _place(n: int) -> np.ndarray:
@@ -278,27 +289,21 @@ class StepSimulator:
 
     # -- source realization classes ------------------------------------------
 
-    def class_parts(self, n: int, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        channels = GHZ_INPUT_MODES[n]
-        mains = tuple(channels[k] for k in range(n) if key & (1 << k))
-        extras = tuple(channels[k] for k in range(n) if key & (1 << (n + k)))
-        return mains, extras
-
-    def _class_ensemble(self, n: int, class_key: int) -> PhotonEnsemble | None:
-        """The class's photons, or None when it can never be accepted."""
-        mains, extras = self.class_parts(n, class_key)
-        if len(mains) + len(extras) < n or len(extras) > _MAX_EXTRAS:
-            return None
-        return ensemble_from_parts(mains, extras, self.noise.delta)
-
     def _weighted_classes(self, n: int) -> list[tuple[float, PhotonEnsemble]]:
-        """(weight, photons) of every class of weight > 0 that can be accepted."""
+        """(weight, photons) of every class of weight > 0 that can be accepted.
+
+        Bit k of a class key keeps bin k's main photon, bit n + k adds its
+        second one; fewer than n photons or over ``_MAX_EXTRAS`` extras are never accepted.
+        """
         noise = self.noise
         weights = class_probabilities(noise.source_model(n), n, noise.condition_on_emission)
+        channels = GHZ_INPUT_MODES[n]
         classes = []
         for key in np.flatnonzero(weights > 0.0).tolist():
-            ensemble = self._class_ensemble(n, key)
-            if ensemble is not None:
+            mains = tuple(channels[k] for k in range(n) if key >> k & 1)
+            extras = tuple(channels[k] for k in range(n) if key >> (n + k) & 1)
+            if len(mains) + len(extras) >= n and len(extras) <= _MAX_EXTRAS:
+                ensemble = ensemble_from_parts(mains, extras, noise.delta)
                 classes.append((float(weights[key]), ensemble))
         return classes
 
@@ -381,11 +386,12 @@ class StepSimulator:
         """Cumulative law of one ``"quantum"`` or ``"classical"`` repetition at ``phi``.
 
         The first 128 entries run over the 7-bit records (m6..m0 or c6..c0,
-        the first bit high), so entry 127 is the acceptance A(phi).  A
-        quantum law then holds the repetitions lost at the 1-, the 2- and the
-        4-photon step, in that order; a classical law, seven independent
-        1-photon steps with flags (0, 0, 0), holds its losses in one bin.  A
-        bin lost to roundoff is clipped to 0, so the entries never decrease.
+        the first bit high), so entry 127 is the acceptance A(phi) and
+        1 - A(phi) the chance of a lost repetition.  A quantum law then holds
+        the repetitions lost at the 1-, the 2- and the 4-photon step, in that
+        order; a bin lost to roundoff is clipped to 0, so the entries never
+        decrease.  A classical law, seven independent 1-photon steps with
+        flags (0, 0, 0), holds the 128 records only.
         """
         key = (strategy, _float_key(phi))
         if key not in self._laws:
@@ -404,10 +410,10 @@ class StepSimulator:
                 # pair once; the 2-photon step is reached with sum(p4).
                 reach1 = reached[::2].sum()
                 losses = [reach1 - law.sum(), p4.sum() - reach1, 1.0 - p4.sum()]
+                law = np.append(law, np.maximum(losses, 0.0))
             else:
                 law = step(1, (0, 0, 0))[_RECORD_BITS].prod(axis=1)
-                losses = [1.0 - law.sum()]
-            self._laws[key] = np.cumsum(np.append(law, np.maximum(losses, 0.0)))
+            self._laws[key] = np.cumsum(law)
         return self._laws[key]
 
     # -- sampling --------------------------------------------------------------
@@ -441,7 +447,6 @@ class StepSimulator:
 class Dataset:
     """The valid 7-bit records of a quantum or a classical run, in phase order."""
 
-    n_phases: int
     phases: np.ndarray
     phase_index: np.ndarray  # [n_records]
     # Feed-forward and classical: the attempt index; gaps are discarded
@@ -450,6 +455,10 @@ class Dataset:
     shot_index: np.ndarray  # [n_records]
     records: np.ndarray  # [n_records] uint8 codes of m6..m0 or c6..c0, the first bit high
     stats: dict = field(default_factory=dict)
+
+    @property
+    def n_phases(self) -> int:
+        return len(self.phases)
 
 
 def _draw_records(
@@ -547,7 +556,6 @@ def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, acceptance,
         )
         stats["short_phases"] = short_phases
     return Dataset(
-        config.n_phases,
         config.phases(),
         np.repeat(np.arange(config.n_phases, dtype=np.int64), counts),
         np.concatenate(shots).astype(np.int64, copy=False),
@@ -912,8 +920,7 @@ def _grid_size(seen: np.ndarray, values: np.ndarray) -> int:
     if not top + 0.5 <= ratio < 2 * top + 2.5:
         return top + 1
     n = round(ratio)
-    on_grid = np.allclose(values, 2.0 * math.pi * seen / n, rtol=1e-9, atol=1e-12)
-    return n if on_grid else top + 1
+    return n if phases_match(values, 2.0 * math.pi * seen / n) else top + 1
 
 
 def _parse_dataset(path, header: str) -> Dataset:
@@ -941,14 +948,15 @@ def _parse_dataset(path, header: str) -> Dataset:
     n_phases = _grid_size(seen, values)
     if n_phases > MAX_PHASES:
         raise DatasetError(f"{path}: its grid of {n_phases} phases exceeds {MAX_PHASES}")
-    phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
+    phases = grid_phases(n_phases)
     phases[seen] = values
-    records = bits[:, :CLASSICAL_QUBITS] @ _place(CLASSICAL_QUBITS)
+    # Codes are below 128, so uint8 place values keep the one-pass reader's uint8 bits in uint8.
+    places = _place(CLASSICAL_QUBITS).astype(np.uint8)
+    records = bits[:, :CLASSICAL_QUBITS] @ places
     b = bits[:, CLASSICAL_QUBITS:]
-    if b.size and np.any(b @ _place(b.shape[1]) != _B_FROM_M[records]):
+    if b.size and np.any(b @ places[-b.shape[1]:] != _B_FROM_M[records]):
         raise DatasetError(f"{path}: b columns disagree with the frozen m positions")
     return Dataset(
-        n_phases,
         phases,
         np.ascontiguousarray(phase_index),
         np.ascontiguousarray(shot_index),

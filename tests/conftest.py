@@ -6,7 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from qadc.analysis import MIEstimate, _mi_from_probabilities, mutual_information
+from qadc.analysis import MIEstimate
 from qadc.photonics import GramMatrix
 
 
@@ -34,24 +34,32 @@ def dense_probabilities(cum_probs):
 def dense_bootstrap_mi(table, n_resamples: int, rng: np.random.Generator) -> MIEstimate:
     """Reference bootstrap: Poisson-resample every cell of the kept rows, zero or not.
 
-    The dense form of `qadc.analysis.bootstrap_mi`: a replicate with some
-    all-zero rows drops them, one with only zero rows is left out.
+    The dense form of `qadc.analysis.bootstrap_mi`, scored with
+    `reference_mi_from_probabilities`: a replicate with some all-zero rows
+    drops them, one with only zero rows is left out.
     """
-    point = mutual_information(table)
-    counts = table.counts[table.n_shots_effective > 0]
+    keep = table.n_shots_effective > 0
+    point = reference_mi_from_probabilities(table.probabilities()[keep])
+    counts = table.counts[keep]
     values = []
     for _ in range(n_resamples):
         resampled = rng.poisson(counts).astype(float)
         totals = resampled.sum(axis=1)
         ok = totals > 0
         if ok.any():
-            values.append(_mi_from_probabilities(resampled[ok] / totals[ok, None]))
+            values.append(reference_mi_from_probabilities(resampled[ok] / totals[ok, None]))
     stderr = float(np.std(values, ddof=1)) if len(values) > 1 else math.nan
-    return MIEstimate(point.value, stderr, len(values))
+    return MIEstimate(point, stderr, len(values))
 
 
 def reference_mi_from_probabilities(p_cond) -> float:
-    """`qadc.analysis._mi_from_probabilities` as one expression of whole-table temporaries."""
+    """Plug-in MI in bits of per-phase outcome distributions, as one expression of
+    whole-table temporaries.
+
+    The reference of both kernels: `qadc.analysis._mi_from_probabilities` of
+    the quadrature oracles and the sparse kernel of `mutual_information` and
+    `bootstrap_mi`.
+    """
     p_m = p_cond.mean(axis=0)
     mask = p_cond > 0
     ratios = np.divide(p_cond, p_m[None, :], out=np.ones_like(p_cond), where=mask)

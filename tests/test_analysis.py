@@ -31,7 +31,6 @@ from qadc.analysis import (
     mutual_information,
     quadrature_mi_classical,
     quadrature_mi_quantum,
-    quantum_phase_histograms,
     reference_bounds,
     table_from_classical,
     table_from_quantum,
@@ -177,10 +176,13 @@ class TestMutualInformation:
         with pytest.warns(UserWarning, match="zero valid shots"):
             est = mutual_information(table)
         assert est.value == pytest.approx(1.0)
+        assert est.value == reference_mi_from_probabilities(table.probabilities()[:2])
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_in_place_kernel_keeps_the_bits_of_the_reference(self, seed):
         # Simulated tables at few shots hold zero cells, whose terms must stay exactly 0.0.
+        # The quadratures' dense kernel and the sparse one of `mutual_information`
+        # are two implementations; each must give the reference's bits.
         cfg = ProtocolConfig(n_phases=8, n_shots=300, noise=NOISELESS, seed=seed)
         tables = [
             table_from_quantum(simulate_quantum_dataset(cfg)),
@@ -189,7 +191,9 @@ class TestMutualInformation:
         for table in [*tables, marginalize_to_bits(tables[0])]:
             p_cond = table.probabilities()
             assert (p_cond == 0).any()
-            assert analysis._mi_from_probabilities(p_cond) == reference_mi_from_probabilities(p_cond)
+            want = reference_mi_from_probabilities(p_cond)
+            assert analysis._mi_from_probabilities(p_cond) == want
+            assert mutual_information(table).value == want
 
     def test_estimate_clipping(self):
         with pytest.raises(ValueError):
@@ -328,14 +332,14 @@ class TestHistograms:
     def test_rows_normalized(self):
         cfg = ProtocolConfig(n_phases=6, n_shots=200, noise=NOISELESS, seed=6)
         table = table_from_quantum(simulate_quantum_dataset(cfg))
-        hist = quantum_phase_histograms(table)
+        hist = marginalize_to_bits(table).probabilities()
         assert hist.shape == (6, 8)
         assert np.allclose(hist.sum(axis=1), 1.0, atol=1e-12)
 
     def test_deterministic_phase_mass(self):
         cfg = ProtocolConfig(n_phases=8, n_shots=100, noise=NOISELESS, seed=7)
         table = table_from_quantum(simulate_quantum_dataset(cfg))
-        hist = quantum_phase_histograms(table)
+        hist = marginalize_to_bits(table).probabilities()
         # at grid phase j all mass sits in bin j (phi_est = 2 pi j / 8)
         assert np.allclose(hist, np.eye(8), atol=1e-12)
 
@@ -365,7 +369,7 @@ class TestHistograms:
         repeats = np.concatenate([np.ones(128, dtype=int), codes % 5 + 1])
         records = np.repeat(np.concatenate([codes, codes]), repeats).astype(np.uint8)
         phase_index = np.repeat([0, 1], [128, int(repeats[128:].sum())])
-        ds = Dataset(2, grid(2), phase_index, np.arange(len(records)), records)
+        ds = Dataset(grid(2), phase_index, np.arange(len(records)), records)
         counts = np.zeros((2, 8))
         for p, estimate in zip(phase_index, classical_estimates(records)):
             distance = [abs(wrap_difference(estimate, c)) for c in HISTOGRAM_BIN_CENTERS]
@@ -448,7 +452,7 @@ class TestMeanEstimates:
         rng = np.random.default_rng(9)
         phase_index = np.array([0, 2, 0, 2, 2, 3, 0])
         c = rng.integers(0, 2, size=(len(phase_index), 7)).astype(np.int8)
-        ds = Dataset(4, grid(4), phase_index, np.arange(7), record_codes(c).astype(np.uint8))
+        ds = Dataset(grid(4), phase_index, np.arange(7), record_codes(c).astype(np.uint8))
         means = mean_classical_estimates(ds)
         for i in (0, 2, 3):
             rows = c[phase_index == i]

@@ -746,6 +746,27 @@ class TestTrainAndReport:
         )
         assert not out.exists()
 
+    def test_estimator_needs_the_uniform_grid(self, models, tmp_path, capsys):
+        # Phases 0, 1 and 2 rad fit no grid 2 pi i / N: the reader keeps them as
+        # three phases, which the estimator's interpolation would misplace.
+        data, out = tmp_path / "data", tmp_path / "report"
+        assert run_cli(["simulate", "--out", data, "--noiseless", "--strategy", "quantum",
+                        "--n-phases", "3", "--n-shots", "20"]) == 0
+        path = data / "quantum.csv"
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(
+            ",".join([i, f"{int(i)}.0", rest]) for i, _, rest in (r.split(",", 2) for r in rows)
+        ))
+        capsys.readouterr()
+        code = run_cli(["report", "--out", out, "--quantum", path,
+                        "--estimator", models / "model_estimator.json"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"input error: {path}: the estimator needs the phases 2 pi i / 3\n"
+        )
+        assert not out.exists()
+        assert run_cli(["report", "--out", out, "--quantum", path]) == 0
+
     @pytest.mark.parametrize("n_quantum, n_classical", [(5, 3), (3, 5)])
     def test_report_rejects_datasets_on_different_grids(
         self, tmp_path, capsys, n_quantum, n_classical

@@ -15,7 +15,7 @@ from conftest import (
     sample_survivors,
 )
 from qadc import photonics, protocol
-from qadc.linop import logical_rail_pairs
+from qadc.linop import GHZ_INPUT_MODES, logical_rail_pairs
 from qadc.photonics import (
     class_probabilities,
     ensemble_from_parts,
@@ -387,11 +387,29 @@ class TestNoiseChannels:
         assert abs(weights[[1, 3]].sum() - 0.5) <= 1e-15
 
 
+def class_parts(n, class_key):
+    """Input channels of the main and the second photons of a class key.
+
+    Bit k of the key keeps the main photon of bin k, bit n + k adds its
+    second photon; bin k feeds input channel ``GHZ_INPUT_MODES[n][k]``.
+    """
+    channels = GHZ_INPUT_MODES[n]
+    mains = [channels[k] for k in range(n) if (class_key // 2**k) % 2]
+    extras = [channels[k] for k in range(n) if (class_key // 2 ** (n + k)) % 2]
+    return tuple(mains), tuple(extras)
+
+
+def accepted_class(n, class_key):
+    """Whether a class can pass post-selection: at least n photons, at most two extras."""
+    mains, extras = class_parts(n, class_key)
+    return len(mains) + len(extras) >= n and len(extras) <= 2
+
+
 def class_accepted(sim, n, phi, flags, class_key):
     """Accepted probability of each outcome code of one class, [2**n], built at ``phi``."""
-    ensemble = sim._class_ensemble(n, class_key)
-    if ensemble is None:
+    if not accepted_class(n, class_key):
         return np.zeros(1 << n)
+    ensemble = ensemble_from_parts(*class_parts(n, class_key), sim.noise.delta)
     return sim._accepted(n, sim.unitary(n, phi, flags), ensemble)
 
 
@@ -408,9 +426,9 @@ def direct_mixture(sim, n, phi, flags):
 def reference_step_distribution(sim, n, phi, flags, class_key):
     """Post-selection of one class, one count pattern at a time."""
     empty = (np.zeros((0, n), dtype=np.uint8), np.zeros(0))
-    mains, extras = sim.class_parts(n, class_key)
-    if len(mains) + len(extras) < n or len(extras) > protocol._MAX_EXTRAS:
+    if not accepted_class(n, class_key):
         return empty
+    mains, extras = class_parts(n, class_key)
     u = sim.unitary(n, phi, flags)
     ensemble = ensemble_from_parts(mains, extras, sim.noise.delta)
     full = distribution_dict(*full_output_distribution(u, ensemble))
@@ -576,7 +594,7 @@ class TestDatasetFiles:
         _, write, read, _ = DATASET_KINDS[kind]
         codes = np.concatenate([np.arange(128), np.arange(128)[::-1]]).astype(np.uint8)
         phase_index = np.repeat(np.arange(2), 128)
-        ds = protocol.Dataset(2, np.array([0.0, math.pi]), phase_index, shot_index, codes)
+        ds = protocol.Dataset(np.array([0.0, math.pi]), phase_index, shot_index, codes)
         write(ds, path)
         lines = path.read_text().splitlines()[1:]
         assert len(lines) == 256
@@ -812,7 +830,7 @@ class TestReaderPaths:
         n_rows = protocol._CHUNK_ROWS + 300
         phase_index = (np.arange(n_rows) >= protocol._CHUNK_ROWS).astype(np.int64)
         codes = np.random.default_rng(5).integers(0, 128, n_rows).astype(np.uint8)
-        ds = protocol.Dataset(2, np.array([0.0, math.pi]), phase_index, np.arange(n_rows), codes)
+        ds = protocol.Dataset(np.array([0.0, math.pi]), phase_index, np.arange(n_rows), codes)
         path = tmp_path / "data.csv"
         write_classical_csv(ds, path)
         fast = protocol._load_columns(path, CLASSICAL_CSV_HEADER, 10)
