@@ -86,11 +86,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "sweep-no-pre-flight",
+        # The total of a feed-forward law is 1, so no quantum or sweep run is gated.
+        "pre-flight-acceptance-read-as-law-total",
         "src/qadc/protocol.py",
-        '"sweep", _quantum_acceptance, _sweep_cap_scale',
-        '"sweep", lambda sim, phi: 1.0, _sweep_cap_scale',
-        ("tests/test_cli.py::TestSimulate::test_hopeless_run_fails_before_any_attempt[sweep]",),
+        "sim.record_law(law, float(phi))[_N_RECORDS - 1]",
+        "sim.record_law(law, float(phi))[-1]",
+        (
+            "tests/test_cli.py::TestSimulate::test_hopeless_run_fails_before_any_attempt[sweep]",
+            "tests/test_cli.py::TestSimulate::test_hopeless_run_fails_before_any_attempt[quantum]",
+        ),
     ),
     Mutant(
         "b-positions-swapped",
@@ -227,7 +231,7 @@ MUTANTS = (
     Mutant(
         "sweep-cap-unscaled",
         "src/qadc/protocol.py",
-        "phase_cap = cap if cap_scale is None else math.ceil(cap * cap_scale(sim, float(phi)))",
+        "phase_cap = cap if cap_scale is None else math.ceil(cap * cap_scale(sim, float(phi), a))",
         "phase_cap = cap",
         ("tests/test_protocol.py::TestNoiseChannels::test_sweep_cap_counts_feed_forward_repetitions",),
     ),
@@ -426,6 +430,34 @@ MUTANTS = (
             "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[quantum-inferred grid above the limit]",
             "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[classical-inferred grid above the limit]",
         ),
+    ),
+    Mutant(
+        "per-phase-counter-stride-short",
+        "src/qadc/analysis.py",
+        "np.bincount(phase_index * n_keys + keys,",
+        "np.bincount(phase_index * (n_keys - 1) + keys,",
+        (
+            "tests/test_analysis.py::TestPerPhaseCounterMatchesAddAt::test_tables[noiseless]",
+            "tests/test_analysis.py::TestPerPhaseCounterMatchesAddAt::test_classical_histograms_and_means[noiseless]",
+        ),
+    ),
+    Mutant(
+        "model-parameters-not-checked-finite",
+        "src/qadc/ml.py",
+        "        if not np.isfinite(net.params).all():\n"
+        '            raise ValueError("model weights and biases must be finite")\n',
+        "",
+        (
+            "tests/test_cli.py::TestTrainAndReport::test_bad_model_file_is_input_error[--dae]",
+            "tests/test_cli.py::TestTrainAndReport::test_bad_model_file_is_input_error[--estimator]",
+        ),
+    ),
+    Mutant(
+        "report-denoised-rows-at-empty-phases",
+        "src/qadc/cli.py",
+        "        denoised_full[~estimated] = 0.0\n",
+        "",
+        ("tests/test_cli.py::TestTrainAndReport::test_empty_phase_is_left_out_of_the_denoised_mi",),
     ),
     Mutant(
         "report-nn-estimate-at-empty-phases",

@@ -1,16 +1,19 @@
 """Raw-data estimators, conditional-probability tables and mutual information.
 
-Tables hold per-phase outcome counts; probabilities are plug-in frequencies
-N_m / n_shots and the phase average realizes the uniform prior over the
-sampled grid.  The b-marginal of a 7-bit quantum table (`marginalize_to_bits`)
-holds the quantum phase histograms.  Bootstrap errors resample per-cell counts
-from Poisson laws.  Only the observed (non-zero) cells are drawn: a Poisson
-law of mean 0 gives 0 without consuming the generator, so the replicates and
-the generator's stream are those of drawing every cell.  The point estimate
-and every replicate are scored by one sparse kernel (`_sparse_mi`).
-Independent quadrature oracles evaluate the analytic noiseless likelihood
-chains on dense grids with their own dense kernel (`_mi_from_probabilities`);
-they share no code with the sampling pipeline and anchor the acceptance suite.
+Tables hold per-phase outcome counts, each counted by one ``bincount``
+(`_per_phase`, which also sums the classical means); probabilities are
+plug-in frequencies N_m / n_shots and the phase average realizes the uniform
+prior over the sampled grid.  The record layout (128 codes, their bits and
+popcounts) and the phase grid are `qadc.protocol`'s.  The b-marginal of a
+7-bit quantum table (`marginalize_to_bits`) holds the quantum phase
+histograms.  Bootstrap errors resample per-cell counts from Poisson laws.
+Only the observed (non-zero) cells are drawn: a Poisson law of mean 0 gives 0
+without consuming the generator, so the replicates and the generator's
+stream are those of drawing every cell.  The point estimate and every
+replicate are scored by one sparse kernel (`_sparse_mi`).  Independent
+quadrature oracles evaluate the analytic noiseless likelihood chains on
+dense grids with their own dense kernel (`_mi_from_probabilities`); they
+share no MI code with the sampling pipeline and anchor the acceptance suite.
 """
 
 from __future__ import annotations
@@ -21,14 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qadc.protocol import _B_FROM_M, Dataset
+from qadc.linop import TWO_PI
+from qadc.protocol import _B_FROM_M, _RECORD_BITS, CLASSICAL_QUBITS, Dataset, grid_phases
 
-TWO_PI = 2.0 * math.pi
-
-#: Qubit resources consumed per repetition (2**t - 1 with t = 3 probe groups).
-RESOURCES_PER_SHOT = 7
-
-M_OUTCOMES = 128
+#: 7-bit records (m6..m0 or c6..c0) and informative-bit outcomes (b1, b2, b3).
+M_OUTCOMES = len(_RECORD_BITS)
 B_OUTCOMES = 8
 
 
@@ -86,10 +86,20 @@ class MIEstimate:
             raise ValueError("stderr must be non-negative")
 
 
+def _per_phase(phase_index, keys, n_phases: int, n_keys: int, weights) -> np.ndarray:
+    """[n_phases, n_keys] sums of ``weights`` (counts if None) per (phase, key) of each record.
+
+    One ``bincount`` over ``phase_index * n_keys + keys``, which adds the
+    weights in record order; ``minlength`` keeps the trailing phases without
+    records.
+    """
+    flat = np.bincount(phase_index * n_keys + keys, weights, minlength=n_phases * n_keys)
+    return flat.reshape(n_phases, n_keys)
+
+
 def _table(ds: Dataset, kind: str, keep=slice(None)) -> CondProbTable:
     """Per-phase counts of the records of ``ds`` that ``keep`` selects (default: all)."""
-    counts = np.zeros((ds.n_phases, M_OUTCOMES))
-    np.add.at(counts, (ds.phase_index[keep], ds.records[keep]), 1.0)
+    counts = _per_phase(ds.phase_index[keep], ds.records[keep], ds.n_phases, M_OUTCOMES, None)
     return CondProbTable(ds.phases, counts, kind=kind)
 
 
@@ -116,7 +126,7 @@ def marginalize_to_bits(table: CondProbTable) -> CondProbTable:
 
 
 #: Number of ones in every 7-bit code.
-_ONES = np.array([bin(c).count("1") for c in range(M_OUTCOMES)])
+_ONES = _RECORD_BITS.sum(axis=1)
 
 
 def classical_estimates(codes: np.ndarray) -> np.ndarray:
@@ -124,8 +134,8 @@ def classical_estimates(codes: np.ndarray) -> np.ndarray:
 
     The digital estimate of a b-index j is ``HISTOGRAM_BIN_CENTERS[j]``.
     """
-    n0 = 7 - _ONES[codes]
-    return 2.0 * np.arccos(np.sqrt(n0 / 7.0))
+    n0 = CLASSICAL_QUBITS - _ONES[codes]
+    return 2.0 * np.arccos(np.sqrt(n0 / CLASSICAL_QUBITS))
 
 
 def circular_mean(angles: np.ndarray, weights: np.ndarray | None = None) -> float:
@@ -239,7 +249,7 @@ def reference_bounds(n_resources: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 #: Bin centers of the 8 digital estimates 2*pi*j/8.
-HISTOGRAM_BIN_CENTERS = TWO_PI * np.arange(8) / 8.0
+HISTOGRAM_BIN_CENTERS = grid_phases(B_OUTCOMES)
 
 
 def classical_phase_histograms(ds: Dataset) -> np.ndarray:
@@ -252,8 +262,7 @@ def classical_phase_histograms(ds: Dataset) -> np.ndarray:
     diffs = np.abs(classical_estimates(codes)[:, None] - HISTOGRAM_BIN_CENTERS[None, :])
     diffs = np.minimum(diffs, TWO_PI - diffs)
     bins = np.argmin(diffs, axis=1)
-    counts = np.zeros((ds.n_phases, 8))
-    np.add.at(counts, (ds.phase_index, bins[ds.records]), 1.0)
+    counts = _per_phase(ds.phase_index, bins[ds.records], ds.n_phases, B_OUTCOMES, None)
     return CondProbTable(ds.phases, counts, kind="b3").probabilities()
 
 
@@ -289,7 +298,7 @@ def classical_string_probabilities(phi) -> np.ndarray:
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     p1 = np.sin(phi / 2.0) ** 2
     out = p1[:, None] ** _ONES[None, :]
-    out *= (1 - p1)[:, None] ** (7 - _ONES)[None, :]
+    out *= (1 - p1)[:, None] ** (CLASSICAL_QUBITS - _ONES)[None, :]
     return out
 
 
@@ -301,16 +310,14 @@ def quadrature_mi_quantum(delta: float = 1.0, n_nodes: int = 20000) -> float:
     """
     if n_nodes < 10000:
         raise ValueError("quadrature oracle requires at least 1e4 nodes")
-    phi = TWO_PI * np.arange(n_nodes) / n_nodes
-    return _mi_from_probabilities(bit_chain_probabilities(phi, delta))
+    return _mi_from_probabilities(bit_chain_probabilities(grid_phases(n_nodes), delta))
 
 
 def quadrature_mi_classical(n_nodes: int = 20000) -> float:
     """Asymptotic MI of the 7-qubit classical strategy (bits)."""
     if n_nodes < 10000:
         raise ValueError("quadrature oracle requires at least 1e4 nodes")
-    phi = TWO_PI * np.arange(n_nodes) / n_nodes
-    return _mi_from_probabilities(classical_string_probabilities(phi))
+    return _mi_from_probabilities(classical_string_probabilities(grid_phases(n_nodes)))
 
 
 def mean_quantum_estimates(table: CondProbTable) -> tuple[np.ndarray, np.ndarray]:
@@ -334,9 +341,7 @@ def mean_classical_estimates(ds: Dataset) -> np.ndarray:
 
     NaN at a phase without rows, which has no estimate.
     """
-    sums = np.zeros(ds.n_phases)
-    counts = np.zeros(ds.n_phases)
-    np.add.at(sums, ds.phase_index, classical_estimates(ds.records))
-    np.add.at(counts, ds.phase_index, 1.0)
+    sums = _per_phase(ds.phase_index, 0, ds.n_phases, 1, classical_estimates(ds.records))[:, 0]
+    counts = _per_phase(ds.phase_index, 0, ds.n_phases, 1, None)[:, 0]
     means = np.full(ds.n_phases, np.nan)
     return np.divide(sums, counts, out=means, where=counts > 0)

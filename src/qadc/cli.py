@@ -31,6 +31,7 @@ from qadc import analysis, ml
 from qadc.linop import SizeLimitError
 from qadc.photonics import ModelError, PostSelectionEmpty
 from qadc.protocol import (
+    CLASSICAL_QUBITS,
     MAX_PHASES,
     NOISE_PRESETS,
     NOISELESS,
@@ -336,11 +337,9 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(
-    out_dir: Path, command: str, config: dict, files: list[Path], extra: dict
-) -> str:
-    """The text of ``out_dir``'s manifest: the command, its config and seed,
-    the SHA-256 and size of each written file in ``files``, and ``extra``."""
+def write_manifest(command: str, config: dict, files: list[Path], extra: dict) -> str:
+    """The text of a manifest: the command, its config and seed, the SHA-256
+    and size of each written file in ``files``, and ``extra``."""
     manifest = {
         "command": command,
         "config": config,
@@ -362,14 +361,11 @@ def _publish(out_dir: Path, command: str, config: dict, outputs: dict, extra: di
     written is an output error: one stderr line and exit 2.
     """
     paths = [out_dir / name for name in outputs]
-
-    def manifest(path: Path) -> None:  # runs once every output is in place
-        path.write_bytes(write_manifest(out_dir, command, config, paths, extra).encode())
-
     try:
-        for name, content in {**outputs, "manifest.json": manifest}.items():
-            path = out_dir / name
+        for path, content in zip(paths, outputs.values()):
             atomic_write(path, content)
+        path = out_dir / "manifest.json"
+        atomic_write(path, write_manifest(command, config, paths, extra))
     except OSError as exc:
         print(f"output error: {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -440,7 +436,7 @@ def cmd_analyze(args) -> int:
 
     max_shots = max(int(table.n_shots_effective.max()) for table in tables.values())
     points = _curve_points(max_shots, acfg["n_curve_points"])
-    bound_sql = analysis.reference_bounds(analysis.RESOURCES_PER_SHOT)[0]
+    bound_sql = analysis.reference_bounds(CLASSICAL_QUBITS)[0]
     bound_classical = analysis.quadrature_mi_classical()
     bound_quantum = analysis.quadrature_mi_quantum()
 
@@ -557,8 +553,11 @@ def cmd_report(args) -> int:
 
     table = analysis.table_from_quantum(quantum)
     marginal = analysis.marginalize_to_bits(table)
+    estimated = table.n_shots_effective > 0  # only phases with rows have an estimate
     if dae is not None:
         denoised_full = ml.dae_denoise(dae, table.probabilities())
+        # The DAE makes a distribution of an empty row: keep it empty, as the raw rows are.
+        denoised_full[~estimated] = 0.0
         marginal_rows = analysis.marginalize_to_bits(
             analysis.CondProbTable(table.phases, denoised_full, kind="m7")
         ).probabilities()
@@ -568,7 +567,6 @@ def cmd_report(args) -> int:
         marginal_rows = marginal.probabilities()
 
     circ, _ = analysis.mean_quantum_estimates(marginal)
-    estimated = table.n_shots_effective > 0  # only phases with rows have an estimate
     phi_nn = None
     if est_net is not None:
         inputs = ml.estimator_inputs_from_rows(table.phases, marginal_rows)

@@ -35,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qadc.analysis import M_OUTCOMES, TWO_PI, bit_chain_probabilities
-from qadc.protocol import _B_FROM_M
+from qadc.analysis import M_OUTCOMES, bit_chain_probabilities
+from qadc.linop import TWO_PI
+from qadc.protocol import _B_FROM_M, grid_phases
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "linear")
 
@@ -230,7 +231,8 @@ class Network:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Network":
-        """The network stored by `to_json_dict`; ValueError on a malformed document."""
+        """The network stored by `to_json_dict`; ValueError on a malformed document
+        or on a weight or bias that is not finite."""
         try:
             spec = NetworkSpec(
                 tuple(doc["spec"]["widths"]), tuple(doc["spec"]["activations"])
@@ -244,7 +246,10 @@ class Network:
             raise ValueError(f"model document lacks {exc}") from None
         except TypeError as exc:
             raise ValueError(f"malformed model document: {exc}") from None
-        return cls(spec, weights, biases)
+        net = cls(spec, weights, biases)
+        if not np.isfinite(net.params).all():
+            raise ValueError("model weights and biases must be finite")
+        return net
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
@@ -506,7 +511,7 @@ def estimator_training_set(
     The shifted row is evaluated analytically (no interpolation error in
     training); corruption is applied independently to both rows.
     """
-    grid = TWO_PI * np.arange(n_phases) / n_phases
+    grid = grid_phases(n_phases)
     inputs, targets = [], []
     for _ in range(replicas):
         jitter = rng.uniform(0.0, TWO_PI / n_phases)
@@ -567,7 +572,7 @@ def train_and_eval_estimator(
     dataset = estimator_training_set(n_train_phases, noise_sigma, rng, replicas, delta)
     net = Network.initialize(build_estimator(), rng)
     trace = train(net, dataset, cfg)
-    grid = (TWO_PI * np.arange(99) / 99 + 0.013) % TWO_PI
+    grid = (grid_phases(99) + 0.013) % TWO_PI
     clean_a = bit_chain_probabilities(grid, delta)
     clean_b = bit_chain_probabilities((grid + ESTIMATOR_PHASE_SHIFT) % TWO_PI, delta)
     inputs = np.concatenate([clean_a, clean_b], axis=1)

@@ -15,7 +15,10 @@ attempts (`_quantum_chunk`, `_sweep_chunk`, `_classical_chunk`) and return one
 `Dataset` type, whose 7-bit records are the codes of m6..m0 or c6..c0.  Each
 chunk returns only what it keeps, at most the records still needed: the
 attempt indices in ascending order and their record codes, and the attempts
-it used.
+it used.  The loop reads each phase's acceptance A(phi), entry 127 of its
+record law, once, to gate the run and scale the sweep's attempt cap.  The
+phase grid (`grid_phases`), the bits of a record (`_RECORD_BITS`) and the
+positions of (b1, b2, b3) in it are fixed here alone.
 Outcomes come from exact distributions per (experiment, phase, control
 flags), each the mixture over the source realization classes (which photons
 survive, which bins add a second photon) weighted by their exact
@@ -53,6 +56,7 @@ import numpy as np
 
 from qadc.linop import (
     GHZ_INPUT_MODES,
+    TWO_PI,
     build_step_program,
     logical_rail_pairs,
     mesh_unitary,
@@ -202,8 +206,8 @@ class ProtocolConfig:
 
 
 def grid_phases(n: int) -> np.ndarray:
-    """The uniform grid 2 pi i / n, i = 0..n-1."""
-    return 2.0 * math.pi * np.arange(n) / n
+    """The uniform grid 2 pi i / n, i = 0..n-1: every uniform phase grid of the package."""
+    return TWO_PI * np.arange(n) / n
 
 
 def phases_match(a: np.ndarray, b: np.ndarray) -> bool:
@@ -371,7 +375,7 @@ class StepSimulator:
         if key not in self._series:
             k = max((ensemble.n_photons for _, ensemble in self._classes[n]), default=0)
             n_nodes = 2 * k + 1
-            nodes = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
+            nodes = grid_phases(n_nodes)
             values = np.stack(
                 [self._mixture(n, self.unitary(n, float(x), flags)) for x in nodes]
             )
@@ -502,7 +506,7 @@ def _quantum_chunk(
     return kept, m, stats
 
 
-def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, acceptance, cap_scale=None):
+def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, law: str, cap_scale=None):
     """Per-phase acquisition loop shared by every strategy.
 
     Each phase draws from its own ``derive_rng(seed, stream, phase)`` stream
@@ -512,16 +516,18 @@ def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, acceptance,
     codes.  ``stats["attempts"]`` is the number of attempts the chunk used and
     the other entries count within them; every entry is summed into the run's
     stats.  Records are kept until n_shots or the cap of ``MAX_ATTEMPT_FACTOR
-    * n_shots`` attempts, times ``cap_scale(sim, phi)`` if given.  Phases left
-    short go to ``stats["short_phases"]`` with a warning; a run without any
-    row raises PostSelectionEmpty.  A run that expects fewer than one valid
-    repetition in all, the sum over phases of cap * ``acceptance(sim, phi)``,
-    raises PostSelectionEmpty before any attempt.  The messages start with
-    ``label``.
+    * n_shots`` attempts, times ``cap_scale(sim, phi, A)`` if given.  Phases
+    left short go to ``stats["short_phases"]`` with a warning; a run without
+    any row raises PostSelectionEmpty.  A(phi) is entry 127 of the ``law``
+    (``"quantum"`` or ``"classical"``) `StepSimulator.record_law`, the chance
+    that a repetition yields a record.  A run that expects fewer than one
+    valid repetition in all, the sum over phases of cap * A(phi), raises
+    PostSelectionEmpty before any attempt.  The messages start with ``label``.
     """
     sim = StepSimulator(config.noise, config.seed)
     cap = config.n_shots * MAX_ATTEMPT_FACTOR
-    expected = cap * sum(acceptance(sim, float(phi)) for phi in config.phases())
+    acceptance = [sim.record_law(law, float(phi))[_N_RECORDS - 1] for phi in config.phases()]
+    expected = cap * sum(acceptance)
     if expected < 1.0:
         raise PostSelectionEmpty(
             f"{label}: no valid repetitions expected over the {config.n_phases}"
@@ -529,9 +535,9 @@ def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, acceptance,
         )
     stats = {"attempts": 0, "valid": 0}
     counts, shots, rows = [], [], []
-    for p_idx, phi in enumerate(config.phases()):
+    for p_idx, (phi, a) in enumerate(zip(config.phases(), acceptance)):
         rng = derive_rng(config.seed, stream, p_idx)
-        phase_cap = cap if cap_scale is None else math.ceil(cap * cap_scale(sim, float(phi)))
+        phase_cap = cap if cap_scale is None else math.ceil(cap * cap_scale(sim, float(phi), a))
         have = attempts = 0
         while have < config.n_shots and attempts < phase_cap:
             kept, records, chunk_stats = chunk(
@@ -564,14 +570,9 @@ def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, acceptance,
     )
 
 
-def _quantum_acceptance(sim: StepSimulator, phi: float) -> float:
-    """A(phi): the chance that a feed-forward repetition yields a record."""
-    return sim.record_law("quantum", phi)[_N_RECORDS - 1]
-
-
 def simulate_quantum_dataset(config: ProtocolConfig) -> Dataset:
     """Run the feed-forward protocol until n_shots valid repetitions per phase."""
-    return _acquire(config, _STREAM_QUANTUM, _quantum_chunk, "quantum", _quantum_acceptance)
+    return _acquire(config, _STREAM_QUANTUM, _quantum_chunk, "quantum", "quantum")
 
 
 # ---------------------------------------------------------------------------
@@ -643,19 +644,18 @@ def _sweep_chunk(
     return np.arange(len(records)), records, {"attempts": count}
 
 
-def _sweep_cap_scale(sim: StepSimulator, phi: float) -> float:
-    """max(1, 16 A / acc4): a repetition yields A(phi) records and a 4-photon
-    sweep attempt about acc4 / 16, acc4 the mean 4-photon acceptance."""
+def _sweep_cap_scale(sim: StepSimulator, phi: float, acceptance: float) -> float:
+    """max(1, 16 A / acc4): a feed-forward repetition yields A(phi) records
+    and a 4-photon sweep attempt about acc4 / 16, acc4 the mean 4-photon
+    acceptance."""
     acc4 = np.mean([sim.distribution(4, phi, f)[-1] for f in SWEEP_FLAGS[4]])
-    a16 = 16.0 * _quantum_acceptance(sim, phi)
+    a16 = 16.0 * acceptance
     return a16 / acc4 if a16 > acc4 else 1.0
 
 
 def simulate_sweep_dataset(config: ProtocolConfig) -> Dataset:
     """Quantum dataset via the configuration sweep plus matching post-processing."""
-    return _acquire(
-        config, _STREAM_SWEEP, _sweep_chunk, "sweep", _quantum_acceptance, _sweep_cap_scale
-    )
+    return _acquire(config, _STREAM_SWEEP, _sweep_chunk, "sweep", "quantum", _sweep_cap_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -673,10 +673,7 @@ def _classical_chunk(
 
 def simulate_classical_dataset(config: ProtocolConfig) -> Dataset:
     """Run the classical baseline until n_shots valid repetitions per phase."""
-    return _acquire(
-        config, _STREAM_CLASSICAL, _classical_chunk, "classical",
-        lambda sim, phi: sim.record_law("classical", phi)[_N_RECORDS - 1],
-    )
+    return _acquire(config, _STREAM_CLASSICAL, _classical_chunk, "classical", "classical")
 
 
 # ---------------------------------------------------------------------------
@@ -916,11 +913,12 @@ def _grid_size(seen: np.ndarray, values: np.ndarray) -> int:
     Values that fit no such grid give the largest index + 1.
     """
     top, rad = int(seen[-1]), float(values[-1])
-    ratio = 2.0 * math.pi * top / rad if rad > 0.0 else 0.0
+    ratio = TWO_PI * top / rad if rad > 0.0 else 0.0
     if not top + 0.5 <= ratio < 2 * top + 2.5:
         return top + 1
     n = round(ratio)
-    return n if phases_match(values, 2.0 * math.pi * seen / n) else top + 1
+    # The grid at the seen indices only: N may be far above MAX_PHASES here.
+    return n if phases_match(values, TWO_PI * seen / n) else top + 1
 
 
 def _parse_dataset(path, header: str) -> Dataset:

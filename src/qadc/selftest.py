@@ -99,7 +99,7 @@ def run() -> list[tuple[str, str]]:
     def mi_check():
         counts = np.zeros((8, 8))
         np.fill_diagonal(counts, 100)
-        table = analysis.CondProbTable(np.arange(8) / 8 * 2 * math.pi, counts, kind="b3")
+        table = analysis.CondProbTable(analysis.HISTOGRAM_BIN_CENTERS, counts, kind="b3")
         if abs(analysis.mutual_information(table).value - 3.0) > 1e-12:
             raise AssertionError("bijection table MI is not 3 bits")
 

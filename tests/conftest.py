@@ -67,6 +67,17 @@ def reference_mi_from_probabilities(p_cond) -> float:
     return float(terms.sum(axis=1).mean())
 
 
+def add_at_per_phase(phase_index, keys, n_phases: int, n_keys: int, weights=None) -> np.ndarray:
+    """[n_phases, n_keys] sums of each record's weight (1 if None) at (phase, key).
+
+    Reference for the ``bincount`` counter of `qadc.analysis`: one unbuffered
+    ``np.add.at`` into a float table, record by record.
+    """
+    out = np.zeros((n_phases, n_keys))
+    np.add.at(out, (phase_index, keys), 1.0 if weights is None else weights)
+    return out
+
+
 def reference_classical_string_probabilities(phi) -> np.ndarray:
     """`qadc.analysis.classical_string_probabilities` as one product of two powers."""
     phi = np.atleast_1d(np.asarray(phi, dtype=float))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    add_at_per_phase,
     b_code,
     dense_bootstrap_mi,
     record_bits,
@@ -36,6 +37,7 @@ from qadc.analysis import (
     table_from_quantum,
 )
 from qadc.protocol import (
+    DEVICE_NOISE,
     Dataset,
     NoiseConfig,
     ProtocolConfig,
@@ -462,3 +464,40 @@ class TestMeanEstimates:
         hist = classical_phase_histograms(ds)
         assert np.all(hist[1] == 0.0)
         assert np.allclose(np.delete(hist, 1, axis=0).sum(axis=1), 1.0)
+
+
+def without_end_phases(ds: Dataset) -> Dataset:
+    """``ds`` without the rows of its first and last phases, on the same grid."""
+    inner = (ds.phase_index > 0) & (ds.phase_index < ds.n_phases - 1)
+    return Dataset(ds.phases, ds.phase_index[inner], ds.shot_index[inner], ds.records[inner])
+
+
+@pytest.mark.parametrize("seed, noise", [(1, NOISELESS), (4242, DEVICE_NOISE)],
+                         ids=["noiseless", "device"])
+class TestPerPhaseCounterMatchesAddAt:
+    """Counts, classical histograms and classical means keep the bits of
+    ``np.add.at`` sums; the first and last phases have no rows."""
+
+    def test_tables(self, seed, noise):
+        cfg = ProtocolConfig(n_phases=7, n_shots=300, noise=noise, seed=seed)
+        for simulate, kind in ((simulate_quantum_dataset, "m7"), (simulate_classical_dataset, "c7")):
+            ds = without_end_phases(simulate(cfg))
+            for keep in (slice(None), ds.shot_index % 3 != 0):
+                expected = add_at_per_phase(ds.phase_index[keep], ds.records[keep], 7, 128)
+                assert np.array_equal(analysis._table(ds, kind, keep).counts, expected), kind
+
+    def test_classical_histograms_and_means(self, seed, noise):
+        cfg = ProtocolConfig(n_phases=7, n_shots=300, noise=noise, seed=seed)
+        ds = without_end_phases(simulate_classical_dataset(cfg))
+        bins = np.array([
+            np.argmin([abs(wrap_difference(e, c)) for c in HISTOGRAM_BIN_CENTERS])
+            for e in classical_estimates(np.arange(128))
+        ])
+        counts = add_at_per_phase(ds.phase_index, bins[ds.records], 7, 8)
+        expected = CondProbTable(ds.phases, counts, kind="b3").probabilities()
+        assert np.array_equal(classical_phase_histograms(ds), expected)
+        sums = add_at_per_phase(ds.phase_index, 0, 7, 1, classical_estimates(ds.records))[:, 0]
+        n = add_at_per_phase(ds.phase_index, 0, 7, 1)[:, 0]
+        means = np.divide(sums, n, out=np.full(7, np.nan), where=n > 0)
+        np.testing.assert_array_equal(mean_classical_estimates(ds), means)
+        assert np.isnan(means[[0, -1]]).all() and np.isfinite(means[1:-1]).all()

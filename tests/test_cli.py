@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import stat
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import qadc
-from qadc import cli, ml, protocol
+from qadc import analysis, cli, ml, protocol
 from qadc.cli import main
 from qadc.linop import SizeLimitError
 from qadc.ml import Network, NetworkSpec
@@ -710,6 +711,26 @@ class TestTrainAndReport:
         summary = json.loads((report / "mi_summary.json").read_text())
         assert np.isfinite(summary["raw_rmse_circular"])
 
+    def test_empty_phase_is_left_out_of_the_denoised_mi(self, small_run, models, tmp_path):
+        # Phase 3 keeps no row.  The DAE would make a distribution of its empty
+        # row; the denoised MI runs over the other eleven phases, as the raw MI does.
+        path, report = tmp_path / "quantum.csv", tmp_path / "report"
+        lines = (small_run / "quantum.csv").read_text().splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith("3,")))
+        assert run_cli(["report", "--out", report, "--quantum", path,
+                        "--dae", models / "model_dae.json", "--seed", "7"]) == 0
+        summary = json.loads((report / "mi_summary.json").read_text())
+        table = analysis.table_from_quantum(protocol.read_quantum_csv(path))
+        kept = table.n_shots_effective > 0
+        assert np.flatnonzero(~kept).tolist() == [3]
+        dae = Network.from_json_dict(json.loads((models / "model_dae.json").read_text()))
+        rows = ml.dae_denoise(dae, table.probabilities()[kept])
+        bits = analysis.marginalize_to_bits(analysis.CondProbTable(table.phases[kept], rows))
+        expected = analysis.mutual_information(
+            analysis.CondProbTable(bits.phases, bits.probabilities(), kind="b3")
+        ).value
+        assert summary["mi_denoised_marginal"] == pytest.approx(expected, rel=1e-12)
+
     def test_nn_estimate_only_at_phases_with_rows(self, models, tmp_path):
         # Phase 3 of an 8-phase file keeps no row: it has neither estimate,
         # and both RMSEs are over the other seven phases.
@@ -807,6 +828,10 @@ class TestTrainAndReport:
                      else models / "model_estimator.json").read_text()
         small_dae = NetworkSpec((8, 64, 32, 16, 32, 64, 8), ("relu",) * 5 + ("linear",))
         dae8 = Network.initialize(small_dae, np.random.default_rng(0)).to_json_dict()
+        nan_weight = json.loads(json.dumps(good))
+        nan_weight["weights"][0][0] = math.nan
+        inf_bias = json.loads((models / "model_dae.json").read_text())
+        inf_bias["biases"][2][0] = math.inf
         cases = {
             "missing.json": None,
             "directory.json": "dir",
@@ -818,6 +843,8 @@ class TestTrainAndReport:
             "missing_layer.json": json.dumps(missing_layer),
             "other_network.json": other_net,
             "dae8.json": json.dumps(dae8),
+            "nan_weight.json": json.dumps(nan_weight),
+            "inf_bias.json": json.dumps(inf_bias),
         }
         for name, content in cases.items():
             path = tmp_path / name
@@ -838,6 +865,8 @@ class TestTrainAndReport:
             assert not out.exists(), name
             if name == "dae8.json" and flag == "--dae":
                 assert err.endswith(": model maps 8 to 8 values, expected 128 to 128\n"), err
+            if name in ("nan_weight.json", "inf_bias.json"):
+                assert err.endswith(": model weights and biases must be finite\n"), err
 
 
 # Each failure comes after the command's first output is computed.
