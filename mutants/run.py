@@ -321,11 +321,34 @@ MUTANTS = (
     Mutant(
         "sparse-mi-zero-rows-kept",
         "src/qadc/analysis.py",
-        "    keep = totals > 0\n    kept = keep[rows]\n",
-        "    keep = totals >= 0\n    kept = keep[rows]\n",
+        "    keep = totals > 0\n    if keep.all():\n",
+        "    keep = totals >= 0\n    if keep.all():\n",
         (
             "tests/test_analysis.py::TestMutualInformation::test_zero_shot_phase_excluded_with_warning",
             "tests/test_analysis.py::TestBootstrapMatchesDenseReference::test_tables[phases-resampled-to-zero]",
+        ),
+    ),
+    Mutant(
+        "bootstrap-in-flight-drain-dropped",
+        "src/qadc/analysis.py",
+        "        while pending:\n            scored.append(pending.popleft().result())\n",
+        "",
+        (
+            "tests/test_analysis.py::TestBootstrapMatchesDenseReference::"
+            "test_replicate_counts_at_the_edges_of_the_in_flight_window[2]",
+            "tests/test_analysis.py::TestBootstrapMatchesDenseReference::"
+            "test_replicate_counts_at_the_edges_of_the_in_flight_window[3]",
+            "tests/test_analysis.py::TestBootstrapMatchesDenseReference::test_analyze_curve_tables[quantum]",
+        ),
+    ),
+    Mutant(
+        "sparse-mi-zero-draws-kept-when-every-row-is-kept",
+        "src/qadc/analysis.py",
+        "    if not p.all():",
+        "    if not p.all() and not keep.all():",
+        (
+            "tests/test_analysis.py::TestBootstrapMatchesDenseReference::test_analyze_curve_tables[quantum]",
+            "tests/test_analysis.py::TestBootstrapMatchesDenseReference::test_analyze_curve_tables[classical]",
         ),
     ),
     Mutant(

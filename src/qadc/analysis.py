@@ -10,7 +10,11 @@ histograms.  Bootstrap errors resample per-cell counts from Poisson laws.
 Only the observed (non-zero) cells are drawn: a Poisson law of mean 0 gives 0
 without consuming the generator, so the replicates and the generator's
 stream are those of drawing every cell.  The point estimate and every
-replicate are scored by one sparse kernel (`_sparse_mi`).  Independent
+replicate are scored by one sparse kernel (`_sparse_mi`).  The calling
+thread draws the replicates in order and one worker thread, joined before
+`bootstrap_mi` returns, scores each while the next is drawn; scores are
+collected in draw order, so the result and the generator's end state do not
+depend on thread scheduling.  Independent
 quadrature oracles evaluate the analytic noiseless likelihood chains on
 dense grids with their own dense kernel (`_mi_from_probabilities`); they
 share no MI code with the sampling pipeline and anchor the acceptance suite.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,18 +195,28 @@ def _sparse_mi(
     ``bincount`` adds each column's entries row by row, as a dense
     ``mean(axis=0)`` does, and the terms are summed over full rows: the result
     has the bits of `_mi_from_probabilities` on the kept, normalized rows.
+    Integer counts give the bits of their float values.
     """
     keep = totals > 0
-    kept = keep[rows]
-    p = counts[kept] / totals[rows[kept]]
-    rows, cols = (np.cumsum(keep) - 1)[rows[kept]], cols[kept]
-    n_rows = int(np.count_nonzero(keep))
+    if keep.all():
+        n_rows = len(totals)
+        p = counts / totals[rows]
+    else:
+        kept = keep[rows]
+        p = counts[kept] / totals[rows[kept]]
+        rows, cols = (np.cumsum(keep) - 1)[rows[kept]], cols[kept]
+        n_rows = int(np.count_nonzero(keep))
     p_m = np.bincount(cols, weights=p, minlength=n_cols) / n_rows
-    hit = p > 0
-    r, c, q = rows[hit], cols[hit], p[hit]
-    terms = np.zeros((n_rows, n_cols))
-    terms[r, c] = q * np.log2(q / p_m[c])
-    return float(terms.sum(axis=1).mean())
+    if not p.all():  # a zero cell has no log term
+        hit = p > 0
+        rows, cols, p = rows[hit], cols[hit], p[hit]
+    terms = np.zeros(n_rows * n_cols)
+    terms[rows * n_cols + cols] = p * np.log2(p / p_m[cols])
+    return float(terms.reshape(n_rows, n_cols).sum(axis=1).mean())
+
+
+#: Drawn replicates that `bootstrap_mi` leaves with the worker before it waits for a score.
+_IN_FLIGHT = 2
 
 
 def bootstrap_mi(
@@ -220,6 +235,13 @@ def bootstrap_mi(
     Only the observed cells are drawn.  numpy's Poisson sampler returns 0 for
     a mean of 0 without drawing a random number, so this gives the replicates
     of drawing every cell and leaves ``rng`` in the same state.
+
+    The calling thread makes every draw, in replicate order; one worker
+    thread, started and joined within the call, scores each replicate while
+    the next is drawn.  At most ``_IN_FLIGHT + 1`` replicates wait for their
+    score, and the scores are collected in draw order, so the result does not
+    depend on thread scheduling.  An error raised while scoring is raised
+    here.
     """
     if n_resamples < 2:
         raise ValueError("need at least two bootstrap resamples")
@@ -227,12 +249,23 @@ def bootstrap_mi(
     n_rows, n_cols = table.counts.shape
     rows, cols = np.nonzero(table.counts)
     means = table.counts[rows, cols]
-    values = []
-    for _ in range(n_resamples):
-        drawn = rng.poisson(means).astype(float)
+
+    def score(drawn):
         totals = np.bincount(rows, weights=drawn, minlength=n_rows)
-        if totals.any():
-            values.append(_sparse_mi(rows, cols, drawn, totals, n_cols))
+        return _sparse_mi(rows, cols, drawn, totals, n_cols) if totals.any() else None
+
+    # Imported here, so that a command that never bootstraps does not load it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    scored, pending = [], deque()
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for _ in range(n_resamples):
+            pending.append(worker.submit(score, rng.poisson(means)))
+            if len(pending) > _IN_FLIGHT:
+                scored.append(pending.popleft().result())
+        while pending:
+            scored.append(pending.popleft().result())
+    values = [v for v in scored if v is not None]
     stderr = float(np.std(values, ddof=1)) if len(values) > 1 else math.nan
     return MIEstimate(point.value, stderr, len(values))
 

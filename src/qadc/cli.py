@@ -57,6 +57,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+#: Most MI curve points: `_curve_points`' log-spaced grid is a 512 KiB array at this size.
+MAX_CURVE_POINTS = 2**16
+
 
 class ConfigError(ValueError):
     pass
@@ -165,7 +168,10 @@ CONFIG_FIELDS = (
     Field("mode", "direct", _one_of(str, ("direct", "sweep")),
           "feed-forward (direct) or all configurations plus matching (sweep)"),
     *_noise_fields(),
-    Field("analysis.n_curve_points", 12, POSITIVE_INT, "log-spaced prefix sizes of the MI curve"),
+    Field("analysis.n_curve_points", 12,
+          Domain(int, f"an integer from 1 to {MAX_CURVE_POINTS}",
+                 lambda v: 1 <= v <= MAX_CURVE_POINTS),
+          "log-spaced prefix sizes of the MI curve"),
     Field("analysis.n_resamples", 100, Domain(int, "an integer of at least 2", lambda v: v >= 2),
           "bootstrap replicates for MI error bars"),
     *_training_fields("dae", "denoising autoencoder"),

@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 from itertools import product
 
@@ -267,6 +268,27 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_mi(table, 1, np.random.default_rng(0))
 
+    def test_scoring_error_is_raised_and_the_worker_joined(self, monkeypatch):
+        table = CondProbTable(grid(12), 500 * bit_chain_probabilities(grid(12)), kind="b3")
+        error = RuntimeError("scoring failed")
+        threads = []
+        score = analysis._sparse_mi
+
+        def fail_on_third_call(*args):
+            threads.append(threading.current_thread())
+            if len(threads) == 3:
+                raise error
+            return score(*args)
+
+        before = threading.active_count()
+        monkeypatch.setattr(analysis, "_sparse_mi", fail_on_third_call)
+        with pytest.raises(RuntimeError) as raised:
+            bootstrap_mi(table, 20, np.random.default_rng(0))
+        assert raised.value is error
+        # The point estimate is scored by the caller, the replicates by the worker.
+        assert threads[0] is threading.current_thread() is not threads[2]
+        assert threading.active_count() == before
+
 
 def assert_bootstrap_matches_dense(table, n_resamples, rng):
     """``bootstrap_mi`` equals the dense reference and leaves ``rng`` in its state."""
@@ -315,6 +337,14 @@ class TestBootstrapMatchesDenseReference:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "1 phases with zero valid shots excluded")
             assert_bootstrap_matches_dense(table, 200, np.random.default_rng(7))
+
+    # With two replicates every score is collected after the last draw; with
+    # three, the first is collected inside the draw loop.
+    @pytest.mark.parametrize("n_resamples", [2, 3])
+    def test_replicate_counts_at_the_edges_of_the_in_flight_window(self, n_resamples):
+        table = CondProbTable(grid(9), _sparse_float_counts(), kind="b3")
+        for seed in range(5):
+            assert_bootstrap_matches_dense(table, n_resamples, np.random.default_rng(seed))
 
 
 class TestBounds:

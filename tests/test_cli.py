@@ -338,6 +338,8 @@ CONFIG_CASES = [
     pytest.param("file", '{"noise": 5}', "noise", id="file-section-not-object"),
     pytest.param("file", "[1]", None, id="file-not-object"),
     pytest.param("set", str(MAX_PHASES + 1), "n_phases", id="n_phases-above-MAX_PHASES"),
+    pytest.param("set", str(cli.MAX_CURVE_POINTS + 1), "analysis.n_curve_points",
+                 id="n_curve_points-above-MAX_CURVE_POINTS"),
 ]
 
 
@@ -534,7 +536,7 @@ class TestAnalyze:
         assert rows[3][2:] == rows[5][2:] == ["nan", "nan"]
         assert "nan" not in str([rows[i] for i in (0, 1, 2, 4)])
 
-    @pytest.mark.parametrize("n_points", [1, 2, 12])
+    @pytest.mark.parametrize("n_points", [1, 2, 12, cli.MAX_CURVE_POINTS])
     def test_curve_ends_at_the_full_dataset(self, tmp_path, n_points):
         data, out = tmp_path / "data", tmp_path / "analysis"
         assert run_cli(["simulate", "--out", data, "--noiseless", "--strategy", "quantum",
@@ -546,6 +548,20 @@ class TestAnalyze:
         shots = [int(row.split(",")[0]) for row in rows]
         assert shots == cli._curve_points(20, n_points)
         assert len(shots) <= n_points and shots[-1] == 20
+
+    def test_curve_points_above_the_bound_are_a_config_error(self, tmp_path, capsys):
+        # Once a numpy memory error: the log-spaced grid was allocated at this size.
+        data, out = tmp_path / "data", tmp_path / "analysis"
+        assert run_cli(["simulate", "--out", data, "--noiseless", "--strategy", "quantum",
+                        "--n-phases", "3", "--n-shots", "50", "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert run_cli(["analyze", "--out", out, "--quantum", data / "quantum.csv",
+                        "--set", "analysis.n_curve_points=10000000000"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config field analysis: n_curve_points must be an integer "
+            f"from 1 to {cli.MAX_CURVE_POINTS}\n"
+        )
+        assert not out.exists()
 
     def test_quantum_asymptote_exceeds_classical(self, small_run, tmp_path):
         out = tmp_path / "analysis"
@@ -912,6 +928,12 @@ class TestSelftestAndHelp:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_import_loads_no_thread_pool(self):
+        # Only the MI bootstrap starts a worker thread; it imports the pool itself.
+        result = run_python("-c", "import sys, qadc.cli; print('concurrent.futures' in sys.modules)")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_help_documents_config_keys(self):
         result = run_python("-m", "qadc.cli", "--help")
