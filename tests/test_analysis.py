@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import warnings
 from itertools import product
@@ -337,6 +338,29 @@ class TestBootstrapMatchesDenseReference:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "1 phases with zero valid shots excluded")
             assert_bootstrap_matches_dense(table, 200, np.random.default_rng(7))
+
+    def test_concurrent_calls_under_fast_thread_switching(self):
+        table = CondProbTable(grid(9), _sparse_float_counts(), kind="b3")
+        errors = []
+
+        def check(seed):
+            try:
+                assert_bootstrap_matches_dense(table, 50, np.random.default_rng(seed))
+            except Exception as exc:  # reported by the test thread below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=check, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     # With two replicates every score is collected after the last draw; with
     # three, the first is collected inside the draw loop.
