@@ -321,8 +321,8 @@ MUTANTS = (
     Mutant(
         "sparse-mi-zero-rows-kept",
         "src/qadc/analysis.py",
-        "    keep = totals > 0\n    if keep.all():\n",
-        "    keep = totals >= 0\n    if keep.all():\n",
+        "    keep = totals > 0\n    kept = keep[rows]\n",
+        "    keep = totals >= 0\n    kept = keep[rows]\n",
         (
             "tests/test_analysis.py::TestMutualInformation::test_zero_shot_phase_excluded_with_warning",
             "tests/test_analysis.py::TestBootstrapMatchesDenseReference::test_tables[phases-resampled-to-zero]",
@@ -342,10 +342,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "sparse-mi-zero-draws-kept-when-every-row-is-kept",
+        "sparse-mi-zero-draws-kept",
         "src/qadc/analysis.py",
-        "    if not p.all():",
-        "    if not p.all() and not keep.all():",
+        "    hit = p > 0\n",
+        "    hit = p >= 0\n",
         (
             "tests/test_analysis.py::TestBootstrapMatchesDenseReference::test_analyze_curve_tables[quantum]",
             "tests/test_analysis.py::TestBootstrapMatchesDenseReference::test_analyze_curve_tables[classical]",

@@ -198,18 +198,13 @@ def _sparse_mi(
     Integer counts give the bits of their float values.
     """
     keep = totals > 0
-    if keep.all():
-        n_rows = len(totals)
-        p = counts / totals[rows]
-    else:
-        kept = keep[rows]
-        p = counts[kept] / totals[rows[kept]]
-        rows, cols = (np.cumsum(keep) - 1)[rows[kept]], cols[kept]
-        n_rows = int(np.count_nonzero(keep))
+    kept = keep[rows]
+    p = counts[kept] / totals[rows[kept]]
+    rows, cols = (np.cumsum(keep) - 1)[rows[kept]], cols[kept]
+    n_rows = int(np.count_nonzero(keep))
     p_m = np.bincount(cols, weights=p, minlength=n_cols) / n_rows
-    if not p.all():  # a zero cell has no log term
-        hit = p > 0
-        rows, cols, p = rows[hit], cols[hit], p[hit]
+    hit = p > 0
+    rows, cols, p = rows[hit], cols[hit], p[hit]
     terms = np.zeros(n_rows * n_cols)
     terms[rows * n_cols + cols] = p * np.log2(p / p_m[cols])
     return float(terms.reshape(n_rows, n_cols).sum(axis=1).mean())
