@@ -151,8 +151,8 @@ MUTANTS = (
     Mutant(
         "reader-no-final-newline-check",
         "src/qadc/protocol.py",
-        ' or buf[size - 1] != ord("\\n")',
-        "",
+        "if len(rest) > width or lo != n_rows:",
+        "if lo != n_rows:",
         (
             "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[quantum-no final newline]",
             "tests/test_protocol.py::TestReaderPaths::test_paths_agree_on_edited_files[classical-no final newline]",
@@ -190,10 +190,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "reader-no-seam-comparison",
+        "reader-block-first-row-not-a-run",
         "src/qadc/protocol.py",
-        "new[0] = buf[starts[0] : starts[0] + length[0]].tobytes() != last",
-        "new[0] = False",
+        "new = np.ones(n, dtype=bool)",
+        "new = np.zeros(n, dtype=bool)",
         ("tests/test_protocol.py::TestReaderPaths::test_phase_change_on_a_chunk_seam",),
     ),
     Mutant(
@@ -495,6 +495,56 @@ MUTANTS = (
         "ml.circular_rmse(phi_nn[estimated], truth)",
         "ml.circular_rmse(phi_nn, quantum.phases)",
         ("tests/test_cli.py::TestTrainAndReport::test_nn_estimate_only_at_phases_with_rows",),
+    ),
+    Mutant(
+        # Reversing the weights that the quadrature passes only swaps p(1) and p(0), which
+        # relabels the outcomes and keeps the MI: the table's own exponents are reversed.
+        "classical-weight-exponents-reversed",
+        "src/qadc/analysis.py",
+        "    out = p1[:, None] ** ones[None, :]\n    out *= (1 - p1)[:, None] ** (CLASSICAL_QUBITS - ones)[None, :]\n",
+        "    out = p1[:, None] ** (CLASSICAL_QUBITS - ones)[None, :]\n    out *= (1 - p1)[:, None] ** ones[None, :]\n",
+        ("tests/test_analysis.py::TestAnalyticLikelihoods::test_quadratures_keep_the_bits_of_the_reference",),
+    ),
+    Mutant(
+        "mi-kernel-last-row-block-dropped",
+        "src/qadc/analysis.py",
+        "for lo in range(0, len(p_cond), _MI_BLOCK_ROWS):",
+        "for lo in range(0, len(p_cond) - _MI_BLOCK_ROWS, _MI_BLOCK_ROWS):",
+        (
+            "tests/test_analysis.py::TestAnalyticLikelihoods::test_quadratures_keep_the_bits_of_the_reference",
+            "tests/test_analysis.py::TestMutualInformation::test_in_place_kernel_keeps_the_bits_of_the_reference[1]",
+        ),
+    ),
+    Mutant(
+        "reader-back-context-one-byte-short",
+        "src/qadc/protocol.py",
+        "rest = buf[stops[-1] + 1 - width : size].tobytes()",
+        "rest = buf[stops[-1] + 2 - width : size].tobytes()",
+        (
+            "tests/test_protocol.py::TestReaderPaths::test_every_block_size_of_a_short_file[classical]",
+            "tests/test_protocol.py::TestReaderPaths::test_every_block_size_of_a_short_file[quantum]",
+            "tests/test_protocol.py::TestReaderPaths::test_phase_change_on_a_chunk_seam",
+        ),
+    ),
+    Mutant(
+        "reader-count-pass-skips-last-block",
+        "src/qadc/protocol.py",
+        "for b in blocks)",
+        "for b in list(blocks)[:-1])",
+        (
+            "tests/test_protocol.py::TestReaderPaths::test_written_file_loads_in_one_pass[classical]",
+            "tests/test_protocol.py::TestReaderPaths::test_multi_phase_file_across_blocks[classical-4097]",
+        ),
+    ),
+    Mutant(
+        "phase-ranks-starts-off-by-one",
+        "src/qadc/cli.py",
+        "ranks -= (np.cumsum(counts) - counts)[phase_index]",
+        "ranks -= (np.cumsum(counts) - counts + 1)[phase_index]",
+        (
+            "tests/test_cli.py::TestPhaseRanks::test_ranks_count_each_phase_from_zero[1]",
+            "tests/test_cli.py::TestByteIdentity::test_pinned_dataset_and_curve_bytes",
+        ),
     ),
 )
 

@@ -157,15 +157,29 @@ def circular_mean(angles: np.ndarray, weights: np.ndarray | None = None) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _mi_from_probabilities(p_cond: np.ndarray) -> float:
-    """Plug-in MI in bits of per-phase outcome distributions: the quadratures' dense kernel."""
+#: Rows per block in which `_mi_from_probabilities` gathers its terms.
+_MI_BLOCK_ROWS = 1024
+
+
+def _mi_from_probabilities(p_cond: np.ndarray, columns=slice(None)) -> float:
+    """Plug-in MI in bits of per-phase outcome distributions ``p_cond[:, columns]``.
+
+    The quadratures' dense kernel.  Outcomes of equal likelihoods may share a
+    column of ``p_cond``: the terms are computed on its columns in row blocks
+    and gathered into the full outcome layout before each row's sum, so the
+    sums have the bits of the full table's.
+    """
     p_m = p_cond.mean(axis=0)
-    mask = p_cond > 0
-    # One work array: the ratio is 1 where p_cond is 0, so its log term stays 0.0.
-    terms = np.divide(p_cond, p_m[None, :], out=np.ones_like(p_cond), where=mask)
-    np.log2(terms, out=terms)
-    np.multiply(terms, p_cond, out=terms, where=mask)
-    return float(terms.sum(axis=1).mean())
+    sums = np.empty(len(p_cond))
+    for lo in range(0, len(p_cond), _MI_BLOCK_ROWS):
+        p = p_cond[lo : lo + _MI_BLOCK_ROWS]
+        mask = p > 0
+        # One work array: the ratio is 1 where p is 0, so its log term stays 0.0.
+        terms = np.divide(p, p_m[None, :], out=np.ones_like(p), where=mask)
+        np.log2(terms, out=terms)
+        np.multiply(terms, p, out=terms, where=mask)
+        sums[lo : lo + _MI_BLOCK_ROWS] = terms[:, columns].sum(axis=1)
+    return float(sums.mean())
 
 
 def mutual_information(table: CondProbTable) -> MIEstimate:
@@ -321,12 +335,16 @@ def bit_chain_probabilities(phi, delta: float = 1.0) -> np.ndarray:
     return out
 
 
-def classical_string_probabilities(phi) -> np.ndarray:
-    """Likelihoods of the 128 classical outcome strings, p(1) = sin^2(phi/2)."""
+def classical_string_probabilities(phi, ones: np.ndarray = _ONES) -> np.ndarray:
+    """Likelihoods of classical strings holding ``ones`` ones, p(1) = sin^2(phi/2).
+
+    The 7 outcomes are i.i.d., so a string's likelihood depends on its
+    Hamming weight alone; the default is every one of the 128 strings.
+    """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     p1 = np.sin(phi / 2.0) ** 2
-    out = p1[:, None] ** _ONES[None, :]
-    out *= (1 - p1)[:, None] ** (CLASSICAL_QUBITS - _ONES)[None, :]
+    out = p1[:, None] ** ones[None, :]
+    out *= (1 - p1)[:, None] ** (CLASSICAL_QUBITS - ones)[None, :]
     return out
 
 
@@ -342,10 +360,11 @@ def quadrature_mi_quantum(delta: float = 1.0, n_nodes: int = 20000) -> float:
 
 
 def quadrature_mi_classical(n_nodes: int = 20000) -> float:
-    """Asymptotic MI of the 7-qubit classical strategy (bits)."""
+    """Asymptotic MI of the 7-qubit classical strategy (bits), from the 8 weight classes."""
     if n_nodes < 10000:
         raise ValueError("quadrature oracle requires at least 1e4 nodes")
-    return _mi_from_probabilities(classical_string_probabilities(grid_phases(n_nodes)))
+    weights = classical_string_probabilities(grid_phases(n_nodes), np.arange(CLASSICAL_QUBITS + 1))
+    return _mi_from_probabilities(weights, _ONES)
 
 
 def mean_quantum_estimates(table: CondProbTable) -> tuple[np.ndarray, np.ndarray]:

@@ -419,9 +419,10 @@ def _curve_points(n_shots: int, n_points: int) -> list[int]:
 def _phase_ranks(phase_index, shot_index) -> np.ndarray:
     """Rank of each record within its phase, ordered by shot index."""
     order = np.lexsort((shot_index, phase_index))
-    sorted_phases = phase_index[order]
-    ranks = np.empty(len(order), dtype=np.int64)
-    ranks[order] = np.arange(len(order)) - np.searchsorted(sorted_phases, sorted_phases)
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(len(order))
+    counts = np.bincount(phase_index)  # less the position where each phase starts in that order
+    ranks -= (np.cumsum(counts) - counts)[phase_index]
     return ranks
 
 
@@ -569,7 +570,6 @@ def cmd_report(args) -> int:
         ).probabilities()
         denoised_table = analysis.CondProbTable(table.phases, marginal_rows, kind="b3")
     else:
-        denoised_table = marginal
         marginal_rows = marginal.probabilities()
 
     circ, _ = analysis.mean_quantum_estimates(marginal)
@@ -589,10 +589,13 @@ def cmd_report(args) -> int:
          for i in range(quantum.n_phases)),
     )
 
+    mi_marginal = analysis.mutual_information(marginal).value
+    # Without a DAE the denoised b-table is the raw one.
+    mi_denoised = mi_marginal if dae is None else analysis.mutual_information(denoised_table).value
     mi_summary = {
         "mi_raw_full": analysis.mutual_information(table).value,
-        "mi_raw_marginal": analysis.mutual_information(marginal).value,
-        "mi_denoised_marginal": analysis.mutual_information(denoised_table).value,
+        "mi_raw_marginal": mi_marginal,
+        "mi_denoised_marginal": mi_denoised,
         "asymptote_quantum": analysis.quadrature_mi_quantum(),
         "asymptote_classical": analysis.quadrature_mi_classical(),
     }

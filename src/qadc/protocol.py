@@ -46,9 +46,7 @@ is built there directly.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -741,16 +739,6 @@ def write_classical_csv(ds: Dataset, path) -> None:
     _write_dataset(path, CLASSICAL_CSV_HEADER, ds, _CLASSICAL_TAILS)
 
 
-@contextlib.contextmanager
-def _open_dataset(path, header: str):
-    """Open a dataset file, check its header line and yield it at the first row."""
-    with open(path, newline="") as fh:
-        first = fh.readline().strip()
-        if first != header:
-            raise DatasetError(f"{path}: unexpected header {first!r}")
-        yield fh
-
-
 def _parse_rows(path, header: str, n_cols: int):
     """Row-by-row parser: (phase_index, phase_rad, shot_index, bits) columns.
 
@@ -758,7 +746,9 @@ def _parse_rows(path, header: str, n_cols: int):
     for ``_load_columns``, and the path that names the row of a bad file.
     """
     phase_index, phase_rad, shot_index, bits = [], [], [], []
-    with _open_dataset(path, header) as fh:
+    with open(path, newline="") as fh:
+        if (first := fh.readline().strip()) != header:
+            raise DatasetError(f"{path}: unexpected header {first!r}")
         for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) != n_cols:
@@ -781,11 +771,10 @@ def _parse_rows(path, header: str, n_cols: int):
     )
 
 
-#: Rows per chunk of ``_load_columns``, and bytes per chunk of its newline scan.
-_CHUNK_ROWS = 1 << 16
+#: Bytes per block that ``_load_columns`` reads.
 _CHUNK_BYTES = 1 << 20
-#: Longest ``phase_index,phase_rad`` prefix that ``_load_columns`` reads.  Its
-#: buffer ends in this many zero bytes, so no prefix window runs past it.
+#: Longest ``phase_index,phase_rad`` prefix that ``_load_columns`` reads.  Each
+#: block's buffer ends in this many zero bytes, so no prefix window runs past it.
 _PREFIX_MAX = 64
 #: Row L keeps the first L bytes of a prefix window, as 8-byte words.
 _PREFIX_MASKS = (
@@ -818,8 +807,54 @@ def _prefix_values(text: bytes):
     return index, rad
 
 
+def _read_block(buf: np.ndarray, stops: np.ndarray, width: int, lo: int, shot_index, bits):
+    """Read rows ``lo`` on into ``shot_index`` and ``bits``: from byte ``width`` of ``buf`` to its
+    newlines at ``stops``.  Returns ``(row, phase_index, phase_rad)`` of the first row and of each
+    row whose prefix differs from the one before, or None for a row outside the grammar."""
+    n, hi = len(stops), lo + len(stops)
+    starts = np.concatenate(([width], stops[:-1] + 1))
+    window = _windows(buf, width)[stops - width].view(np.uint8).reshape(n, width)
+    # The tail: "," at every even byte, an ASCII digit at every odd one.
+    tail = window[:, _SHOT_WIDTH:]
+    digits = tail[:, 1::2] - np.uint8(ord("0"))
+    if not (tail[:, ::2] == ord(",")).all() or digits.max() > 9:
+        return None
+    bits[lo:hi] = digits
+    # The shot index: the run of digits before the tail, after "," or ",-".
+    shot = window[:, :_SHOT_WIDTH] - np.uint8(ord("0"))
+    n_digits = np.argmax(shot[:, ::-1] > 9, axis=1)
+    if n_digits.min() < 1 or n_digits.max() > _SHOT_DIGITS:
+        return None
+    flat, rows = window.ravel(), np.arange(0, n * width, width)
+    neg = flat[rows + (_SHOT_WIDTH - 1) - n_digits] == ord("-")
+    comma = _SHOT_WIDTH - 1 - n_digits - neg  # its column in the window
+    if not (flat[rows + comma] == ord(",")).all():
+        return None
+    # The digits are in the last n_digits.max() columns: zero each row's others.
+    keep = -int(n_digits.max())
+    shot = shot[:, keep:] * np.take(_SHOT_MASKS[:, keep:], n_digits, axis=0)
+    value = shot.astype(np.float64) @ _SHOT_PLACES[keep:]
+    shot_index[lo:hi] = np.where(neg, -value, value)
+    # The prefix: every byte of the row before that comma.
+    length = stops - width + comma - starts
+    if length.min() < 1 or length.max() > _PREFIX_MAX:
+        return None
+    n_words = (int(length.max()) + 7) // 8
+    prefix = _windows(buf, 8 * n_words)[starts].view(np.uint64).reshape(n, -1)
+    prefix &= np.take(_PREFIX_MASKS[:, : prefix.shape[1]], length, axis=0)
+    new = np.ones(n, dtype=bool)  # the block's first row starts a run
+    new[1:] = (prefix[1:] != prefix[:-1]).any(axis=1) | (length[1:] != length[:-1])
+    runs = []
+    for row in np.flatnonzero(new).tolist():
+        values = _prefix_values(buf[starts[row] : starts[row] + length[row]].tobytes())
+        if values is None:
+            return None
+        runs.append((lo + row, *values))
+    return runs
+
+
 def _load_columns(path, header: str, n_cols: int):
-    """The columns of ``_parse_rows`` in one pass over the file's bytes, or None.
+    """The columns of ``_parse_rows`` from the file's bytes, read in blocks, or None.
 
     The file must be the header line, then one or more rows of the grammar
     ``PREFIX "," SHOT ("," DIGIT){n_cols - 3} "\\n"``, where ``DIGIT`` is one
@@ -832,76 +867,52 @@ def _load_columns(path, header: str, n_cols: int):
     data row.  The bits come back as uint8 digits; ``_parse_dataset`` checks
     that they are 0 or 1.
 
-    The rows are read in chunks.  One gather of fixed-width windows takes each
-    row's shot index and bits at its end; the prefix before them is compared
-    with the previous row's, bytes and length, across chunk seams too, and
-    only the first row of each run of equal prefixes is decoded.  A written
-    file repeats one prefix per phase, so it decodes one per phase.
+    The file is read twice in blocks of ``_CHUNK_BYTES``: to count the rows,
+    so that each column is allocated once, and to read them (`_read_block`).
+    A row left unfinished at a block's end is read with the next block,
+    after the ``width`` bytes before it: one gather of fixed-width windows
+    takes each row's shot index and bits at its end, and a short row's
+    window starts before the row.  Only the first row of each run of equal
+    prefixes is decoded, so a written file, which repeats one prefix per
+    phase, decodes about one per phase and block.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        buf = np.zeros(size + _PREFIX_MAX, dtype=np.uint8)
-        if fh.readinto(buf[:size]) != size:
-            return None
-    first = (header + "\n").encode()
-    if size <= len(first) or buf[size - 1] != ord("\n") or buf[: len(first)].tobytes() != first:
-        return None
-    ends = np.concatenate([
-        np.flatnonzero(buf[lo : min(lo + _CHUNK_BYTES, size)] == ord("\n")) + lo
-        for lo in range(len(first) - 1, size, _CHUNK_BYTES)
-    ])
-    n_rows, n_bits = len(ends) - 1, n_cols - 3
-    # The header is longer than a window, so no row's window starts before byte 0.
+    first, n_bits = (header + "\n").encode(), n_cols - 3
     width = _SHOT_WIDTH + 2 * n_bits
-    windows = _windows(buf, width)
-    shot_index = np.empty(n_rows, dtype=np.int64)
-    bits = np.empty((n_rows, n_bits), dtype=np.uint8)
-    run_starts, run_values, last = [], [], None
-    for lo in range(0, n_rows, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n_rows)
-        starts, stops = ends[lo:hi] + 1, ends[lo + 1 : hi + 1]
-        window = windows[stops - width].view(np.uint8).reshape(hi - lo, width)
-        # The tail: "," at every even byte, an ASCII digit at every odd one.
-        tail = window[:, _SHOT_WIDTH:]
-        digits = tail[:, 1::2] - np.uint8(ord("0"))
-        if not (tail[:, ::2] == ord(",")).all() or digits.max() > 9:
+    with open(path, "rb") as fh:
+        if fh.read(len(first)) != first:
             return None
-        bits[lo:hi] = digits
-        # The shot index: the run of digits before the tail, after "," or ",-".
-        shot = window[:, :_SHOT_WIDTH] - np.uint8(ord("0"))
-        n_digits = np.argmax(shot[:, ::-1] > 9, axis=1)
-        if n_digits.min() < 1 or n_digits.max() > _SHOT_DIGITS:
+        blocks = iter(lambda: fh.read(_CHUNK_BYTES), b"")
+        n_rows = sum(np.count_nonzero(np.frombuffer(b, np.uint8) == ord("\n")) for b in blocks)
+        if not n_rows:
             return None
-        flat, rows = window.ravel(), np.arange(0, (hi - lo) * width, width)
-        neg = flat[rows + (_SHOT_WIDTH - 1) - n_digits] == ord("-")
-        comma = _SHOT_WIDTH - 1 - n_digits - neg  # its column in the window
-        if not (flat[rows + comma] == ord(",")).all():
-            return None
-        # The digits are in the last n_digits.max() columns: zero each row's others.
-        keep = -int(n_digits.max())
-        shot = shot[:, keep:] * np.take(_SHOT_MASKS[:, keep:], n_digits, axis=0)
-        value = shot.astype(np.float64) @ _SHOT_PLACES[keep:]
-        shot_index[lo:hi] = np.where(neg, -value, value)
-        # The prefix: every byte of the row before that comma.
-        length = stops - width + comma - starts
-        if length.min() < 1 or length.max() > _PREFIX_MAX:
-            return None
-        n_words = (int(length.max()) + 7) // 8
-        prefix = _windows(buf, 8 * n_words)[starts].view(np.uint64).reshape(hi - lo, -1)
-        prefix &= np.take(_PREFIX_MASKS[:, : prefix.shape[1]], length, axis=0)
-        new = np.empty(hi - lo, dtype=bool)
-        new[1:] = (prefix[1:] != prefix[:-1]).any(axis=1) | (length[1:] != length[:-1])
-        new[0] = buf[starts[0] : starts[0] + length[0]].tobytes() != last
-        last = buf[starts[-1] : starts[-1] + length[-1]].tobytes()
-        for row in np.flatnonzero(new).tolist():
-            values = _prefix_values(buf[starts[row] : starts[row] + length[row]].tobytes())
-            if values is None:
+        fh.seek(len(first))
+        shot_index = np.empty(n_rows, dtype=np.int64)
+        bits = np.empty((n_rows, n_bits), dtype=np.uint8)
+        runs, lo = [], 0
+        # The header is longer than a window, so the first row's window starts in it.
+        rest = first[-width:]
+        while block := fh.read(_CHUNK_BYTES):
+            buf = np.frombuffer(rest + block + bytes(_PREFIX_MAX), dtype=np.uint8)
+            del block  # buf holds a copy
+            size = len(buf) - _PREFIX_MAX
+            stops = np.flatnonzero(buf[width:size] == ord("\n")) + width
+            if not len(stops):
+                rest = buf[:size].tobytes()
+                continue
+            # The next block starts with the width bytes before its first row.
+            rest = buf[stops[-1] + 1 - width : size].tobytes()
+            # More rows than counted, or fewer after the loop: the file changed while read.
+            got = lo + len(stops) <= n_rows and _read_block(buf, stops, width, lo, shot_index, bits)
+            if not got:
                 return None
-            run_starts.append(lo + row)
-            run_values.append(values)
-    counts = np.diff(run_starts + [n_rows])
-    phase_index = np.repeat(np.array([i for i, _ in run_values], dtype=np.int64), counts)
-    phase_rad = np.repeat(np.array([r for _, r in run_values], dtype=np.float64), counts)
+            runs += got
+            lo += len(stops)
+    if len(rest) > width or lo != n_rows:  # a last row without its newline
+        return None
+    starts, index, rad = zip(*runs)
+    counts = np.diff([*starts, n_rows])
+    phase_index = np.repeat(np.array(index, dtype=np.int64), counts)
+    phase_rad = np.repeat(np.array(rad, dtype=np.float64), counts)
     return phase_index, phase_rad, shot_index, bits
 
 
@@ -948,18 +959,13 @@ def _parse_dataset(path, header: str) -> Dataset:
         raise DatasetError(f"{path}: its grid of {n_phases} phases exceeds {MAX_PHASES}")
     phases = grid_phases(n_phases)
     phases[seen] = values
-    # Codes are below 128, so uint8 place values keep the one-pass reader's uint8 bits in uint8.
+    # Codes are below 128, so uint8 place values keep the block reader's uint8 bits in uint8.
     places = _place(CLASSICAL_QUBITS).astype(np.uint8)
     records = bits[:, :CLASSICAL_QUBITS] @ places
     b = bits[:, CLASSICAL_QUBITS:]
     if b.size and np.any(b @ places[-b.shape[1]:] != _B_FROM_M[records]):
         raise DatasetError(f"{path}: b columns disagree with the frozen m positions")
-    return Dataset(
-        phases,
-        np.ascontiguousarray(phase_index),
-        np.ascontiguousarray(shot_index),
-        records.astype(np.uint8),
-    )
+    return Dataset(phases, phase_index, shot_index, records.astype(np.uint8))
 
 
 def read_quantum_csv(path) -> Dataset:

@@ -1,6 +1,7 @@
 """Shared helpers: independent oracles and random-instance generators."""
 
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -84,6 +85,18 @@ def reference_classical_string_probabilities(phi) -> np.ndarray:
     p1 = np.sin(phi / 2.0) ** 2
     ones = np.array([bin(c).count("1") for c in range(128)])
     return p1[:, None] ** ones[None, :] * (1 - p1)[:, None] ** (7 - ones)[None, :]
+
+
+def traced_peak(call):
+    """``(call(), peak)``: the most bytes that tracemalloc saw held during the call
+    above those held when it started, numpy's arrays included."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -15,6 +15,7 @@ from conftest import (
     record_codes,
     reference_classical_string_probabilities,
     reference_mi_from_probabilities,
+    traced_peak,
     wrap_difference,
 )
 from qadc import analysis, cli
@@ -458,11 +459,25 @@ class TestAnalyticLikelihoods:
         assert ic == pytest.approx(quadrature_mi_classical(n_nodes=40000), abs=1e-4)
 
     def test_quadratures_keep_the_bits_of_the_reference(self):
-        phi = grid(20000)
-        classical = reference_classical_string_probabilities(phi)
-        assert np.array_equal(classical_string_probabilities(phi), classical)
-        assert quadrature_mi_classical() == reference_mi_from_probabilities(classical)
-        assert quadrature_mi_quantum() == reference_mi_from_probabilities(bit_chain_probabilities(phi))
+        # The default, and node counts that are not multiples of the kernel's row block.
+        for n_nodes in (20000, 10000, 12345, 33333, 65536):
+            phi = grid(n_nodes)
+            classical = reference_classical_string_probabilities(phi)
+            assert np.array_equal(classical_string_probabilities(phi), classical)
+            by_weight = classical_string_probabilities(phi, np.arange(8))
+            assert np.array_equal(by_weight[:, analysis._ONES], classical)
+            assert quadrature_mi_classical(n_nodes) == reference_mi_from_probabilities(classical)
+            del classical, by_weight
+            quantum = reference_mi_from_probabilities(bit_chain_probabilities(phi))
+            assert quadrature_mi_quantum(n_nodes=n_nodes) == quantum
+        assert quadrature_mi_classical() == quadrature_mi_classical(20000)
+        assert quadrature_mi_quantum() == quadrature_mi_quantum(n_nodes=20000)
+
+    def test_classical_quadrature_holds_no_full_table(self):
+        # Its [20000, 128] likelihood table would take 19.5 MiB; the 8 weight columns take 1.2.
+        value, peak = traced_peak(quadrature_mi_classical)
+        assert value > 0.0
+        assert peak < 4 * 2**20
 
     def test_quadrature_node_guard(self):
         with pytest.raises(ValueError):

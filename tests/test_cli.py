@@ -20,6 +20,8 @@ from qadc.ml import Network, NetworkSpec
 from qadc.photonics import ModelError
 from qadc.protocol import CLASSICAL_CSV_HEADER, MAX_PHASES, QUANTUM_CSV_HEADER
 
+from conftest import traced_peak
+
 BASE_ARGS = ["--n-phases", "6", "--n-shots", "40", "--noiseless"]
 
 
@@ -481,6 +483,34 @@ class TestByteIdentity:
         for out, pinned in ((dae, self.DAE_SHA256), (est, self.ESTIMATOR_SHA256),
                             (report, self.REPORT_SHA256)):
             assert {name: sha256(out / name) for name in pinned} == pinned
+
+
+class TestPhaseRanks:
+    """Each record's rank among its phase's records, in shot order."""
+
+    @staticmethod
+    def shuffled_records(n_phases, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        phase_index = rng.integers(0, n_phases, n_rows)
+        return phase_index, rng.permutation(n_rows).astype(np.int64)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_ranks_count_each_phase_from_zero(self, seed):
+        # Phases 0 and 9 have no rows; records are neither in phase nor in shot order.
+        phase_index, shot_index = self.shuffled_records(8, 500, seed)
+        phase_index += 1
+        want = np.empty(500, dtype=np.int64)
+        for p in range(10):
+            rows = np.flatnonzero(phase_index == p)
+            want[rows[np.argsort(shot_index[rows])]] = np.arange(len(rows))
+        got = cli._phase_ranks(phase_index, shot_index)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_ranks_hold_at_most_three_index_arrays(self):
+        phase_index, shot_index = self.shuffled_records(99, 200_000, 3)
+        ranks, peak = traced_peak(lambda: cli._phase_ranks(phase_index, shot_index))
+        assert peak <= 3 * ranks.nbytes + 2**16
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,7 @@ from conftest import (
     record_bits,
     record_codes,
     sample_survivors,
+    traced_peak,
 )
 from qadc import photonics, protocol
 from qadc.linop import GHZ_INPUT_MODES, logical_rail_pairs
@@ -824,19 +825,83 @@ class TestReaderPaths:
             for got, want in zip(fast, protocol._parse_rows(path, CLASSICAL_CSV_HEADER, 10)):
                 assert np.array_equal(got, want)
 
-    def test_phase_change_on_a_chunk_seam(self, tmp_path):
-        # The first row of the second chunk starts a phase: its prefix is
-        # compared with the last row of the first chunk.
-        n_rows = protocol._CHUNK_ROWS + 300
-        phase_index = (np.arange(n_rows) >= protocol._CHUNK_ROWS).astype(np.int64)
+    @staticmethod
+    def assert_read_as_the_rows(path, header):
+        n_cols = len(header.split(","))
+        fast = protocol._load_columns(path, header, n_cols)
+        assert fast is not None
+        for got, want in zip(fast, protocol._parse_rows(path, header, n_cols)):
+            assert np.array_equal(got, want)
+
+    def test_phase_change_on_a_chunk_seam(self, tmp_path, monkeypatch):
+        # A block ends with the last row of phase 0, so the next block starts
+        # phase 1: its first row's prefix is compared with the last row of the
+        # block before.
+        n_rows = 600
+        phase_index = (np.arange(n_rows) >= 300).astype(np.int64)
         codes = np.random.default_rng(5).integers(0, 128, n_rows).astype(np.uint8)
         ds = protocol.Dataset(np.array([0.0, math.pi]), phase_index, np.arange(n_rows), codes)
         path = tmp_path / "data.csv"
         write_classical_csv(ds, path)
-        fast = protocol._load_columns(path, CLASSICAL_CSV_HEADER, 10)
-        assert fast is not None
-        for got, want in zip(fast, protocol._parse_rows(path, CLASSICAL_CSV_HEADER, 10)):
-            assert np.array_equal(got, want)
+        text = path.read_bytes()
+        seam = text.index(b"\n1,") + 1 - len(CLASSICAL_CSV_HEADER + "\n")
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", seam)
+        self.assert_read_as_the_rows(path, CLASSICAL_CSV_HEADER)
+
+    @pytest.mark.parametrize("kind", sorted(DATASET_KINDS))
+    def test_every_block_size_of_a_short_file(self, tmp_path, monkeypatch, kind):
+        # Sizes from 1 byte put a seam at every byte: rows longer than a block,
+        # rows split by a seam, and phase 0's rows ("0,0,...") shorter than the
+        # window that reads their end, whose window reaches back across a seam.
+        # The largest holds the whole file in one block.
+        simulate, write, _, header = DATASET_KINDS[kind]
+        path = tmp_path / "data.csv"
+        write(simulate(noiseless_config(n_phases=3, n_shots=4)), path)
+        data = path.read_bytes()[len(header) + 1 :]
+        width = protocol._SHOT_WIDTH + 2 * (len(header.split(",")) - 3)
+        assert min(map(len, data.split(b"\n"))) < width
+        for size in range(1, len(data) + 2):
+            monkeypatch.setattr(protocol, "_CHUNK_BYTES", size)
+            self.assert_read_as_the_rows(path, header)
+
+    @pytest.mark.parametrize("size", [61, 4097])
+    @pytest.mark.parametrize("kind", sorted(DATASET_KINDS))
+    def test_multi_phase_file_across_blocks(self, tmp_path, monkeypatch, kind, size):
+        simulate, write, _, header = DATASET_KINDS[kind]
+        path = tmp_path / "data.csv"
+        write(simulate(noiseless_config(n_phases=9, n_shots=60)), path)
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", size)
+        self.assert_read_as_the_rows(path, header)
+
+    @pytest.mark.parametrize("size", [61, 4097])
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [pytest.param(k, e, id=f"{k}-{n}") for k, n, e, _ in READER_CASES],
+    )
+    def test_blocks_agree_on_edited_files(self, tmp_path, monkeypatch, kind, edit, size):
+        # The files are shorter than the default block, which reads each in one.
+        simulate, write, _, header = DATASET_KINDS[kind]
+        path = tmp_path / "data.csv"
+        write(simulate(noiseless_config(n_phases=3, n_shots=4)), path)
+        path.write_bytes(edit(path.read_bytes().decode()).encode())
+        assert path.stat().st_size < protocol._CHUNK_BYTES
+        n_cols = len(header.split(","))
+        whole = protocol._load_columns(path, header, n_cols)
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", size)
+        fast = protocol._load_columns(path, header, n_cols)
+        assert (fast is None) == (whole is None)
+        if fast is not None:
+            for got, want in zip(fast, protocol._parse_rows(path, header, n_cols)):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_peak_is_a_few_blocks_above_the_columns(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_quantum_csv(simulate_quantum_dataset(noiseless_config(n_phases=99, n_shots=1200)), path)
+        assert path.stat().st_size > 4 * protocol._CHUNK_BYTES
+        columns, peak = traced_peak(lambda: protocol._load_columns(path, QUANTUM_CSV_HEADER, 13))
+        assert len(columns[0]) == 99 * 1200
+        assert peak <= sum(c.nbytes for c in columns) + 4 * protocol._CHUNK_BYTES
 
     @pytest.mark.parametrize(
         "kind, edit, expect",
