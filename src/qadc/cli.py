@@ -420,9 +420,9 @@ def _phase_ranks(phase_index, shot_index) -> np.ndarray:
     """Rank of each record within its phase, ordered by shot index."""
     order = np.lexsort((shot_index, phase_index))
     ranks = np.empty_like(order)
-    ranks[order] = np.arange(len(order))
-    counts = np.bincount(phase_index)  # less the position where each phase starts in that order
-    ranks -= (np.cumsum(counts) - counts)[phase_index]
+    ranks[order] = np.arange(len(order))  # the position in that order
+    counts = np.bincount(phase_index)
+    ranks -= (np.cumsum(counts) - counts)[phase_index]  # less where the record's phase starts
     return ranks
 
 
