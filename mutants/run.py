@@ -538,13 +538,30 @@ MUTANTS = (
     ),
     Mutant(
         "phase-ranks-starts-off-by-one",
-        "src/qadc/cli.py",
-        "ranks -= (np.cumsum(counts) - counts)[phase_index]",
-        "ranks -= (np.cumsum(counts) - counts + 1)[phase_index]",
+        "src/qadc/analysis.py",
+        "ranks -= (np.cumsum(counts) - counts)[ds.phase_index]",
+        "ranks -= (np.cumsum(counts) - counts + 1)[ds.phase_index]",
         (
-            "tests/test_cli.py::TestPhaseRanks::test_ranks_count_each_phase_from_zero[1]",
+            "tests/test_analysis.py::TestPhaseRanks::test_ranks_count_each_phase_from_zero[1]",
             "tests/test_cli.py::TestByteIdentity::test_pinned_dataset_and_curve_bytes",
         ),
+    ),
+    Mutant(
+        "fold-bin-map-reversed",
+        "src/qadc/analysis.py",
+        "np.add.at(counts.T, bins, table.counts.T)",
+        "np.add.at(counts.T, bins[::-1], table.counts.T)",
+        (
+            "tests/test_analysis.py::TestTables::test_single_outcome_marginal_projection",
+            "tests/test_analysis.py::TestHistograms::test_classical_bins_of_every_code",
+        ),
+    ),
+    Mutant(
+        "phase-value-from-run-starts",
+        "src/qadc/protocol.py",
+        "np.flatnonzero(phase_index[1:] != phase_index[:-1])",
+        "np.flatnonzero(phase_index[1:] != phase_index[:-1]) + 1",
+        ("tests/test_protocol.py::TestDatasetFiles::test_phase_value_is_read_from_its_last_row",),
     ),
 )
 

@@ -1,23 +1,24 @@
 """Raw-data estimators, conditional-probability tables and mutual information.
 
 Tables hold per-phase outcome counts, each counted by one ``bincount``
-(`_per_phase`, which also sums the classical means); probabilities are
-plug-in frequencies N_m / n_shots and the phase average realizes the uniform
-prior over the sampled grid.  The record layout (128 codes, their bits and
-popcounts) and the phase grid are `qadc.protocol`'s.  The b-marginal of a
-7-bit quantum table (`marginalize_to_bits`) holds the quantum phase
-histograms.  Bootstrap errors resample per-cell counts from Poisson laws.
-Only the observed (non-zero) cells are drawn: a Poisson law of mean 0 gives 0
-without consuming the generator, so the replicates and the generator's
-stream are those of drawing every cell.  The point estimate and every
-replicate are scored by one sparse kernel (`_sparse_mi`).  The calling
-thread draws the replicates in order and one worker thread, joined before
-`bootstrap_mi` returns, scores each while the next is drawn; scores are
+(`_per_phase`, which also sums the classical means), and the MI curves' tables
+of each phase's first k shots come from `prefix_tables` alone; probabilities
+are plug-in frequencies N_m / n_shots and the phase average realizes the
+uniform prior over the sampled grid.  The record layout and the phase grid are
+`qadc.protocol`'s.  Both phase histograms fold a 7-bit table into the 8
+digital bins (`_fold`): the quantum b-marginal by the b-index, the classical
+one by each code's nearest bin.  Bootstrap errors resample per-cell counts
+from Poisson laws.  Only the observed (non-zero) cells are drawn: a Poisson
+law of mean 0 gives 0 without consuming the generator, so the replicates and
+the generator's stream are those of drawing every cell.  The point estimate
+and every replicate are scored by one sparse kernel (`_sparse_mi`).  The
+calling thread draws the replicates in order and one worker thread, joined
+before `bootstrap_mi` returns, scores each while the next is drawn; scores are
 collected in draw order, so the result and the generator's end state do not
-depend on thread scheduling.  Independent
-quadrature oracles evaluate the analytic noiseless likelihood chains on
-dense grids with their own dense kernel (`_mi_from_probabilities`); they
-share no MI code with the sampling pipeline and anchor the acceptance suite.
+depend on thread scheduling.  Independent quadrature oracles evaluate the
+analytic noiseless likelihood chains on dense grids with their own dense
+kernel (`_mi_from_probabilities`); they share no MI code with the sampling
+pipeline and anchor the acceptance suite.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,9 +104,9 @@ def _per_phase(phase_index, keys, n_phases: int, n_keys: int, weights) -> np.nda
     return flat.reshape(n_phases, n_keys)
 
 
-def _table(ds: Dataset, kind: str, keep=slice(None)) -> CondProbTable:
-    """Per-phase counts of the records of ``ds`` that ``keep`` selects (default: all)."""
-    counts = _per_phase(ds.phase_index[keep], ds.records[keep], ds.n_phases, M_OUTCOMES, None)
+def _table(ds: Dataset, kind: str) -> CondProbTable:
+    """Per-phase counts of the records of ``ds``."""
+    counts = _per_phase(ds.phase_index, ds.records, ds.n_phases, M_OUTCOMES, None)
     return CondProbTable(ds.phases, counts, kind=kind)
 
 
@@ -116,13 +118,49 @@ def table_from_classical(ds: Dataset) -> CondProbTable:
     return _table(ds, "c7")
 
 
-def marginalize_to_bits(table: CondProbTable) -> CondProbTable:
-    """Sum counts over the four non-informative bits of a 7-bit table."""
-    if table.kind != "m7":
-        raise ValueError(f"can only marginalize 7-bit quantum tables, got {table.kind}")
+def prefix_tables(ds: Dataset, kind: str, sizes) -> Iterator[CondProbTable]:
+    """The table of each phase's first k records in shot order, for each k of ``sizes``,
+    counted when it is asked for; the ranks are held until the generator is dropped."""
+    order = np.lexsort((ds.shot_index, ds.phase_index))
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(len(order))  # the position in that order
+    del order  # not held while the tables are counted
+    counts = np.bincount(ds.phase_index)
+    ranks -= (np.cumsum(counts) - counts)[ds.phase_index]  # less where the record's phase starts
+    for k in sizes:
+        keep = ranks < k
+        counts = _per_phase(ds.phase_index[keep], ds.records[keep], ds.n_phases, M_OUTCOMES, None)
+        yield CondProbTable(ds.phases, counts, kind=kind)
+
+
+#: Bin centers of the 8 digital estimates 2*pi*j/8.
+HISTOGRAM_BIN_CENTERS = grid_phases(B_OUTCOMES)
+
+
+def _fold(table: CondProbTable, kind: str, bins: np.ndarray) -> CondProbTable:
+    """The b-table of a 7-bit table of ``kind``: column ``c`` summed into bin ``bins[c]``."""
+    if table.kind != kind:
+        raise ValueError(f"can only fold {kind} tables into bins, got {table.kind}")
     counts = np.zeros((table.counts.shape[0], B_OUTCOMES))
-    np.add.at(counts.T, _B_FROM_M, table.counts.T)
+    np.add.at(counts.T, bins, table.counts.T)
     return CondProbTable(table.phases, counts, kind="b3")
+
+
+def marginalize_to_bits(table: CondProbTable) -> CondProbTable:
+    """Sum counts over the four non-informative bits of a 7-bit quantum table."""
+    return _fold(table, "m7", _B_FROM_M)
+
+
+def classical_phase_histograms(table: CondProbTable) -> np.ndarray:
+    """Per-phase frequencies of classical estimates in the same 8-bin layout.
+
+    Each estimate (in [0, pi]) is assigned to the nearest of the 8 digital bin
+    centers, so the classical table's columns fold into the bins of their codes.
+    """
+    codes = np.arange(M_OUTCOMES)
+    diffs = np.abs(classical_estimates(codes)[:, None] - HISTOGRAM_BIN_CENTERS[None, :])
+    diffs = np.minimum(diffs, TWO_PI - diffs)
+    return _fold(table, "c7", np.argmin(diffs, axis=1)).probabilities()
 
 
 # ---------------------------------------------------------------------------
@@ -284,28 +322,6 @@ def reference_bounds(n_resources: int) -> tuple[float, float]:
     if n_resources < 1:
         raise ValueError("resource count must be positive")
     return (0.5 * math.log2(n_resources), math.log2(n_resources))
-
-
-# ---------------------------------------------------------------------------
-# Histograms
-# ---------------------------------------------------------------------------
-
-#: Bin centers of the 8 digital estimates 2*pi*j/8.
-HISTOGRAM_BIN_CENTERS = grid_phases(B_OUTCOMES)
-
-
-def classical_phase_histograms(ds: Dataset) -> np.ndarray:
-    """Per-phase frequencies of classical estimates in the same 8-bin layout.
-
-    Each estimate (in [0, pi]) is assigned to the nearest of the 8 digital bin
-    centers; the 128 codes are binned once and each record looks its bin up.
-    """
-    codes = np.arange(M_OUTCOMES)
-    diffs = np.abs(classical_estimates(codes)[:, None] - HISTOGRAM_BIN_CENTERS[None, :])
-    diffs = np.minimum(diffs, TWO_PI - diffs)
-    bins = np.argmin(diffs, axis=1)
-    counts = _per_phase(ds.phase_index, bins[ds.records], ds.n_phases, B_OUTCOMES, None)
-    return CondProbTable(ds.phases, counts, kind="b3").probabilities()
 
 
 # ---------------------------------------------------------------------------

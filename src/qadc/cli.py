@@ -416,16 +416,6 @@ def _curve_points(n_shots: int, n_points: int) -> list[int]:
     return [int(k) for k in points]
 
 
-def _phase_ranks(phase_index, shot_index) -> np.ndarray:
-    """Rank of each record within its phase, ordered by shot index."""
-    order = np.lexsort((shot_index, phase_index))
-    ranks = np.empty_like(order)
-    ranks[order] = np.arange(len(order))  # the position in that order
-    counts = np.bincount(phase_index)
-    ranks -= (np.cumsum(counts) - counts)[phase_index]  # less where the record's phase starts
-    return ranks
-
-
 def cmd_analyze(args) -> int:
     config = load_config(args)
     acfg = config["analysis"]
@@ -447,9 +437,8 @@ def cmd_analyze(args) -> int:
     bound_classical = analysis.quadrature_mi_classical()
     bound_quantum = analysis.quadrature_mi_quantum()
 
-    ranks = {
-        name: _phase_ranks(ds.phase_index, ds.shot_index) for name, ds in datasets.items()
-    }
+    prefixes = {name: analysis.prefix_tables(ds, tables[name].kind, points)
+                for name, ds in datasets.items()}
     curves = []
     for k in points:
         row = [str(k)]
@@ -457,11 +446,10 @@ def cmd_analyze(args) -> int:
             if name not in datasets:
                 row += ["nan", "nan"]
                 continue
-            # The table of each phase's first k records, in shot order.
-            table = analysis._table(datasets[name], tables[name].kind, ranks[name] < k)
-            est = analysis.bootstrap_mi(table, acfg["n_resamples"], rng)
+            est = analysis.bootstrap_mi(next(prefixes[name]), acfg["n_resamples"], rng)
             row += [est.value, est.stderr]
         curves.append(row + [bound_sql, bound_classical, bound_quantum])
+    del prefixes  # frees the phase ranks before the histograms are built
     header = ("n_shots,mi_quantum,mi_quantum_err,mi_classical,mi_classical_err,"
               "bound_sql,bound_classical,bound_quantum")
     outputs = {"mi_curves.csv": _csv(header, curves)}
@@ -473,7 +461,7 @@ def cmd_analyze(args) -> int:
             circ, arith = analysis.mean_quantum_estimates(marginal)
             estimates = {"phi_est_circular": circ, "phi_est_arithmetic": arith}
         else:
-            hist = analysis.classical_phase_histograms(ds)
+            hist = analysis.classical_phase_histograms(tables[name])
             estimates = {"phi_est_mean": analysis.mean_classical_estimates(ds)}
         outputs[f"histogram_{name}.csv"] = _csv(
             "phase_index,bin_center_rad,frequency",
@@ -615,8 +603,8 @@ def cmd_report(args) -> int:
 
 
 #: (input, output) widths of each model given to ``report``.
-DAE_WIDTHS = (analysis.M_OUTCOMES, analysis.M_OUTCOMES)
-ESTIMATOR_WIDTHS = (2 * analysis.B_OUTCOMES, 1)
+DAE_WIDTHS = (ml.build_dae().widths[0], ml.build_dae().widths[-1])
+ESTIMATOR_WIDTHS = (ml.build_estimator().widths[0], ml.build_estimator().widths[-1])
 
 
 def load_model(path: str, widths: tuple[int, int]) -> ml.Network:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qadc.analysis import M_OUTCOMES, bit_chain_probabilities
+from qadc.analysis import B_OUTCOMES, M_OUTCOMES, bit_chain_probabilities
 from qadc.linop import TWO_PI
 from qadc.protocol import _B_FROM_M, grid_phases
 
@@ -415,7 +415,7 @@ def build_dae() -> NetworkSpec:
 
 def build_estimator() -> NetworkSpec:
     """Phase regressor: [16, 52, 52, 52, 1], sigmoid then tanh, linear output."""
-    return NetworkSpec((16, 52, 52, 52, 1), ("sigmoid", "tanh", "tanh", "linear"))
+    return NetworkSpec((2 * B_OUTCOMES, 52, 52, 52, 1), ("sigmoid", "tanh", "tanh", "linear"))
 
 
 # ---------------------------------------------------------------------------

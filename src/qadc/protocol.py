@@ -951,9 +951,10 @@ def _parse_dataset(path, header: str) -> Dataset:
         raise DatasetError(f"{path}: phase_index must be non-negative")
     if not np.isfinite(phase_rad).all():
         raise DatasetError(f"{path}: phase_rad must be finite")
-    # The last row of each phase index sets its phase value.
-    seen, last = np.unique(phase_index[::-1], return_index=True)
-    values = phase_rad[::-1][last]
+    # The last row of each phase index sets its phase value; that row ends a run of the index.
+    ends = np.append(np.flatnonzero(phase_index[1:] != phase_index[:-1]), len(phase_index) - 1)
+    seen, last = np.unique(phase_index[ends][::-1], return_index=True)
+    values = phase_rad[ends][::-1][last]
     n_phases = _grid_size(seen, values)
     if n_phases > MAX_PHASES:
         raise DatasetError(f"{path}: its grid of {n_phases} phases exceeds {MAX_PHASES}")

@@ -33,6 +33,7 @@ from qadc.analysis import (
     mean_classical_estimates,
     mean_quantum_estimates,
     mutual_information,
+    prefix_tables,
     quadrature_mi_classical,
     quadrature_mi_quantum,
     reference_bounds,
@@ -112,6 +113,8 @@ class TestTables:
         marg = marginalize_to_bits(table)
         assert marg.counts.shape == (4, 8)
         assert np.allclose(marg.n_shots_effective, table.n_shots_effective)
+        with pytest.raises(ValueError, match="can only fold m7 tables"):
+            marginalize_to_bits(CondProbTable(table.phases, table.counts, kind="c7"))
 
     def test_single_outcome_marginal_projection(self):
         counts = np.zeros((1, 128))
@@ -319,10 +322,8 @@ class TestBootstrapMatchesDenseReference:
     )
     def test_analyze_curve_tables(self, simulate):
         ds = simulate(ProtocolConfig(n_phases=12, n_shots=300, noise=NOISELESS, seed=5))
-        ranks = cli._phase_ranks(ds.phase_index, ds.shot_index)
         rng = np.random.default_rng(101)
-        for k in cli._curve_points(300, 12):
-            table = analysis._table(ds, "m7", ranks < k)
+        for table in prefix_tables(ds, "m7", cli._curve_points(300, 12)):
             assert (table.counts == 0).mean() > 0.5
             assert_bootstrap_matches_dense(table, 100, rng)
 
@@ -412,11 +413,13 @@ class TestHistograms:
     def test_classical_histogram_binning(self):
         cfg = ProtocolConfig(n_phases=5, n_shots=300, noise=NOISELESS, seed=8)
         ds = simulate_classical_dataset(cfg)
-        hist = classical_phase_histograms(ds)
+        hist = classical_phase_histograms(table_from_classical(ds))
         assert hist.shape == (5, 8)
         assert np.allclose(hist.sum(axis=1), 1.0)
         # classical estimates live in [0, pi]: bins past pi stay empty
         assert np.allclose(hist[:, 5:], 0.0)
+        with pytest.raises(ValueError, match="can only fold c7 tables"):
+            classical_phase_histograms(table_from_quantum(ds))
 
 
     def test_classical_bins_of_every_code(self):
@@ -431,7 +434,7 @@ class TestHistograms:
         for p, estimate in zip(phase_index, classical_estimates(records)):
             distance = [abs(wrap_difference(estimate, c)) for c in HISTOGRAM_BIN_CENTERS]
             counts[p, int(np.argmin(distance))] += 1
-        hist = classical_phase_histograms(ds)
+        hist = classical_phase_histograms(table_from_classical(ds))
         assert np.array_equal(hist, counts / counts.sum(axis=1, keepdims=True))
 
 
@@ -530,7 +533,7 @@ class TestMeanEstimates:
             values = [2 * math.acos(math.sqrt(list(r).count(0) / 7)) for r in rows]
             assert means[i] == pytest.approx(np.mean(values), abs=1e-12)
         assert math.isnan(means[1])
-        hist = classical_phase_histograms(ds)
+        hist = classical_phase_histograms(table_from_classical(ds))
         assert np.all(hist[1] == 0.0)
         assert np.allclose(np.delete(hist, 1, axis=0).sum(axis=1), 1.0)
 
@@ -549,11 +552,17 @@ class TestPerPhaseCounterMatchesAddAt:
 
     def test_tables(self, seed, noise):
         cfg = ProtocolConfig(n_phases=7, n_shots=300, noise=noise, seed=seed)
-        for simulate, kind in ((simulate_quantum_dataset, "m7"), (simulate_classical_dataset, "c7")):
+        for simulate, tabulate in ((simulate_quantum_dataset, table_from_quantum),
+                                   (simulate_classical_dataset, table_from_classical)):
             ds = without_end_phases(simulate(cfg))
-            for keep in (slice(None), ds.shot_index % 3 != 0):
+            table = tabulate(ds)
+            expected = add_at_per_phase(ds.phase_index, ds.records, 7, 128)
+            assert np.array_equal(table.counts, expected), table.kind
+            ranks = reference_ranks(ds.phase_index, ds.shot_index)
+            for k, prefix in zip((100, 200), prefix_tables(ds, table.kind, (100, 200))):
+                keep = ranks < k
                 expected = add_at_per_phase(ds.phase_index[keep], ds.records[keep], 7, 128)
-                assert np.array_equal(analysis._table(ds, kind, keep).counts, expected), kind
+                assert np.array_equal(prefix.counts, expected), (table.kind, k)
 
     def test_classical_histograms_and_means(self, seed, noise):
         cfg = ProtocolConfig(n_phases=7, n_shots=300, noise=noise, seed=seed)
@@ -564,9 +573,53 @@ class TestPerPhaseCounterMatchesAddAt:
         ])
         counts = add_at_per_phase(ds.phase_index, bins[ds.records], 7, 8)
         expected = CondProbTable(ds.phases, counts, kind="b3").probabilities()
-        assert np.array_equal(classical_phase_histograms(ds), expected)
+        assert np.array_equal(classical_phase_histograms(table_from_classical(ds)), expected)
         sums = add_at_per_phase(ds.phase_index, 0, 7, 1, classical_estimates(ds.records))[:, 0]
         n = add_at_per_phase(ds.phase_index, 0, 7, 1)[:, 0]
         means = np.divide(sums, n, out=np.full(7, np.nan), where=n > 0)
         np.testing.assert_array_equal(mean_classical_estimates(ds), means)
         assert np.isnan(means[[0, -1]]).all() and np.isfinite(means[1:-1]).all()
+
+
+def reference_ranks(phase_index, shot_index) -> np.ndarray:
+    """Rank of each record among its phase's records in shot order: one argsort per phase."""
+    ranks = np.empty(len(phase_index), dtype=np.int64)
+    for p in np.unique(phase_index):
+        rows = np.flatnonzero(phase_index == p)
+        ranks[rows[np.argsort(shot_index[rows])]] = np.arange(len(rows))
+    return ranks
+
+
+class TestPhaseRanks:
+    """`prefix_tables` counts each phase's records of rank below k, in shot order."""
+
+    @staticmethod
+    def shuffled_dataset(n_phases, n_rows, seed):
+        # Records are neither in phase nor in shot order.
+        rng = np.random.default_rng(seed)
+        phase_index = rng.integers(0, n_phases, n_rows)
+        shot_index = rng.permutation(n_rows).astype(np.int64)
+        records = rng.integers(0, 128, n_rows).astype(np.uint8)
+        return Dataset(grid(n_phases), phase_index, shot_index, records)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_ranks_count_each_phase_from_zero(self, seed):
+        # Phase 0 has no rows; the sizes run from one record per phase to more than any holds.
+        ds = self.shuffled_dataset(8, 500, seed)
+        ds = Dataset(grid(9), ds.phase_index + 1, ds.shot_index, ds.records)
+        ranks = reference_ranks(ds.phase_index, ds.shot_index)
+        sizes = [1, 2, 30, 61, 500]
+        tables = list(prefix_tables(ds, "c7", sizes))
+        assert len(tables) == len(sizes)
+        for k, table in zip(sizes, tables):
+            keep = ranks < k
+            assert table.kind == "c7" and np.array_equal(table.phases, ds.phases)
+            expected = add_at_per_phase(ds.phase_index[keep], ds.records[keep], 9, 128)
+            assert np.array_equal(table.counts, expected), k
+
+    def test_ranks_hold_at_most_three_index_arrays(self):
+        # Ranking, which the first table waits for, holds no more than three index arrays.
+        ds = self.shuffled_dataset(99, 200_000, 3)
+        table, peak = traced_peak(lambda: next(prefix_tables(ds, "m7", [1])))
+        assert table.counts.sum() == 99
+        assert peak <= 3 * ds.shot_index.nbytes + 2**16

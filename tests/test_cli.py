@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import qadc
-from conftest import traced_peak
 from qadc import analysis, cli, ml, protocol
 from qadc.cli import main
 from qadc.linop import SizeLimitError
@@ -482,34 +481,6 @@ class TestByteIdentity:
         for out, pinned in ((dae, self.DAE_SHA256), (est, self.ESTIMATOR_SHA256),
                             (report, self.REPORT_SHA256)):
             assert {name: sha256(out / name) for name in pinned} == pinned
-
-
-class TestPhaseRanks:
-    """Each record's rank among its phase's records, in shot order."""
-
-    @staticmethod
-    def shuffled_records(n_phases, n_rows, seed):
-        rng = np.random.default_rng(seed)
-        phase_index = rng.integers(0, n_phases, n_rows)
-        return phase_index, rng.permutation(n_rows).astype(np.int64)
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_ranks_count_each_phase_from_zero(self, seed):
-        # Phase 0 has no rows; records are neither in phase nor in shot order.
-        phase_index, shot_index = self.shuffled_records(8, 500, seed)
-        phase_index += 1
-        want = np.empty(500, dtype=np.int64)
-        for p in range(9):
-            rows = np.flatnonzero(phase_index == p)
-            want[rows[np.argsort(shot_index[rows])]] = np.arange(len(rows))
-        got = cli._phase_ranks(phase_index, shot_index)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
-
-    def test_ranks_hold_at_most_three_index_arrays(self):
-        phase_index, shot_index = self.shuffled_records(99, 200_000, 3)
-        ranks, peak = traced_peak(lambda: cli._phase_ranks(phase_index, shot_index))
-        assert peak <= 3 * ranks.nbytes + 2**16
 
 
 @pytest.fixture(scope="module")

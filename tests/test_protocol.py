@@ -651,6 +651,21 @@ class TestDatasetFiles:
         ))
         assert read_quantum_csv(path).n_phases == n_phases
 
+    def test_phase_value_is_read_from_its_last_row(self, tmp_path):
+        # Phase 1's rows come in two runs between phase 0's, and each carries
+        # its own phase text: the value is that of its last row, which ends
+        # its second run and is not the file's last row.
+        path = tmp_path / "q.csv"
+        write_quantum_csv(simulate_quantum_dataset(noiseless_config(n_phases=2, n_shots=4)), path)
+        header, *lines = path.read_text().splitlines(keepends=True)
+        zeros = [line for line in lines if line.startswith("0,")]
+        ones = [line.split(",", 2) for line in lines if line.startswith("1,")]
+        ones = [f"1,{rad},{rest}" for rad, (_, _, rest) in zip(["1.0", "2.0", "2.5", "3.0"], ones)]
+        path.write_text(header + "".join(ones[:2] + zeros[:2] + ones[2:] + zeros[2:]))
+        ds = read_quantum_csv(path)
+        assert ds.phases.tolist() == [0.0, 3.0]
+        assert ds.phase_index.tolist() == [1, 1, 0, 0, 1, 1, 0, 0]
+
     def test_malformed_csv_reports_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         ds = simulate_quantum_dataset(noiseless_config(n_phases=1, n_shots=5))
@@ -902,6 +917,17 @@ class TestReaderPaths:
         columns, peak = traced_peak(lambda: protocol._load_columns(path, QUANTUM_CSV_HEADER, 13))
         assert len(columns[0]) == 99 * 1200
         assert peak <= sum(c.nbytes for c in columns) + 4 * protocol._CHUNK_BYTES
+
+    def test_dataset_holds_no_index_copies_above_the_columns(self, tmp_path):
+        # Each phase's value is looked up among the run ends of its index, so
+        # no sort or reversed copy of the index column is made; what the check
+        # of the b columns holds stays under two int64 arrays of the rows.
+        path = tmp_path / "data.csv"
+        write_quantum_csv(simulate_quantum_dataset(noiseless_config(n_phases=99, n_shots=3000)), path)
+        _, load_peak = traced_peak(lambda: protocol._load_columns(path, QUANTUM_CSV_HEADER, 13))
+        ds, peak = traced_peak(lambda: read_quantum_csv(path))
+        assert len(ds.records) == 99 * 3000
+        assert peak <= load_peak + 2 * ds.shot_index.nbytes
 
     @pytest.mark.parametrize(
         "kind, edit, expect",
