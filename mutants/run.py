@@ -394,15 +394,15 @@ MUTANTS = (
     Mutant(
         "memo-key-without-unitary",
         "src/qadc/photonics.py",
-        "    key: tuple = (u.tobytes(),)\n",
-        "    key: tuple = ()\n",
+        "    unitary = u.tobytes()\n",
+        '    unitary = b""\n',
         ("tests/test_photonics.py::TestConvolutionMemo::test_memo_keys_the_unitary",),
     ),
     Mutant(
         "memo-key-without-gram-block",
         "src/qadc/photonics.py",
-        "        key += (modes, sub.tobytes())\n",
-        "        key += (modes,)\n",
+        "            key += (modes, sub.tobytes())\n",
+        "            key += (modes,)\n",
         ("tests/test_photonics.py::TestConvolutionMemo::test_memo_keys_the_gram_block",),
     ),
     Mutant(
@@ -414,8 +414,34 @@ MUTANTS = (
             "tests/test_protocol.py::TestPhaseSeries::test_mixture_shares_builds_without_changing_bits",
         ),
         more=(
-            ("src/qadc/photonics.py", "    key: tuple = (u.tobytes(),)\n", "    key: tuple = ()\n"),
+            ("src/qadc/photonics.py", "    unitary = u.tobytes()\n", '    unitary = b""\n'),
         ),
+    ),
+    Mutant(
+        "plan-key-without-gram-bytes",
+        "src/qadc/photonics.py",
+        "        key = (n_modes, ensemble.input_modes, ensemble.gram.entries.tobytes())\n",
+        "        key = (n_modes, ensemble.input_modes)\n",
+        ("tests/test_photonics.py::TestPatternPlans::test_gram_matrices_never_share_a_plan",),
+    ),
+    Mutant(
+        "draw-ignores-the-phase-cap",
+        "src/qadc/protocol.py",
+        "            count = min(draw(need, a), phase_cap - attempts)\n",
+        "            count = draw(need, a)\n",
+        (
+            "tests/test_protocol.py::TestDrawSizeChangesNoDataset::"
+            "test_phases_at_the_attempt_cap[quantum]",
+            "tests/test_protocol.py::TestDrawSizeChangesNoDataset::"
+            "test_phases_at_the_attempt_cap[classical]",
+        ),
+    ),
+    Mutant(
+        "sweep-chunk-takes-the-phase-draw",
+        "src/qadc/protocol.py",
+        "config, _STREAM_SWEEP, _sweep_chunk, _sweep_draw,",
+        "config, _STREAM_SWEEP, _sweep_chunk, _phase_draw,",
+        ("tests/test_protocol.py::TestDrawSizeChangesNoDataset::test_the_sweep_keeps_its_chunk",),
     ),
     Mutant(
         "device-noise-preset-without-eta",

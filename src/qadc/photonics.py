@@ -35,6 +35,8 @@ ORACLE_MAX_MODES = 8
 FORMULA_MAX_PHOTONS = 6
 G2_GUARD = 0.1
 _FACTORIALS = np.array([math.factorial(c) for c in range(FORMULA_MAX_PHOTONS + 1)], float)
+#: dtype of the count patterns, which plans hold for a whole run.
+_COUNT = np.int8
 
 
 class ModelError(ValueError):
@@ -284,10 +286,48 @@ def _distinguishable_blocks(gram: GramMatrix) -> list[list[int]]:
     return blocks
 
 
-def _block_distribution(
-    u: np.ndarray, in_modes: tuple[int, ...], gram_entries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Output count distribution of one coherent photon block.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only: plans hand it to every caller."""
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True)
+class _Block:
+    """What the double-permutation sum of one coherent block needs besides the unitary.
+
+    ``flat`` [n_perm, K, k] indexes the raveled unitary at (output mode of
+    photon slot j of pattern p, input mode of photon perm[f][j]); ``w``
+    [n_perm, n_perm] holds the Gram weights prod_k S[sigma(k), tau(k)];
+    ``counts`` [K, n_modes] are the output count patterns and ``divisor`` [K]
+    the product of their factorials.
+    """
+
+    flat: np.ndarray
+    w: np.ndarray
+    counts: np.ndarray
+    divisor: np.ndarray
+
+
+def _block_plan(n_modes: int, in_modes: tuple[int, ...], gram_entries: np.ndarray) -> _Block:
+    """The unitary-independent part of `_block_distribution` for one coherent block."""
+    k = len(in_modes)
+    if k > FORMULA_MAX_PHOTONS:
+        raise SizeLimitError(f"interference formula guard: {k} photons in one block")
+    pats = np.array(list(combinations_with_replacement(range(n_modes), k)), dtype=np.intp)
+    perms = np.array(list(permutations(range(k))), dtype=np.intp)
+    cols = np.asarray(in_modes, dtype=np.intp)[perms]  # [n_perm, k]
+    counts = _read_only((pats[:, :, None] == np.arange(n_modes)).sum(axis=1, dtype=_COUNT))
+    return _Block(
+        flat=pats[None, :, :] * n_modes + cols[:, None, :],
+        w=np.prod(gram_entries[perms[:, None, :], perms[None, :, :]], axis=2),
+        counts=counts,
+        divisor=_FACTORIALS[counts].prod(axis=1),
+    )
+
+
+def _block_distribution(u: np.ndarray, block: _Block) -> tuple[np.ndarray, np.ndarray]:
+    """Output count distribution of one coherent photon block under ``u``.
 
     P(d) = (1 / prod_m mu_m!) * sum_{sigma,tau} prod_k S[sigma(k), tau(k)]
            * conj(U[d_k, s_sigma(k)]) * U[d_k, s_tau(k)]
@@ -297,84 +337,132 @@ def _block_distribution(
 
     Returns the count patterns [K, n_modes] and their probabilities [K].
     """
-    n_modes = u.shape[0]
-    k = len(in_modes)
-    if k == 0:
-        return np.zeros((1, n_modes), dtype=np.int64), np.ones(1)
-    if k > FORMULA_MAX_PHOTONS:
-        raise SizeLimitError(f"interference formula guard: {k} photons in one block")
-    pats = np.array(list(combinations_with_replacement(range(n_modes), k)), dtype=np.intp)
-    perms = np.array(list(permutations(range(k))), dtype=np.intp)
-    cols = np.asarray(in_modes, dtype=np.intp)[perms]  # [n_perm, k]
-    v = np.empty((len(perms), len(pats)), dtype=complex)
-    for f in range(len(perms)):
-        v[f] = np.prod(u[pats, cols[f][None, :]], axis=1)
-    w = np.prod(gram_entries[perms[:, None, :], perms[None, :, :]], axis=2)
-    probs = np.einsum("fp,gp,fg->p", v.conj(), v, w)
+    v = np.prod(np.take(u, block.flat), axis=2)  # [n_perm, K]
+    probs = np.einsum("fp,gp,fg->p", v.conj(), v, block.w)
     if np.max(np.abs(probs.imag)) > REALNESS_TOL:
         raise FloatingPointError("interference probabilities acquired imaginary parts")
-    counts = (pats[:, :, None] == np.arange(n_modes)).sum(axis=1)
-    probs = probs.real / _FACTORIALS[counts].prod(axis=1)
-    return counts, _clip_probability(probs, "block distribution")
+    return block.counts, _clip_probability(probs.real / block.divisor, "block distribution")
+
+
+@dataclass(frozen=True)
+class _Prefix:
+    """One prefix of the convolution: its last block and how its patterns merge.
+
+    Pattern pair (i, j) of the previous prefix's patterns and the block's,
+    row-major, is output pattern ``index[i * K_block + j]`` of ``counts``.
+    """
+
+    key: tuple
+    block: _Block
+    index: np.ndarray
+    counts: np.ndarray
+
+
+def _merge(key: tuple, counts: np.ndarray, block: _Block) -> _Prefix:
+    """The prefix that convolves the patterns ``counts`` with those of ``block``."""
+    # A pattern's code is its counts as digits in base (photons so far) + 1;
+    # no digit can carry, so the code of a sum of patterns is the sum of codes.
+    base = int(counts[0].sum() + block.counts[0].sum()) + 1
+    radix = base ** np.arange(counts.shape[1], dtype=np.int64)
+    codes = (counts @ radix)[:, None] + (block.counts @ radix)[None, :]
+    # Patterns keep the order of their first appearance, and each sum adds its
+    # terms in row-major order: the arithmetic of the pairwise loop over
+    # (pattern, block pattern), term by term, for any radix.
+    _, first, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.argsort(order)
+    pair = first[order]
+    n_block = len(block.counts)
+    merged = counts[pair // n_block] + block.counts[pair % n_block]
+    return _Prefix(key, block, rank[inverse], _read_only(merged))
+
+
+class PatternPlans:
+    """The parts of `full_output_distribution` that do not depend on the unitary.
+
+    For each ensemble on ``n_modes`` modes, keyed by (n_modes, input modes,
+    Gram matrix bytes), the chain of its convolution prefixes; each prefix,
+    keyed by n_modes and the (input modes, Gram sub-block bytes) of its
+    blocks, holds its last block's patterns, permutation indices and Gram
+    weights and the merge of its patterns with the prefix before it.
+    Ensembles that share leading blocks share those prefixes.  Held for as
+    long as its owner builds distributions; it grows with the distinct
+    ensembles, never with the unitaries.
+    """
+
+    def __init__(self):
+        self._chains: dict = {}
+        self._prefixes: dict = {}
+
+    def chain(self, n_modes: int, ensemble: PhotonEnsemble) -> tuple[_Prefix, ...]:
+        key = (n_modes, ensemble.input_modes, ensemble.gram.entries.tobytes())
+        if key not in self._chains:
+            self._chains[key] = tuple(self._build_chain(n_modes, ensemble))
+        return self._chains[key]
+
+    def _build_chain(self, n_modes: int, ensemble: PhotonEnsemble):
+        key: tuple = (n_modes,)
+        counts = np.zeros((1, n_modes), dtype=_COUNT)
+        for block in _distinguishable_blocks(ensemble.gram):
+            modes = tuple(ensemble.input_modes[i] for i in block)
+            sub = ensemble.gram.entries[np.ix_(block, block)]
+            key += (modes, sub.tobytes())
+            if key not in self._prefixes:
+                self._prefixes[key] = _merge(key, counts, _block_plan(n_modes, modes, sub))
+            counts = self._prefixes[key].counts
+            yield self._prefixes[key]
 
 
 def full_output_distribution(
-    u: np.ndarray, ensemble: PhotonEnsemble, memo: dict | None = None
+    u: np.ndarray,
+    ensemble: PhotonEnsemble,
+    memo: dict | None = None,
+    plans: PatternPlans | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probability of every output count pattern for the full ensemble.
 
-    Returns ``(counts, probs)``: the count patterns as an int array
+    Returns ``(counts, probs)``: the count patterns as an int8 array
     [K, n_modes], each pattern once, and their probabilities as a float64
-    array [K].  The ensemble is split into mutually orthogonal blocks whose
+    array [K].  Ensembles of more than 127 photons raise SizeLimitError.  The ensemble is split into mutually orthogonal blocks whose
     distributions are computed by the double-permutation formula and
     convolved: every pattern row of one block is added to every row of the
     next, and equal sums are merged.  Validated against `oracle_full_state`
     spatial marginals in the acceptance suite.
 
-    ``memo`` holds each prefix of the convolution, keyed by the bytes of
-    ``u`` and the (input modes, Gram sub-block bytes) of its blocks, so
-    ensembles that share leading blocks under one unitary (the source classes
-    of one step program: the same main photons plus a few distinguishable
-    extras) build and convolve them once; a device-noise run builds 255
-    blocks in place of 555.  A prefix does not depend on the pattern codes'
-    radix, so ensembles of any photon count can share it, and the result has
-    the same bits with or without a memo.  Without one a fresh dict is used.
-    The arrays returned may be held by the memo and must not be modified.
+    ``plans`` holds what does not depend on ``u`` (`PatternPlans`): the
+    blocks, their patterns, permutations and Gram weights, and the merge of
+    every convolution prefix.  A run that builds many unitaries keeps one, so
+    that each unitary costs only its block sums and one weighted
+    ``bincount`` per prefix.  ``memo`` holds each prefix's probabilities,
+    keyed by the bytes of ``u`` and the prefix, so ensembles that share
+    leading blocks under one unitary (the source classes of one step
+    program: the same main photons plus a few distinguishable extras) build
+    and convolve them once; a device-noise run builds 255 blocks in place of
+    555.  A merge does not depend on the pattern codes' radix, so ensembles
+    of any photon count can share a prefix, and the result has the same bits
+    with or without a memo or plans.  Without them fresh ones are used.  The
+    arrays returned may be held by the memo or the plans and must not be
+    modified.
     """
     u = np.asarray(u, dtype=complex)
     n_modes = u.shape[0]
     if any(m >= n_modes for m in ensemble.input_modes):
         raise ValueError("input mode index out of range for the unitary")
-    # A pattern's code is its counts as digits in base n_photons + 1; no
-    # digit can carry, so the code of a sum of patterns is the sum of codes.
-    base = ensemble.n_photons + 1
-    if base**n_modes > 2**63:
-        raise SizeLimitError(f"pattern codes of {base - 1} photons on {n_modes} modes")
-    radix = base ** np.arange(n_modes, dtype=np.int64)
+    n_photons = ensemble.n_photons
+    if n_photons > np.iinfo(_COUNT).max or (n_photons + 1) ** n_modes > 2**63:
+        raise SizeLimitError(f"count patterns of {n_photons} photons on {n_modes} modes")
+    chain = (plans if plans is not None else PatternPlans()).chain(n_modes, ensemble)
     if memo is None:
         memo = {}
-    key: tuple = (u.tobytes(),)
-    counts = np.zeros((1, n_modes), dtype=np.int64)
+    unitary = u.tobytes()
     probs = np.ones(1)
-    for block in _distinguishable_blocks(ensemble.gram):
-        modes = tuple(ensemble.input_modes[i] for i in block)
-        sub = ensemble.gram.entries[np.ix_(block, block)]
-        key += (modes, sub.tobytes())
-        if key in memo:
-            counts, probs = memo[key]
-            continue
-        block_counts, block_probs = _block_distribution(u, modes, sub)
-        codes = (counts @ radix)[:, None] + (block_counts @ radix)[None, :]
-        # Patterns keep the order of their first appearance, and each sum
-        # adds its terms in row-major order: the arithmetic of the pairwise
-        # loop over (pattern, block pattern), term by term.
-        _, first, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.argsort(order)
-        probs = np.bincount(rank[inverse], weights=np.outer(probs, block_probs).ravel())
-        pair = first[order]
-        counts = counts[pair // len(block_counts)] + block_counts[pair % len(block_counts)]
-        memo[key] = counts, probs
+    for prefix in chain:
+        key = (unitary, prefix.key)
+        if key not in memo:
+            _, block_probs = _block_distribution(u, prefix.block)
+            memo[key] = np.bincount(prefix.index, weights=np.outer(probs, block_probs).ravel())
+        probs = memo[key]
+    counts = chain[-1].counts if chain else np.zeros((1, n_modes), dtype=_COUNT)
     return counts, probs
 
 

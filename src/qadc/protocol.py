@@ -15,7 +15,10 @@ attempts (`_quantum_chunk`, `_sweep_chunk`, `_classical_chunk`) and return one
 `Dataset` type, whose 7-bit records are the codes of m6..m0 or c6..c0.  Each
 chunk returns only what it keeps, at most the records still needed: the
 attempt indices in ascending order and their record codes, and the attempts
-it used.  The loop reads each phase's acceptance A(phi), entry 127 of its
+it used.  A feed-forward or classical phase draws the attempts that its
+exact acceptance predicts in one chunk (`_phase_draw`), and draws again only
+when that falls short; the sweep runs chunks of ``SWEEP_CHUNK`` 4-photon
+attempts.  The loop reads each phase's acceptance A(phi), entry 127 of its
 record law, once, to gate the run and scale the sweep's attempt cap.  The
 phase grid (`grid_phases`), the bits of a record (`_RECORD_BITS`) and the
 positions of (b1, b2, b3) in it are fixed here alone.
@@ -32,7 +35,9 @@ Only the sweep samples step by step (`StepSimulator.sample_step`), with the
 same one-uniform sampler (`_draw_records`) over a step's outcome codes, and
 matches those codes into records.
 Distributions and laws are memoized, so sampling large shot counts is cheap;
-the memo behaves as a pure cache.
+the memo behaves as a pure cache.  The patterns, permutations, Gram weights
+and convolution merges of every source class are built once per run
+(`PatternPlans`), so each program's unitary costs only its block sums.
 
 The phase enters only as ``e^{i phi}`` on each logical-|1> rail, so with k
 photons in a class every accepted-outcome probability is a trigonometric
@@ -62,6 +67,7 @@ from qadc.linop import (
 )
 from qadc.photonics import (
     G2_GUARD,
+    PatternPlans,
     PhotonEnsemble,
     PostSelectionEmpty,
     SourceModel,
@@ -75,6 +81,8 @@ PROBE_SIZES = (4, 2, 1)
 CLASSICAL_QUBITS = 7  # 2**t - 1 with t = 3
 _B_POSITIONS = [6, 5, 3]  # columns of m (m6..m0) that hold (b1, b2, b3)
 MAX_ATTEMPT_FACTOR = 400  # attempts allowed per phase, in units of n_shots
+SWEEP_CHUNK = 4096  # 4-photon attempts per sweep chunk; the smallest phase draw
+DRAW_MAX = 2**17  # the largest feed-forward or classical phase draw: 1 MiB of uniforms
 MAX_PHASES = 2**16  # largest phase grid: its [n_phases, 128] count table is 64 MiB
 
 QUANTUM_CSV_HEADER = (
@@ -256,9 +264,10 @@ class StepSimulator:
     miss evaluates the mixture's Fourier series per (n, flags), built once
     from `_mixture` at 2k + 1 nodes; with them the mixture is built at the
     phase.  Classes that can never be accepted are left out, so their weight
-    is discarded with the other rejected attempts.  `record_law` composes the
-    step distributions into the law of a whole repetition, memoized per
-    (strategy, phase bits).
+    is discarded with the other rejected attempts.  One `PatternPlans` holds
+    the unitary-independent part of every class's build for the simulator's
+    lifetime.  `record_law` composes the step distributions into the law of
+    a whole repetition, memoized per (strategy, phase bits).
     """
 
     def __init__(self, noise: NoiseConfig, seed: int):
@@ -267,6 +276,7 @@ class StepSimulator:
         self._dists: dict = {}
         self._laws: dict = {}
         self._series: dict = {}
+        self._plans = PatternPlans()
         self._perturbed = noise.sigma_theta > 0 or noise.sigma_phi > 0
         self._classes = {n: self._weighted_classes(n) for n in PROBE_SIZES}
 
@@ -333,9 +343,10 @@ class StepSimulator:
     ) -> np.ndarray:
         """Accepted probability of every outcome code (qubit 0 the high bit), [2**n].
 
-        ``memo`` is the `full_output_distribution` memo of the unitary ``u``.
+        ``memo`` is the `full_output_distribution` memo of the unitary ``u``;
+        the run's `PatternPlans` serve every unitary.
         """
-        counts, probs = full_output_distribution(u, ensemble, memo)
+        counts, probs = full_output_distribution(u, ensemble, memo, self._plans)
         # Accepted: no photon off the rails and exactly one occupied rail per
         # pair; the bit is set when that rail is the pair's second.
         rail0, rail1 = np.array(logical_rail_pairs(n)).T
@@ -504,23 +515,53 @@ def _quantum_chunk(
     return kept, m, stats
 
 
-def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, law: str, cap_scale=None):
+def _phase_draw(need: int, acceptance: float) -> int:
+    """Attempts a feed-forward or classical phase draws for ``need`` more records.
+
+    The attempts that yield ``need`` plus 4 standard deviations of records at
+    the exact acceptance A(phi), so that a draw falls short only when its
+    records come about 4 standard deviations below their mean; at least
+    ``SWEEP_CHUNK`` and at most ``DRAW_MAX``, which an A(phi) of 0 also gets.
+    """
+    want = need + 4.0 * math.sqrt(need)
+    if want >= DRAW_MAX * acceptance:
+        return DRAW_MAX
+    return max(SWEEP_CHUNK, math.ceil(want / acceptance))
+
+
+def _sweep_draw(need: int, acceptance: float) -> int:
+    """The sweep's fixed chunk: its bytes depend on where chunks start."""
+    return SWEEP_CHUNK
+
+
+def _acquire(
+    config: ProtocolConfig, stream: int, chunk, draw, label: str, law: str, cap_scale=None
+):
     """Per-phase acquisition loop shared by every strategy.
 
     Each phase draws from its own ``derive_rng(seed, stream, phase)`` stream
     and calls ``chunk(sim, phi, count, need, rng) -> (kept, records, stats)``
-    on at most 4096 attempts at a time, where ``kept`` holds the indices of at
-    most ``need`` valid attempts in ascending order and ``records`` their
-    codes.  ``stats["attempts"]`` is the number of attempts the chunk used and
-    the other entries count within them; every entry is summed into the run's
-    stats.  Records are kept until n_shots or the cap of ``MAX_ATTEMPT_FACTOR
-    * n_shots`` attempts, times ``cap_scale(sim, phi, A)`` if given.  Phases
-    left short go to ``stats["short_phases"]`` with a warning; a run without
-    any row raises PostSelectionEmpty.  A(phi) is entry 127 of the ``law``
-    (``"quantum"`` or ``"classical"``) `StepSimulator.record_law`, the chance
-    that a repetition yields a record.  A run that expects fewer than one
-    valid repetition in all, the sum over phases of cap * A(phi), raises
-    PostSelectionEmpty before any attempt.  The messages start with ``label``.
+    with ``need`` the records still missing and ``count = draw(need, A)``
+    attempts, fewer where the phase's cap is nearer.  ``kept`` holds the
+    indices of at most ``need`` valid attempts in ascending order and
+    ``records`` their codes.  ``stats["attempts"]`` is the number of attempts
+    the chunk used and the other entries count within them; every entry is
+    summed into the run's stats.  Records are kept until n_shots or the cap
+    of ``MAX_ATTEMPT_FACTOR * n_shots`` attempts, times ``cap_scale(sim, phi,
+    A)`` if given.  Phases left short go to ``stats["short_phases"]`` with a
+    warning; a run without any row raises PostSelectionEmpty.  A(phi) is
+    entry 127 of the ``law`` (``"quantum"`` or ``"classical"``)
+    `StepSimulator.record_law`, the chance that a repetition yields a record.
+    A run that expects fewer than one valid repetition in all, the sum over
+    phases of cap * A(phi), raises PostSelectionEmpty before any attempt.  The
+    messages start with ``label``.
+
+    A feed-forward or classical attempt takes one uniform, a chunk draws its
+    ``count`` uniforms in one ``rng.random`` call and uses them in order, and
+    a phase's stream ends with its last chunk; so the size of a draw changes
+    no record, shot index or stat, and these strategies draw a phase at once
+    (`_phase_draw`).  The sweep's records depend on where its chunks start,
+    so it keeps ``SWEEP_CHUNK`` 4-photon attempts a chunk (`_sweep_draw`).
     """
     sim = StepSimulator(config.noise, config.seed)
     cap = config.n_shots * MAX_ATTEMPT_FACTOR
@@ -538,9 +579,9 @@ def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, law: str, c
         phase_cap = cap if cap_scale is None else math.ceil(cap * cap_scale(sim, float(phi), a))
         have = attempts = 0
         while have < config.n_shots and attempts < phase_cap:
-            kept, records, chunk_stats = chunk(
-                sim, float(phi), min(4096, phase_cap - attempts), config.n_shots - have, rng
-            )
+            need = config.n_shots - have
+            count = min(draw(need, a), phase_cap - attempts)
+            kept, records, chunk_stats = chunk(sim, float(phi), count, need, rng)
             shots.append(attempts + kept)
             rows.append(records)
             have += len(kept)
@@ -570,7 +611,7 @@ def _acquire(config: ProtocolConfig, stream: int, chunk, label: str, law: str, c
 
 def simulate_quantum_dataset(config: ProtocolConfig) -> Dataset:
     """Run the feed-forward protocol until n_shots valid repetitions per phase."""
-    return _acquire(config, _STREAM_QUANTUM, _quantum_chunk, "quantum", "quantum")
+    return _acquire(config, _STREAM_QUANTUM, _quantum_chunk, _phase_draw, "quantum", "quantum")
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +694,9 @@ def _sweep_cap_scale(sim: StepSimulator, phi: float, acceptance: float) -> float
 
 def simulate_sweep_dataset(config: ProtocolConfig) -> Dataset:
     """Quantum dataset via the configuration sweep plus matching post-processing."""
-    return _acquire(config, _STREAM_SWEEP, _sweep_chunk, "sweep", "quantum", _sweep_cap_scale)
+    return _acquire(
+        config, _STREAM_SWEEP, _sweep_chunk, _sweep_draw, "sweep", "quantum", _sweep_cap_scale
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +714,9 @@ def _classical_chunk(
 
 def simulate_classical_dataset(config: ProtocolConfig) -> Dataset:
     """Run the classical baseline until n_shots valid repetitions per phase."""
-    return _acquire(config, _STREAM_CLASSICAL, _classical_chunk, "classical", "classical")
+    return _acquire(
+        config, _STREAM_CLASSICAL, _classical_chunk, _phase_draw, "classical", "classical"
+    )
 
 
 # ---------------------------------------------------------------------------

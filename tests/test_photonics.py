@@ -29,6 +29,7 @@ from qadc.photonics import (
     DualRailState,
     GramMatrix,
     ModelError,
+    PatternPlans,
     PhotonEnsemble,
     PostSelectionEmpty,
     SourceModel,
@@ -213,7 +214,8 @@ def reference_convolution(u, ens) -> dict:
     for block in photonics._distinguishable_blocks(ens.gram):
         modes = tuple(ens.input_modes[i] for i in block)
         sub = ens.gram.entries[np.ix_(block, block)]
-        block_dist = distribution_dict(*photonics._block_distribution(u, modes, sub))
+        block = photonics._block_plan(u.shape[0], modes, sub)
+        block_dist = distribution_dict(*photonics._block_distribution(u, block))
         merged = {}
         for c1, p1 in dist.items():
             for c2, p2 in block_dist.items():
@@ -237,6 +239,14 @@ class TestDistributionArrays:
         assert (counts.sum(axis=1) == n).all() and (counts >= 0).all()
         assert len(np.unique(counts, axis=0)) == len(counts)
         assert (probs >= 0).all() and probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_photon_count_guard(self, rng):
+        # Count patterns are int8: 127 photons fit, 128 raise.
+        u = random_unitary(2, rng)
+        counts, probs = full_output_distribution(u, ensemble_from_parts((), (0,) * 127, 1.0))
+        assert counts.dtype == np.int8 and counts.max() == 127 and len(counts) == 128
+        with pytest.raises(SizeLimitError, match="count patterns of 128 photons"):
+            full_output_distribution(u, ensemble_from_parts((), (0,) * 128, 1.0))
 
     def test_convolution_equals_pairwise_merge(self, rng):
         for mains, extras in (((0, 1), (2,)), ((0, 1, 2, 3), (4, 6)), ((1, 3, 5), (0, 5)),
@@ -299,6 +309,67 @@ class TestConvolutionMemo:
                 full_output_distribution(u, ens, memo), full_output_distribution(u, ens)
             )
 
+
+
+class TestPatternPlans:
+    """One `PatternPlans` serves many unitaries with the bits of a fresh build."""
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            pytest.param(DEVICE_NOISE, id="device"),
+            pytest.param(replace(DEVICE_NOISE, condition_on_emission=False, eta=0.8),
+                         id="unconditioned"),
+        ],
+    )
+    def test_reused_plans_give_fresh_bits(self, noise, rng):
+        sim = StepSimulator(noise, seed=1)
+        ensembles = [ensemble for n in (4, 2, 1) for _, ensemble in sim._classes[n]]
+        plans = PatternPlans()
+        for _ in range(12):
+            u = random_unitary(8, rng)
+            memo = {}
+            for ensemble in ensembles:
+                got = full_output_distribution(u, ensemble, memo, plans)
+                assert_same_bits(got, full_output_distribution(u, ensemble))
+        # The plans grow with the distinct ensembles, never with the unitaries.
+        distinct = {(e.input_modes, e.gram.entries.tobytes()) for e in ensembles}
+        assert len(plans._chains) == len(distinct)
+        assert len(plans._prefixes) < sum(
+            len(photonics._distinguishable_blocks(e.gram)) for e in ensembles
+        )
+
+    def test_gram_matrices_never_share_a_plan(self, rng):
+        plans = PatternPlans()
+        ensembles = {d: ensemble_from_parts((0, 2, 4, 6), (1,), d) for d in (0.926, 0.7)}
+        for _ in range(4):
+            u = random_unitary(8, rng)
+            for delta in (0.926, 0.7, 0.926):
+                ensemble = ensembles[delta]
+                assert_same_bits(
+                    full_output_distribution(u, ensemble, None, plans),
+                    full_output_distribution(u, ensemble),
+                )
+        first, second = (plans.chain(8, e) for e in ensembles.values())
+        assert not {id(p) for p in first} & {id(p) for p in second}
+
+    def test_plans_key_the_mode_count(self, rng):
+        # The same photons on a 6- and an 8-mode unitary have other patterns.
+        plans = PatternPlans()
+        ensemble = ensemble_from_parts((0, 2, 4), (5,), 0.9)
+        for n_modes in (8, 6, 8):
+            u = random_unitary(n_modes, rng)
+            assert_same_bits(
+                full_output_distribution(u, ensemble, None, plans),
+                full_output_distribution(u, ensemble),
+            )
+
+    def test_plan_arrays_are_read_only(self, rng):
+        counts, _ = full_output_distribution(
+            random_unitary(8, rng), ensemble_from_parts((0, 2), (4,), 0.9), None, PatternPlans()
+        )
+        with pytest.raises(ValueError):
+            counts[0, 0] = 1
 
 class TestOracle:
     def test_oracle_normalization(self, rng):

@@ -388,6 +388,136 @@ class TestNoiseChannels:
         assert abs(weights[[1, 3]].sum() - 0.5) <= 1e-15
 
 
+
+def fixed_draw(need, acceptance):
+    """The draw of the earlier acquisition loop: 4,096 attempts at a time, whatever the need."""
+    return 4096
+
+
+LOSSY_UNCONDITIONED = NoiseConfig(
+    brightness=0.5, eta=0.6, g2_two_photon=0.02, g2_four_photon=0.02, condition_on_emission=False
+)
+
+
+class TestDrawSizeChangesNoDataset:
+    """A phase drawn at once gives the dataset of the same phase drawn 4,096 attempts at a time.
+
+    Each phase's attempts take one uniform each, in order, from the phase's
+    own stream, so records, shot indices, discard stats and short phases must
+    not depend on how many uniforms a draw takes.  Quantum phases draw
+    600 / A(phi) and classical ones 6,000 / A(phi) attempts, both above
+    4,096, and end mid-draw; under the unconditioned lossy source every phase
+    runs into its attempt cap.
+    """
+
+    SIMULATE = {"quantum": simulate_quantum_dataset, "classical": simulate_classical_dataset}
+    CHUNK = {"quantum": "_quantum_chunk", "classical": "_classical_chunk"}
+    N_SHOTS = {"quantum": 600, "classical": 6000}
+
+    def run(self, monkeypatch, strategy, noise, n_phases=3):
+        """The dataset and the (attempts drawn, attempts used) of each chunk."""
+        draws = []
+        chunk = getattr(protocol, self.CHUNK[strategy])
+
+        def spied(sim, phi, count, need, rng):
+            kept, records, stats = chunk(sim, phi, count, need, rng)
+            draws.append((count, stats["attempts"]))
+            return kept, records, stats
+
+        config = ProtocolConfig(
+            n_phases=n_phases, n_shots=self.N_SHOTS[strategy], noise=noise, seed=7
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, self.CHUNK[strategy], spied)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # the short phases
+                return self.SIMULATE[strategy](config), draws
+
+    def check(self, monkeypatch, strategy, noise):
+        got, draws = self.run(monkeypatch, strategy, noise)
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "_phase_draw", fixed_draw)
+            want, fixed = self.run(monkeypatch, strategy, noise)
+        assert max(count for count, _ in fixed) == 4096
+        assert max(count for count, _ in draws) > 4096
+        assert len(draws) < len(fixed)
+        for name in ("phase_index", "shot_index", "records"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.stats == want.stats
+        return got, draws
+
+    @pytest.mark.parametrize("strategy", ["quantum", "classical"])
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            pytest.param(NOISELESS, id="noiseless"),
+            pytest.param(DEVICE_NOISE, id="device"),
+            pytest.param(
+                NoiseConfig(delta=0.9, brightness=0.5, sigma_theta=0.05, sigma_phi=0.05),
+                id="programming",
+            ),
+        ],
+    )
+    def test_need_met_mid_draw(self, monkeypatch, strategy, noise):
+        got, draws = self.check(monkeypatch, strategy, noise)
+        assert "short_phases" not in got.stats
+        # Each phase's last draw holds uniforms past its last record.
+        assert sum(used < count for count, used in draws) == got.n_phases
+
+    @pytest.mark.parametrize("strategy", ["quantum", "classical"])
+    def test_phases_at_the_attempt_cap(self, monkeypatch, strategy):
+        got, draws = self.check(monkeypatch, strategy, LOSSY_UNCONDITIONED)
+        assert got.stats["short_phases"] == [0, 1, 2]
+        cap = protocol.MAX_ATTEMPT_FACTOR * self.N_SHOTS[strategy]
+        assert got.stats["attempts"] == 3 * cap
+        assert sum(count for count, _ in draws) == 3 * cap
+
+    @pytest.mark.parametrize("strategy", ["quantum", "classical"])
+    def test_zero_acceptance_at_a_phase(self, monkeypatch, strategy):
+        # Every repetition at phase 0 is lost: it draws DRAW_MAX at a time up
+        # to its cap, where an A(phi) of 0 must not be divided by.
+        record_law = StepSimulator.record_law
+
+        def lost_at_zero(self, strategy, phi):
+            cum = record_law(self, strategy, phi)
+            if phi != 0.0:
+                return cum
+            lost = np.zeros_like(cum)
+            lost[protocol._N_RECORDS :] = 1.0  # a quantum law's loss bins
+            return lost
+
+        monkeypatch.setattr(StepSimulator, "record_law", lost_at_zero)
+        got, draws = self.check(monkeypatch, strategy, NOISELESS)
+        assert got.stats["short_phases"] == [0]
+        assert not np.any(got.phase_index == 0)
+        assert draws[0] == (protocol.DRAW_MAX, protocol.DRAW_MAX)
+
+    def test_the_sweep_keeps_its_chunk(self, monkeypatch):
+        # The sweep matches its records chunk by chunk, so its bytes depend on
+        # where its chunks start: it runs SWEEP_CHUNK 4-photon attempts at a
+        # time where a phase draw would take more.
+        counts = []
+        chunk = protocol._sweep_chunk
+
+        def spied(sim, phi, count, need, rng):
+            counts.append(count)
+            return chunk(sim, phi, count, need, rng)
+
+        monkeypatch.setattr(protocol, "_sweep_chunk", spied)
+        ds = simulate_sweep_dataset(ProtocolConfig(n_phases=2, n_shots=600, noise=NOISELESS))
+        assert ds.stats["valid"] == 2 * 600
+        assert set(counts) == {protocol.SWEEP_CHUNK}
+        assert len(counts) > 2 * 10
+        assert protocol._phase_draw(600, 1 / 16) > protocol.SWEEP_CHUNK
+
+    def test_draw_sizes(self):
+        assert protocol._phase_draw(1, 1.0) == protocol.SWEEP_CHUNK
+        assert protocol._phase_draw(5377, 1 / 16) == math.ceil((5377 + 4 * math.sqrt(5377)) * 16)
+        for acceptance in (0.0, 1e-300, 1e-3):
+            assert protocol._phase_draw(5377, acceptance) == protocol.DRAW_MAX
+        assert protocol._sweep_draw(5377, 1 / 16) == protocol.SWEEP_CHUNK == 4096
+
 def class_parts(n, class_key):
     """Input channels of the main and the second photons of a class key.
 
@@ -512,20 +642,28 @@ class TestPhaseSeries:
     # prefixes of their common photons, so each node builds its main block
     # once and each extra one-photon block once per distinct prefix before
     # it; 555 blocks without the sharing.  Noiseless, one block per build.
+    #
+    # Block plans: one per convolution prefix of the run, whatever the
+    # unitary; noiseless, the one block of each step size.  Device noise: at
+    # n = 4 the main block, then 4 prefixes with one extra and 6 with two; at
+    # n = 2 the main block and 3 prefixes with extras; at n = 1, 2 prefixes.
     @pytest.mark.parametrize(
-        "noise, n_phases, builds, blocks",
+        "noise, n_phases, builds, blocks, plans",
         [
-            pytest.param(NOISELESS, 9, 9 + 2 * 5 + 4 * 3, 31, id="9"),
-            pytest.param(NOISELESS, 33, 9 + 2 * 5 + 4 * 3, 31, id="33"),
-            pytest.param(DEVICE_NOISE, 9, 13 * 11 + 2 * 9 * 4 + 4 * 5 * 2, 255, id="device-9"),
-            pytest.param(DEVICE_NOISE, 33, 13 * 11 + 2 * 9 * 4 + 4 * 5 * 2, 255, id="device-33"),
+            pytest.param(NOISELESS, 9, 9 + 2 * 5 + 4 * 3, 31, 3, id="9"),
+            pytest.param(NOISELESS, 33, 9 + 2 * 5 + 4 * 3, 31, 3, id="33"),
+            pytest.param(DEVICE_NOISE, 9, 13 * 11 + 2 * 9 * 4 + 4 * 5 * 2, 255, 11 + 4 + 2,
+                         id="device-9"),
+            pytest.param(DEVICE_NOISE, 33, 13 * 11 + 2 * 9 * 4 + 4 * 5 * 2, 255, 11 + 4 + 2,
+                         id="device-33"),
         ],
     )
     def test_builds_do_not_grow_with_the_grid(
-        self, monkeypatch, noise, n_phases, builds, blocks
+        self, monkeypatch, noise, n_phases, builds, blocks, plans
     ):
-        calls, block_calls = [], []
+        calls, block_calls, plan_calls = [], [], []
         block_distribution = photonics._block_distribution
+        block_plan = photonics._block_plan
 
         def counted(*args):
             calls.append(1)
@@ -535,13 +673,19 @@ class TestPhaseSeries:
             block_calls.append(1)
             return block_distribution(*args)
 
+        def counted_plan(*args):
+            plan_calls.append(1)
+            return block_plan(*args)
+
         monkeypatch.setattr(protocol, "full_output_distribution", counted)
         monkeypatch.setattr(photonics, "_block_distribution", counted_block)
+        monkeypatch.setattr(photonics, "_block_plan", counted_plan)
         simulate_quantum_dataset(
             ProtocolConfig(n_phases=n_phases, n_shots=50, noise=noise, seed=1)
         )
         assert len(calls) == builds
         assert len(block_calls) == blocks
+        assert len(plan_calls) == plans
 
     def test_mixture_shares_builds_without_changing_bits(self):
         # One simulator, several series nodes of each step: the memo of one

@@ -203,6 +203,61 @@ class TestExactClassicalMi:
         assert abs(classical_mi(noise) - 1.3156025645) <= 1e-10
 
 
+
+#: The SI's noise sources one at a time and together: the exact MI of the
+#: 7-bit record law on the 99-phase grid, in bits.
+NOISE_BUDGET = {
+    "noiseless": (NoiseConfig(), 1.9566885483846526),
+    "delta": (NoiseConfig(delta=DEVICE_NOISE.delta), 1.6070515544322372),
+    "g2": (
+        NoiseConfig(
+            g2_two_photon=DEVICE_NOISE.g2_two_photon,
+            g2_four_photon=DEVICE_NOISE.g2_four_photon,
+            brightness=DEVICE_NOISE.brightness,
+        ),
+        1.9515815770482339,
+    ),
+    "device": (DEVICE_NOISE, 1.6043241596474271),
+    "device-eta0.85": (replace(DEVICE_NOISE, eta=0.85), 1.6034385849072155),
+}
+
+
+@pytest.fixture(scope="module")
+def noise_budget():
+    """Per row of `NOISE_BUDGET`: the exact 7-bit MI and the b1 b2 b3 marginal's MI."""
+    phases = 2 * math.pi * np.arange(99) / 99
+    budget = {}
+    for name, (noise, _) in NOISE_BUDGET.items():
+        table = CondProbTable(phases, law_table(noise, phases))
+        budget[name] = (
+            mutual_information(table).value,
+            mutual_information(marginalize_to_bits(table)).value,
+        )
+    return budget
+
+
+class TestNoiseBudget:
+    """The exact cost of each noise source in MI, with no sampling spread (under 1 s)."""
+
+    @pytest.mark.parametrize("name", list(NOISE_BUDGET))
+    def test_pinned_value(self, noise_budget, name):
+        assert abs(noise_budget[name][0] - NOISE_BUDGET[name][1]) <= 1e-10
+
+    def test_distinguishability_costs_most_and_loss_least(self, noise_budget):
+        mi = {name: values[0] for name, values in noise_budget.items()}
+        delta_cost = mi["noiseless"] - mi["delta"]
+        g2_cost = mi["noiseless"] - mi["g2"]
+        loss_cost = mi["device"] - mi["device-eta0.85"]
+        assert delta_cost > g2_cost > loss_cost > 0.0
+        # Together the two device sources cost less than their sum.
+        assert mi["noiseless"] - mi["device"] < delta_cost + g2_cost
+
+    @pytest.mark.parametrize("name", list(NOISE_BUDGET))
+    def test_the_b_bits_carry_all_of_it(self, noise_budget, name):
+        # The four bits outside b1 b2 b3 carry no information, even under noise.
+        mi_records, mi_b = noise_budget[name]
+        assert abs(mi_records - mi_b) <= 5e-5
+
 MI_SEED = 2718
 
 
