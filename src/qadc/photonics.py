@@ -395,6 +395,7 @@ class PatternPlans:
         self._prefixes: dict = {}
 
     def chain(self, n_modes: int, ensemble: PhotonEnsemble) -> tuple[_Prefix, ...]:
+        """The convolution prefixes of ``ensemble`` on ``n_modes`` modes, in order."""
         key = (n_modes, ensemble.input_modes, ensemble.gram.entries.tobytes())
         if key not in self._chains:
             self._chains[key] = tuple(self._build_chain(n_modes, ensemble))
@@ -423,11 +424,12 @@ def full_output_distribution(
 
     Returns ``(counts, probs)``: the count patterns as an int8 array
     [K, n_modes], each pattern once, and their probabilities as a float64
-    array [K].  Ensembles of more than 127 photons raise SizeLimitError.  The ensemble is split into mutually orthogonal blocks whose
-    distributions are computed by the double-permutation formula and
-    convolved: every pattern row of one block is added to every row of the
-    next, and equal sums are merged.  Validated against `oracle_full_state`
-    spatial marginals in the acceptance suite.
+    array [K].  Ensembles of more than 127 photons raise SizeLimitError.
+    The ensemble is split into mutually orthogonal blocks whose distributions
+    are computed by the double-permutation formula and convolved: every
+    pattern row of one block is added to every row of the next, and equal
+    sums are merged.  Validated against `oracle_full_state` spatial marginals
+    in the acceptance suite.
 
     ``plans`` holds what does not depend on ``u`` (`PatternPlans`): the
     blocks, their patterns, permutations and Gram weights, and the merge of

@@ -310,7 +310,6 @@ class TestConvolutionMemo:
             )
 
 
-
 class TestPatternPlans:
     """One `PatternPlans` serves many unitaries with the bits of a fresh build."""
 
@@ -370,6 +369,7 @@ class TestPatternPlans:
         )
         with pytest.raises(ValueError):
             counts[0, 0] = 1
+
 
 class TestOracle:
     def test_oracle_normalization(self, rng):

@@ -388,9 +388,8 @@ class TestNoiseChannels:
         assert abs(weights[[1, 3]].sum() - 0.5) <= 1e-15
 
 
-
 def fixed_draw(need, acceptance):
-    """The draw of the earlier acquisition loop: 4,096 attempts at a time, whatever the need."""
+    """The reference draw: 4,096 attempts at a time, whatever the need."""
     return 4096
 
 
@@ -517,6 +516,7 @@ class TestDrawSizeChangesNoDataset:
         for acceptance in (0.0, 1e-300, 1e-3):
             assert protocol._phase_draw(5377, acceptance) == protocol.DRAW_MAX
         assert protocol._sweep_draw(5377, 1 / 16) == protocol.SWEEP_CHUNK == 4096
+
 
 def class_parts(n, class_key):
     """Input channels of the main and the second photons of a class key.

@@ -203,7 +203,6 @@ class TestExactClassicalMi:
         assert abs(classical_mi(noise) - 1.3156025645) <= 1e-10
 
 
-
 #: The SI's noise sources one at a time and together: the exact MI of the
 #: 7-bit record law on the 99-phase grid, in bits.
 NOISE_BUDGET = {
@@ -257,6 +256,7 @@ class TestNoiseBudget:
         # The four bits outside b1 b2 b3 carry no information, even under noise.
         mi_records, mi_b = noise_budget[name]
         assert abs(mi_records - mi_b) <= 5e-5
+
 
 MI_SEED = 2718
 
