@@ -444,6 +444,29 @@ MUTANTS = (
         ("tests/test_protocol.py::TestDrawSizeChangesNoDataset::test_the_sweep_keeps_its_chunk",),
     ),
     Mutant(
+        "acquire-fill-offset-not-advanced",
+        "src/qadc/protocol.py",
+        "            filled = end\n",
+        "",
+        (
+            "tests/test_protocol.py::TestAcquisitionHoldsEachRowOnce::"
+            "test_capped_run_holds_only_its_rows[quantum]",
+            "tests/test_protocol.py::TestGridDeterminism::test_grid_phases_give_binary_expansion",
+        ),
+    ),
+    Mutant(
+        "acquire-returns-the-whole-buffer",
+        "src/qadc/protocol.py",
+        "        shots[:filled],\n        rows[:filled],\n",
+        "        shots,\n        rows,\n",
+        (
+            "tests/test_protocol.py::TestAcquisitionHoldsEachRowOnce::"
+            "test_capped_run_holds_only_its_rows[quantum]",
+            "tests/test_protocol.py::TestAcquisitionHoldsEachRowOnce::"
+            "test_capped_run_holds_only_its_rows[classical]",
+        ),
+    ),
+    Mutant(
         "device-noise-preset-without-eta",
         "src/qadc/protocol.py",
         '        "brightness": 0.14,\n        "eta": 1.0,\n',

@@ -288,6 +288,26 @@ class TestSimulate:
         assert capsys.readouterr().err == "numerical failure: guard hit\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "label, args",
+        [
+            ("quantum", ["--strategy", "quantum"]),
+            ("classical", ["--strategy", "classical"]),
+            ("sweep", ["--strategy", "quantum", "--mode", "sweep"]),
+        ],
+    )
+    def test_rows_that_cannot_be_held_fail_at_once(self, tmp_path, capsys, label, args):
+        # numpy refuses 3 * 2**62 int64 shot indices by its size arithmetic,
+        # so the run stops before its first attempt and allocates nothing.
+        out = tmp_path / "x"
+        shots = 2**62
+        assert run_cli(["simulate", "--out", out, "--noiseless", "--n-phases", "3",
+                        "--n-shots", shots, *args]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: {label}: cannot hold n_phases x n_shots = 3 x {shots} rows\n"
+        )
+        assert not out.exists()
+
 
 #: An out-of-range value for every numeric config leaf.
 OUT_OF_RANGE = {

@@ -518,6 +518,46 @@ class TestDrawSizeChangesNoDataset:
         assert protocol._sweep_draw(5377, 1 / 16) == protocol.SWEEP_CHUNK == 4096
 
 
+class TestAcquisitionHoldsEachRowOnce:
+    """Acquisition writes each chunk's rows into the run's final arrays.
+
+    Every phase keeps at most n_shots rows, so the shot indices and records
+    of the run are allocated once and the dataset holds their filled prefix.
+    """
+
+    @pytest.mark.parametrize(
+        "simulate, noise",
+        [
+            pytest.param(simulate_quantum_dataset, NOISELESS, id="quantum-noiseless"),
+            pytest.param(simulate_quantum_dataset, DEVICE_NOISE, id="quantum-device"),
+            pytest.param(simulate_classical_dataset, NOISELESS, id="classical"),
+        ],
+    )
+    def test_peak_is_the_dataset_and_a_little(self, simulate, noise):
+        config = ProtocolConfig(n_phases=99, n_shots=3000, noise=noise, seed=1)
+        ds, peak = traced_peak(lambda: simulate(config))
+        assert len(ds.records) == 99 * 3000
+        own = ds.phase_index.nbytes + ds.shot_index.nbytes + ds.records.nbytes
+        assert peak <= own + 2 * 2**20
+
+    @pytest.mark.parametrize("strategy", ["quantum", "classical"])
+    def test_capped_run_holds_only_its_rows(self, strategy):
+        # Every phase runs into its attempt cap, so the run fills only part of
+        # the n_phases * n_shots rows it allocated.
+        config = ProtocolConfig(n_phases=3, n_shots=600, noise=LOSSY_UNCONDITIONED, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the short phases
+            ds = TestDrawSizeChangesNoDataset.SIMULATE[strategy](config)
+        assert ds.stats["short_phases"] == [0, 1, 2]
+        valid = ds.stats["valid"]
+        assert 0 < valid < 3 * 600
+        assert len(ds.phase_index) == len(ds.shot_index) == len(ds.records) == valid
+        for p in range(3):
+            shots = ds.shot_index[ds.phase_index == p]
+            assert np.all(np.diff(shots) > 0)
+            assert shots[-1] < protocol.MAX_ATTEMPT_FACTOR * 600
+
+
 def class_parts(n, class_key):
     """Input channels of the main and the second photons of a class key.
 
@@ -1064,14 +1104,15 @@ class TestReaderPaths:
 
     def test_dataset_holds_no_index_copies_above_the_columns(self, tmp_path):
         # Each phase's value is looked up among the run ends of its index, so
-        # no sort or reversed copy of the index column is made; what the check
-        # of the b columns holds stays under two int64 arrays of the rows.
+        # no sort or reversed copy of the index column is made, and the check
+        # of the b columns gathers one byte per row: what it holds stays
+        # under 4 bytes per row.
         path = tmp_path / "data.csv"
         write_quantum_csv(simulate_quantum_dataset(noiseless_config(n_phases=99, n_shots=3000)), path)
         _, load_peak = traced_peak(lambda: protocol._load_columns(path, QUANTUM_CSV_HEADER, 13))
         ds, peak = traced_peak(lambda: read_quantum_csv(path))
         assert len(ds.records) == 99 * 3000
-        assert peak <= load_peak + 2 * ds.shot_index.nbytes
+        assert peak <= load_peak + ds.shot_index.nbytes // 2
 
     @pytest.mark.parametrize(
         "kind, edit, expect",

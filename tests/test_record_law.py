@@ -99,8 +99,8 @@ def classical_law(sim, phi):
     return law
 
 
-def law_table(noise, phases):
-    sim = StepSimulator(noise, seed=LAW_SEED)
+def law_table(noise, phases, seed=LAW_SEED):
+    sim = StepSimulator(noise, seed=seed)
     return np.stack([record_law(sim, float(phi)) for phi in phases])
 
 
@@ -219,6 +219,15 @@ NOISE_BUDGET = {
     "device": (DEVICE_NOISE, 1.6043241596474271),
     "device-eta0.85": (replace(DEVICE_NOISE, eta=0.85), 1.6034385849072155),
 }
+#: Static programming errors at sigma_theta = sigma_phi = 0.05: the exact
+#: 7-bit MI of the record law per seed of the perturbed programs.
+PROGRAMMING_NOISE = NoiseConfig(sigma_theta=0.05, sigma_phi=0.05)
+PROGRAMMING_BUDGET = {
+    1: 1.8258955500240328,
+    2: 1.8005023351163518,
+    3: 1.8645952115416846,
+    4: 1.8255096836291587,
+}
 
 
 @pytest.fixture(scope="module")
@@ -235,8 +244,24 @@ def noise_budget():
     return budget
 
 
+@pytest.fixture(scope="module")
+def programming_budget():
+    """Per seed of `PROGRAMMING_BUDGET`: the exact 7-bit MI (about 3 s in all)."""
+    phases = 2 * math.pi * np.arange(99) / 99
+    return {
+        seed: mutual_information(
+            CondProbTable(phases, law_table(PROGRAMMING_NOISE, phases, seed))
+        ).value
+        for seed in PROGRAMMING_BUDGET
+    }
+
+
 class TestNoiseBudget:
-    """The exact cost of each noise source in MI, with no sampling spread (under 1 s)."""
+    """The exact cost of each noise source in MI, with no sampling spread.
+
+    The fixed rows take under 1 s; programming errors draw a perturbed
+    program per seed, so their row is the mean over four seeds.
+    """
 
     @pytest.mark.parametrize("name", list(NOISE_BUDGET))
     def test_pinned_value(self, noise_budget, name):
@@ -250,6 +275,17 @@ class TestNoiseBudget:
         assert delta_cost > g2_cost > loss_cost > 0.0
         # Together the two device sources cost less than their sum.
         assert mi["noiseless"] - mi["device"] < delta_cost + g2_cost
+
+    @pytest.mark.parametrize("seed", list(PROGRAMMING_BUDGET))
+    def test_pinned_programming_error(self, programming_budget, seed):
+        assert abs(programming_budget[seed] - PROGRAMMING_BUDGET[seed]) <= 1e-10
+
+    def test_programming_errors_cost_between_g2_and_distinguishability(
+        self, noise_budget, programming_budget
+    ):
+        noiseless = noise_budget["noiseless"][0]
+        cost = noiseless - np.mean(list(programming_budget.values()))
+        assert noiseless - noise_budget["g2"][0] < cost < noiseless - noise_budget["delta"][0]
 
     @pytest.mark.parametrize("name", list(NOISE_BUDGET))
     def test_the_b_bits_carry_all_of_it(self, noise_budget, name):
