@@ -562,7 +562,7 @@ def _acquire(
     rows, before any attempt; each chunk writes its rows into the next slice,
     and the `Dataset` holds the filled prefix of both, views and not copies.
     So acquisition holds each row once: at 99 x 5377 with device noise its
-    traced peak is 9.81 MiB against an 8.63 MiB dataset.  A row count that
+    traced peak is 9.8 MiB against an 8.6 MiB dataset.  A row count that
     cannot be allocated raises SizeLimitError before any attempt.
 
     A feed-forward or classical attempt takes one uniform, a chunk draws its
